@@ -16,13 +16,12 @@ JSON — under the campaign's :class:`~repro.campaigns.spec.GateConfig`:
   band, and only when both sides actually carry timings (committed
   goldens usually don't).
 
-:class:`MetricDelta` is the shared delta primitive, with the edge-case
-semantics the legacy ``compare_campaigns`` lacked: a metric missing on
-either side yields an explicit ``added``/``removed`` delta (never a
-silent skip), a NaN on either side is an explicit change (never a
-quiet pass), and a zero baseline never raises — ``relative_change``
-goes to ``inf``/``nan`` and threshold checks are written so that
-non-finite changes always report.
+:class:`MetricDelta` is the delta primitive, and every edge case is
+explicit: a metric missing on either side yields an ``added``/
+``removed`` delta (never a silent skip), a NaN on either side is an
+explicit change (never a quiet pass), and a zero baseline never
+raises — ``relative_change`` goes to ``inf``/``nan`` and threshold
+checks are written so that non-finite changes always report.
 """
 
 from __future__ import annotations

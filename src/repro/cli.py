@@ -271,14 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CURRENT",
         help="campaign results directory (or baseline file) to check",
     )
-    campaign_archive = campaign_sub.add_parser(
-        "archive",
-        help="legacy ad-hoc batch: run the standard experiment list "
-        "and archive results + manifest",
-        parents=[common],
-    )
-    campaign_archive.add_argument("--results-dir", default="results")
-    campaign_archive.add_argument("--label", default=None)
 
     serve = sub.add_parser(
         "serve",
@@ -380,7 +372,7 @@ def _configure_backends(
 
 
 def _campaign_main(args: argparse.Namespace) -> int:
-    """The ``repro campaign <run|report|diff|archive>`` group."""
+    """The ``repro campaign <run|report|diff>`` group."""
     if args.campaign_command == "report":
         from repro.campaigns import summarize_campaign
 
@@ -403,9 +395,10 @@ def _campaign_main(args: argparse.Namespace) -> int:
         print(format_gate_report(violations, str(args.baseline)))
         return 1 if violations else 0
 
-    # `run` and the legacy `archive` execute simulations: configure the
-    # process-wide backends first, exactly like the experiment
-    # subcommands, and replicate them into any worker pool.
+    assert args.campaign_command == "run", args.campaign_command
+    # `run` executes simulations: configure the process-wide backends
+    # first, exactly like the experiment subcommands, and replicate
+    # them into any worker pool.
     from functools import partial
 
     from repro.runtime import ProgressPrinter
@@ -418,29 +411,6 @@ def _campaign_main(args: argparse.Namespace) -> int:
         )
     hooks = ProgressPrinter() if args.progress else None
 
-    if args.campaign_command == "archive":
-        from repro.experiments.campaign import default_specs
-        from repro.experiments.campaign import run_campaign as run_archive
-        from repro.runtime import make_executor
-
-        executor = make_executor(args.workers, worker_init)
-        record = run_archive(
-            default_specs(quick=True, executor=executor),
-            args.results_dir,
-            label=args.label,
-            workers=executor.workers,
-        )
-        print(f"campaign '{record.label}' archived to {record.directory}")
-        for name, seconds in record.seconds.items():
-            print(f"  {name}: {seconds:.1f}s (workers={record.workers})")
-        if args.output:
-            from repro.experiments.persistence import save_json
-
-            path = save_json(record.metrics, args.output, label="campaign")
-            print(f"\nresult saved to {path}")
-        return 0
-
-    assert args.campaign_command == "run", args.campaign_command
     from repro.campaigns import load_campaign_spec, run_campaign
 
     spec = load_campaign_spec(args.spec)

@@ -42,13 +42,6 @@ from repro.experiments.ablation import (
     run_ablation,
     run_bluetree_alpha_sweep,
 )
-from repro.experiments.campaign import (
-    ExperimentSpec,
-    compare_campaigns,
-    default_specs,
-    load_manifest,
-    run_campaign,
-)
 from repro.experiments.dram_sensitivity import (
     format_dram_sensitivity,
     run_dram_sensitivity,
@@ -116,11 +109,6 @@ __all__ = [
     "run_ablation",
     "AlphaPoint",
     "run_bluetree_alpha_sweep",
-    "ExperimentSpec",
-    "compare_campaigns",
-    "default_specs",
-    "load_manifest",
-    "run_campaign",
     "format_dram_sensitivity",
     "run_dram_sensitivity",
     "FairnessOutcome",

@@ -30,9 +30,9 @@ the deterministic *reconfiguration work* — SE ports reprogrammed for
 BlueScale (O(log n) per event) vs. budgets recomputed for the dynamic
 regulator (n per event).  Wall-clock re-selection latency is
 deliberately **not** a trial metric (trials must be bit-identical
-across executors and backends); ``benchmarks/bench_scenarios.py``
-measures it and gates the warm-cache incremental path ≥5x over
-from-scratch composition.
+across executors and backends); the perf ledger's ``analysis-churn``
+workload (``benchmarks/perf/``) measures it next to a from-scratch
+composition.
 
 Scenario-bearing simulations are ineligible for the SoA batched backend
 (the request schedule is not static), so trials transparently take the

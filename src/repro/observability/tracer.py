@@ -14,7 +14,7 @@ SoC stages) never import this package.  They duck-type through the
 None`` check when tracing is off (``trace_ctx`` defaults to ``None``
 and nothing ever sets it).  That is the whole disabled-path cost, and
 it sits only at per-request event points, never inside per-cycle scan
-loops, so the quiescence fast path and the ``BENCH_sim.json`` numbers
+loops, so the quiescence fast path and the perf ledger's numbers
 are untouched.
 
 When tracing is on, :meth:`Tracer.wrap_inject` shims the

@@ -13,7 +13,7 @@ spec-builder + per-trial-runner + reducer triple:
   with chunking and *ordered* result collection, so a parallel run is
   bit-for-bit identical to a serial one;
 * :class:`MetricSet` — the schema every trial runner emits, consumed
-  directly by reducers and by the campaign archive.
+  directly by reducers and by :mod:`repro.campaigns`.
 
 Determinism contract: a trial runner must be a pure function of its
 spec — all randomness derived from ``spec.seed`` via explicit

@@ -16,8 +16,6 @@ from repro.sim.backend import (
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine, QuiescentComponent, TickComponent
 from repro.sim.stats import (
-    ComponentCycleStats,
-    CycleAccounting,
     LatencyRecorder,
     SummaryStatistics,
     mean,
@@ -55,8 +53,6 @@ __all__ = [
     "batched_supported",
     "run_many",
     "Clock",
-    "ComponentCycleStats",
-    "CycleAccounting",
     "Engine",
     "QuiescentComponent",
     "TickComponent",

@@ -12,7 +12,8 @@ Mirrors the analysis backend switch (:mod:`repro.analysis.engine`):
 
 Both backends produce **bit-identical** :class:`~repro.soc.TrialResult`
 contents — trace digests, recorder streams, job outcomes — which the
-differential/property suites and ``benchmarks/bench_sim.py`` assert.
+differential/property suites assert
+(``tests/sim/test_batched_equivalence.py`` and neighbours).
 ``backend=None`` anywhere resolves to the process-wide default set
 here (the CLI's ``--sim-backend`` flag lands in
 :func:`set_default_sim_backend`, including inside parallel workers via

@@ -165,7 +165,6 @@ def _check_interconnect(sim) -> None:
 def check_supported(sim) -> None:
     """Raise :class:`Ineligible` unless ``sim`` fits the SoA envelope."""
     _require(sim.tracer is None, "observability tracing enabled")
-    _require(getattr(sim, "accounting", None) is None, "cycle accounting on")
     # Workload churn rewrites the release schedule mid-run (joins,
     # leaves, retasks) and may reprogram SE budgets through its
     # admission gate — none of which the static SoA request schedule

@@ -56,7 +56,6 @@ from typing import Callable, Protocol
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.clock import Clock
-from repro.sim.stats import CycleAccounting
 
 EventCallback = Callable[[int], None]
 
@@ -84,18 +83,13 @@ class Engine:
     """Deterministic cycle/event hybrid simulation engine."""
 
     def __init__(
-        self,
-        clock: Clock | None = None,
-        fast_path: bool = True,
-        accounting: CycleAccounting | None = None,
+        self, clock: Clock | None = None, fast_path: bool = True
     ) -> None:
         self.clock = clock if clock is not None else Clock()
         self.fast_path = fast_path
-        self.accounting = accounting
         self._event_queue: list[tuple[int, int, EventCallback]] = []
         self._sequence = 0
         self._tick_components: list[TickComponent] = []
-        self._component_names: list[str] = []
         # Reconciliation hooks, collected at registration so a leap
         # does not re-discover them with getattr each time.
         self._skip_hooks: list[Callable[[int, int], None]] = []
@@ -113,16 +107,13 @@ class Engine:
     # ------------------------------------------------------------------
     # registration / scheduling
     # ------------------------------------------------------------------
-    def register(self, component: TickComponent, name: str | None = None) -> None:
+    def register(self, component: TickComponent) -> None:
         """Register a component ticked every cycle, in registration order."""
         if not hasattr(component, "tick"):
             raise ConfigurationError(
                 f"{component!r} has no tick() method; cannot register"
             )
         self._tick_components.append(component)
-        self._component_names.append(
-            name if name is not None else type(component).__name__
-        )
         hook = getattr(component, "on_cycles_skipped", None)
         if hook is not None:
             self._skip_hooks.append(hook)
@@ -173,16 +164,12 @@ class Engine:
         components = self._tick_components
         last_veto = self._last_veto
         if last_veto is not None and not components[last_veto].is_quiescent():
-            if self.accounting is not None:
-                self.accounting.record_veto(self._component_names[last_veto])
             return
         for index, component in enumerate(components):
             if index == last_veto:
                 continue
             if not component.is_quiescent():
                 self._last_veto = index
-                if self.accounting is not None:
-                    self.accounting.record_veto(self._component_names[index])
                 return
         now = self.clock.now
         target = self._leap_target(now, until_cycle)
@@ -194,8 +181,6 @@ class Engine:
         self.clock.now = target
         self.cycles_skipped += skipped
         self.leaps += 1
-        if self.accounting is not None:
-            self.accounting.record_leap(self._component_names, skipped)
 
     def run(self, until_cycle: int) -> int:
         """Run until ``until_cycle`` (exclusive) or :meth:`stop` is called.
@@ -216,7 +201,6 @@ class Engine:
             and bool(components)
             and all(hasattr(c, "is_quiescent") for c in components)
         )
-        accounting = self.accounting
         while self.clock.now < until_cycle and not self._stopped:
             cycle = self.clock.now
             self._fire_due_events(cycle)
@@ -224,8 +208,6 @@ class Engine:
                 component.tick(cycle)
             self.clock.tick()
             self.cycles_executed += 1
-            if accounting is not None:
-                accounting.record_executed(self._component_names)
             if fast and not self._stopped and self.clock.now < until_cycle:
                 self._try_leap(until_cycle)
         return self.clock.now
@@ -233,8 +215,8 @@ class Engine:
     def run_events_only(self, until_cycle: int) -> int:
         """Event-driven run that skips idle cycles (no tick components).
 
-        Useful for pure analytical simulations (e.g. NoC message-level
-        models) where per-cycle ticking would waste time.
+        Useful for pure analytical simulations (message-level models)
+        where per-cycle ticking would waste time.
         """
         if self._tick_components:
             raise SimulationError(

@@ -5,12 +5,6 @@ blocking latency and deadline-miss ratio) and per-trial success
 (Fig. 7: success ratio).  :class:`LatencyRecorder` accumulates the
 per-request numbers; :class:`SummaryStatistics` condenses a sample into
 the moments the figures report (mean, max, percentiles, variance).
-
-:class:`CycleAccounting` is the engine-side profiler: it counts, per
-registered tick component, how many cycles were actually executed, how
-many the quiescence fast path leapt over, and how often the component
-was the one vetoing a leap — making the fast path's behaviour (and any
-component that keeps it from engaging) observable.
 """
 
 from __future__ import annotations
@@ -115,86 +109,6 @@ class LatencyRecorder:
         self.completed += other.completed
         self.missed += other.missed
         self.dropped += other.dropped
-
-
-@dataclass
-class ComponentCycleStats:
-    """Cycle accounting for one registered tick component."""
-
-    #: cycles on which the component's tick() actually ran
-    executed: int = 0
-    #: cycles the engine leapt over while this component was quiescent
-    skipped: int = 0
-    #: leap attempts this component vetoed by reporting non-quiescence
-    vetoes: int = 0
-
-    @property
-    def skip_ratio(self) -> float:
-        total = self.executed + self.skipped
-        if total == 0:
-            return 0.0
-        return self.skipped / total
-
-
-@dataclass
-class CycleAccounting:
-    """Per-component executed/skipped cycle profile of one engine run.
-
-    Attach via ``Engine(accounting=CycleAccounting())``.  Every
-    component's executed count equals the engine's executed cycles (all
-    components tick on every executed cycle); the per-component value
-    is kept anyway so the profile stays meaningful if components ever
-    tick selectively, and ``vetoes`` shows *which* component kept the
-    fast path from engaging.
-    """
-
-    components: dict[str, ComponentCycleStats] = field(default_factory=dict)
-
-    def _stats(self, name: str) -> ComponentCycleStats:
-        stats = self.components.get(name)
-        if stats is None:
-            stats = ComponentCycleStats()
-            self.components[name] = stats
-        return stats
-
-    def record_executed(self, names: Sequence[str]) -> None:
-        for name in names:
-            self._stats(name).executed += 1
-
-    def record_leap(self, names: Sequence[str], skipped: int) -> None:
-        for name in names:
-            self._stats(name).skipped += skipped
-
-    def record_veto(self, name: str) -> None:
-        self._stats(name).vetoes += 1
-
-    @property
-    def executed_cycles(self) -> int:
-        """Executed cycles (max across components; 0 when empty)."""
-        return max((s.executed for s in self.components.values()), default=0)
-
-    @property
-    def skipped_cycles(self) -> int:
-        return max((s.skipped for s in self.components.values()), default=0)
-
-    @property
-    def skip_ratio(self) -> float:
-        total = self.executed_cycles + self.skipped_cycles
-        if total == 0:
-            return 0.0
-        return self.skipped_cycles / total
-
-    def as_dict(self) -> dict[str, dict[str, float]]:
-        """JSON-friendly view (used by the simulation benchmark)."""
-        return {
-            name: {
-                "executed": stats.executed,
-                "skipped": stats.skipped,
-                "vetoes": stats.vetoes,
-                "skip_ratio": stats.skip_ratio,
-            }
-            for name, stats in self.components.items()
-        }
 
 
 def mean(values: Iterable[float]) -> float:

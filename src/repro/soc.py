@@ -45,7 +45,7 @@ from repro.observability.tracer import (
 )
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
-from repro.sim.stats import CycleAccounting, LatencyRecorder, SummaryStatistics
+from repro.sim.stats import LatencyRecorder, SummaryStatistics
 
 
 @dataclass
@@ -355,7 +355,6 @@ class SoCSimulation:
         controller: MemoryController | None = None,
         clock: Clock | None = None,
         fast_path: bool = True,
-        accounting: CycleAccounting | None = None,
         observability: "bool | ObservabilityConfig | Tracer | None" = None,
         faults: "FaultPlan | FaultOrchestrator | None" = None,
         scenario: "ScenarioPlan | ScenarioDriver | None" = None,
@@ -384,7 +383,6 @@ class SoCSimulation:
         self.clock = clock if clock is not None else Clock()
         self.recorder = LatencyRecorder()
         self.fast_path = fast_path
-        self.accounting = accounting
         #: opt-in request tracing (None = off, zero overhead); see
         #: repro.observability — the tracer owns the span ring and the
         #: metrics registry for this trial.
@@ -475,7 +473,6 @@ class SoCSimulation:
         engine = Engine(
             clock=Clock(frequency_mhz=self.clock.frequency_mhz),
             fast_path=self.fast_path,
-            accounting=self.accounting,
         )
         # With the engine fast path on, components may also elide work
         # their quiescence contracts prove to be pure no-ops (empty mux
@@ -515,7 +512,7 @@ class SoCSimulation:
             )
             # First stage: a fault armed for cycle c perturbs that
             # cycle's releases, arbitration and service.
-            engine.register(self.faults, name="faults")
+            engine.register(self.faults)
         if self.scenario is not None:
             # Ahead of the clients: a transition at cycle c changes
             # that cycle's releases (a join's first jobs, a switch's
@@ -523,13 +520,11 @@ class SoCSimulation:
             self.scenario.bind(
                 self.clients, self.interconnect, client_stage=client_stage
             )
-            engine.register(self.scenario, name="scenario")
-        engine.register(client_stage, name="clients")
-        engine.register(
-            _RequestPathStage(self.interconnect), name="request_path"
-        )
-        engine.register(self.controller, name="controller")
-        engine.register(response_stage, name="response_path")
+            engine.register(self.scenario)
+        engine.register(client_stage)
+        engine.register(_RequestPathStage(self.interconnect))
+        engine.register(self.controller)
+        engine.register(response_stage)
         engine.run(horizon + drain)
         self.cycles_executed = engine.cycles_executed
         self.cycles_skipped = engine.cycles_skipped

@@ -38,10 +38,13 @@ class TestGoldenInterfaces:
 
     def test_vectorized_backend_matches_fixture(self, golden, n_clients):
         topology, tasksets = golden_system(n_clients)
-        result = compose(
-            topology, tasksets, backend="vectorized", cache=AnalysisCache()
-        )
-        assert composition_snapshot(result) == golden[str(n_clients)]
+        cache = AnalysisCache()
+        for _ in ("cold", "cache-warm"):
+            result = compose(
+                topology, tasksets, backend="vectorized", cache=cache
+            )
+            assert composition_snapshot(result) == golden[str(n_clients)]
+        assert cache.stats.selection_hits > 0
 
     def test_fixture_systems_are_schedulable(self, golden, n_clients):
         """The canonical draws compose — so the fixture pins real

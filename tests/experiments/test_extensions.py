@@ -310,28 +310,3 @@ class TestCli:
 
         assert main(["fairness", "--quick"]) == 0
         assert "Jain" in capsys.readouterr().out
-
-    def test_campaign_cli(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.experiments import campaign as campaign_module
-
-        # shrink the standard campaign for the test
-        original = campaign_module.default_specs
-
-        def tiny_specs(quick=True, **kwargs):
-            return [
-                spec
-                for spec in original(quick=True)
-                if spec.name in ("table1", "fig5")
-            ]
-
-        campaign_module.default_specs = tiny_specs
-        try:
-            assert main(
-                ["campaign", "archive",
-                 "--results-dir", str(tmp_path), "--label", "t"]
-            ) == 0
-        finally:
-            campaign_module.default_specs = original
-        assert (tmp_path / "t" / "manifest.json").exists()
-        assert "archived" in capsys.readouterr().out

@@ -27,6 +27,7 @@ import pytest
 
 from repro.clients.traffic_generator import TrafficGenerator
 from repro.experiments.factory import build_interconnect
+from repro.experiments.isolation import ISOLATION_INTERCONNECTS
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.sim import batched_supported, run_many
 from repro.soc import SoCSimulation
@@ -136,10 +137,10 @@ def test_mixed_plan_with_rogue_and_other_kinds_falls_back():
     assert fingerprint(result) == fingerprint(oracle)
 
 
-@pytest.mark.parametrize("name", ["BlueScale", "GSMTree-TDM", "AXI-IC^RT"])
+@pytest.mark.parametrize("name", ISOLATION_INTERCONNECTS)
 def test_rogue_client_campaign_identical_across_designs(name):
     """The isolation campaign's aggressor plan runs on the SoA kernels
-    and stays bit-identical on every arbitration family — digests, job
+    and stays bit-identical on every campaign design — digests, job
     outcomes, fault counters, and the per-client job ledgers the
     isolation harness reads."""
     plan = FaultPlan.rogue_client(

@@ -1,13 +1,17 @@
 """Executable-documentation checks.
 
-Runs the library's doctest-style examples and validates that every
+Runs the library's doctest-style examples, validates that every
 public module's docstring exists and says something (documentation is
-deliverable-grade here, so its presence is tested like behaviour).
+deliverable-grade here, so its presence is tested like behaviour), and
+checks that every script the docs, CI and verify skill tell a reader to
+run is still in the tree.
 """
 
 import doctest
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +74,34 @@ class TestDoctests:
         assert results.failed == 0, (
             f"{module.__name__}: {results.failed} doctest failures"
         )
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: the prose and automation that tell a reader what to run
+DOCUMENTS = [
+    "README.md",
+    "EXPERIMENTS.md",
+    "DESIGN.md",
+    ".github/workflows/ci.yml",
+    ".claude/skills/verify/SKILL.md",
+    *sorted(f"docs/{path.name}" for path in (REPO_ROOT / "docs").glob("*.md")),
+]
+
+#: a runnable script/test path or a root-level BENCH*.json, spelled out
+#: in full (globs and <placeholders> do not match)
+DOCUMENTED_PATH = re.compile(
+    r"(?<![\w/.-])"
+    r"((?:benchmarks|scripts|examples|tests)/[\w/.-]*\.py|BENCH\w*\.json)\b"
+)
+
+
+class TestDocumentedPathsExist:
+    @pytest.mark.parametrize("document", DOCUMENTS)
+    def test_every_mentioned_script_exists(self, document):
+        """Deleting a script must take its instructions with it."""
+        mentioned = set(
+            DOCUMENTED_PATH.findall((REPO_ROOT / document).read_text())
+        )
+        dead = sorted(p for p in mentioned if not (REPO_ROOT / p).exists())
+        assert not dead, f"{document} points at missing files: {dead}"

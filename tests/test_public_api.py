@@ -24,7 +24,6 @@ class TestTopLevelExports:
         import repro.hardware
         import repro.interconnects
         import repro.memory
-        import repro.noc
         import repro.runtime
         import repro.service
         import repro.sim
@@ -40,7 +39,6 @@ class TestTopLevelExports:
             repro.hardware,
             repro.interconnects,
             repro.memory,
-            repro.noc,
             repro.runtime,
             repro.service,
             repro.sim,
