@@ -22,9 +22,7 @@ from repro.analysis.context import (
 )
 from repro.analysis.engine import (
     BACKENDS,
-    get_default_backend,
     resolve_backend,
-    set_default_backend,
 )
 from repro.analysis.prm import (
     ResourceInterface,
@@ -96,14 +94,12 @@ __all__ = [
     "CacheStats",
     "StepGrid",
     "dbf_values",
-    "get_default_backend",
     "get_default_cache",
     "minimal_budgets_for_periods",
     "resolve_backend",
     "resolve_cache",
     "sbf_values",
     "schedulable_many",
-    "set_default_backend",
     "set_default_cache",
     "taskset_digest",
     "taskset_key",

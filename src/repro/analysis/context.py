@@ -67,8 +67,8 @@ class AnalysisContext:
     thread-safe, the other two fields are frozen value objects.
     Resolve one at the boundary (:meth:`resolve`), then pass it down —
     never re-resolve mid-computation, or a concurrent
-    ``set_default_backend`` / ``set_default_cache`` could split one
-    logical analysis across two configurations.
+    ``set_default_cache`` could split one logical analysis across two
+    caches.
     """
 
     backend: str
@@ -84,8 +84,9 @@ class AnalysisContext:
     ) -> "AnalysisContext":
         """Build a context from optional knobs (``None`` → defaults).
 
-        ``backend=None`` resolves to the process-wide default backend,
-        ``cache=None`` to the process-wide default cache and
+        ``backend=None`` resolves to
+        :data:`~repro.analysis.engine.DEFAULT_BACKEND`, ``cache=None``
+        to the process-wide default cache and
         ``config=None`` to :data:`DEFAULT_CONFIG` — exactly the
         defaulting every public analysis entry point documents.
         """

@@ -15,10 +15,10 @@ accepts ``backend=``:
 
 Both backends are exact over integers and produce **identical**
 results; the property suite and the analysis benchmark assert it.
-``backend=None`` anywhere resolves to the process-wide default set
-here (the CLI's ``--analysis-backend`` flag lands in
-:func:`set_default_backend`, including inside parallel workers via the
-executor's ``worker_init`` hook).
+Which one a trial's analysis uses is a value on its spec
+(:class:`repro.runtime.EngineConfig`, ``spec.engine.analysis_backend``);
+``backend=None`` on a direct library call such as ``compose(...)``
+means :data:`DEFAULT_BACKEND`.  Nothing here is mutable.
 """
 
 from __future__ import annotations
@@ -28,30 +28,14 @@ from repro.errors import ConfigurationError
 #: the recognized backend names
 BACKENDS: tuple[str, ...] = ("scalar", "vectorized")
 
-_default_backend: str = "vectorized"
-
-
-def get_default_backend() -> str:
-    """The process-wide backend used when ``backend=None``."""
-    return _default_backend
-
-
-def set_default_backend(backend: str) -> str:
-    """Set the process-wide default backend; returns the previous one.
-
-    Picklable by reference, so it doubles as an executor
-    ``worker_init`` target: ``partial(set_default_backend, "scalar")``.
-    """
-    global _default_backend
-    previous = _default_backend
-    _default_backend = resolve_backend(backend)
-    return previous
+#: what ``backend=None`` means on a direct library call
+DEFAULT_BACKEND = "vectorized"
 
 
 def resolve_backend(backend: str | None) -> str:
-    """Validate a ``backend=`` argument (``None`` → session default)."""
+    """Validate a ``backend=`` argument (``None`` → the default)."""
     if backend is None:
-        return _default_backend
+        return DEFAULT_BACKEND
     if backend not in BACKENDS:
         raise ConfigurationError(
             f"unknown analysis backend {backend!r}; expected one of {BACKENDS}"

@@ -80,7 +80,7 @@ class SystemModel:
         """Compose the hierarchy once and freeze the result.
 
         ``backend``/``cache``/``config`` default exactly like the rest
-        of the analysis API (process-wide backend and cache,
+        of the analysis API (the default backend, the process-wide cache,
         :data:`~repro.analysis.context.DEFAULT_CONFIG`); a long-running
         service passes a dedicated ``AnalysisCache()`` so its memo
         tables are isolated from the process default.  The composition

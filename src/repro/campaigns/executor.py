@@ -31,13 +31,14 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.campaigns.families import run_cell
 from repro.campaigns.grid import GridCell, expand_campaign, grid_digest
 from repro.campaigns.spec import CampaignSpec, canonical_json
 from repro.errors import ConfigurationError
 from repro.runtime import (
+    EngineConfig,
     ExecutionHooks,
     Executor,
     MetricSet,
@@ -156,7 +157,7 @@ def run_campaign_cell(spec: TrialSpec) -> MetricSet:
     ships cells to worker processes; deliberately has **no** ``batch``
     attribute — cells are coarse units that shard one-per-task.
     """
-    return run_cell(spec.param("cell"))
+    return run_cell(spec.param("cell"), spec.engine)
 
 
 class _CheckpointHooks(ExecutionHooks):
@@ -253,9 +254,14 @@ def run_campaign(
     workers: int | None = 1,
     resume: bool = True,
     hooks: ExecutionHooks | None = None,
-    worker_init: Callable[[], object] | None = None,
+    engine: EngineConfig | None = None,
 ) -> CampaignRun:
     """Execute (or finish) a campaign into ``out_dir``.
+
+    ``engine`` is the run-level engine choice (``None`` → the default
+    :class:`~repro.runtime.EngineConfig`); it rides to each cell on the
+    cell's :class:`TrialSpec`, where a cell's own backend axes override
+    it (:func:`~repro.campaigns.families.run_cell`).
 
     With ``resume=True`` (the default) an existing checkpoint for the
     *same* spec — same spec digest, same grid digest — is continued:
@@ -305,10 +311,10 @@ def run_campaign(
         # chunk_size=1: cells are coarse (tens of trials each), so
         # shard them one per pool task for checkpoint granularity
         executor: Executor = ParallelExecutor(
-            workers, chunk_size=1, worker_init=worker_init
+            workers, chunk_size=1, engine=engine
         )
     else:
-        executor = SerialExecutor()
+        executor = SerialExecutor(engine)
     executor.map(run_campaign_cell, specs, checkpoint)
 
     records = sorted(

@@ -19,10 +19,11 @@ Conventions shared by every family:
 * ``fault`` (isolation) is a ``"SIZExEVERY"`` burst shape, e.g.
   ``"24x60"`` = bursts of 24 every 60 cycles;
 * ``scenario`` (churn) is the joiner count of the churn timeline;
-* ``sim_backend`` / ``analysis_backend`` pin the process-wide engine
-  defaults for the cell's duration — results are bit-identical across
-  them (the repo's differential walls), so sweeping a backend axis is a
-  *test*, not a new experiment: the gate diffs the cells flat.
+* ``sim_backend`` / ``analysis_backend`` name the cell's engines: they
+  override the run-level :class:`~repro.runtime.EngineConfig` for this
+  cell's trial specs and touch nothing else — results are bit-identical
+  across them (the repo's differential walls), so sweeping a backend
+  axis is a *test*, not a new experiment: the gate diffs the cells flat.
 
 A failed trial fails its whole cell (recorded, surfaced by the gate) —
 campaign records never average over silently-missing trials.
@@ -36,7 +37,13 @@ from typing import Any, Callable, Sequence
 
 from repro.campaigns.grid import GridCell
 from repro.errors import ConfigurationError, SimulationError
-from repro.runtime import MetricSet, SerialExecutor, TrialOutcome, TrialSpec
+from repro.runtime import (
+    EngineConfig,
+    MetricSet,
+    SerialExecutor,
+    TrialOutcome,
+    TrialSpec,
+)
 
 #: axes every family accepts on top of its own
 _BACKEND_AXES = ("sim_backend", "analysis_backend")
@@ -292,34 +299,23 @@ def _combined_trace_tags(
     return combined
 
 
-def run_cell(cell: GridCell) -> MetricSet:
+def run_cell(
+    cell: GridCell, engine: EngineConfig | None = None
+) -> MetricSet:
     """Execute one grid cell to a deterministic metric set.
 
     Runs the family's trials on a :class:`SerialExecutor` inside the
     current process (the campaign executor shards *cells*, not trials —
     so each trial runner's ``.batch`` seam still batches within the
-    cell), pinning any backend the cell names for the duration.
+    cell).  The trials' engine is *cell axis beats run-level ``engine``
+    beats default*, stamped onto their specs by that executor.
     """
     family = get_family(cell.family)
     runner, specs, fold = family.build(cell)
-    restore: list[Callable[[], Any]] = []
-    sim_backend = cell.value("sim_backend")
-    if sim_backend is not None:
-        from repro.sim.backend import set_default_sim_backend
-
-        previous = set_default_sim_backend(str(sim_backend))
-        restore.append(lambda: set_default_sim_backend(previous))
-    analysis_backend = cell.value("analysis_backend")
-    if analysis_backend is not None:
-        from repro.analysis.engine import set_default_backend
-
-        previous_analysis = set_default_backend(str(analysis_backend))
-        restore.append(lambda: set_default_backend(previous_analysis))
-    try:
-        outcomes = SerialExecutor().map(runner, specs, None)
-    finally:
-        for undo in restore:
-            undo()
+    cell_engine = (engine or EngineConfig()).override(
+        cell.value("sim_backend"), cell.value("analysis_backend")
+    )
+    outcomes = SerialExecutor(cell_engine).map(runner, specs, None)
     failures = [outcome for outcome in outcomes if outcome.failed]
     if failures:
         raise SimulationError(

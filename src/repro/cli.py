@@ -352,23 +352,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_backends(
-    analysis_backend: str | None, sim_backend: str | None
-) -> None:
-    """Set the process-wide engine defaults for this run.
+def _engine(args: argparse.Namespace):
+    """The run's one engine choice, from ``--sim-backend`` and
+    ``--analysis-backend`` (an omitted flag keeps the default)."""
+    from repro.runtime import EngineConfig
 
-    Module-level so ``partial(_configure_backends, ...)`` pickles by
-    reference as an executor ``worker_init`` — parallel workers then
-    resolve the exact same backends as a serial run.
-    """
-    if analysis_backend is not None:
-        from repro.analysis import set_default_backend
+    return EngineConfig().override(args.sim_backend, args.analysis_backend)
 
-        set_default_backend(analysis_backend)
-    if sim_backend is not None:
-        from repro.sim import set_default_sim_backend
 
-        set_default_sim_backend(sim_backend)
+def _seeded(args: argparse.Namespace, **kwargs):
+    """Config kwargs, plus ``seed`` when ``--seed`` was given."""
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
+    return kwargs
+
+
+def _seeds_kwargs(args: argparse.Namespace, quick_horizon: int) -> dict:
+    """``seeds``/``horizon`` kwargs of the multi-seed extension sweeps:
+    ``--seed`` pins the one seed, ``--quick`` a single short run."""
+    if args.quick:
+        return {
+            "seeds": (args.seed if args.seed is not None else 1,),
+            "horizon": quick_horizon,
+        }
+    return {"seeds": (args.seed,)} if args.seed is not None else {}
 
 
 def _campaign_main(args: argparse.Namespace) -> int:
@@ -396,22 +403,8 @@ def _campaign_main(args: argparse.Namespace) -> int:
         return 1 if violations else 0
 
     assert args.campaign_command == "run", args.campaign_command
-    # `run` executes simulations: configure the process-wide backends
-    # first, exactly like the experiment subcommands, and replicate
-    # them into any worker pool.
-    from functools import partial
-
-    from repro.runtime import ProgressPrinter
-
-    worker_init = None
-    if args.analysis_backend is not None or args.sim_backend is not None:
-        _configure_backends(args.analysis_backend, args.sim_backend)
-        worker_init = partial(
-            _configure_backends, args.analysis_backend, args.sim_backend
-        )
-    hooks = ProgressPrinter() if args.progress else None
-
     from repro.campaigns import load_campaign_spec, run_campaign
+    from repro.runtime import ProgressPrinter
 
     spec = load_campaign_spec(args.spec)
     out_dir = (
@@ -424,8 +417,8 @@ def _campaign_main(args: argparse.Namespace) -> int:
         out_dir,
         workers=args.workers,
         resume=not args.no_resume,
-        hooks=hooks,
-        worker_init=worker_init,
+        hooks=ProgressPrinter() if args.progress else None,
+        engine=_engine(args),
     )
     print(
         f"campaign '{spec.name}': {len(run.records)} cell(s) "
@@ -450,18 +443,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     # Imports are deferred so `--help` stays instant.
     from repro.runtime import ProgressPrinter, make_executor
 
-    worker_init = None
-    if args.analysis_backend is not None or args.sim_backend is not None:
-        from functools import partial
-
-        # Configure this process *and* any worker pool the executor
-        # spawns, so trials inside parallel workers use the same
-        # backends as a serial run.
-        _configure_backends(args.analysis_backend, args.sim_backend)
-        worker_init = partial(
-            _configure_backends, args.analysis_backend, args.sim_backend
-        )
-    executor = make_executor(args.workers, worker_init)
+    engine = _engine(args)
+    executor = make_executor(args.workers, engine)
     hooks = ProgressPrinter() if args.progress else None
     failed = False
     if args.experiment == "table1":
@@ -477,25 +460,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     elif args.experiment == "fig6":
         from repro.experiments.fig6 import Fig6Config, format_fig6, run_fig6
 
-        kwargs = dict(
-            n_clients=args.clients, trials=args.trials, horizon=args.horizon
+        kwargs = _seeded(
+            args,
+            n_clients=args.clients,
+            trials=args.trials,
+            horizon=args.horizon,
         )
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
         result = run_fig6(Fig6Config(**kwargs), executor=executor, hooks=hooks)
         print(format_fig6(result))
     elif args.experiment == "fig7":
         from repro.experiments.fig7 import Fig7Config, format_fig7, run_fig7
 
-        kwargs = dict(
+        kwargs = _seeded(
+            args,
             n_processors=args.processors,
             trials=args.trials,
             horizon=args.horizon,
             analysis=args.with_analysis,
-            analysis_backend=args.analysis_backend,
         )
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
         result = run_fig7(Fig7Config(**kwargs), executor=executor, hooks=hooks)
         print(format_fig7(result))
     elif args.experiment == "faults":
@@ -505,7 +487,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             run_isolation,
         )
 
-        kwargs = dict(
+        kwargs = _seeded(
+            args,
             n_clients=args.clients,
             trials=args.trials,
             horizon=args.horizon,
@@ -513,8 +496,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             burst_size=args.burst_size,
             burst_every=args.burst_every,
         )
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
         result = run_isolation(
             IsolationConfig(**kwargs), executor=executor, hooks=hooks
         )
@@ -527,14 +508,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             run_churn,
         )
 
-        kwargs = dict(
+        kwargs = _seeded(
+            args,
             n_clients=args.clients,
             trials=args.trials,
             horizon=args.horizon,
             joiners=args.joiners,
         )
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
         result = run_churn(
             ChurnConfig(**kwargs), executor=executor, hooks=hooks
         )
@@ -544,18 +524,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.experiments.ablation import run_ablation
         from repro.experiments.reporting import format_table
 
-        seed_kwargs = {}
-        if args.seed is not None:
-            seed_kwargs["seeds"] = (args.seed,)
-        if args.quick:
-            result = run_ablation(
-                seeds=(args.seed if args.seed is not None else 1,),
-                horizon=5_000,
-                executor=executor,
-                hooks=hooks,
-            )
-        else:
-            result = run_ablation(executor=executor, hooks=hooks, **seed_kwargs)
+        result = run_ablation(
+            executor=executor, hooks=hooks, **_seeds_kwargs(args, 5_000)
+        )
         rows = [
             [
                 p.variant,
@@ -578,20 +549,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             run_dram_sensitivity,
         )
 
-        seed_kwargs = {}
-        if args.seed is not None:
-            seed_kwargs["seeds"] = (args.seed,)
-        if args.quick:
-            result = run_dram_sensitivity(
-                seeds=(args.seed if args.seed is not None else 1,),
-                horizon=5_000,
-                executor=executor,
-                hooks=hooks,
-            )
-        else:
-            result = run_dram_sensitivity(
-                executor=executor, hooks=hooks, **seed_kwargs
-            )
+        result = run_dram_sensitivity(
+            executor=executor, hooks=hooks, **_seeds_kwargs(args, 5_000)
+        )
         print(format_dram_sensitivity(result))
     elif args.experiment == "update-latency":
         from repro.experiments.update_latency import (
@@ -599,10 +559,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             run_update_latency,
         )
 
-        if args.quick:
-            result = run_update_latency((16, 64))
-        else:
-            result = run_update_latency()
+        sizes = {"client_counts": (16, 64)} if args.quick else {}
+        result = run_update_latency(
+            analysis_backend=engine.analysis_backend, **sizes
+        )
         print(format_update_latency(result))
     elif args.experiment == "scalability":
         from repro.experiments.scalability_sweep import (
@@ -614,7 +574,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         result = run_scalability_sweep(
             counts,
             seeds=(args.seed if args.seed is not None else 1,),
-            analysis_backend=args.analysis_backend,
             executor=executor,
             hooks=hooks,
         )
@@ -622,18 +581,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     elif args.experiment == "fairness":
         from repro.experiments.fairness import format_fairness, run_fairness
 
-        seed_kwargs = {}
-        if args.seed is not None:
-            seed_kwargs["seeds"] = (args.seed,)
-        if args.quick:
-            result = run_fairness(
-                seeds=(args.seed if args.seed is not None else 1,),
-                horizon=8_000,
-                executor=executor,
-                hooks=hooks,
-            )
-        else:
-            result = run_fairness(executor=executor, hooks=hooks, **seed_kwargs)
+        result = run_fairness(
+            executor=executor, hooks=hooks, **_seeds_kwargs(args, 8_000)
+        )
         print(format_fairness(result))
     elif args.experiment == "serve":
         from repro.analysis.model import SystemModel
@@ -644,7 +594,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             utilization=args.utilization,
             tasks_per_client=args.tasks_per_client,
             seed=args.seed if args.seed is not None else 1,
-            backend=args.analysis_backend,
+            backend=engine.analysis_backend,
         )
         print(f"model composed: {model.describe()}")
         AdmissionService(model, max_workers=args.max_workers).run(
@@ -663,38 +613,28 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a config sized `trial + 1` re-derives the exact same spec the
         # full experiment would run at that index.
         if args.figure == "fig6":
-            from repro.experiments.fig6 import Fig6Config
-            from repro.experiments.trace_replay import trace_fig6_trial
+            from repro.experiments.fig6 import Fig6Config as Config
+            from repro.experiments.trace_replay import (
+                trace_fig6_trial as replay,
+            )
 
-            kwargs = dict(
-                n_clients=args.clients,
-                trials=args.trial + 1,
-                horizon=args.horizon,
-            )
-            if args.seed is not None:
-                kwargs["seed"] = args.seed
-            traced = trace_fig6_trial(
-                Fig6Config(**kwargs),
-                trial=args.trial,
-                interconnect=args.interconnect,
-            )
+            sizes = {"n_clients": args.clients}
         else:
-            from repro.experiments.fig7 import Fig7Config
-            from repro.experiments.trace_replay import trace_fig7_trial
+            from repro.experiments.fig7 import Fig7Config as Config
+            from repro.experiments.trace_replay import (
+                trace_fig7_trial as replay,
+            )
 
-            kwargs = dict(
-                n_processors=args.clients,
-                trials=args.trial + 1,
-                horizon=args.horizon,
-                utilizations=(args.utilization,),
-            )
-            if args.seed is not None:
-                kwargs["seed"] = args.seed
-            traced = trace_fig7_trial(
-                Fig7Config(**kwargs),
-                trial=args.trial,
-                interconnect=args.interconnect,
-            )
+            sizes = {
+                "n_processors": args.clients,
+                "utilizations": (args.utilization,),
+            }
+        kwargs = _seeded(
+            args, trials=args.trial + 1, horizon=args.horizon, **sizes
+        )
+        traced = replay(
+            Config(**kwargs), trial=args.trial, interconnect=args.interconnect
+        )
         recorder = traced.tracer.recorder
         spans = list(recorder.spans())
         rid = args.rid if args.rid is not None else worst_blocking_rid(spans)

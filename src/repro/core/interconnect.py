@@ -107,9 +107,15 @@ class BlueScaleInterconnect(Interconnect):
         self,
         client_tasksets: dict[int, TaskSet],
         config: SelectionConfig = DEFAULT_CONFIG,
+        backend: str | None = None,
     ) -> CompositionResult:
-        """Run the interface-selection composition and program all SEs."""
-        result = compose(self.topology, client_tasksets, config)
+        """Run the interface-selection composition and program all SEs.
+
+        ``backend`` is :func:`~repro.analysis.composition.compose`'s.
+        """
+        result = compose(
+            self.topology, client_tasksets, config, backend=backend
+        )
         self.apply_composition(result)
         return result
 

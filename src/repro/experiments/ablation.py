@@ -26,6 +26,7 @@ from repro.core.interconnect import BlueScaleInterconnect
 from repro.core.local_scheduler import LocalScheduler
 from repro.core.random_access_buffer import RandomAccessBuffer
 from repro.errors import ConfigurationError
+from repro.experiments.factory import traffic_generators
 from repro.runtime import (
     Executor,
     ExecutionHooks,
@@ -89,6 +90,7 @@ def build_variant(
     tasksets: dict[int, TaskSet],
     buffer_capacity: int = 2,
     selection_candidates: int = 64,
+    analysis_backend: str | None = None,
 ) -> BlueScaleInterconnect:
     """Build BlueScale with one design choice ablated."""
     if variant not in VARIANTS:
@@ -106,7 +108,7 @@ def build_variant(
             for port in range(element.fanout):
                 element.program_port(port, ResourceInterface(4, 1), now=0)
     else:
-        interconnect.configure(tasksets, config)
+        interconnect.configure(tasksets, config, backend=analysis_backend)
     if variant == "round_robin":
         for element in interconnect.elements.values():
             element.scheduler = RoundRobinLocalScheduler(element.interfaces())
@@ -163,11 +165,13 @@ def run_ablation_trial(spec: TrialSpec) -> MetricSet:
     tasksets = generate_client_tasksets(
         rng, n_clients, 3, spec.param("utilization")
     )
-    interconnect = build_variant(variant, n_clients, tasksets)
-    clients = [
-        TrafficGenerator(c, ts, rng=random.Random(spec.client_seed(c)))
-        for c, ts in tasksets.items()
-    ]
+    interconnect = build_variant(
+        variant,
+        n_clients,
+        tasksets,
+        analysis_backend=spec.engine.analysis_backend,
+    )
+    clients = traffic_generators(spec, tasksets)
     result = SoCSimulation(clients, interconnect).run(
         spec.param("horizon"), drain=spec.param("drain")
     )

@@ -320,6 +320,7 @@ def run_churn_trial(spec: TrialSpec) -> MetricSet:
                 config=SelectionConfig(
                     max_period_candidates=config.factory.selection_candidates
                 ),
+                backend=spec.engine.analysis_backend,
                 cache=AnalysisCache(),
                 label=f"churn trial {spec.index}",
             )

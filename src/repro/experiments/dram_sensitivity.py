@@ -26,12 +26,12 @@ import random
 import statistics
 from dataclasses import dataclass
 
-from repro.clients.traffic_generator import TrafficGenerator
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
     DEFAULT_FACTORY_CONFIG,
     FactoryConfig,
     build_interconnect,
+    traffic_generators,
 )
 from repro.memory.controller import ArbitrationPolicy, MemoryController
 from repro.memory.dram import DramDevice, DramTiming, FixedLatencyDevice
@@ -132,12 +132,13 @@ def run_dram_trial(spec: TrialSpec) -> MetricSet:
     )
     controller = _make_controller(spec.param("kind"))
     interconnect = build_interconnect(
-        spec.param("interconnect"), n_clients, tasksets, spec.param("factory")
+        spec.param("interconnect"),
+        n_clients,
+        tasksets,
+        spec.param("factory"),
+        analysis_backend=spec.engine.analysis_backend,
     )
-    clients = [
-        TrafficGenerator(c, ts, rng=random.Random(spec.client_seed(c)))
-        for c, ts in tasksets.items()
-    ]
+    clients = traffic_generators(spec, tasksets)
     result = SoCSimulation(clients, interconnect, controller=controller).run(
         spec.param("horizon"), drain=6_000
     )

@@ -6,14 +6,19 @@ setup: BlueTree family with blocking factor 2, GSMTree-TDM with equal
 reservations, GSMTree-FBSP with workload-proportional reservations,
 AXI-IC^RT with workload-based bandwidth regulation, and BlueScale with
 interfaces from the composition of Sec. 5.
+
+:func:`simulate_specs` is the build → run → fold loop every
+simulation-backed trial runner and batch entry point shares.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.analysis.interface_selection import SelectionConfig
+from repro.clients.traffic_generator import TrafficGenerator
 from repro.core.interconnect import BlueScaleInterconnect
 from repro.errors import ConfigurationError
 from repro.interconnects.axi_icrt import AxiIcRtInterconnect
@@ -24,6 +29,10 @@ from repro.interconnects.bluetree import (
 )
 from repro.interconnects.gsmtree import gsmtree_fbsp, gsmtree_tdm
 from repro.tasks.taskset import TaskSet
+
+if TYPE_CHECKING:
+    from repro.runtime import MetricSet, TrialSpec
+    from repro.soc import SoCSimulation, TrialResult
 
 #: the evaluation order used in the paper's figures
 INTERCONNECT_NAMES = (
@@ -93,8 +102,11 @@ def build_interconnect(
     n_clients: int,
     tasksets: dict[int, TaskSet],
     config: FactoryConfig = DEFAULT_FACTORY_CONFIG,
+    analysis_backend: str | None = None,
 ) -> Interconnect:
-    """Build and configure one of the paper's six interconnects."""
+    """Build and configure one of the paper's six interconnects
+    (``analysis_backend``: BlueScale's composition engine; trial
+    runners pass ``spec.engine.analysis_backend``)."""
     if name == "AXI-IC^RT":
         interconnect = AxiIcRtInterconnect(
             n_clients, arbitration_interval=config.axi_arbitration_interval
@@ -121,8 +133,63 @@ def build_interconnect(
         interconnect.configure(
             tasksets,
             SelectionConfig(max_period_candidates=config.selection_candidates),
+            backend=analysis_backend,
         )
         return interconnect
     raise ConfigurationError(
         f"unknown interconnect {name!r}; expected one of {INTERCONNECT_NAMES}"
     )
+
+
+def traffic_generators(
+    spec: TrialSpec, tasksets: dict[int, TaskSet]
+) -> list[TrafficGenerator]:
+    """One generator per client, each on its private spec-derived RNG
+    stream — so every simulation built for ``spec`` (each design, a
+    baseline and its faulted twin, a traced replay) sees one workload."""
+    return [
+        TrafficGenerator(c, ts, rng=random.Random(spec.client_seed(c)))
+        for c, ts in tasksets.items()
+    ]
+
+
+def simulate_specs(
+    specs: Sequence[TrialSpec],
+    build: Callable[[TrialSpec], tuple[Any, list[SoCSimulation], int, int]],
+    fold: Callable[[TrialSpec, Any, list[TrialResult]], MetricSet],
+    backend: str | None = None,
+) -> list[MetricSet]:
+    """Build, run and fold the simulations of a chunk of specs.
+
+    ``build(spec)`` returns ``(state, sims, horizon, drain)``; all
+    specs' ``sims`` go through one :func:`repro.sim.batched.run_many`
+    call, and ``fold(spec, state, results)`` gets the spec's slice of
+    results in ``sims`` order.
+
+    ``backend=None`` (the batch entry points) runs the chunk on the
+    sim backend its specs carry.  The per-trial runners pass
+    ``"scalar"``: they are the executors' per-spec blame fallback and
+    the scalar reference, and a batch of one is several times slower on
+    the lock-step kernels than on the scalar fast path.
+    """
+    from repro.sim.batched import run_many
+
+    if not specs:
+        return []
+    if backend is None:
+        backend = specs[0].engine.sim_backend
+    built = [build(spec) for spec in specs]
+    sims: list[SoCSimulation] = []
+    horizons: list[int] = []
+    drains: list[int] = []
+    for _, spec_sims, horizon, drain in built:
+        sims.extend(spec_sims)
+        horizons.extend([horizon] * len(spec_sims))
+        drains.extend([drain] * len(spec_sims))
+    results = run_many(sims, horizon=horizons, drain=drains, backend=backend)
+    folded: list[MetricSet] = []
+    at = 0
+    for spec, (state, spec_sims, _, _) in zip(specs, built):
+        folded.append(fold(spec, state, results[at : at + len(spec_sims)]))
+        at += len(spec_sims)
+    return folded

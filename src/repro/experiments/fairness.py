@@ -18,13 +18,13 @@ import statistics
 from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.clients.traffic_generator import TrafficGenerator
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
     DEFAULT_FACTORY_CONFIG,
     INTERCONNECT_NAMES,
     FactoryConfig,
     build_interconnect,
+    traffic_generators,
 )
 from repro.runtime import (
     Executor,
@@ -98,12 +98,13 @@ def run_fairness_trial(spec: TrialSpec) -> MetricSet:
         rng, n_clients, 3, spec.param("utilization")
     )
     interconnect = build_interconnect(
-        spec.param("interconnect"), n_clients, tasksets, spec.param("factory")
+        spec.param("interconnect"),
+        n_clients,
+        tasksets,
+        spec.param("factory"),
+        analysis_backend=spec.engine.analysis_backend,
     )
-    clients = [
-        TrafficGenerator(c, ts, rng=random.Random(spec.client_seed(c)))
-        for c, ts in tasksets.items()
-    ]
+    clients = traffic_generators(spec, tasksets)
     SoCSimulation(clients, interconnect).run(horizon, drain=6_000)
     responses: dict[int, list[int]] = defaultdict(list)
     misses: dict[int, int] = defaultdict(int)

@@ -24,13 +24,14 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.clients.traffic_generator import TrafficGenerator
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
     DEFAULT_FACTORY_CONFIG,
     INTERCONNECT_NAMES,
     FactoryConfig,
     build_interconnect,
+    simulate_specs,
+    traffic_generators,
 )
 from repro.experiments.reporting import format_table
 from repro.runtime import (
@@ -175,12 +176,14 @@ def build_fig6_specs(
     ]
 
 
-def _fig6_sims(spec: TrialSpec) -> list[tuple[str, SoCSimulation]]:
+def _fig6_build(spec: TrialSpec):
     """Build every design's simulation for one workload draw.
 
     The taskset draw comes from the trial RNG, and each client's
     private stream is re-derived identically for every interconnect so
-    all designs see the same workload.
+    all designs see the same workload.  Returns :func:`simulate_specs`'
+    ``(state, sims, horizon, drain)``; the state is the ``(name,
+    simulation)`` pairs.
     """
     config: Fig6Config = spec.param("config")
     interconnects: tuple[str, ...] = spec.param("interconnects")
@@ -196,19 +199,13 @@ def _fig6_sims(spec: TrialSpec) -> list[tuple[str, SoCSimulation]]:
         period_min=config.period_min,
         period_max=config.period_max,
     )
+    analysis_backend = spec.engine.analysis_backend
     pairs: list[tuple[str, SoCSimulation]] = []
     for name in interconnects:
         interconnect = build_interconnect(
-            name, config.n_clients, tasksets, config.factory
+            name, config.n_clients, tasksets, config.factory, analysis_backend
         )
-        clients = [
-            TrafficGenerator(
-                client_id,
-                taskset,
-                rng=random.Random(spec.client_seed(client_id)),
-            )
-            for client_id, taskset in tasksets.items()
-        ]
+        clients = traffic_generators(spec, tasksets)
         pairs.append(
             (
                 name,
@@ -220,7 +217,8 @@ def _fig6_sims(spec: TrialSpec) -> list[tuple[str, SoCSimulation]]:
                 ),
             )
         )
-    return pairs
+    sims = [simulation for _, simulation in pairs]
+    return pairs, sims, config.horizon, config.drain
 
 
 def _fig6_fold(spec: TrialSpec, pairs, results) -> MetricSet:
@@ -246,49 +244,21 @@ def _fig6_fold(spec: TrialSpec, pairs, results) -> MetricSet:
 def run_fig6_trial(spec: TrialSpec) -> MetricSet:
     """Simulate one workload draw against every interconnect.
 
-    Pure function of the spec (see :func:`_fig6_sims`); runs each
+    Pure function of the spec (see :func:`_fig6_build`); runs each
     design on the scalar engine one at a time.
     """
-    config: Fig6Config = spec.param("config")
-    pairs = _fig6_sims(spec)
-    results = [
-        simulation.run(config.horizon, drain=config.drain)
-        for _, simulation in pairs
-    ]
-    return _fig6_fold(spec, pairs, results)
+    return simulate_specs([spec], _fig6_build, _fig6_fold, "scalar")[0]
 
 
 def run_fig6_batch(specs: Sequence[TrialSpec]) -> list[MetricSet]:
     """Batch entry point: many trials' simulations in one lock-step run.
 
-    Builds every (trial, design) simulation for the chunk and hands
-    them to :func:`repro.sim.batched.run_many`, which groups the
-    structurally-identical ones and advances each group in lock-step
-    (falling back to the scalar engine per trial for anything it cannot
-    represent — tracing, the "scalar" backend default, …).  The folded
-    metric sets are bit-identical to :func:`run_fig6_trial`'s.
+    Every (trial, design) simulation of the chunk goes through one
+    :func:`repro.sim.batched.run_many` call on the chunk's
+    ``spec.engine.sim_backend`` (see :func:`simulate_specs`).  The
+    folded metric sets are bit-identical to :func:`run_fig6_trial`'s.
     """
-    from repro.sim.batched import run_many
-
-    pairs_per_spec = []
-    sims: list[SoCSimulation] = []
-    horizons: list[int] = []
-    drains: list[int] = []
-    for spec in specs:
-        config: Fig6Config = spec.param("config")
-        pairs = _fig6_sims(spec)
-        pairs_per_spec.append(pairs)
-        for _, simulation in pairs:
-            sims.append(simulation)
-            horizons.append(config.horizon)
-            drains.append(config.drain)
-    results = run_many(sims, horizon=horizons, drain=drains)
-    folded: list[MetricSet] = []
-    at = 0
-    for spec, pairs in zip(specs, pairs_per_spec):
-        folded.append(_fig6_fold(spec, pairs, results[at : at + len(pairs)]))
-        at += len(pairs)
-    return folded
+    return simulate_specs(specs, _fig6_build, _fig6_fold)
 
 
 run_fig6_trial.batch = run_fig6_batch

@@ -27,6 +27,7 @@ from repro.experiments.factory import (
     INTERCONNECT_NAMES,
     FactoryConfig,
     build_interconnect,
+    simulate_specs,
 )
 from repro.experiments.reporting import format_series
 from repro.runtime import (
@@ -70,9 +71,6 @@ class Fig7Config:
     #: the drawn workload is *analytically* schedulable on BlueScale
     #: (``analysis/schedulable``) next to the simulated success
     analysis: bool = False
-    #: analysis engine backend ("scalar"/"vectorized"); None uses the
-    #: process-wide default — verdicts are identical either way
-    analysis_backend: str | None = None
 
     @classmethod
     def paper_scale(cls, n_processors: int = 16) -> "Fig7Config":
@@ -179,12 +177,11 @@ def build_fig7_specs(
     return specs
 
 
-def _fig7_sims(
-    spec: TrialSpec,
-) -> tuple[list[tuple[str, SoCSimulation]], dict[str, float]]:
+def _fig7_build(spec: TrialSpec):
     """Build every design's simulation for one (utilization, trial).
 
-    Returns the ``(name, simulation)`` pairs plus the trial's
+    Returns :func:`simulate_specs`' ``(state, sims, horizon, drain)``;
+    the state is the ``(name, simulation)`` pairs plus the trial's
     simulation-independent base scalars (the optional compositional-
     analysis verdict).
     """
@@ -205,6 +202,7 @@ def _fig7_sims(
     combined[accelerator_id] = accelerator_tasks.merged_with(
         interference.get(accelerator_id, TaskSet())
     )
+    analysis_backend = spec.engine.analysis_backend
     scalars: dict[str, float] = {}
     if config.analysis:
         from repro.analysis.model import SystemModel
@@ -213,7 +211,7 @@ def _fig7_sims(
         model = SystemModel.build(
             quadtree(config.n_clients),
             combined,
-            backend=config.analysis_backend,
+            backend=analysis_backend,
         )
         scalars["analysis/schedulable"] = 1.0 if model.schedulable else 0.0
         scalars["analysis/root_bandwidth"] = float(
@@ -222,7 +220,7 @@ def _fig7_sims(
     pairs: list[tuple[str, SoCSimulation]] = []
     for name in interconnects:
         interconnect = build_interconnect(
-            name, config.n_clients, combined, config.factory
+            name, config.n_clients, combined, config.factory, analysis_backend
         )
         clients: list = [
             ProcessorClient(
@@ -257,11 +255,13 @@ def _fig7_sims(
                 ),
             )
         )
-    return pairs, scalars
+    sims = [simulation for _, simulation in pairs]
+    return (pairs, scalars), sims, config.horizon, config.drain
 
 
-def _fig7_fold(spec: TrialSpec, pairs, results, base_scalars) -> MetricSet:
+def _fig7_fold(spec: TrialSpec, state, results) -> MetricSet:
     """Fold one trial's per-design results into its metric set."""
+    pairs, base_scalars = state
     config: Fig7Config = spec.param("config")
     accelerator_id = config.n_processors
     scalars = dict(base_scalars)
@@ -293,50 +293,19 @@ def run_fig7_trial(spec: TrialSpec) -> MetricSet:
     """One workload draw at one utilization, against every design.
 
     Emits ``{name}/success`` ∈ {0, 1} per interconnect: 1 when no
-    monitored (safety/function) job missed a deadline.
+    monitored (safety/function) job missed a deadline.  Runs each
+    design on the scalar engine one at a time.
     """
-    config: Fig7Config = spec.param("config")
-    pairs, base_scalars = _fig7_sims(spec)
-    results = [
-        simulation.run(config.horizon, drain=config.drain)
-        for _, simulation in pairs
-    ]
-    return _fig7_fold(spec, pairs, results, base_scalars)
+    return simulate_specs([spec], _fig7_build, _fig7_fold, "scalar")[0]
 
 
 def run_fig7_batch(specs: Sequence[TrialSpec]) -> list[MetricSet]:
     """Batch entry point: many trials' simulations in one lock-step run.
 
-    Same contract as :func:`repro.experiments.fig6.run_fig6_batch`:
-    every (trial, design) simulation of the chunk goes through
-    :func:`repro.sim.batched.run_many` and the folded metric sets are
-    bit-identical to :func:`run_fig7_trial`'s.
+    Same contract as :func:`repro.experiments.fig6.run_fig6_batch`: the
+    folded metric sets are bit-identical to :func:`run_fig7_trial`'s.
     """
-    from repro.sim.batched import run_many
-
-    built = []
-    sims: list[SoCSimulation] = []
-    horizons: list[int] = []
-    drains: list[int] = []
-    for spec in specs:
-        config: Fig7Config = spec.param("config")
-        pairs, base_scalars = _fig7_sims(spec)
-        built.append((spec, pairs, base_scalars))
-        for _, simulation in pairs:
-            sims.append(simulation)
-            horizons.append(config.horizon)
-            drains.append(config.drain)
-    results = run_many(sims, horizon=horizons, drain=drains)
-    folded: list[MetricSet] = []
-    at = 0
-    for spec, pairs, base_scalars in built:
-        folded.append(
-            _fig7_fold(
-                spec, pairs, results[at : at + len(pairs)], base_scalars
-            )
-        )
-        at += len(pairs)
-    return folded
+    return simulate_specs(specs, _fig7_build, _fig7_fold)
 
 
 run_fig7_trial.batch = run_fig7_batch

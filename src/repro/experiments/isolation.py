@@ -26,7 +26,7 @@ not to overload.  Structured as the standard runtime triple
 that ships every (trial, design, baseline/faulted) simulation of a
 chunk through :func:`repro.sim.batched.run_many` — rogue-burst plans
 compile into the SoA request schedule, so the whole campaign advances
-in numpy lock-step under the default backend and stays bit-identical
+in numpy lock-step on the ``"batched"`` engine and stays bit-identical
 to the scalar engine (trace digests are folded into each trial's tags
 to prove it).
 """
@@ -38,12 +38,13 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.clients.traffic_generator import TrafficGenerator
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
     DEFAULT_FACTORY_CONFIG,
     FactoryConfig,
     build_interconnect,
+    simulate_specs,
+    traffic_generators,
 )
 from repro.experiments.reporting import format_table
 from repro.faults.plan import FaultPlan
@@ -139,11 +140,13 @@ def build_isolation_specs(
     ]
 
 
-def _isolation_sims(spec: TrialSpec):
+def _isolation_build(spec: TrialSpec):
     """Build one workload draw's (baseline, faulted) pair per design.
 
-    Returns ``(tasksets, entries)`` with ``entries`` a list of
-    ``(name, base_sim, fault_sim)`` triples.  The taskset draw comes
+    Returns :func:`simulate_specs`' ``(state, sims, horizon, drain)``;
+    the state is ``(tasksets, entries)`` with ``entries`` a list of
+    ``(name, base_sim, fault_sim)`` triples, and ``sims`` flattens them
+    to ``[base, fault, base, fault, …]``.  The taskset draw comes
     from the trial RNG, and each client's private stream is re-derived
     identically for every simulation, so all designs — and the baseline
     and faulted run of each — see the same declared workload.
@@ -163,19 +166,13 @@ def _isolation_sims(spec: TrialSpec):
         period_max=config.period_max,
     )
     plan = config.fault_plan()
+    analysis_backend = spec.engine.analysis_backend
 
     def build(name: str, faults: FaultPlan | None) -> SoCSimulation:
         interconnect = build_interconnect(
-            name, config.n_clients, tasksets, config.factory
+            name, config.n_clients, tasksets, config.factory, analysis_backend
         )
-        clients = [
-            TrafficGenerator(
-                client_id,
-                taskset,
-                rng=random.Random(spec.client_seed(client_id)),
-            )
-            for client_id, taskset in tasksets.items()
-        ]
+        clients = traffic_generators(spec, tasksets)
         return SoCSimulation(
             clients, interconnect, fast_path=config.fast_path, faults=faults
         )
@@ -184,16 +181,17 @@ def _isolation_sims(spec: TrialSpec):
         (name, build(name, None), build(name, plan))
         for name in interconnects
     ]
-    return tasksets, entries
+    sims = [sim for _, base, fault in entries for sim in (base, fault)]
+    return (tasksets, entries), sims, config.horizon, config.drain
 
 
 def _isolation_fold(
     spec: TrialSpec,
-    tasksets,  # noqa: ANN001
-    entries,  # noqa: ANN001
+    state,  # noqa: ANN001
     results,  # noqa: ANN001 - [base, fault] per entry, flattened
 ) -> MetricSet:
     """Fold one trial's per-design result pairs into its metric set."""
+    tasksets, entries = state
     config: IsolationConfig = spec.param("config")
     victims = set(range(config.n_clients)) - {config.aggressor}
     scalars: dict[str, float] = {}
@@ -248,52 +246,25 @@ def _isolation_fold(
 def run_isolation_trial(spec: TrialSpec) -> MetricSet:
     """Baseline + faulted run of one workload draw, per design.
 
-    Pure function of the spec (see :func:`_isolation_sims`); runs each
+    Pure function of the spec (see :func:`_isolation_build`); runs each
     simulation on the scalar engine one at a time.
     """
-    config: IsolationConfig = spec.param("config")
-    tasksets, entries = _isolation_sims(spec)
-    results = []
-    for _, base_sim, fault_sim in entries:
-        results.append(base_sim.run(config.horizon, drain=config.drain))
-        results.append(fault_sim.run(config.horizon, drain=config.drain))
-    return _isolation_fold(spec, tasksets, entries, results)
+    return simulate_specs(
+        [spec], _isolation_build, _isolation_fold, "scalar"
+    )[0]
 
 
 def run_isolation_batch(specs: Sequence[TrialSpec]) -> list[MetricSet]:
     """Batch entry point: the whole chunk's simulations in lock-step.
 
-    Builds every (trial, design, baseline/faulted) simulation and hands
-    them to :func:`repro.sim.batched.run_many`; rogue-burst fault plans
-    compile into the SoA request schedule, so faulted runs ride the
-    kernels alongside their baselines (under the "scalar" backend or
-    for ineligible trials, run_many falls back per trial).  The folded
-    metric sets are bit-identical to :func:`run_isolation_trial`'s.
+    Every (trial, design, baseline/faulted) simulation goes through one
+    :func:`repro.sim.batched.run_many` call on the chunk's
+    ``spec.engine.sim_backend``; rogue-burst fault plans compile into
+    the SoA request schedule, so faulted runs ride the kernels
+    alongside their baselines.  The folded metric sets are
+    bit-identical to :func:`run_isolation_trial`'s.
     """
-    from repro.sim.batched import run_many
-
-    per_spec = []
-    sims: list[SoCSimulation] = []
-    horizons: list[int] = []
-    drains: list[int] = []
-    for spec in specs:
-        config: IsolationConfig = spec.param("config")
-        tasksets, entries = _isolation_sims(spec)
-        per_spec.append((tasksets, entries))
-        for _, base_sim, fault_sim in entries:
-            sims.extend((base_sim, fault_sim))
-            horizons.extend((config.horizon, config.horizon))
-            drains.extend((config.drain, config.drain))
-    results = run_many(sims, horizon=horizons, drain=drains)
-    folded: list[MetricSet] = []
-    at = 0
-    for spec, (tasksets, entries) in zip(specs, per_spec):
-        take = 2 * len(entries)
-        folded.append(
-            _isolation_fold(spec, tasksets, entries, results[at : at + take])
-        )
-        at += take
-    return folded
+    return simulate_specs(specs, _isolation_build, _isolation_fold)
 
 
 run_isolation_trial.batch = run_isolation_batch

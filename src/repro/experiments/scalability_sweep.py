@@ -15,14 +15,16 @@ import statistics
 from dataclasses import dataclass, field
 
 from repro.analysis.model import SystemModel
-from repro.clients.traffic_generator import TrafficGenerator
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
     DEFAULT_FACTORY_CONFIG,
     FactoryConfig,
     build_interconnect,
+    simulate_specs,
+    traffic_generators,
 )
 from repro.runtime import (
+    EngineConfig,
     Executor,
     ExecutionHooks,
     MetricSet,
@@ -99,7 +101,7 @@ def build_scalability_specs(
     return specs
 
 
-def _scalability_sim(spec: TrialSpec) -> SoCSimulation:
+def _scalability_build(spec: TrialSpec):
     """Build one (size, interconnect, seed) simulation."""
     n_clients = spec.param("n_clients")
     rng = random.Random(spec.seed)
@@ -107,16 +109,19 @@ def _scalability_sim(spec: TrialSpec) -> SoCSimulation:
         rng, n_clients, 2, spec.param("utilization")
     )
     interconnect = build_interconnect(
-        spec.param("interconnect"), n_clients, tasksets, spec.param("factory")
+        spec.param("interconnect"),
+        n_clients,
+        tasksets,
+        spec.param("factory"),
+        analysis_backend=spec.engine.analysis_backend,
     )
-    clients = [
-        TrafficGenerator(c, ts, rng=random.Random(spec.client_seed(c)))
-        for c, ts in tasksets.items()
-    ]
-    return SoCSimulation(clients, interconnect)
+    clients = traffic_generators(spec, tasksets)
+    sims = [SoCSimulation(clients, interconnect)]
+    return None, sims, spec.param("horizon"), 4_000
 
 
-def _scalability_fold(spec: TrialSpec, trial) -> MetricSet:
+def _scalability_fold(spec: TrialSpec, state, results) -> MetricSet:
+    (trial,) = results
     return MetricSet(
         scalars={
             "miss": trial.deadline_miss_ratio,
@@ -131,26 +136,17 @@ def _scalability_fold(spec: TrialSpec, trial) -> MetricSet:
 
 
 def run_scalability_trial(spec: TrialSpec) -> MetricSet:
-    """One (size, interconnect, seed) simulation."""
-    trial = _scalability_sim(spec).run(spec.param("horizon"), drain=4_000)
-    return _scalability_fold(spec, trial)
+    """One (size, interconnect, seed) simulation, scalar engine."""
+    return simulate_specs(
+        [spec], _scalability_build, _scalability_fold, "scalar"
+    )[0]
 
 
 def run_scalability_batch(specs) -> list[MetricSet]:
-    """Batch entry point: the chunk's simulations via the batched
-    backend (same-shaped (size, design) trials advance in lock-step;
-    results are bit-identical to :func:`run_scalability_trial`)."""
-    from repro.sim.batched import run_many
-
-    sims = [_scalability_sim(spec) for spec in specs]
-    results = run_many(
-        sims,
-        horizon=[spec.param("horizon") for spec in specs],
-        drain=4_000,
-    )
-    return [
-        _scalability_fold(spec, trial) for spec, trial in zip(specs, results)
-    ]
+    """Batch entry point: same-shaped (size, design) trials advance in
+    lock-step on the chunk's ``spec.engine.sim_backend``; results are
+    bit-identical to :func:`run_scalability_trial`."""
+    return simulate_specs(specs, _scalability_build, _scalability_fold)
 
 
 run_scalability_trial.batch = run_scalability_batch
@@ -189,7 +185,6 @@ def run_scalability_sweep(
     interconnects: tuple[str, ...] = ("BlueScale", "BlueTree", "AXI-IC^RT"),
     factory: FactoryConfig = DEFAULT_FACTORY_CONFIG,
     with_admission_ceiling: bool = True,
-    analysis_backend: str | None = None,
     executor: Executor | None = None,
     hooks: ExecutionHooks | None = None,
 ) -> ScalabilityResult:
@@ -197,9 +192,8 @@ def run_scalability_sweep(
 
     The simulation trials fan out through the executor; the
     analysis-side admission ceiling (exact rational arithmetic, fast)
-    stays in-process.  ``analysis_backend`` picks the ceiling search's
-    engine backend (None → the process-wide default); the ceilings are
-    identical under either backend.
+    stays in-process, on the analysis backend of the executor's engine;
+    the ceilings are identical under either backend.
     """
     if not client_counts:
         raise ConfigurationError("need at least one system size")
@@ -210,12 +204,15 @@ def run_scalability_sweep(
     outcomes = executor.map(run_scalability_trial, specs, hooks)
     result = reduce_scalability(utilization, outcomes)
     if with_admission_ceiling:
+        engine = executor.engine or EngineConfig()
         for n_clients in client_counts:
             rng = random.Random(f"sweep/ceiling/{n_clients}")
             tasksets = generate_client_tasksets(rng, n_clients, 2, 0.2)
             try:
                 model = SystemModel.build(
-                    quadtree(n_clients), tasksets, backend=analysis_backend
+                    quadtree(n_clients),
+                    tasksets,
+                    backend=engine.analysis_backend,
                 )
                 result.admission_ceiling[n_clients] = (
                     model.session().breakdown(precision=0.1).utilization

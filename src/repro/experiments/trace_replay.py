@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 from repro.clients.accelerator import AcceleratorClient
 from repro.clients.processor import ProcessorClient
-from repro.clients.traffic_generator import TrafficGenerator
 from repro.errors import ConfigurationError
-from repro.experiments.factory import build_interconnect
+from repro.experiments.factory import build_interconnect, traffic_generators
 from repro.experiments.fig6 import Fig6Config, build_fig6_specs
 from repro.experiments.fig7 import (
     Fig7Config,
@@ -89,14 +88,7 @@ def trace_fig6_trial(
         period_min=config.period_min,
         period_max=config.period_max,
     )
-    clients = [
-        TrafficGenerator(
-            client_id,
-            taskset,
-            rng=random.Random(spec.client_seed(client_id)),
-        )
-        for client_id, taskset in tasksets.items()
-    ]
+    clients = traffic_generators(spec, tasksets)
     tracer = _replay_tracer(ring_capacity, sample_every)
     simulation = SoCSimulation(
         clients,

@@ -57,6 +57,7 @@ def measure_update_cost(
     seed: int = 11,
     joining_client: int | None = None,
     selection_candidates: int = 64,
+    analysis_backend: str | None = None,
 ) -> UpdateCost:
     """Measure one task-join update at ``n_clients``."""
     rng = random.Random(f"update/{seed}")
@@ -69,6 +70,7 @@ def measure_update_cost(
         topology,
         tasksets,
         config=config,
+        backend=analysis_backend,
         cache=AnalysisCache(),
         label=f"update/{seed}",
     )
@@ -107,10 +109,14 @@ def measure_update_cost(
 def run_update_latency(
     client_counts: tuple[int, ...] = (16, 64, 256),
     utilization: float = 0.4,
+    analysis_backend: str | None = None,
 ) -> list[UpdateCost]:
     """Sweep the system size."""
     return [
-        measure_update_cost(n, utilization=utilization) for n in client_counts
+        measure_update_cost(
+            n, utilization=utilization, analysis_backend=analysis_backend
+        )
+        for n in client_counts
     ]
 
 

@@ -6,7 +6,8 @@ factors that shape into three explicit pieces so every experiment is a
 spec-builder + per-trial-runner + reducer triple:
 
 * :class:`TrialSpec` — a pure, picklable description of one trial
-  (experiment name, trial index, seed, frozen parameters);
+  (experiment name, trial index, seed, frozen parameters, and the
+  :class:`EngineConfig` naming the engines that run it);
 * :class:`Executor` — the seam that maps a trial runner over specs.
   :class:`SerialExecutor` runs in-process; :class:`ParallelExecutor`
   fans trials out over a :class:`concurrent.futures.ProcessPoolExecutor`
@@ -35,7 +36,6 @@ from repro.runtime.executor import (
 from repro.runtime.metrics import (
     FAILURE_METRIC,
     MetricSet,
-    extract_metric_set,
     failure_metric_set,
 )
 from repro.runtime.seeding import (
@@ -44,10 +44,11 @@ from repro.runtime.seeding import (
     seed_stream,
     spawn_rng,
 )
-from repro.runtime.spec import TrialSpec
+from repro.runtime.spec import EngineConfig, TrialSpec
 
 __all__ = [
     "FAILURE_METRIC",
+    "EngineConfig",
     "Executor",
     "ExecutionHooks",
     "MetricSet",
@@ -58,7 +59,6 @@ __all__ = [
     "TrialSpec",
     "derive_seed",
     "derive_seeds",
-    "extract_metric_set",
     "failure_metric_set",
     "make_executor",
     "seed_stream",

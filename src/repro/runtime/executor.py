@@ -15,6 +15,12 @@ Runners must be module-level functions (picklable by reference) for the
 parallel backend; per-trial wall-clock is measured inside the worker
 and shipped back with the metrics.
 
+An executor built with ``engine=`` stamps that
+:class:`~repro.runtime.spec.EngineConfig` onto every spec before
+dispatch, so the engine choice reaches a worker process inside the
+pickled spec — under any start method, with nothing to initialize in
+the worker.  ``engine=None`` leaves each spec's own engine untouched.
+
 A runner may additionally carry a ``batch`` attribute — a callable
 taking a list of specs and returning one :class:`MetricSet` per spec.
 Both executors then hand the runner whole chunks at a time instead of
@@ -29,13 +35,13 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
 from repro.errors import ConfigurationError
 from repro.runtime.metrics import MetricSet, failure_metric_set
-from repro.runtime.spec import TrialSpec
+from repro.runtime.spec import EngineConfig, TrialSpec
 
 #: a per-trial runner: pure function of the spec
 TrialRunner = Callable[[TrialSpec], MetricSet]
@@ -125,6 +131,9 @@ class ProgressPrinter(ExecutionHooks):
 class Executor(Protocol):
     """Anything that can map a trial runner over specs, in order."""
 
+    #: stamped onto every mapped spec; ``None`` keeps the specs' own
+    engine: EngineConfig | None
+
     @property
     def workers(self) -> int: ...
 
@@ -211,10 +220,22 @@ def _execute_batch(
     ]
 
 
+def _stamp(
+    specs: Sequence[TrialSpec], engine: EngineConfig | None
+) -> Sequence[TrialSpec]:
+    """The specs as dispatched: carrying the executor's engine, if any."""
+    if engine is None:
+        return specs
+    return [replace(spec, engine=engine) for spec in specs]
+
+
 class SerialExecutor:
     """Run every trial in the calling process, in spec order."""
 
     workers = 1
+
+    def __init__(self, engine: EngineConfig | None = None) -> None:
+        self.engine = engine
 
     def map(
         self,
@@ -222,6 +243,7 @@ class SerialExecutor:
         specs: Sequence[TrialSpec],
         hooks: ExecutionHooks | None = None,
     ) -> list[TrialOutcome]:
+        specs = _stamp(specs, self.engine)
         hooks = hooks or ExecutionHooks()
         hooks.on_batch_start(specs)
         outcomes: list[TrialOutcome] = []
@@ -248,18 +270,13 @@ class ParallelExecutor:
     by default it targets ~4 chunks per worker.  Ordered collection is
     what makes parallel ≡ serial: ``ProcessPoolExecutor.map`` yields
     results in submission order regardless of completion order.
-
-    ``worker_init`` (a picklable zero-argument callable) runs once in
-    every worker process before its first trial — the hook for
-    replicating process-wide configuration such as the analysis engine
-    backend (``partial(set_default_backend, "scalar")``) into the pool.
     """
 
     def __init__(
         self,
         workers: int,
         chunk_size: int | None = None,
-        worker_init: Callable[[], object] | None = None,
+        engine: EngineConfig | None = None,
     ) -> None:
         if workers < 2:
             raise ConfigurationError(
@@ -270,7 +287,7 @@ class ParallelExecutor:
             raise ConfigurationError(f"invalid chunk size {chunk_size}")
         self._workers = workers
         self.chunk_size = chunk_size
-        self.worker_init = worker_init
+        self.engine = engine
 
     @property
     def workers(self) -> int:
@@ -287,14 +304,12 @@ class ParallelExecutor:
         specs: Sequence[TrialSpec],
         hooks: ExecutionHooks | None = None,
     ) -> list[TrialOutcome]:
+        specs = _stamp(specs, self.engine)
         hooks = hooks or ExecutionHooks()
         hooks.on_batch_start(specs)
         outcomes: list[TrialOutcome] = []
         if specs:
-            with ProcessPoolExecutor(
-                max_workers=self._workers,
-                initializer=self.worker_init,
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=self._workers) as pool:
                 if getattr(runner, "batch", None) is not None:
                     # ship whole chunks so each worker can advance its
                     # specs in lock-step; ordered collection over the
@@ -325,14 +340,10 @@ class ParallelExecutor:
 
 
 def make_executor(
-    workers: int | None,
-    worker_init: Callable[[], object] | None = None,
+    workers: int | None, engine: EngineConfig | None = None
 ) -> Executor:
-    """The executor for a ``--workers N`` request (None/0/1 → serial).
-
-    ``worker_init`` is forwarded to :class:`ParallelExecutor`; the
-    serial path ignores it (the calling process is already configured).
-    """
+    """The executor for a ``--workers N`` request (None/0/1 → serial),
+    stamping ``engine`` (if given) onto every spec it maps."""
     if workers is None or workers <= 1:
-        return SerialExecutor()
-    return ParallelExecutor(workers, worker_init=worker_init)
+        return SerialExecutor(engine)
+    return ParallelExecutor(workers, engine=engine)

@@ -94,22 +94,3 @@ def failure_metric_set(spec: Any, exc: BaseException) -> MetricSet:
             "error": message,
         },
     )
-
-
-def extract_metric_set(result: Any) -> MetricSet:
-    """Coerce an experiment result into a :class:`MetricSet`.
-
-    Accepts a ``MetricSet``, anything exposing ``metric_set()`` (all
-    experiment result classes do), or a plain ``{name: float}`` dict.
-    """
-    if isinstance(result, MetricSet):
-        return result
-    method = getattr(result, "metric_set", None)
-    if callable(method):
-        return extract_metric_set(method())
-    if isinstance(result, Mapping):
-        return MetricSet(scalars=dict(result))
-    raise ConfigurationError(
-        f"cannot extract metrics from {type(result).__name__}; expected a "
-        "MetricSet, an object with metric_set(), or a name->float mapping"
-    )

@@ -9,9 +9,7 @@ in lock-step and produces bit-identical results.
 
 from repro.sim.backend import (
     SIM_BACKENDS,
-    get_default_sim_backend,
     resolve_sim_backend,
-    set_default_sim_backend,
 )
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine, QuiescentComponent, TickComponent
@@ -46,9 +44,7 @@ from repro.sim.batched import (  # noqa: E402
 
 __all__ = [
     "SIM_BACKENDS",
-    "get_default_sim_backend",
     "resolve_sim_backend",
-    "set_default_sim_backend",
     "Ineligible",
     "batched_supported",
     "run_many",

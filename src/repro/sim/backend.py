@@ -14,10 +14,11 @@ Both backends produce **bit-identical** :class:`~repro.soc.TrialResult`
 contents — trace digests, recorder streams, job outcomes — which the
 differential/property suites assert
 (``tests/sim/test_batched_equivalence.py`` and neighbours).
-``backend=None`` anywhere resolves to the process-wide default set
-here (the CLI's ``--sim-backend`` flag lands in
-:func:`set_default_sim_backend`, including inside parallel workers via
-the executor's ``worker_init`` hook).
+Which one runs a trial is a value on its spec
+(:class:`repro.runtime.EngineConfig`, ``spec.engine.sim_backend``);
+``backend=None`` on a direct library call such as
+``run_many(sims, horizon)`` means :data:`DEFAULT_SIM_BACKEND`.  Nothing
+here is mutable.
 """
 
 from __future__ import annotations
@@ -27,30 +28,14 @@ from repro.errors import ConfigurationError
 #: the recognized simulator backend names
 SIM_BACKENDS: tuple[str, ...] = ("scalar", "batched")
 
-_default_sim_backend: str = "batched"
-
-
-def get_default_sim_backend() -> str:
-    """The process-wide simulator backend used when ``backend=None``."""
-    return _default_sim_backend
-
-
-def set_default_sim_backend(backend: str) -> str:
-    """Set the process-wide default backend; returns the previous one.
-
-    Picklable by reference, so it doubles as an executor
-    ``worker_init`` target: ``partial(set_default_sim_backend, "scalar")``.
-    """
-    global _default_sim_backend
-    previous = _default_sim_backend
-    _default_sim_backend = resolve_sim_backend(backend)
-    return previous
+#: what ``backend=None`` means on a direct library call
+DEFAULT_SIM_BACKEND = "batched"
 
 
 def resolve_sim_backend(backend: str | None) -> str:
-    """Validate a ``backend=`` argument (``None`` → session default)."""
+    """Validate a ``backend=`` argument (``None`` → the default)."""
     if backend is None:
-        return _default_sim_backend
+        return DEFAULT_SIM_BACKEND
     if backend not in SIM_BACKENDS:
         raise ConfigurationError(
             f"unknown sim backend {backend!r}; expected one of {SIM_BACKENDS}"

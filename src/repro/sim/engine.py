@@ -212,26 +212,6 @@ class Engine:
                 self._try_leap(until_cycle)
         return self.clock.now
 
-    def run_events_only(self, until_cycle: int) -> int:
-        """Event-driven run that skips idle cycles (no tick components).
-
-        Useful for pure analytical simulations (message-level models)
-        where per-cycle ticking would waste time.
-        """
-        if self._tick_components:
-            raise SimulationError(
-                "run_events_only() is only valid without tick components"
-            )
-        self._stopped = False
-        while self._event_queue and not self._stopped:
-            cycle = self._event_queue[0][0]
-            if cycle >= until_cycle:
-                break
-            self.clock.now = cycle
-            self._fire_due_events(cycle)
-        self.clock.now = max(self.clock.now, until_cycle)
-        return self.clock.now
-
     @property
     def pending_events(self) -> int:
         """Number of events not yet fired."""

@@ -69,6 +69,35 @@ class TestRun:
         )
 
 
+    def test_sim_backend_flag_does_not_outlive_its_run(
+        self, tiny_run, tmp_path, kernel_groups
+    ):
+        """``--sim-backend scalar`` is a value on that run's trial
+        specs: it reaches every cell (no lock-step kernel runs), and an
+        in-process run right after it, with no flag and no backend
+        axis, is back on the kernels."""
+        spec_path, out = tiny_run
+        scalar, default = tmp_path / "scalar", tmp_path / "default"
+        assert (
+            main(
+                ["campaign", "run", str(spec_path), "--out", str(scalar),
+                 "--sim-backend", "scalar"]
+            )
+            == 0
+        )
+        assert kernel_groups == []
+        assert (
+            main(["campaign", "run", str(spec_path), "--out", str(default)])
+            == 0
+        )
+        assert len(kernel_groups) == 4  # one group per single-trial cell
+        assert (
+            (scalar / "cells.jsonl").read_bytes()
+            == (default / "cells.jsonl").read_bytes()
+            == (out / "cells.jsonl").read_bytes()
+        )
+
+
 class TestReport:
     def test_report_writes_artifacts(self, tiny_run, tmp_path):
         _, out = tiny_run

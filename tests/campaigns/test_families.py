@@ -90,34 +90,58 @@ class TestRunCell:
         )
         assert len(cell_trial_specs(cell)) == 3
 
-    def test_backend_axis_pins_and_restores_default(self):
-        from repro.sim.backend import (
-            get_default_sim_backend,
-            set_default_sim_backend,
+    def test_engine_precedence_cell_axis_run_level_default(self, monkeypatch):
+        """Cell axis beats the run-level engine beats the default, per
+        field — read off the engine ``run_cell`` hands its executor."""
+        from repro.campaigns import families
+        from repro.runtime import EngineConfig, SerialExecutor
+
+        seen = []
+
+        class Recording(SerialExecutor):
+            def __init__(self, engine=None):
+                seen.append(engine)
+                super().__init__(engine)
+
+        monkeypatch.setattr(families, "SerialExecutor", Recording)
+        base = {
+            "family": "fig6", "design": ["BlueTree"], "n": 5,
+            "utilization": [0.5], "trials": 1, "horizon": 300,
+        }
+        plain = one_cell(base)
+        pinned = one_cell({**base, "sim_backend": ["batched"]})
+        run_level = EngineConfig(
+            sim_backend="scalar", analysis_backend="scalar"
         )
+        run_cell(plain)
+        run_cell(plain, run_level)
+        run_cell(pinned, run_level)
+        run_cell(one_cell({**base, "analysis_backend": ["scalar"]}))
+        assert seen == [
+            EngineConfig(),
+            run_level,
+            EngineConfig(sim_backend="batched", analysis_backend="scalar"),
+            EngineConfig(analysis_backend="scalar"),
+        ]
 
-        previous = set_default_sim_backend("batched")
-        try:
-            cell = one_cell(
-                {"family": "fig6", "design": ["BlueScale"], "n": 5,
-                 "utilization": [0.5], "sim_backend": ["scalar"],
-                 "trials": 1, "horizon": 300}
-            )
-            run_cell(cell)
-            assert get_default_sim_backend() == "batched"
-        finally:
-            set_default_sim_backend(previous)
-
-    def test_backend_axis_value_is_bit_identical(self):
+    def test_backend_axis_value_is_bit_identical(self, kernel_groups):
         base = {
             "family": "fig6", "design": ["BlueScale"], "n": 5,
             "utilization": [0.5], "trials": 1, "horizon": 300,
         }
         tags = {}
-        for backend in ("scalar", "batched"):
-            cell = one_cell({**base, "sim_backend": [backend]})
+        groups = {}
+        for backend in ("scalar", "batched", None):
+            axis = {} if backend is None else {"sim_backend": [backend]}
+            cell = one_cell({**base, **axis})
+            kernel_groups.clear()
             tags[backend] = run_cell(cell).tags["BlueScale/trace"]
-        assert tags["scalar"] == tags["batched"]
+            groups[backend] = list(kernel_groups)
+        assert tags["scalar"] == tags["batched"] == tags[None]
+        # ...and the two sides really were two engines: the scalar cell
+        # never entered a lock-step kernel, the batched and the
+        # axis-less (default) cell did
+        assert groups == {"scalar": [], "batched": [1], None: [1]}
 
     def test_failed_trial_fails_whole_cell(self, monkeypatch):
         cell = one_cell(

@@ -53,3 +53,25 @@ def make_request(
         absolute_deadline=deadline if deadline is not None else release + 100,
         address=address,
     )
+
+
+@pytest.fixture
+def kernel_groups(monkeypatch) -> list[int]:
+    """Spy on the lock-step kernels: one entry (the group size) per
+    ``repro.sim.batched.api._run_group`` call made in this process.
+
+    The scalar engine never appends, so a test can tell which engine
+    really ran its trials instead of trusting that two runs which are
+    bit-identical by design were two *different* runs.
+    """
+    from repro.sim.batched import api
+
+    sizes: list[int] = []
+    run_group = api._run_group
+
+    def spy(sims, plans):
+        sizes.append(len(sims))
+        return run_group(sims, plans)
+
+    monkeypatch.setattr(api, "_run_group", spy)
+    return sizes

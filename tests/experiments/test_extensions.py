@@ -267,9 +267,19 @@ class TestCli:
         assert "dram/worst-case" in capsys.readouterr().out
 
     def test_fig6_with_small_args(self, capsys):
+        # one trial per design is far below the lock-step break-even:
+        # the fig6/fig7 CLI tests here are about flags, seeds and
+        # workers, so they pick the scalar engine, by value (the
+        # default path is tests/faults/test_isolation.py::TestCli's)
         from repro.cli import main
 
-        assert main(["fig6", "--trials", "1", "--horizon", "3000"]) == 0
+        assert (
+            main(
+                ["fig6", "--trials", "1", "--horizon", "3000",
+                 "--sim-backend", "scalar"]
+            )
+            == 0
+        )
         out = capsys.readouterr().out
         assert "16 traffic generators" in out
         assert "BlueScale" in out
@@ -277,7 +287,8 @@ class TestCli:
     def test_fig6_seed_changes_results(self, capsys):
         from repro.cli import main
 
-        argv = ["fig6", "--trials", "1", "--horizon", "3000"]
+        argv = ["fig6", "--trials", "1", "--horizon", "3000",
+                "--sim-backend", "scalar"]
         assert main(argv + ["--seed", "1"]) == 0
         first = capsys.readouterr().out
         assert main(argv + ["--seed", "1"]) == 0
@@ -290,7 +301,8 @@ class TestCli:
     def test_fig6_workers_flag_matches_serial(self, capsys):
         from repro.cli import main
 
-        argv = ["fig6", "--trials", "2", "--horizon", "3000"]
+        argv = ["fig6", "--trials", "2", "--horizon", "3000",
+                "--sim-backend", "scalar"]
         assert main(argv + ["--workers", "1"]) == 0
         serial = capsys.readouterr().out
         assert main(argv + ["--workers", "2"]) == 0
@@ -301,7 +313,8 @@ class TestCli:
         from repro.cli import main
 
         assert main(
-            ["fig7", "--trials", "1", "--horizon", "2000", "--seed", "3"]
+            ["fig7", "--trials", "1", "--horizon", "2000", "--seed", "3",
+             "--sim-backend", "scalar"]
         ) == 0
         assert "success ratio" in capsys.readouterr().out
 

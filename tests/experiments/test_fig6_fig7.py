@@ -10,6 +10,12 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.fig6 import Fig6Config, format_fig6, run_fig6
 from repro.experiments.fig7 import Fig7Config, format_fig7, run_fig7
+from repro.runtime import EngineConfig, SerialExecutor
+
+#: these tests are about the harnesses (shapes, ordering, formatting),
+#: not the batch seam, and their batches are far below the group size
+#: at which the lock-step kernels pay off — so they say so, by value
+SCALAR = SerialExecutor(EngineConfig(sim_backend="scalar"))
 
 
 MICRO_FIG6 = Fig6Config(n_clients=16, trials=2, horizon=6_000, drain=2_000)
@@ -17,7 +23,9 @@ MICRO_FIG6 = Fig6Config(n_clients=16, trials=2, horizon=6_000, drain=2_000)
 
 class TestFig6Harness:
     def test_micro_run_produces_metrics(self):
-        result = run_fig6(MICRO_FIG6, interconnects=("BlueScale", "BlueTree"))
+        result = run_fig6(
+            MICRO_FIG6, interconnects=("BlueScale", "BlueTree"), executor=SCALAR
+        )
         assert set(result.metrics) == {"BlueScale", "BlueTree"}
         for metrics in result.metrics.values():
             assert len(metrics.miss_ratios) == 2
@@ -26,22 +34,32 @@ class TestFig6Harness:
             assert all(b >= 0 for b in metrics.blocking_means)
 
     def test_bluescale_beats_bluetree_on_misses(self):
-        result = run_fig6(MICRO_FIG6, interconnects=("BlueScale", "BlueTree"))
+        result = run_fig6(
+            MICRO_FIG6, interconnects=("BlueScale", "BlueTree"), executor=SCALAR
+        )
         blue = result.metrics["BlueScale"].mean_miss_ratio
         tree = result.metrics["BlueTree"].mean_miss_ratio
         assert blue <= tree
 
     def test_best_selectors(self):
-        result = run_fig6(MICRO_FIG6, interconnects=("BlueScale", "BlueTree"))
+        result = run_fig6(
+            MICRO_FIG6, interconnects=("BlueScale", "BlueTree"), executor=SCALAR
+        )
         assert result.best_miss_ratio() in ("BlueScale", "BlueTree")
 
     def test_deterministic(self):
-        a = run_fig6(MICRO_FIG6, interconnects=("BlueTree",))
-        b = run_fig6(MICRO_FIG6, interconnects=("BlueTree",))
+        a = run_fig6(
+            MICRO_FIG6, interconnects=("BlueTree",), executor=SCALAR
+        )
+        b = run_fig6(
+            MICRO_FIG6, interconnects=("BlueTree",), executor=SCALAR
+        )
         assert a.metrics["BlueTree"].miss_ratios == b.metrics["BlueTree"].miss_ratios
 
     def test_formatting(self):
-        result = run_fig6(MICRO_FIG6, interconnects=("BlueTree",))
+        result = run_fig6(
+            MICRO_FIG6, interconnects=("BlueTree",), executor=SCALAR
+        )
         text = format_fig6(result)
         assert "BlueTree" in text
         assert "16 traffic generators" in text
@@ -71,7 +89,11 @@ MICRO_FIG7 = Fig7Config(
 class TestFig7Harness:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig7(MICRO_FIG7, interconnects=("BlueScale", "GSMTree-TDM"))
+        return run_fig7(
+            MICRO_FIG7,
+            interconnects=("BlueScale", "GSMTree-TDM"),
+            executor=SCALAR,
+        )
 
     def test_success_ratios_in_range(self, result):
         for series in result.success_ratio.values():
@@ -107,18 +129,19 @@ class TestFig7Harness:
 
 
 class TestFig7WithAnalysis:
+    CONFIG = Fig7Config(
+        n_processors=16,
+        trials=2,
+        horizon=4_000,
+        drain=2_000,
+        utilizations=(0.3, 0.9),
+        analysis=True,
+    )
+
     @pytest.fixture(scope="class")
     def result(self):
         return run_fig7(
-            Fig7Config(
-                n_processors=16,
-                trials=2,
-                horizon=4_000,
-                drain=2_000,
-                utilizations=(0.3, 0.9),
-                analysis=True,
-            ),
-            interconnects=("BlueScale",),
+            self.CONFIG, interconnects=("BlueScale",), executor=SCALAR
         )
 
     def test_analysis_ratio_per_utilization_point(self, result):
@@ -143,17 +166,15 @@ class TestFig7WithAnalysis:
         assert "analysis (BlueScale)" in format_fig7(result)
 
     def test_backend_override_identical(self, result):
+        """The spec's engine is the analysis backend's one source: the
+        scalar oracle, chosen on the executor, agrees verdict for
+        verdict."""
         scalar = run_fig7(
-            Fig7Config(
-                n_processors=16,
-                trials=2,
-                horizon=4_000,
-                drain=2_000,
-                utilizations=(0.3, 0.9),
-                analysis=True,
-                analysis_backend="scalar",
-            ),
+            self.CONFIG,
             interconnects=("BlueScale",),
+            executor=SerialExecutor(
+                EngineConfig(sim_backend="scalar", analysis_backend="scalar")
+            ),
         )
         assert scalar.analysis_ratio == result.analysis_ratio
         assert scalar.success_ratio == result.success_ratio

@@ -35,7 +35,6 @@ from repro.experiments.isolation import (
     build_isolation_specs,
     run_isolation_batch,
 )
-from repro.sim import set_default_sim_backend
 from tests.experiments.test_golden_traces import (
     GOLDEN_PATH,
     fig6_config,
@@ -61,16 +60,13 @@ def isolation_config() -> IsolationConfig:
 
 
 def collect_batched_metrics() -> dict:
-    """Run the pinned configurations through the batch entry points."""
-    previous = set_default_sim_backend("batched")
-    try:
-        fig6_sets = run_fig6_batch(build_fig6_specs(fig6_config()))
-        fig7_sets = run_fig7_batch(build_fig7_specs(fig7_config()))
-        isolation_sets = run_isolation_batch(
-            build_isolation_specs(isolation_config())
-        )
-    finally:
-        set_default_sim_backend(previous)
+    """Run the pinned configurations through the batch entry points,
+    on the engine fresh specs carry (the default: batched)."""
+    fig6_sets = run_fig6_batch(build_fig6_specs(fig6_config()))
+    fig7_sets = run_fig7_batch(build_fig7_specs(fig7_config()))
+    isolation_sets = run_isolation_batch(
+        build_isolation_specs(isolation_config())
+    )
     return {
         "fig6": [
             {"scalars": dict(ms.scalars), "tags": dict(ms.tags)}

@@ -7,6 +7,10 @@ from repro.experiments.scalability_sweep import (
     format_scalability,
     run_scalability_sweep,
 )
+from repro.runtime import EngineConfig, SerialExecutor
+
+#: a handful of one-trial groups is far below the lock-step break-even
+SCALAR = SerialExecutor(EngineConfig(sim_backend="scalar"))
 
 
 class TestScalabilitySweep:
@@ -18,6 +22,7 @@ class TestScalabilitySweep:
             seeds=(1,),
             interconnects=("BlueScale", "BlueTree"),
             with_admission_ceiling=False,
+            executor=SCALAR,
         )
 
     def test_point_per_size_and_design(self, result):
@@ -46,10 +51,35 @@ class TestScalabilitySweep:
             seeds=(1,),
             interconnects=("BlueScale",),
             with_admission_ceiling=True,
+            executor=SCALAR,
         )
         assert 4 in result.admission_ceiling
         assert result.admission_ceiling[4] > 0.3
         assert "admission ceiling" in format_scalability(result)
+
+    def test_ceiling_runs_on_the_executors_analysis_backend(
+        self, monkeypatch
+    ):
+        """The in-process ceiling search has no spec of its own; its
+        analysis backend is the executor's engine's, nothing else's."""
+        from repro.experiments import scalability_sweep
+
+        seen = []
+        build = scalability_sweep.SystemModel.build
+
+        def recording(*args, backend=None, **kwargs):
+            seen.append(backend)
+            return build(*args, backend=backend, **kwargs)
+
+        monkeypatch.setattr(scalability_sweep.SystemModel, "build", recording)
+        for engine in (None, EngineConfig(analysis_backend="scalar")):
+            run_scalability_sweep(
+                client_counts=(4,),
+                seeds=(),
+                interconnects=(),
+                executor=SerialExecutor(engine),
+            )
+        assert seen == ["vectorized", "scalar"]
 
     def test_empty_sizes_rejected(self):
         with pytest.raises(ConfigurationError):

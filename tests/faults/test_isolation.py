@@ -26,6 +26,7 @@ from repro.experiments.isolation import (
 )
 from repro.faults.verify import BoundViolation
 from repro.runtime import (
+    EngineConfig,
     ParallelExecutor,
     SerialExecutor,
     TrialOutcome,
@@ -34,10 +35,14 @@ from repro.runtime import (
 
 CONFIG = IsolationConfig(trials=3)
 
+#: for the tests that are about the isolation claim, the executors or
+#: the reducer rather than the batch seam (TestBackends is the seam's)
+SCALAR = EngineConfig(sim_backend="scalar")
+
 
 @pytest.fixture(scope="module")
 def campaign():
-    return run_isolation(CONFIG)
+    return run_isolation(CONFIG, executor=SerialExecutor(SCALAR))
 
 
 class TestIsolationClaim:
@@ -78,10 +83,10 @@ class TestReplay:
     def test_parallel_matches_serial_exactly(self):
         config = IsolationConfig(trials=2)
         specs = build_isolation_specs(config)
-        serial = SerialExecutor().map(run_isolation_trial, specs)
-        parallel = ParallelExecutor(workers=2, chunk_size=1).map(
-            run_isolation_trial, specs
-        )
+        serial = SerialExecutor(SCALAR).map(run_isolation_trial, specs)
+        parallel = ParallelExecutor(
+            workers=2, chunk_size=1, engine=SCALAR
+        ).map(run_isolation_trial, specs)
         assert len(serial) == len(parallel) == 2
         for s, p in zip(serial, parallel):
             assert s.spec == p.spec
@@ -101,18 +106,16 @@ class TestBackends:
     records) must be identical to a trial-by-trial scalar run.
     """
 
-    def test_batched_campaign_identical_to_scalar(self):
-        from repro.sim import set_default_sim_backend
-
+    def test_batched_campaign_identical_to_scalar(self, kernel_groups):
         config = IsolationConfig(trials=2, horizon=2_000, drain=800)
         specs = build_isolation_specs(config)
-        previous = set_default_sim_backend("scalar")
-        try:
-            scalar = [run_isolation_trial(spec) for spec in specs]
-            set_default_sim_backend("batched")
-            batched = SerialExecutor().map(run_isolation_trial, specs)
-        finally:
-            set_default_sim_backend(previous)
+        scalar = [run_isolation_trial(spec) for spec in specs]
+        assert not kernel_groups, "the scalar reference ran on the kernels"
+        batched = SerialExecutor(EngineConfig(sim_backend="batched")).map(
+            run_isolation_trial, specs
+        )
+        # 4 designs x (baseline + faulted) x 2 trials, all on the kernels
+        assert sum(kernel_groups) == 16
         for reference, outcome in zip(scalar, batched):
             assert not outcome.failed
             assert outcome.metrics.scalars == reference.scalars
@@ -135,7 +138,7 @@ class TestRobustness:
     def test_failed_trial_is_counted_not_folded(self):
         config = IsolationConfig(trials=2)
         specs = build_isolation_specs(config)
-        healthy = SerialExecutor().map(run_isolation_trial, specs[:1])[0]
+        healthy = SerialExecutor(SCALAR).map(run_isolation_trial, specs[:1])[0]
         broken = TrialOutcome(
             spec=specs[1],
             metrics=failure_metric_set(specs[1], ValueError("boom")),
@@ -170,7 +173,9 @@ class TestRobustness:
 
 
 class TestCli:
-    def test_faults_subcommand_smoke(self, capsys):
+    def test_faults_subcommand_smoke(self, capsys, kernel_groups):
+        """Also the CLI's default-path smoke: no backend flag means the
+        lock-step kernels, whatever ran in this process before."""
         from repro.cli import main
 
         code = main(
@@ -178,5 +183,6 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert code == 0
+        assert sum(kernel_groups) == 8  # 4 designs x (baseline + faulted)
         assert "Isolation" in out
         assert "BlueScale" in out

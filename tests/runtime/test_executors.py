@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.runtime import (
     FAILURE_METRIC,
+    EngineConfig,
     ExecutionHooks,
     MetricSet,
     ParallelExecutor,
@@ -28,13 +29,20 @@ def flaky_runner(spec: TrialSpec) -> MetricSet:
     return square_runner(spec)
 
 
-def backend_probe_runner(spec: TrialSpec) -> MetricSet:
-    """Reports which analysis backend the executing process defaults to."""
-    from repro.analysis import get_default_backend
-
+def engine_probe_runner(spec: TrialSpec) -> MetricSet:
+    """Reports the engine the executing process found on its spec."""
     return MetricSet(
-        scalars={"scalar": 1.0 if get_default_backend() == "scalar" else 0.0}
+        scalars={},
+        tags={
+            "sim": spec.engine.sim_backend,
+            "analysis": spec.engine.analysis_backend,
+        },
     )
+
+
+#: non-default in both fields, so a worker that fell back to any
+#: default (its own or the submitting process's) cannot report it
+SCALAR_ENGINE = EngineConfig(sim_backend="scalar", analysis_backend="scalar")
 
 
 def make_specs(n):
@@ -76,6 +84,18 @@ class TestSerialExecutor:
     def test_runner_must_return_metric_set(self):
         with pytest.raises(ConfigurationError):
             SerialExecutor().map(lambda spec: {"raw": 1}, make_specs(1))
+
+    def test_engine_stamped_or_left_alone(self):
+        """``engine=`` overwrites every spec's engine; ``None`` keeps
+        whatever each spec already carries."""
+        import dataclasses
+
+        specs = make_specs(2)
+        specs[1] = dataclasses.replace(specs[1], engine=SCALAR_ENGINE)
+        kept = SerialExecutor().map(engine_probe_runner, specs)
+        assert [o.metrics.tags["sim"] for o in kept] == ["batched", "scalar"]
+        stamped = SerialExecutor(SCALAR_ENGINE).map(engine_probe_runner, specs)
+        assert [o.spec.engine for o in stamped] == [SCALAR_ENGINE] * 2
 
 
 class TestFailureCapture:
@@ -138,21 +158,26 @@ class TestParallelExecutor:
     def test_empty_batch(self):
         assert ParallelExecutor(2).map(square_runner, []) == []
 
-    def test_worker_init_configures_every_worker(self):
-        """A worker_init callable runs in each pool process before its
-        first trial — the mechanism the CLI uses to replicate
-        --analysis-backend into parallel workers."""
-        from functools import partial
+    def test_engine_reaches_every_worker_inside_the_spec(self):
+        """The executor's engine crosses the process boundary in the
+        pickled spec — nothing is initialized in the worker, so this
+        holds under fork, spawn and forkserver alike."""
+        outcomes = ParallelExecutor(2, chunk_size=1, engine=SCALAR_ENGINE).map(
+            engine_probe_runner, make_specs(4)
+        )
+        assert [o.metrics.tags for o in outcomes] == [
+            {"sim": "scalar", "analysis": "scalar"}
+        ] * 4
+        assert [o.spec.engine for o in outcomes] == [SCALAR_ENGINE] * 4
 
-        from repro.analysis import get_default_backend, set_default_backend
+    def test_engine_survives_a_pickle_round_trip(self):
+        import dataclasses
+        import pickle
 
-        assert get_default_backend() == "vectorized"  # submitting process
-        outcomes = ParallelExecutor(
-            2, worker_init=partial(set_default_backend, "scalar")
-        ).map(backend_probe_runner, make_specs(4))
-        assert [o.metrics["scalar"] for o in outcomes] == [1.0] * 4
-        # the submitting process is untouched by the workers' init
-        assert get_default_backend() == "vectorized"
+        spec = dataclasses.replace(make_specs(1)[0], engine=SCALAR_ENGINE)
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec and clone.engine == SCALAR_ENGINE
+        assert engine_probe_runner(clone).tags["sim"] == "scalar"
 
 
 class TestMakeExecutor:
@@ -166,15 +191,10 @@ class TestMakeExecutor:
         assert isinstance(executor, ParallelExecutor)
         assert executor.workers == 3
 
-    def test_worker_init_forwarded(self):
-        from functools import partial
-
-        from repro.analysis import set_default_backend
-
-        init = partial(set_default_backend, "scalar")
-        executor = make_executor(2, init)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.worker_init is init
+    def test_engine_forwarded(self):
+        for workers in (1, 2):
+            assert make_executor(workers, SCALAR_ENGINE).engine is SCALAR_ENGINE
+            assert make_executor(workers).engine is None
 
 
 class TestParallelEqualsSerial:
@@ -185,8 +205,11 @@ class TestParallelEqualsSerial:
 
         config = Fig6Config(trials=3, horizon=4_000, drain=1_500)
         interconnects = ("BlueScale", "BlueTree")
-        serial = run_fig6(config, interconnects, SerialExecutor())
-        parallel = run_fig6(config, interconnects, ParallelExecutor(2))
+        engine = EngineConfig(sim_backend="scalar")
+        serial = run_fig6(config, interconnects, SerialExecutor(engine))
+        parallel = run_fig6(
+            config, interconnects, ParallelExecutor(2, engine=engine)
+        )
         for name in interconnects:
             assert (
                 parallel.metrics[name].miss_ratios
@@ -204,8 +227,11 @@ class TestParallelEqualsSerial:
             trials=2, horizon=4_000, drain=1_500, utilizations=(0.4, 0.8)
         )
         interconnects = ("BlueScale", "GSMTree-TDM")
-        serial = run_fig7(config, interconnects, SerialExecutor())
-        parallel = run_fig7(config, interconnects, ParallelExecutor(2))
+        engine = EngineConfig(sim_backend="scalar")
+        serial = run_fig7(config, interconnects, SerialExecutor(engine))
+        parallel = run_fig7(
+            config, interconnects, ParallelExecutor(2, engine=engine)
+        )
         assert parallel.success_ratio == serial.success_ratio
 
 

@@ -7,10 +7,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime import (
+    EngineConfig,
     MetricSet,
     TrialSpec,
     derive_seeds,
-    extract_metric_set,
     seed_stream,
     spawn_rng,
 )
@@ -41,6 +41,42 @@ class TestTrialSpec:
         assert random.Random(spec.client_seed(0)).random() != random.Random(
             spec.client_seed(1)
         ).random()
+
+
+class TestEngineConfig:
+    def test_defaults_are_the_library_defaults(self):
+        """The literals on the dataclass and the constants behind
+        ``backend=None`` library calls are one choice, kept in step."""
+        from repro.analysis.engine import resolve_backend
+        from repro.sim.backend import resolve_sim_backend
+
+        engine = EngineConfig()
+        assert engine.sim_backend == resolve_sim_backend(None) == "batched"
+        assert engine.analysis_backend == resolve_backend(None) == "vectorized"
+        assert TrialSpec.make("e", 0, 1).engine == engine
+
+    def test_unknown_backends_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="sim backend"):
+            EngineConfig(sim_backend="simd")
+        with pytest.raises(ConfigurationError, match="analysis backend"):
+            EngineConfig(analysis_backend="numpy")
+        with pytest.raises(ConfigurationError):
+            EngineConfig().override(sim_backend="simd")
+
+    def test_override_keeps_what_is_none(self):
+        base = EngineConfig(sim_backend="scalar")
+        assert base.override() == base
+        assert base.override(analysis_backend="scalar") == EngineConfig(
+            sim_backend="scalar", analysis_backend="scalar"
+        )
+        assert base.override("batched", None) == EngineConfig()
+
+    def test_frozen_and_hashable(self):
+        import dataclasses
+
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            EngineConfig().sim_backend = "scalar"
+        assert len({EngineConfig(), EngineConfig()}) == 1
 
 
 class TestSeeding:
@@ -92,22 +128,6 @@ class TestMetricSet:
                 MetricSet(scalars={"a": 2.0})
             )
 
-
-class TestExtractMetricSet:
-    def test_passthrough(self):
-        ms = MetricSet(scalars={"a": 1.0})
-        assert extract_metric_set(ms) is ms
-
-    def test_mapping_coerced(self):
-        assert extract_metric_set({"a": 1.0})["a"] == 1.0
-
-    def test_metric_set_method_used(self):
-        class Result:
-            def metric_set(self):
-                return {"from_method": 3.0}
-
-        assert extract_metric_set(Result())["from_method"] == 3.0
-
     def test_experiment_results_expose_metric_sets(self):
         from repro.experiments.fig6 import Fig6Config, run_fig6
 
@@ -115,9 +135,5 @@ class TestExtractMetricSet:
             Fig6Config(trials=1, horizon=3_000, drain=1_000),
             interconnects=("BlueTree",),
         )
-        ms = extract_metric_set(result)
+        ms = result.metric_set()
         assert "BlueTree/miss" in ms and "BlueTree/blocking" in ms
-
-    def test_unextractable_rejected(self):
-        with pytest.raises(ConfigurationError):
-            extract_metric_set(object())

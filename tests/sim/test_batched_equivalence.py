@@ -24,7 +24,7 @@ import pytest
 from repro.clients.accelerator import AcceleratorClient
 from repro.clients.traffic_generator import TrafficGenerator
 from repro.experiments.factory import INTERCONNECT_NAMES, build_interconnect
-from repro.sim import batched_supported, run_many, set_default_sim_backend
+from repro.sim import batched_supported, run_many
 from repro.soc import SoCSimulation
 from repro.tasks.generators import generate_client_tasksets
 
@@ -187,27 +187,24 @@ def test_scalar_backend_runs_the_scalar_engine():
         assert result.cycles_skipped > 0 or result.cycles_executed > 0
 
 
-def test_executor_results_identical_across_worker_counts():
-    """Fig. 6 campaign outcomes are bit-identical under the batched
-    backend for --workers 1, 2 and 3 (and equal to the scalar oracle)."""
+def test_executor_results_identical_across_worker_counts(kernel_groups):
+    """Fig. 6 campaign outcomes are bit-identical on the batched engine
+    for --workers 1, 2 and 3 (and equal to the scalar oracle)."""
     from repro.experiments.fig6 import Fig6Config, build_fig6_specs, run_fig6_trial
-    from repro.runtime import make_executor
+    from repro.runtime import EngineConfig, make_executor
 
     config = Fig6Config(trials=4, horizon=1_500, drain=500)
     specs = build_fig6_specs(config)
 
-    def fingerprint(outcomes):
+    def fingerprint(engine, workers):
+        outcomes = make_executor(workers, engine).map(run_fig6_trial, specs)
         return [(o.metrics.scalars, o.metrics.tags, o.error) for o in outcomes]
 
-    previous = set_default_sim_backend("batched")
-    try:
-        batched_runs = [
-            fingerprint(make_executor(workers).map(run_fig6_trial, specs))
-            for workers in (1, 2, 3)
-        ]
-        set_default_sim_backend("scalar")
-        oracle = fingerprint(make_executor(1).map(run_fig6_trial, specs))
-    finally:
-        set_default_sim_backend(previous)
+    batched = EngineConfig(sim_backend="batched")
+    batched_runs = [fingerprint(batched, workers) for workers in (1, 2, 3)]
+    assert kernel_groups, "the in-process batched leg never reached a kernel"
+    kernel_groups.clear()
+    oracle = fingerprint(EngineConfig(sim_backend="scalar"), 1)
+    assert not kernel_groups, "the scalar oracle ran on the kernels"
     assert batched_runs[0] == batched_runs[1] == batched_runs[2]
     assert batched_runs[0] == oracle

@@ -139,29 +139,3 @@ class TestRunControl:
         engine.run(3)
         engine.run(6)
         assert recorder.cycles == [0, 1, 2, 3, 4, 5]
-
-
-class TestEventsOnlyMode:
-    def test_skips_idle_cycles(self):
-        engine = Engine()
-        fired = []
-        engine.schedule(1000, lambda c: fired.append(c))
-        engine.schedule(9000, lambda c: fired.append(c))
-        engine.run_events_only(10_000)
-        assert fired == [1000, 9000]
-        assert engine.clock.now == 10_000
-
-    def test_rejected_with_tick_components(self):
-        engine = Engine()
-        engine.register(Recorder())
-        with pytest.raises(SimulationError):
-            engine.run_events_only(10)
-
-    def test_stops_at_horizon(self):
-        engine = Engine()
-        fired = []
-        engine.schedule(5, lambda c: fired.append(c))
-        engine.schedule(50, lambda c: fired.append(c))
-        engine.run_events_only(10)
-        assert fired == [5]
-        assert engine.pending_events == 1

@@ -48,6 +48,23 @@ class TestTopLevelExports:
             for name in module.__all__:
                 assert getattr(module, name) is not None, (module.__name__, name)
 
+    def test_no_process_global_engine_switches(self):
+        """The engine is a value on the trial spec
+        (``repro.runtime.EngineConfig``); the process-wide setters and
+        getters it replaced must not come back."""
+        import repro.analysis
+        import repro.runtime
+        import repro.sim
+
+        for module, stem in (
+            (repro.sim, "default_sim_backend"),
+            (repro.analysis, "default_backend"),
+        ):
+            for name in (f"set_{stem}", f"get_{stem}"):
+                assert name not in module.__all__
+                assert not hasattr(module, name)
+        assert "EngineConfig" in repro.runtime.__all__
+
     def test_readme_quickstart_snippet_runs(self):
         """The code block in README.md works as written."""
         import random
