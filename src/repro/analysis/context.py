@@ -95,9 +95,3 @@ class AnalysisContext:
             cache=resolve_cache(cache),
             config=DEFAULT_CONFIG if config is None else config,
         )
-
-    def with_config(self, config: SelectionConfig) -> "AnalysisContext":
-        """The same backend/cache with a different search config."""
-        return AnalysisContext(
-            backend=self.backend, cache=self.cache, config=config
-        )

@@ -35,7 +35,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.campaigns.grid import GridCell
+from repro.campaigns.grid import ENGINE_AXES, GridCell
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime import (
     EngineConfig,
@@ -44,9 +44,6 @@ from repro.runtime import (
     TrialOutcome,
     TrialSpec,
 )
-
-#: axes every family accepts on top of its own
-_BACKEND_AXES = ("sim_backend", "analysis_backend")
 
 #: build result: (trial runner, trial specs, outcome folder)
 CellPlan = tuple[
@@ -227,25 +224,25 @@ def _churn_build(cell: GridCell) -> CellPlan:
 FAMILIES: dict[str, CellFamily] = {
     "fig6": CellFamily(
         "fig6",
-        axes=("design", "n", "utilization") + _BACKEND_AXES,
+        axes=("design", "n", "utilization") + ENGINE_AXES,
         extra_settings=("observability",),
         build=_fig6_build,
     ),
     "fig7": CellFamily(
         "fig7",
-        axes=("design", "n", "utilization") + _BACKEND_AXES,
+        axes=("design", "n", "utilization") + ENGINE_AXES,
         extra_settings=("observability", "analysis"),
         build=_fig7_build,
     ),
     "isolation": CellFamily(
         "isolation",
-        axes=("design", "n", "utilization", "fault") + _BACKEND_AXES,
+        axes=("design", "n", "utilization", "fault") + ENGINE_AXES,
         extra_settings=(),
         build=_isolation_build,
     ),
     "churn": CellFamily(
         "churn",
-        axes=("n", "utilization", "scenario") + _BACKEND_AXES,
+        axes=("n", "utilization", "scenario") + ENGINE_AXES,
         extra_settings=(),
         build=_churn_build,
     ),

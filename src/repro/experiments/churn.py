@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.interface_selection import SelectionConfig
 from repro.analysis.model import SystemModel
-from repro.clients.traffic_generator import TrafficGenerator
 from repro.core.interconnect import BlueScaleInterconnect
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
@@ -58,6 +57,8 @@ from repro.experiments.factory import (
     FactoryConfig,
     axi_budgets,
     build_interconnect,
+    draw_tasksets,
+    traffic_generators,
 )
 from repro.experiments.reporting import format_table
 from repro.faults.verify import victim_miss_from_outcomes
@@ -79,7 +80,6 @@ from repro.scenarios.transient import (
     verify_transients,
 )
 from repro.soc import SoCSimulation
-from repro.tasks.generators import generate_client_tasksets
 from repro.tasks.taskset import TaskSet
 
 #: the three admission policies every trial compares
@@ -153,17 +153,7 @@ def _churn_workload(spec: TrialSpec):
     """
     config: ChurnConfig = spec.param("config")
     trial_rng = random.Random(spec.seed)
-    utilization = trial_rng.uniform(
-        config.utilization_low, config.utilization_high
-    )
-    drawn = generate_client_tasksets(
-        trial_rng,
-        config.n_clients,
-        config.tasks_per_client,
-        utilization,
-        period_min=config.period_min,
-        period_max=config.period_max,
-    )
+    drawn = draw_tasksets(trial_rng, config)
     joiners = config.joiner_ids
     rate_factor = trial_rng.choice((0.8, 1.25, 1.5))
     base = {
@@ -280,20 +270,6 @@ class _AxiDynamicGate:
         return True
 
 
-def _make_clients(
-    spec: TrialSpec, config: ChurnConfig, base: dict[int, TaskSet]
-) -> list[TrafficGenerator]:
-    """One generator per fabric port — pending joiners start idle."""
-    return [
-        TrafficGenerator(
-            client_id,
-            base.get(client_id, TaskSet()),
-            rng=random.Random(spec.client_seed(client_id)),
-        )
-        for client_id in range(config.n_clients)
-    ]
-
-
 def run_churn_trial(spec: TrialSpec) -> MetricSet:
     """One workload draw through all three policies, scalar engine.
 
@@ -304,6 +280,11 @@ def run_churn_trial(spec: TrialSpec) -> MetricSet:
     config: ChurnConfig = spec.param("config")
     base, plan = _churn_workload(spec)
     victims = frozenset(range(config.n_clients)) - plan.clients()
+    # one generator per fabric port: pending joiners start idle
+    port_tasksets = {
+        client: base.get(client, TaskSet())
+        for client in range(config.n_clients)
+    }
     scalars: dict[str, float] = {}
     tags = {"experiment": "churn", "trial": str(spec.index)}
 
@@ -334,7 +315,7 @@ def run_churn_trial(spec: TrialSpec) -> MetricSet:
                 gate = _AxiDynamicGate(interconnect, config)
         driver = ScenarioDriver(plan, admission=gate)
         sim = SoCSimulation(
-            _make_clients(spec, config, base),
+            traffic_generators(spec, port_tasksets),
             interconnect,
             fast_path=config.fast_path,
             scenario=driver,
@@ -558,12 +539,3 @@ def format_churn(result: ChurnResult) -> str:
             "missed during reconfiguration."
         )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    result = run_churn()
-    print(format_churn(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

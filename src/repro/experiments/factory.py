@@ -8,7 +8,9 @@ AXI-IC^RT with workload-based bandwidth regulation, and BlueScale with
 interfaces from the composition of Sec. 5.
 
 :func:`simulate_specs` is the build → run → fold loop every
-simulation-backed trial runner and batch entry point shares.
+simulation-backed trial runner and batch entry point shares, and
+:func:`draw_tasksets` the synthetic workload draw of Fig. 6 and its
+isolation/churn companions.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.interconnects.bluetree import (
     BlueTreeSmoothInterconnect,
 )
 from repro.interconnects.gsmtree import gsmtree_fbsp, gsmtree_tdm
+from repro.tasks.generators import generate_client_tasksets
 from repro.tasks.taskset import TaskSet
 
 if TYPE_CHECKING:
@@ -138,6 +141,26 @@ def build_interconnect(
         return interconnect
     raise ConfigurationError(
         f"unknown interconnect {name!r}; expected one of {INTERCONNECT_NAMES}"
+    )
+
+
+def draw_tasksets(rng: random.Random, config: Any) -> dict[int, TaskSet]:
+    """One trial's synthetic workload: a utilization drawn uniformly from
+    ``config``'s range, split into per-client periodic task sets.
+
+    ``config`` is any experiment config with ``utilization_low/high``,
+    ``n_clients``, ``tasks_per_client`` and ``period_min/max``; ``rng``
+    is the trial RNG, left advanced past the draw for callers that keep
+    drawing from it.
+    """
+    utilization = rng.uniform(config.utilization_low, config.utilization_high)
+    return generate_client_tasksets(
+        rng,
+        config.n_clients,
+        config.tasks_per_client,
+        utilization,
+        period_min=config.period_min,
+        period_max=config.period_max,
     )
 
 

@@ -105,11 +105,3 @@ def format_fig5(result: Fig5Result) -> str:
         f"(paper: past η = 5)"
     )
     return "\n\n".join(parts)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_fig5(run_fig5()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

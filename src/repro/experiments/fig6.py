@@ -30,10 +30,12 @@ from repro.experiments.factory import (
     INTERCONNECT_NAMES,
     FactoryConfig,
     build_interconnect,
+    draw_tasksets,
     simulate_specs,
     traffic_generators,
 )
 from repro.experiments.reporting import format_table
+from repro.observability import ObservabilityConfig
 from repro.runtime import (
     Executor,
     ExecutionHooks,
@@ -44,7 +46,6 @@ from repro.runtime import (
     derive_seeds,
 )
 from repro.soc import SoCSimulation
-from repro.tasks.generators import generate_client_tasksets
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,9 @@ class Fig6Config:
     fast_path: bool = True
     #: opt-in request tracing (repro.observability): per-trial span
     #: rings plus ``{name}/obs/…`` metric scalars; measured results are
-    #: identical with it on or off (tracing is observation-only)
-    observability: bool = False
+    #: identical with it on or off (tracing is observation-only).  An
+    #: :class:`ObservabilityConfig` sizes the ring and the sampling.
+    observability: bool | ObservabilityConfig = False
 
     @classmethod
     def paper_scale(cls, n_clients: int = 16) -> "Fig6Config":
@@ -176,29 +178,19 @@ def build_fig6_specs(
     ]
 
 
-def _fig6_build(spec: TrialSpec):
+def fig6_build(spec: TrialSpec):
     """Build every design's simulation for one workload draw.
 
     The taskset draw comes from the trial RNG, and each client's
     private stream is re-derived identically for every interconnect so
     all designs see the same workload.  Returns :func:`simulate_specs`'
     ``(state, sims, horizon, drain)``; the state is the ``(name,
-    simulation)`` pairs.
+    simulation)`` pairs.  ``repro trace`` replays a trial through this
+    same function (:mod:`repro.experiments.trace_replay`).
     """
     config: Fig6Config = spec.param("config")
     interconnects: tuple[str, ...] = spec.param("interconnects")
-    trial_rng = random.Random(spec.seed)
-    utilization = trial_rng.uniform(
-        config.utilization_low, config.utilization_high
-    )
-    tasksets = generate_client_tasksets(
-        trial_rng,
-        config.n_clients,
-        config.tasks_per_client,
-        utilization,
-        period_min=config.period_min,
-        period_max=config.period_max,
-    )
+    tasksets = draw_tasksets(random.Random(spec.seed), config)
     analysis_backend = spec.engine.analysis_backend
     pairs: list[tuple[str, SoCSimulation]] = []
     for name in interconnects:
@@ -244,10 +236,10 @@ def _fig6_fold(spec: TrialSpec, pairs, results) -> MetricSet:
 def run_fig6_trial(spec: TrialSpec) -> MetricSet:
     """Simulate one workload draw against every interconnect.
 
-    Pure function of the spec (see :func:`_fig6_build`); runs each
+    Pure function of the spec (see :func:`fig6_build`); runs each
     design on the scalar engine one at a time.
     """
-    return simulate_specs([spec], _fig6_build, _fig6_fold, "scalar")[0]
+    return simulate_specs([spec], fig6_build, _fig6_fold, "scalar")[0]
 
 
 def run_fig6_batch(specs: Sequence[TrialSpec]) -> list[MetricSet]:
@@ -258,7 +250,7 @@ def run_fig6_batch(specs: Sequence[TrialSpec]) -> list[MetricSet]:
     ``spec.engine.sim_backend`` (see :func:`simulate_specs`).  The
     folded metric sets are bit-identical to :func:`run_fig6_trial`'s.
     """
-    return simulate_specs(specs, _fig6_build, _fig6_fold)
+    return simulate_specs(specs, fig6_build, _fig6_fold)
 
 
 run_fig6_trial.batch = run_fig6_batch
@@ -315,14 +307,3 @@ def format_fig6(result: Fig6Result) -> str:
             f"{result.config.utilization_low:.0%}-{result.config.utilization_high:.0%}"
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    for n_clients in (16, 64):
-        result = run_fig6(Fig6Config(n_clients=n_clients, trials=5))
-        print(format_fig6(result))
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

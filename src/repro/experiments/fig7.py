@@ -30,6 +30,7 @@ from repro.experiments.factory import (
     simulate_specs,
 )
 from repro.experiments.reporting import format_series
+from repro.observability import ObservabilityConfig
 from repro.runtime import (
     Executor,
     ExecutionHooks,
@@ -65,8 +66,9 @@ class Fig7Config:
     #: engine quiescence fast path; results are identical either way
     fast_path: bool = True
     #: opt-in request tracing (repro.observability); observation-only,
-    #: so measured results are identical with it on or off
-    observability: bool = False
+    #: so measured results are identical with it on or off.  An
+    #: :class:`ObservabilityConfig` sizes the ring and the sampling.
+    observability: bool | ObservabilityConfig = False
     #: also run the compositional analysis per trial, emitting whether
     #: the drawn workload is *analytically* schedulable on BlueScale
     #: (``analysis/schedulable``) next to the simulated success
@@ -177,13 +179,14 @@ def build_fig7_specs(
     return specs
 
 
-def _fig7_build(spec: TrialSpec):
+def fig7_build(spec: TrialSpec):
     """Build every design's simulation for one (utilization, trial).
 
     Returns :func:`simulate_specs`' ``(state, sims, horizon, drain)``;
     the state is the ``(name, simulation)`` pairs plus the trial's
     simulation-independent base scalars (the optional compositional-
-    analysis verdict).
+    analysis verdict).  ``repro trace`` replays a trial through this
+    same function (:mod:`repro.experiments.trace_replay`).
     """
     config: Fig7Config = spec.param("config")
     interconnects: tuple[str, ...] = spec.param("interconnects")
@@ -296,7 +299,7 @@ def run_fig7_trial(spec: TrialSpec) -> MetricSet:
     monitored (safety/function) job missed a deadline.  Runs each
     design on the scalar engine one at a time.
     """
-    return simulate_specs([spec], _fig7_build, _fig7_fold, "scalar")[0]
+    return simulate_specs([spec], fig7_build, _fig7_fold, "scalar")[0]
 
 
 def run_fig7_batch(specs: Sequence[TrialSpec]) -> list[MetricSet]:
@@ -305,7 +308,7 @@ def run_fig7_batch(specs: Sequence[TrialSpec]) -> list[MetricSet]:
     Same contract as :func:`repro.experiments.fig6.run_fig6_batch`: the
     folded metric sets are bit-identical to :func:`run_fig7_trial`'s.
     """
-    return simulate_specs(specs, _fig7_build, _fig7_fold)
+    return simulate_specs(specs, fig7_build, _fig7_fold)
 
 
 run_fig7_trial.batch = run_fig7_batch
@@ -369,12 +372,3 @@ def format_fig7(result: Fig7Result) -> str:
             f"(+1 HA), {result.config.trials} trials/point"
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    result = run_fig7(Fig7Config(trials=4, utilizations=(0.3, 0.5, 0.9)))
-    print(format_fig7(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

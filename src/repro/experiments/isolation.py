@@ -43,6 +43,7 @@ from repro.experiments.factory import (
     DEFAULT_FACTORY_CONFIG,
     FactoryConfig,
     build_interconnect,
+    draw_tasksets,
     simulate_specs,
     traffic_generators,
 )
@@ -59,7 +60,6 @@ from repro.runtime import (
     derive_seeds,
 )
 from repro.soc import SoCSimulation
-from repro.tasks.generators import generate_client_tasksets
 
 #: designs compared by default — one per arbitration family, kept small
 #: so the CI campaign stays fast; pass the full Fig. 6 tuple for papers
@@ -153,18 +153,7 @@ def _isolation_build(spec: TrialSpec):
     """
     config: IsolationConfig = spec.param("config")
     interconnects: tuple[str, ...] = spec.param("interconnects")
-    trial_rng = random.Random(spec.seed)
-    utilization = trial_rng.uniform(
-        config.utilization_low, config.utilization_high
-    )
-    tasksets = generate_client_tasksets(
-        trial_rng,
-        config.n_clients,
-        config.tasks_per_client,
-        utilization,
-        period_min=config.period_min,
-        period_max=config.period_max,
-    )
+    tasksets = draw_tasksets(random.Random(spec.seed), config)
     plan = config.fault_plan()
     analysis_backend = spec.engine.analysis_backend
 
@@ -418,12 +407,3 @@ def format_isolation(result: IsolationResult) -> str:
             "All victim responses within fault-oblivious analytical bounds."
         )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    result = run_isolation()
-    print(format_isolation(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

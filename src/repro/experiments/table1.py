@@ -89,11 +89,3 @@ def format_table1(rows: list[Table1Row]) -> str:
         table_rows,
         title="Table 1 — hardware overhead (16 clients)",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_table1(run_table1()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -2,35 +2,27 @@
 
 The experiment trial functions (:func:`repro.experiments.fig6.run_fig6_trial`,
 :func:`repro.experiments.fig7.run_fig7_trial`) are pure functions of their
-spec, so any trial can be reconstructed after the fact: re-derive the same
-spec, re-draw the same workload from the same seeds, and run the same
-simulation — this time with a :class:`~repro.observability.Tracer` attached
-and a ring large enough to hold the full span stream.  The replay's
-completion-trace digest equals the original trial's ``{name}/trace`` tag
-(tracing is observation-only; the differential tests assert this), which is
-what makes ``repro trace`` trustworthy: the timeline it prints is from *the*
-fig6/fig7 run, not a lookalike.
+spec, so any trial can be reconstructed after the fact: narrow the same
+spec to one design, switch the config's ``observability`` on with a ring
+large enough to hold the full span stream, and build the simulation with
+the experiment's own build function
+(:func:`~repro.experiments.fig6.fig6_build`,
+:func:`~repro.experiments.fig7.fig7_build`).  The replay's completion-trace
+digest equals the original trial's ``{name}/trace`` tag (tracing is
+observation-only; the differential tests assert this on every design),
+which is what makes ``repro trace`` trustworthy: the timeline it prints is
+from *the* fig6/fig7 run, not a lookalike.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
-from repro.clients.accelerator import AcceleratorClient
-from repro.clients.processor import ProcessorClient
 from repro.errors import ConfigurationError
-from repro.experiments.factory import build_interconnect, traffic_generators
-from repro.experiments.fig6 import Fig6Config, build_fig6_specs
-from repro.experiments.fig7 import (
-    Fig7Config,
-    _build_trial_tasksets,
-    build_fig7_specs,
-)
+from repro.experiments.fig6 import Fig6Config, build_fig6_specs, fig6_build
+from repro.experiments.fig7 import Fig7Config, build_fig7_specs, fig7_build
 from repro.observability import ObservabilityConfig, Tracer
-from repro.soc import SoCSimulation
-from repro.tasks.generators import generate_client_tasksets
-from repro.tasks.taskset import TaskSet
 
 #: default replay ring: big enough that a CLI-scale trial never evicts,
 #: so the worst-blocking request's full journey is reconstructable
@@ -48,11 +40,35 @@ class TracedTrial:
     trace_digest: str
 
 
-def _replay_tracer(ring_capacity: int, sample_every: int) -> Tracer:
-    return Tracer(
-        ObservabilityConfig(
-            ring_capacity=ring_capacity, sample_every=sample_every
+def _replay(
+    experiment: str,
+    build_specs: Callable,
+    build: Callable,
+    config,  # noqa: ANN001 - Fig6Config | Fig7Config
+    trial: int,
+    interconnect: str,
+    ring_capacity: int,
+    sample_every: int,
+) -> TracedTrial:
+    """Build spec ``trial`` of ``config`` narrowed to one design, traced,
+    with the experiment's own ``build``, and run it."""
+    traced = replace(
+        config,
+        observability=ObservabilityConfig(ring_capacity, sample_every),
+    )
+    specs = build_specs(traced, (interconnect,))
+    if not 0 <= trial < len(specs):
+        raise ConfigurationError(
+            f"trial {trial} out of range: config builds {len(specs)} specs"
         )
+    _, (simulation,), horizon, drain = build(specs[trial])
+    result = simulation.run(horizon, drain=drain)
+    return TracedTrial(
+        experiment=experiment,
+        trial=trial,
+        interconnect=interconnect,
+        tracer=simulation.tracer,
+        trace_digest=result.trace_digest,
     )
 
 
@@ -63,48 +79,16 @@ def trace_fig6_trial(
     ring_capacity: int = DEFAULT_REPLAY_RING,
     sample_every: int = 1,
 ) -> TracedTrial:
-    """Re-run fig6 trial ``trial`` against one design, traced.
-
-    The workload derivation mirrors ``run_fig6_trial`` exactly: the
-    taskset draw comes from the trial RNG (independent of which designs
-    are simulated) and each client's stream is re-derived from the
-    spec, so the replay is bit-identical to the untraced original.
-    """
-    specs = build_fig6_specs(config, (interconnect,))
-    if not 0 <= trial < len(specs):
-        raise ConfigurationError(
-            f"trial {trial} out of range: config builds {len(specs)} specs"
-        )
-    spec = specs[trial]
-    trial_rng = random.Random(spec.seed)
-    utilization = trial_rng.uniform(
-        config.utilization_low, config.utilization_high
-    )
-    tasksets = generate_client_tasksets(
-        trial_rng,
-        config.n_clients,
-        config.tasks_per_client,
-        utilization,
-        period_min=config.period_min,
-        period_max=config.period_max,
-    )
-    clients = traffic_generators(spec, tasksets)
-    tracer = _replay_tracer(ring_capacity, sample_every)
-    simulation = SoCSimulation(
-        clients,
-        build_interconnect(
-            interconnect, config.n_clients, tasksets, config.factory
-        ),
-        fast_path=config.fast_path,
-        observability=tracer,
-    )
-    result = simulation.run(config.horizon, drain=config.drain)
-    return TracedTrial(
-        experiment="fig6",
-        trial=trial,
-        interconnect=interconnect,
-        tracer=tracer,
-        trace_digest=result.trace_digest,
+    """Re-run fig6 trial ``trial`` against one design, traced."""
+    return _replay(
+        "fig6",
+        build_fig6_specs,
+        fig6_build,
+        config,
+        trial,
+        interconnect,
+        ring_capacity,
+        sample_every,
     )
 
 
@@ -122,60 +106,13 @@ def trace_fig7_trial(
     ``config.utilizations`` to a single point to address trials within
     one utilization level directly.
     """
-    specs = build_fig7_specs(config, (interconnect,))
-    if not 0 <= trial < len(specs):
-        raise ConfigurationError(
-            f"trial {trial} out of range: config builds {len(specs)} specs"
-        )
-    spec = specs[trial]
-    utilization: float = spec.param("utilization")
-    accelerator_id = config.n_processors
-    rng = random.Random(spec.seed)
-    application, interference, accelerator_tasks = _build_trial_tasksets(
-        config, utilization, rng
-    )
-    combined: dict[int, TaskSet] = {
-        client: application[client].merged_with(
-            interference.get(client, TaskSet())
-        )
-        for client in application
-    }
-    combined[accelerator_id] = accelerator_tasks.merged_with(
-        interference.get(accelerator_id, TaskSet())
-    )
-    clients: list = [
-        ProcessorClient(
-            client,
-            application[client],
-            interference.get(client, TaskSet()),
-            rng=random.Random(spec.client_seed(client)),
-        )
-        for client in application
-    ]
-    clients.append(
-        AcceleratorClient(
-            accelerator_id,
-            accelerator_tasks.merged_with(
-                interference.get(accelerator_id, TaskSet())
-            ),
-            bandwidth_cap=1.0 / config.n_clients,
-            rng=random.Random(spec.client_seed(accelerator_id)),
-        )
-    )
-    tracer = _replay_tracer(ring_capacity, sample_every)
-    simulation = SoCSimulation(
-        clients,
-        build_interconnect(
-            interconnect, config.n_clients, combined, config.factory
-        ),
-        fast_path=config.fast_path,
-        observability=tracer,
-    )
-    result = simulation.run(config.horizon, drain=config.drain)
-    return TracedTrial(
-        experiment="fig7",
-        trial=trial,
-        interconnect=interconnect,
-        tracer=tracer,
-        trace_digest=result.trace_digest,
+    return _replay(
+        "fig7",
+        build_fig7_specs,
+        fig7_build,
+        config,
+        trial,
+        interconnect,
+        ring_capacity,
+        sample_every,
     )

@@ -42,7 +42,6 @@ from repro.runtime.seeding import (
     derive_seed,
     derive_seeds,
     seed_stream,
-    spawn_rng,
 )
 from repro.runtime.spec import EngineConfig, TrialSpec
 
@@ -62,5 +61,4 @@ __all__ = [
     "failure_metric_set",
     "make_executor",
     "seed_stream",
-    "spawn_rng",
 ]

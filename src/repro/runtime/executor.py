@@ -21,12 +21,13 @@ dispatch, so the engine choice reaches a worker process inside the
 pickled spec — under any start method, with nothing to initialize in
 the worker.  ``engine=None`` leaves each spec's own engine untouched.
 
-A runner may additionally carry a ``batch`` attribute — a callable
-taking a list of specs and returning one :class:`MetricSet` per spec.
-Both executors then hand the runner whole chunks at a time instead of
-single specs, which is how the batched simulator backend
-(:mod:`repro.sim.batched`) gets same-shaped trials to advance in
-lock-step.  Outcomes, hook sequencing and failure capture are
+Both executors dispatch chunks of specs through one function,
+:func:`_execute_batch`.  A runner may carry a ``batch`` attribute — a
+callable taking a list of specs and returning one :class:`MetricSet`
+per spec — which then gets each whole chunk at once (any other runner
+runs the chunk one spec at a time); that is how the batched simulator
+backend (:mod:`repro.sim.batched`) gets same-shaped trials to advance
+in lock-step.  Outcomes, hook sequencing and failure capture are
 identical either way: a raising batch falls back to per-spec execution
 inside the same process, so one bad trial still fails alone.
 """
@@ -37,7 +38,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.errors import ConfigurationError
 from repro.runtime.metrics import MetricSet, failure_metric_set
@@ -229,6 +230,25 @@ def _stamp(
     return [replace(spec, engine=engine) for spec in specs]
 
 
+def _chunks(specs: Sequence[TrialSpec], size: int) -> list[list[TrialSpec]]:
+    return [list(specs[lo : lo + size]) for lo in range(0, len(specs), size)]
+
+
+def _collect(
+    groups: Iterable[list[TrialOutcome]],
+    specs: Sequence[TrialSpec],
+    hooks: ExecutionHooks,
+) -> list[TrialOutcome]:
+    """Drain chunk results in order, firing the per-trial hooks."""
+    outcomes: list[TrialOutcome] = []
+    for group in groups:
+        for outcome in group:
+            outcomes.append(outcome)
+            hooks.on_trial_done(outcome, len(outcomes), len(specs))
+    hooks.on_batch_done(outcomes)
+    return outcomes
+
+
 class SerialExecutor:
     """Run every trial in the calling process, in spec order."""
 
@@ -246,21 +266,13 @@ class SerialExecutor:
         specs = _stamp(specs, self.engine)
         hooks = hooks or ExecutionHooks()
         hooks.on_batch_start(specs)
-        outcomes: list[TrialOutcome] = []
-        if getattr(runner, "batch", None) is not None:
-            for lo in range(0, len(specs), SERIAL_BATCH):
-                for outcome in _execute_batch(
-                    runner, specs[lo : lo + SERIAL_BATCH]
-                ):
-                    outcomes.append(outcome)
-                    hooks.on_trial_done(outcome, len(outcomes), len(specs))
-        else:
-            for spec in specs:
-                outcome = _execute_one(runner, spec)
-                outcomes.append(outcome)
-                hooks.on_trial_done(outcome, len(outcomes), len(specs))
-        hooks.on_batch_done(outcomes)
-        return outcomes
+        # a runner without ``batch`` gets chunks of one, so its hooks
+        # (e.g. a campaign's per-cell checkpoint) fire after every trial
+        chunk = SERIAL_BATCH if getattr(runner, "batch", None) else 1
+        groups = _chunks(specs, chunk)
+        return _collect(
+            map(partial(_execute_batch, runner), groups), specs, hooks
+        )
 
 
 class ParallelExecutor:
@@ -307,36 +319,16 @@ class ParallelExecutor:
         specs = _stamp(specs, self.engine)
         hooks = hooks or ExecutionHooks()
         hooks.on_batch_start(specs)
-        outcomes: list[TrialOutcome] = []
-        if specs:
-            with ProcessPoolExecutor(max_workers=self._workers) as pool:
-                if getattr(runner, "batch", None) is not None:
-                    # ship whole chunks so each worker can advance its
-                    # specs in lock-step; ordered collection over the
-                    # chunk list keeps outcomes in spec order
-                    chunk = self._chunk(len(specs))
-                    groups = [
-                        list(specs[lo : lo + chunk])
-                        for lo in range(0, len(specs), chunk)
-                    ]
-                    collected = (
-                        outcome
-                        for group in pool.map(
-                            partial(_execute_batch, runner), groups
-                        )
-                        for outcome in group
-                    )
-                else:
-                    collected = pool.map(
-                        partial(_execute_one, runner),
-                        specs,
-                        chunksize=self._chunk(len(specs)),
-                    )
-                for outcome in collected:
-                    outcomes.append(outcome)
-                    hooks.on_trial_done(outcome, len(outcomes), len(specs))
-        hooks.on_batch_done(outcomes)
-        return outcomes
+        if not specs:
+            return _collect([], specs, hooks)
+        # ship whole chunks so a batch runner can advance each worker's
+        # specs in lock-step; ordered collection over the chunk list
+        # keeps outcomes in spec order
+        groups = _chunks(specs, self._chunk(len(specs)))
+        with ProcessPoolExecutor(max_workers=self._workers) as pool:
+            return _collect(
+                pool.map(partial(_execute_batch, runner), groups), specs, hooks
+            )
 
 
 def make_executor(

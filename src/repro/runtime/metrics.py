@@ -45,13 +45,6 @@ class MetricSet:
     def __contains__(self, name: str) -> bool:
         return name in self.scalars
 
-    def prefixed(self, prefix: str) -> "MetricSet":
-        """A copy with every metric name under ``prefix/``."""
-        return MetricSet(
-            scalars={f"{prefix}/{k}": v for k, v in self.scalars.items()},
-            tags=dict(self.tags),
-        )
-
     def merged_with(self, other: "MetricSet") -> "MetricSet":
         """Union of two metric sets; duplicate names are a bug."""
         overlap = set(self.scalars) & set(other.scalars)

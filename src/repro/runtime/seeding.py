@@ -38,11 +38,6 @@ def derive_seeds(seed: int | str, n: int) -> list[int]:
     return [stream.randrange(2**SEED_BITS) for _ in range(n)]
 
 
-def spawn_rng(parent: random.Random) -> random.Random:
-    """A child RNG split off ``parent``'s stream (one draw consumed)."""
-    return random.Random(parent.randrange(2**SEED_BITS))
-
-
 def derive_seed(base: int | str, label: str) -> int:
     """One integer seed for the substream named ``label`` under ``base``.
 

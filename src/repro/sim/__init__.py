@@ -24,7 +24,6 @@ from repro.sim.invariants import (
     StructuralMonitor,
     monitor_interconnect,
 )
-from repro.sim.timeline import RequestTimeline, Timeline, format_timeline
 from repro.sim.trace import (
     TraceRecord,
     TraceReplayClient,
@@ -59,9 +58,6 @@ __all__ = [
     "SbfComplianceMonitor",
     "StructuralMonitor",
     "monitor_interconnect",
-    "RequestTimeline",
-    "Timeline",
-    "format_timeline",
     "TraceRecord",
     "TraceReplayClient",
     "load_trace",

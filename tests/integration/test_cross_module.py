@@ -6,7 +6,11 @@ from repro.analysis.response_time import holistic_response_bounds
 from repro.clients.traffic_generator import TrafficGenerator
 from repro.core.interconnect import BlueScaleInterconnect
 from repro.core.multi_memory import MultiMemorySystem, run_multi_memory_trial
-from repro.sim.timeline import Timeline, format_timeline
+from repro.observability import (
+    ObservabilityConfig,
+    build_timeline,
+    format_timeline,
+)
 from repro.sim.trace import TraceReplayClient, split_by_client, trace_from_clients
 from repro.soc import SoCSimulation
 from repro.tasks.generators import generate_client_tasksets
@@ -42,35 +46,40 @@ class TestTraceReplayOnMultiMemory:
 
 class TestTimelineExplainsWcrtBound:
     def test_slowest_request_stays_within_its_task_bound(self):
-        """The timeline's slowest journey is still within the holistic
-        WCRT bound of its task — the two tools agree."""
+        """The traced request with the longest inject→deliver journey
+        still belongs to a job within its task's holistic WCRT bound —
+        the span tracer and the analysis agree."""
         rng = random.Random(23)
         tasksets = generate_client_tasksets(rng, 16, 2, 0.55)
         interconnect = BlueScaleInterconnect(16, buffer_capacity=2)
         composition = interconnect.configure(tasksets)
-        if not composition.schedulable:
-            return  # seed-dependent; the property only binds when composed
-        timeline = Timeline(interconnect)
+        assert composition.schedulable
         clients = [TrafficGenerator(c, ts) for c, ts in tasksets.items()]
-        SoCSimulation(clients, interconnect).run(8_000, drain=4_000)
-        bounds = holistic_response_bounds(tasksets, composition)
-        slowest = timeline.slowest(1)[0]
-        # find the job this request belonged to via its client
-        client = clients[slowest.client_id]
-        job = next(
-            (
-                j
-                for j in client.jobs
-                if j.release == slowest.release and j.finished
-            ),
-            None,
+        simulation = SoCSimulation(
+            clients,
+            interconnect,
+            observability=ObservabilityConfig(ring_capacity=1 << 20),
         )
-        if job is None:
-            return
+        simulation.run(8_000, drain=4_000)
+        spans = list(simulation.tracer.recorder.spans())
+        assert simulation.tracer.recorder.dropped == 0
+        bounds = holistic_response_bounds(tasksets, composition)
+        injected = {s.rid: s for s in spans if s.kind == "inject"}
+        delivered = {s.rid: s.cycle for s in spans if s.kind == "deliver"}
+        rid = max(delivered, key=lambda r: delivered[r] - injected[r].cycle)
+        slowest = build_timeline(spans, rid)
+        assert slowest.latency == delivered[rid] - injected[rid].cycle
+        # map the request to its job via the release its inject carries
+        release = injected[rid].attrs["release"]
+        job = next(
+            j
+            for j in clients[slowest.client_id].jobs
+            if j.release == release and j.finished
+        )
         observed = job.last_completion - job.release
         assert observed <= bounds[slowest.client_id].bound_for(job.task_name)
         # the rendering carries the hop structure for diagnosis
-        assert "SE(0, 0)" in format_timeline(slowest)
+        assert "se:0:0" in format_timeline(slowest)
 
 
 class TestAvionicsOnMultiMemory:

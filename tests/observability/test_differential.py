@@ -4,62 +4,65 @@ The claim under test is ISSUE acceptance-grade: a traced trial produces
 bit-for-bit the same completion-trace digest as an untraced one, on both
 the quiescence fast path and the cycle-by-cycle path — and a traced
 fast-path run records the *same span stream* as a traced slow-path run.
-Workloads here are real fig6/fig7 trials (re-derived through
-``repro.experiments.trace_replay``), just at CI-sized horizons.
+Workloads here are real fig6/fig7 trials (replayed through
+``repro.experiments.trace_replay``, i.e. the experiments' own build
+functions), on every design, just at CI-sized horizons.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.experiments.factory import INTERCONNECT_NAMES
 from repro.experiments.fig6 import Fig6Config, build_fig6_specs, run_fig6_trial
 from repro.experiments.fig7 import Fig7Config, build_fig7_specs, run_fig7_trial
 from repro.experiments.trace_replay import trace_fig6_trial, trace_fig7_trial
-from repro.observability import load_spans_jsonl, validate_spans_jsonl
+from repro.observability import (
+    ObservabilityConfig,
+    load_spans_jsonl,
+    validate_spans_jsonl,
+)
 from repro.runtime import SerialExecutor, make_executor
-
-# one design per arbitration code path: SE tree, mux tree, AXI switch
-DESIGNS = ("BlueScale", "GSMTree-TDM", "AXI-IC^RT")
 
 FIG7_CONFIG = Fig7Config(trials=1, horizon=1_500, drain=800, utilizations=(0.8,))
 FIG6_CONFIG = Fig6Config(trials=1, horizon=1_500, drain=800)
 
 
-@pytest.mark.parametrize("name", DESIGNS)
-def test_fig7_traced_equals_untraced_on_both_paths(name):
+def _assert_traced_equals_untraced(config, build_specs, run_trial, trace, name):
+    """Replay ≡ experiment trial on ``name``, on both engine paths, and
+    both paths observe the same span stream."""
     digests = {}
     streams = {}
     for fast in (True, False):
-        config = dataclasses.replace(FIG7_CONFIG, fast_path=fast)
-        untraced = run_fig7_trial(build_fig7_specs(config, (name,))[0])
-        traced = trace_fig7_trial(config, 0, name)
+        narrowed = dataclasses.replace(config, fast_path=fast)
+        untraced = run_trial(build_specs(narrowed, (name,))[0])
+        traced = trace(narrowed, 0, name)
         # tracing did not perturb the simulation
-        assert traced.trace_digest == untraced.tags[f"{name}/trace"]
+        assert traced.trace_digest == untraced.tags[f"{name}/trace"], name
         digests[fast] = traced.trace_digest
         streams[fast] = [
             span.as_dict() for span in traced.tracer.recorder.spans()
         ]
     # both engine paths agree — on results AND on the observed spans
-    assert digests[True] == digests[False]
-    assert streams[True] == streams[False]
-    assert streams[True], "trial recorded no spans"
+    assert digests[True] == digests[False], name
+    assert streams[True] == streams[False], name
+    assert streams[True], f"{name}: trial recorded no spans"
+
+
+# every design: the replay shares the experiments' build functions, and
+# the designs are exactly where a shared build function could drift
+@pytest.mark.parametrize("name", INTERCONNECT_NAMES)
+def test_fig7_traced_equals_untraced_on_both_paths(name):
+    _assert_traced_equals_untraced(
+        FIG7_CONFIG, build_fig7_specs, run_fig7_trial, trace_fig7_trial, name
+    )
 
 
 def test_fig6_traced_equals_untraced_on_both_paths():
-    name = "BlueScale"
-    digests = {}
-    streams = {}
-    for fast in (True, False):
-        config = dataclasses.replace(FIG6_CONFIG, fast_path=fast)
-        untraced = run_fig6_trial(build_fig6_specs(config, (name,))[0])
-        traced = trace_fig6_trial(config, 0, name)
-        assert traced.trace_digest == untraced.tags[f"{name}/trace"]
-        digests[fast] = traced.trace_digest
-        streams[fast] = [
-            span.as_dict() for span in traced.tracer.recorder.spans()
-        ]
-    assert digests[True] == digests[False]
-    assert streams[True] == streams[False]
+    for name in INTERCONNECT_NAMES:
+        _assert_traced_equals_untraced(
+            FIG6_CONFIG, build_fig6_specs, run_fig6_trial, trace_fig6_trial, name
+        )
 
 
 def test_sampled_tracing_is_deterministic_across_paths():
@@ -92,6 +95,19 @@ def test_observability_flag_through_trial_function():
     assert obs["BlueScale/obs/requests/traced"] > 0
     assert obs["BlueScale/obs/spans_dropped"] >= 0.0
     assert all(isinstance(v, float) for v in obs.values())
+
+
+def test_observability_config_through_trial_function():
+    """``Fig6Config(observability=ObservabilityConfig(...))`` is the
+    replay's switch: a sampled tracer, same measured results."""
+    plain = run_fig6_trial(build_fig6_specs(FIG6_CONFIG, ("BlueScale",))[0])
+    config = dataclasses.replace(
+        FIG6_CONFIG, observability=ObservabilityConfig(sample_every=5)
+    )
+    sampled = run_fig6_trial(build_fig6_specs(config, ("BlueScale",))[0])
+    assert sampled.tags["BlueScale/trace"] == plain.tags["BlueScale/trace"]
+    assert sampled.scalars["BlueScale/obs/requests/traced"] > 0
+    assert sampled.scalars["BlueScale/obs/spans_emitted"] > 0
 
 
 def test_obs_scalars_survive_process_fanout():

@@ -1,7 +1,11 @@
 """Unit tests for per-request timeline reconstruction and rendering."""
 
+import random
+
 import pytest
 
+from repro.clients.traffic_generator import TrafficGenerator
+from repro.core.interconnect import BlueScaleInterconnect
 from repro.errors import ConfigurationError
 from repro.observability.spans import Span
 from repro.observability.timeline import (
@@ -9,6 +13,8 @@ from repro.observability.timeline import (
     format_timeline,
     worst_blocking_rid,
 )
+from repro.soc import SoCSimulation
+from repro.tasks.generators import generate_client_tasksets
 
 
 def _journey(rid=5, client=1):
@@ -117,3 +123,28 @@ class TestWorstBlockingRid:
     def test_none_without_deliver_spans(self):
         spans = [s for s in _journey() if s.kind != "deliver"]
         assert worst_blocking_rid(spans) is None
+
+
+class TestLiveSimulation:
+    def test_one_se_hop_per_tree_level_on_the_path(self):
+        """Every delivered request of a traced BlueScale run wins
+        arbitration once at each SE level between its leaf and the root."""
+        tasksets = generate_client_tasksets(random.Random(4), 8, 2, 0.5)
+        interconnect = BlueScaleInterconnect(8, buffer_capacity=2)
+        interconnect.configure(tasksets)
+        clients = [TrafficGenerator(c, ts) for c, ts in tasksets.items()]
+        simulation = SoCSimulation(clients, interconnect, observability=True)
+        result = simulation.run(2_000, drain=1_000)
+        spans = list(simulation.tracer.recorder.spans())
+        delivered = {s.rid for s in spans if s.kind == "deliver"}
+        assert len(delivered) == result.requests_completed
+        levels = interconnect.topology.depth + 1
+        for rid in sorted(delivered)[:50]:
+            wins = [
+                span.site
+                for span in build_timeline(spans, rid).spans
+                if span.kind == "arbitration_win"
+            ]
+            assert len(wins) == len(set(wins)) == levels
+            assert all(site.startswith("se:") for site in wins)
+            assert wins[-1] == "se:0:0"  # the root is the last SE hop

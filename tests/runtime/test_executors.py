@@ -77,6 +77,26 @@ class TestSerialExecutor:
         assert hooks.started == 1 and hooks.finished == 1
         assert hooks.trials == [(0, 1, 3), (1, 2, 3), (2, 3, 3)]
 
+    def test_plain_runner_hooks_fire_before_the_next_trial(self):
+        """A runner without ``batch`` runs one spec per chunk, so a
+        campaign's per-cell checkpoint is durable before the next cell
+        starts (a kill mid-run loses at most the running cell)."""
+        events = []
+
+        def runner(spec):
+            events.append(("run", spec.index))
+            return square_runner(spec)
+
+        class Hooks(ExecutionHooks):
+            def on_trial_done(self, outcome, done, total):
+                events.append(("done", outcome.spec.index))
+
+        SerialExecutor().map(runner, make_specs(3), Hooks())
+        assert events == [
+            ("run", 0), ("done", 0), ("run", 1), ("done", 1),
+            ("run", 2), ("done", 2),
+        ]
+
     def test_trial_seconds_measured(self):
         outcomes = SerialExecutor().map(square_runner, make_specs(1))
         assert outcomes[0].seconds >= 0

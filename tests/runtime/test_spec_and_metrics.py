@@ -11,8 +11,6 @@ from repro.runtime import (
     MetricSet,
     TrialSpec,
     derive_seeds,
-    seed_stream,
-    spawn_rng,
 )
 
 
@@ -91,12 +89,6 @@ class TestSeeding:
         with pytest.raises(ValueError):
             derive_seeds("s", -1)
 
-    def test_spawn_advances_parent(self):
-        parent = seed_stream(1)
-        first = spawn_rng(parent)
-        second = spawn_rng(parent)
-        assert first.random() != second.random()
-
 
 class TestMetricSet:
     def test_lookup_and_contains(self):
@@ -111,10 +103,6 @@ class TestMetricSet:
             MetricSet(scalars={"a": "high"})
         with pytest.raises(ConfigurationError):
             MetricSet(scalars={"a": True})
-
-    def test_prefixed(self):
-        ms = MetricSet(scalars={"x": 1.0}).prefixed("fig6")
-        assert ms["fig6/x"] == 1.0
 
     def test_merge_disjoint(self):
         merged = MetricSet(scalars={"a": 1.0}).merged_with(

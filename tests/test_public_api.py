@@ -65,6 +65,17 @@ class TestTopLevelExports:
                 assert not hasattr(module, name)
         assert "EngineConfig" in repro.runtime.__all__
 
+    def test_retired_names_stay_out_of_all(self):
+        """The BlueScale-only hook timeline (superseded by the span
+        tracer in ``repro.observability``) and the uncalled
+        ``spawn_rng`` are gone from the public surface."""
+        import repro.runtime
+        import repro.sim
+
+        for name in ("Timeline", "RequestTimeline", "format_timeline"):
+            assert name not in repro.sim.__all__
+        assert "spawn_rng" not in repro.runtime.__all__
+
     def test_readme_quickstart_snippet_runs(self):
         """The code block in README.md works as written."""
         import random
