@@ -28,7 +28,11 @@ from repro.analysis import (
     select_interface,
 )
 from repro.core import BlueScaleInterconnect, ScaleElement
-from repro.soc import SoCSimulation, TrialResult
+
+# repro.sim initialises before repro.soc: its batched backend imports
+# repro.soc, which imports repro.sim submodules in turn.
+import repro.sim  # noqa: E402,F401
+from repro.soc import SoCSimulation, TrialResult  # noqa: E402
 from repro.tasks import PeriodicTask, TaskSet
 from repro.topology import TreeTopology, binary_tree, quadtree
 

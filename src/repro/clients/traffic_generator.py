@@ -211,37 +211,17 @@ class TrafficGenerator:
         return True
 
     # -- issue ----------------------------------------------------------------
-    def tick(
-        self,
-        cycle: int,
-        inject,  # noqa: ANN001 - hook
-        max_injections: int = 1,
-        probe_limit: int | None = None,
-    ) -> None:
-        """Release due jobs, then offer transactions in EDF order.
+    def tick(self, cycle: int, inject) -> None:  # noqa: ANN001 - hook
+        """Release due jobs, then offer the head transaction.
 
-        ``inject`` is ``interconnect.try_inject``.  The default (one
-        injection, one probe) models a single memory port: the head
-        request is offered and retried next cycle if refused.  Clients
-        of multi-channel systems pass ``max_injections`` = number of
-        channels and a larger ``probe_limit`` so a blocked head does not
-        starve requests bound for other channels.
+        ``inject`` is ``interconnect.try_inject``.  The client has one
+        memory port: the head of the pending queue (issue order per
+        ``queue_policy``) is offered and, if refused, stays at the head
+        and is retried next cycle.
         """
         self._release_due_jobs(cycle)
-        if not self._pending:
-            return
-        probes = probe_limit if probe_limit is not None else max_injections
-        injected = 0
-        skipped: list[tuple[tuple[int, int], MemoryRequest]] = []
-        while self._pending and injected < max_injections and probes > 0:
-            entry = heapq.heappop(self._pending)
-            if inject(entry[1], cycle):
-                injected += 1
-            else:
-                skipped.append(entry)
-                probes -= 1
-        for entry in skipped:
-            heapq.heappush(self._pending, entry)
+        if self._pending and inject(self._pending[0][1], cycle):
+            heapq.heappop(self._pending)
 
     # -- fault hook ------------------------------------------------------------
     def inject_rogue_burst(

@@ -12,22 +12,12 @@ from repro.core.interface_selector import (
 from repro.core.scale_element import ScaleElement
 from repro.core.interconnect import BlueScaleInterconnect
 from repro.core.algorithm1 import LocalTask, PendingJob, ServerTask, algorithm1
-from repro.core.multi_memory import (
-    AddressInterleaver,
-    MultiMemoryResult,
-    MultiMemorySystem,
-    run_multi_memory_trial,
-)
 
 __all__ = [
     "LocalTask",
     "PendingJob",
     "ServerTask",
     "algorithm1",
-    "AddressInterleaver",
-    "MultiMemoryResult",
-    "MultiMemorySystem",
-    "run_multi_memory_trial",
     "CountdownCounter",
     "ServerCounterPair",
     "RandomAccessBuffer",

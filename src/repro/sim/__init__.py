@@ -1,4 +1,4 @@
-"""Discrete-event simulation substrate (clock, engine, statistics).
+"""Cycle-level simulation substrate (clock, engine, statistics).
 
 Two interchangeable execution backends live underneath
 (:mod:`repro.sim.backend`): the scalar reference engine
@@ -12,7 +12,7 @@ from repro.sim.backend import (
     resolve_sim_backend,
 )
 from repro.sim.clock import Clock
-from repro.sim.engine import Engine, QuiescentComponent, TickComponent
+from repro.sim.engine import Engine, TickComponent
 from repro.sim.stats import (
     LatencyRecorder,
     SummaryStatistics,
@@ -49,7 +49,6 @@ __all__ = [
     "run_many",
     "Clock",
     "Engine",
-    "QuiescentComponent",
     "TickComponent",
     "LatencyRecorder",
     "SummaryStatistics",

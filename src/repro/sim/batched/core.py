@@ -136,7 +136,7 @@ class BatchCore:
         self.ev_s = all_s[order].tolist()
         self.ev_e = all_e[order].tolist()
         self.ev_ptr = 0
-        self.pending_events = len(self.ev_rel)
+        self.unreleased_events = len(self.ev_rel)
         self.key_lists = [plan.key_list for plan in plans]
         # memory controller (FCFS compact queue, fixed service cost; a
         # parallel key column avoids gathers for the blocking charge)
@@ -202,7 +202,7 @@ class BatchCore:
                 head_key[t, pos] = heap[0]
                 pending_len[t, pos] = len(heap)
             ptr += 1
-        self.pending_events -= ptr - self.ev_ptr
+        self.unreleased_events -= ptr - self.ev_ptr
         self.ev_ptr = ptr
 
     def _stage_injections(self, cycle: int, kernel) -> None:
@@ -305,7 +305,7 @@ class BatchCore:
             self._stage_controller(cycle, active)
             self._stage_responses(cycle, active)
             if (
-                self.pending_events == 0
+                self.unreleased_events == 0
                 and not self.live_total
                 and not self.total_pending
             ):

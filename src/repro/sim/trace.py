@@ -40,6 +40,14 @@ class TraceRecord:
     task_name: str = ""
 
     def __post_init__(self) -> None:
+        if self.client_id < 0:
+            raise ConfigurationError(
+                f"client id must be >= 0, got {self.client_id}"
+            )
+        if self.release_cycle < 0:
+            raise ConfigurationError(
+                f"release cycle must be >= 0, got {self.release_cycle}"
+            )
         if self.absolute_deadline <= self.release_cycle:
             raise ConfigurationError(
                 f"deadline {self.absolute_deadline} not after release "
@@ -79,7 +87,7 @@ def load_trace(path: str | Path) -> list[TraceRecord]:
                 continue
             try:
                 records.append(TraceRecord(**json.loads(line)))
-            except (json.JSONDecodeError, TypeError) as exc:
+            except (json.JSONDecodeError, TypeError, ConfigurationError) as exc:
                 raise ConfigurationError(
                     f"{path}:{line_number}: malformed trace line ({exc})"
                 ) from exc
@@ -92,7 +100,8 @@ class TraceReplayClient:
     Satisfies the same client contract as
     :class:`repro.clients.traffic_generator.TrafficGenerator`: one
     injection attempt per cycle, EDF order among due transactions,
-    deadline bookkeeping per transaction.
+    deadline bookkeeping per transaction, and the engine's quiescence
+    contract, so replays run on the fast path.
     """
 
     def __init__(
@@ -118,19 +127,8 @@ class TraceReplayClient:
         self.missed = 0
 
     # -- client contract ---------------------------------------------------
-    def tick(
-        self,
-        cycle: int,
-        inject,  # noqa: ANN001 - hook
-        max_injections: int = 1,
-        probe_limit: int | None = None,
-    ) -> None:
-        """Release due records and offer transactions in EDF order.
-
-        Same multi-injection contract as
-        :class:`~repro.clients.traffic_generator.TrafficGenerator`, so
-        replays drive multi-channel systems too.
-        """
+    def tick(self, cycle: int, inject) -> None:  # noqa: ANN001 - hook
+        """Release due records, then offer the EDF head (one port)."""
         while (
             self._future_index < len(self._future)
             and self._future[self._future_index].release_cycle <= cycle
@@ -144,25 +142,24 @@ class TraceReplayClient:
                 continue
             request = record.to_request()
             heapq.heappush(self._pending, (request.priority_key, request))
-        if not self._pending:
-            return
-        probes = probe_limit if probe_limit is not None else max_injections
-        injected = 0
-        skipped = []
-        while self._pending and injected < max_injections and probes > 0:
-            entry = heapq.heappop(self._pending)
-            if inject(entry[1], cycle):
-                injected += 1
-            else:
-                skipped.append(entry)
-                probes -= 1
-        for entry in skipped:
-            heapq.heappush(self._pending, entry)
+        if self._pending and inject(self._pending[0][1], cycle):
+            heapq.heappop(self._pending)
 
     def on_response(self, request: MemoryRequest) -> None:
         self.completed += 1
         if not request.met_deadline:
             self.missed += 1
+
+    # -- quiescence ------------------------------------------------------------
+    def is_quiescent(self) -> bool:
+        """True while nothing is pending (a tick only checks releases)."""
+        return not self._pending
+
+    def next_activity_cycle(self, cycle: int) -> int | None:
+        """The next unreleased record's release cycle (None when done)."""
+        if self._future_index < len(self._future):
+            return self._future[self._future_index].release_cycle
+        return None
 
     # -- outcome -------------------------------------------------------------
     def monitored_jobs_judged(self, horizon: int) -> int:

@@ -133,19 +133,12 @@ class _ClientStage:
         self._index_of = {
             client.client_id: index for index, client in enumerate(clients)
         }
-        # Clients outside the quiescence contract (e.g. trace replayers)
-        # pin the stage non-quiescent until the horizon; leaps are still
-        # possible during the drain, when clients no longer tick.
-        self._legacy = any(
-            not hasattr(client, "is_quiescent")
-            or not hasattr(client, "next_activity_cycle")
-            for client in clients
-        )
         # Per-client wake cache for the fast path: a quiescent client's
         # ticks before its declared next activity are pure no-ops, so
         # they can be elided even on cycles other stages force to
-        # execute.  The reference path ticks every client every cycle.
-        self._fast = fast_path and not self._legacy
+        # execute.  The reference path ticks every client every cycle
+        # and is never asked about quiescence.
+        self._fast = fast_path
         self._wake = [0] * len(clients)
         # Indices of clients that were non-quiescent after their last
         # tick (their wake is cycle + 1, so they tick every executed
@@ -199,20 +192,11 @@ class _ClientStage:
         now = self._clock.now
         if now >= self._horizon:
             return True
-        if self._legacy:
-            return False
         blocked_until = self._interconnect.injection_blocked_until
-        if self._fast:
-            # Only clients seen non-quiescent at their last tick can
-            # veto; everyone else declared a wake cycle still ahead.
-            for index in self._active:
-                client = self._clients[index]
-                if blocked_until(client.client_id, now) is None:
-                    return False
-            return True
-        for client in self._clients:
-            if client.is_quiescent():
-                continue
+        # Only clients seen non-quiescent at their last tick can veto;
+        # everyone else declared a wake cycle still ahead.
+        for index in self._active:
+            client = self._clients[index]
             if blocked_until(client.client_id, now) is None:
                 return False
         return True
@@ -220,13 +204,11 @@ class _ClientStage:
     def next_activity_cycle(self, cycle: int) -> int | None:
         if cycle >= self._horizon:
             return None
-        if self._legacy:
-            return cycle  # never leap while legacy clients may tick
         blocked_until = self._interconnect.injection_blocked_until
         earliest: int | None = None
-        wake = self._wake if self._fast else None
+        wake = self._wake
         for index, client in enumerate(self._clients):
-            if wake is not None and cycle < wake[index]:
+            if cycle < wake[index]:
                 # The cached wake IS the client's declared activity
                 # (client state only changes inside its own tick, so
                 # the declaration made then still holds).
@@ -364,6 +346,8 @@ class SoCSimulation:
         ids = [client.client_id for client in clients]
         if len(set(ids)) != len(ids):
             raise ConfigurationError(f"duplicate client ids: {sorted(ids)}")
+        if min(ids) < 0:
+            raise ConfigurationError(f"client id {min(ids)} is negative")
         if max(ids) >= interconnect.n_clients:
             raise ConfigurationError(
                 f"client id {max(ids)} exceeds interconnect size "

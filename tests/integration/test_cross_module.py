@@ -5,43 +5,13 @@ import random
 from repro.analysis.response_time import holistic_response_bounds
 from repro.clients.traffic_generator import TrafficGenerator
 from repro.core.interconnect import BlueScaleInterconnect
-from repro.core.multi_memory import MultiMemorySystem, run_multi_memory_trial
 from repro.observability import (
     ObservabilityConfig,
     build_timeline,
     format_timeline,
 )
-from repro.sim.trace import TraceReplayClient, split_by_client, trace_from_clients
 from repro.soc import SoCSimulation
 from repro.tasks.generators import generate_client_tasksets
-from repro.workloads.avionics import assign_partitions
-
-
-class TestTraceReplayOnMultiMemory:
-    def test_replayed_trace_drives_two_channels(self):
-        """A trace captured on a single-tree system replays through the
-        dual-channel system, exercising both trees."""
-        rng = random.Random(14)
-        tasksets = generate_client_tasksets(rng, 8, 4, 0.7)
-        generators = [TrafficGenerator(c, ts) for c, ts in tasksets.items()]
-        capture = BlueScaleInterconnect(8, buffer_capacity=2)
-        SoCSimulation(generators, capture).run(3_000, drain=2_000)
-        per_client = split_by_client(trace_from_clients(generators))
-
-        system = MultiMemorySystem(8, n_channels=2)
-        system.configure(tasksets)
-        replay_clients = [
-            TraceReplayClient(c, recs) for c, recs in per_client.items()
-        ]
-        result = run_multi_memory_trial(replay_clients, system, 3_000)
-        assert result.requests_completed > 0
-        assert all(count > 0 for count in result.per_channel_completed)
-        assert (
-            result.requests_completed
-            + result.requests_dropped
-            + result.requests_in_flight
-            == result.requests_released
-        )
 
 
 class TestTimelineExplainsWcrtBound:
@@ -81,15 +51,3 @@ class TestTimelineExplainsWcrtBound:
         # the rendering carries the hop structure for diagnosis
         assert "se:0:0" in format_timeline(slowest)
 
-
-class TestAvionicsOnMultiMemory:
-    def test_partitions_with_dedicated_channels(self):
-        """Four avionics partitions across two memory channels: both
-        compose and nothing misses."""
-        assignment = assign_partitions(4)
-        system = MultiMemorySystem(4, n_channels=2)
-        system.configure(assignment)
-        assert system.schedulable
-        clients = [TrafficGenerator(c, ts) for c, ts in assignment.items()]
-        result = run_multi_memory_trial(clients, system, 8_000, drain=4_000)
-        assert result.deadline_miss_ratio == 0.0

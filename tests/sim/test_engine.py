@@ -1,4 +1,4 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit tests for the cycle-driven engine."""
 
 import pytest
 
@@ -6,7 +6,18 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import Engine
 
 
-class Recorder:
+class Busy:
+    """Quiescence contract of a component that is never idle: the
+    engine ticks it on every cycle, on either path."""
+
+    def is_quiescent(self):
+        return False
+
+    def next_activity_cycle(self, cycle):
+        return cycle
+
+
+class Recorder(Busy):
     """Tick component that records the cycles it saw."""
 
     def __init__(self):
@@ -14,62 +25,6 @@ class Recorder:
 
     def tick(self, cycle):
         self.cycles.append(cycle)
-
-
-class TestEventScheduling:
-    def test_event_fires_at_cycle(self):
-        engine = Engine()
-        fired = []
-        engine.schedule(5, lambda c: fired.append(c))
-        engine.run(10)
-        assert fired == [5]
-
-    def test_schedule_in_relative(self):
-        engine = Engine()
-        fired = []
-        engine.schedule_in(3, lambda c: fired.append(c))
-        engine.run(10)
-        assert fired == [3]
-
-    def test_same_cycle_events_fire_in_insertion_order(self):
-        engine = Engine()
-        order = []
-        engine.schedule(2, lambda c: order.append("first"))
-        engine.schedule(2, lambda c: order.append("second"))
-        engine.schedule(2, lambda c: order.append("third"))
-        engine.run(5)
-        assert order == ["first", "second", "third"]
-
-    def test_event_can_schedule_followup(self):
-        engine = Engine()
-        fired = []
-
-        def chain(cycle):
-            fired.append(cycle)
-            if cycle < 6:
-                engine.schedule(cycle + 2, chain)
-
-        engine.schedule(0, chain)
-        engine.run(10)
-        assert fired == [0, 2, 4, 6]
-
-    def test_cannot_schedule_in_past(self):
-        engine = Engine()
-        engine.run(5)
-        with pytest.raises(SimulationError):
-            engine.schedule(3, lambda c: None)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            Engine().schedule_in(-1, lambda c: None)
-
-    def test_pending_events_counter(self):
-        engine = Engine()
-        engine.schedule(1, lambda c: None)
-        engine.schedule(2, lambda c: None)
-        assert engine.pending_events == 2
-        engine.run(10)
-        assert engine.pending_events == 0
 
 
 class TestTickComponents:
@@ -84,7 +39,7 @@ class TestTickComponents:
         engine = Engine()
         order = []
 
-        class Named:
+        class Named(Busy):
             def __init__(self, name):
                 self.name = name
 
@@ -101,31 +56,24 @@ class TestTickComponents:
         with pytest.raises(ConfigurationError):
             Engine().register(object())
 
-    def test_events_fire_before_ticks_in_a_cycle(self):
-        engine = Engine()
-        order = []
-        engine.schedule(0, lambda c: order.append("event"))
-
-        class Ticker:
+    def test_register_requires_the_quiescence_contract(self):
+        class TickOnly:
             def tick(self, cycle):
-                if cycle == 0:
-                    order.append("tick")
+                pass
 
-        engine.register(Ticker())
-        engine.run(1)
-        assert order == ["event", "tick"]
+        class Ticker(Busy):
+            def tick(self, cycle):
+                pass
+
+        with pytest.raises(ConfigurationError, match="is_quiescent"):
+            Engine().register(TickOnly())
+        engine = Engine()
+        engine.register(Ticker())  # on_cycles_skipped stays optional
+        engine.run(3)
+        assert engine.cycles_executed == 3
 
 
 class TestRunControl:
-    def test_stop_halts_run(self):
-        engine = Engine()
-        recorder = Recorder()
-        engine.register(recorder)
-        engine.schedule(3, lambda c: engine.stop())
-        engine.run(100)
-        # Cycle 3 still completes, nothing after.
-        assert recorder.cycles[-1] == 3
-
     def test_run_backwards_rejected(self):
         engine = Engine()
         engine.run(10)

@@ -1,10 +1,9 @@
-"""Property-based tests for the engine's event and quiescence semantics.
+"""Property-based tests for the engine's quiescence semantics.
 
-Hypothesis drives randomized schedules through the engine twice — fast
-path on and off — and checks the invariants the simulation relies on:
-events fire exactly once in (cycle, insertion-order) order, leaps never
-jump over an event or a declared activity, and ``stop()`` halts both
-paths at the same cycle.
+Hypothesis drives randomized activity schedules through the engine
+twice — fast path on and off — and checks the invariants the
+simulation relies on: both paths fire the same activities on the same
+cycles, and a leap never jumps over a declared activity.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from repro.sim.engine import Engine
 
 HORIZON = 120
 
-#: event cycles inside the run window, duplicates welcome (tie-break test)
+#: activity cycles inside the run window, duplicates welcome
 event_cycles = st.lists(
     st.integers(min_value=0, max_value=HORIZON - 1), min_size=0, max_size=30
 )
@@ -26,15 +25,19 @@ class Pulse:
     """Quiescent component that declares activity at preset cycles.
 
     ``tick`` records every executed cycle, so comparing the recorded
-    cycles across fast/slow runs shows exactly what a leap skipped.
+    cycles across fast/slow runs shows exactly what a leap skipped;
+    ``fired`` keeps the executed cycles that were declared activities.
     """
 
     def __init__(self, activity):
         self._activity = sorted(set(activity))
         self.ticked = []
+        self.fired = []
 
     def tick(self, cycle):
         self.ticked.append(cycle)
+        if cycle in self._activity:
+            self.fired.append(cycle)
 
     def is_quiescent(self):
         return True
@@ -47,55 +50,23 @@ class Pulse:
 
 
 def _run_collect(cycles, activity, fast):
+    """Run one engine with an event pulse and an activity pulse."""
     engine = Engine(fast_path=fast)
-    pulse = Pulse(activity)
+    events, pulse = Pulse(cycles), Pulse(activity)
+    engine.register(events)
     engine.register(pulse)
-    fired = []
-    for index, cycle in enumerate(cycles):
-        engine.schedule(cycle, lambda c, i=index: fired.append((c, i)))
     end = engine.run(HORIZON)
-    return engine, pulse, fired, end
-
-
-class TestEventOrdering:
-    @given(cycles=event_cycles)
-    @settings(max_examples=50, deadline=None)
-    def test_events_fire_once_in_cycle_then_insertion_order(self, cycles):
-        engine = Engine()
-        fired = []
-        for index, cycle in enumerate(cycles):
-            engine.schedule(cycle, lambda c, i=index: fired.append((c, i)))
-        engine.run(HORIZON)
-        # Every event fired exactly once, at its cycle, sorted by
-        # (cycle, insertion sequence) — the documented tie-break.
-        expected = sorted(
-            ((cycle, index) for index, cycle in enumerate(cycles)),
-            key=lambda pair: (pair[0], pair[1]),
-        )
-        assert fired == expected
-        assert engine.pending_events == 0
-
-    @given(delays=st.lists(st.integers(min_value=0, max_value=50), max_size=20))
-    @settings(max_examples=50, deadline=None)
-    def test_schedule_in_equals_schedule_at_offset(self, delays):
-        absolute = Engine()
-        relative = Engine()
-        fired_abs, fired_rel = [], []
-        for delay in delays:
-            absolute.schedule(delay, lambda c: fired_abs.append(c))
-            relative.schedule_in(delay, lambda c: fired_rel.append(c))
-        absolute.run(HORIZON)
-        relative.run(HORIZON)
-        assert fired_abs == fired_rel
+    return engine, pulse, events.fired, end
 
 
 class TestLeapSafety:
     @given(cycles=event_cycles, activity=event_cycles)
     @settings(max_examples=50, deadline=None)
     def test_fast_and_slow_fire_identical_events(self, cycles, activity):
-        _, _, fast_fired, fast_end = _run_collect(cycles, activity, True)
-        _, _, slow_fired, slow_end = _run_collect(cycles, activity, False)
-        assert fast_fired == slow_fired
+        _, fast_pulse, fast_fired, fast_end = _run_collect(cycles, activity, True)
+        _, slow_pulse, slow_fired, slow_end = _run_collect(cycles, activity, False)
+        assert fast_fired == slow_fired == sorted(set(cycles))
+        assert fast_pulse.fired == slow_pulse.fired
         assert fast_end == slow_end == HORIZON
 
     @given(cycles=event_cycles, activity=event_cycles)
@@ -103,8 +74,8 @@ class TestLeapSafety:
     def test_leaps_never_skip_events_or_activities(self, cycles, activity):
         engine, pulse, _, _ = _run_collect(cycles, activity, True)
         executed = set(pulse.ticked)
-        # Every event cycle and every declared activity cycle was
-        # actually executed (a leap may only span provably idle cycles).
+        # Every cycle either pulse declared was actually executed (a
+        # leap may only span provably idle cycles).
         assert set(cycles) <= executed
         assert {a for a in activity if a < HORIZON} <= executed
         # Leap accounting adds up to the simulated span.
@@ -125,34 +96,3 @@ class TestLeapSafety:
         # declared activity (an executed cycle declares the next one).
         assert pulse.ticked[0] == 0
         assert set(activity) <= set(pulse.ticked)
-
-
-class TestStopSemantics:
-    @given(
-        stop_at=st.integers(min_value=0, max_value=HORIZON - 1),
-        activity=event_cycles,
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_stop_halts_both_paths_at_same_cycle(self, stop_at, activity):
-        ends = []
-        for fast in (True, False):
-            engine = Engine(fast_path=fast)
-            engine.register(Pulse(activity))
-            engine.schedule(stop_at, lambda c: engine.stop())
-            ends.append(engine.run(HORIZON))
-        # stop() takes effect at the end of the stopping cycle, and a
-        # pending stop suppresses any further leap.
-        assert ends[0] == ends[1] == stop_at + 1
-
-    @given(stop_at=st.integers(min_value=0, max_value=HORIZON - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_run_can_resume_after_stop(self, stop_at):
-        engine = Engine()
-        pulse = Pulse([])
-        engine.register(pulse)
-        engine.schedule(stop_at, lambda c: engine.stop())
-        first = engine.run(HORIZON)
-        assert first == stop_at + 1
-        second = engine.run(HORIZON)
-        assert second == HORIZON
-        assert engine.cycles_executed + engine.cycles_skipped == HORIZON

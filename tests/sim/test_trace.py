@@ -7,6 +7,7 @@ import pytest
 from repro.clients.traffic_generator import TrafficGenerator
 from repro.core.interconnect import BlueScaleInterconnect
 from repro.errors import ConfigurationError
+from repro.experiments.factory import INTERCONNECT_NAMES, build_interconnect
 from repro.interconnects.bluetree import BlueTreeInterconnect
 from repro.sim.trace import (
     TraceRecord,
@@ -39,6 +40,12 @@ class TestTraceRecord:
         with pytest.raises(ConfigurationError):
             record(kind="erase")
 
+    def test_negative_client_and_release_rejected(self):
+        with pytest.raises(ConfigurationError, match="client id"):
+            record(client=-1)
+        with pytest.raises(ConfigurationError, match="release cycle"):
+            record(release=-1, deadline=10)
+
     def test_to_request_roundtrip(self):
         rec = record(release=5, client=3, address=256, deadline=77, kind="write")
         request = rec.to_request()
@@ -65,6 +72,17 @@ class TestPersistence:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"release_cycle": 0}\n')
         with pytest.raises(ConfigurationError):
+            load_trace(path)
+
+    def test_negative_ids_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "negative.jsonl"
+        path.write_text(
+            '{"release_cycle": 0, "client_id": 0, "address": 0, '
+            '"absolute_deadline": 9}\n'
+            '{"release_cycle": 0, "client_id": -1, "address": 0, '
+            '"absolute_deadline": 9}\n'
+        )
+        with pytest.raises(ConfigurationError, match=":2: .*client id"):
             load_trace(path)
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -123,6 +141,15 @@ class TestCaptureAndReplay:
         with pytest.raises(ConfigurationError):
             TraceReplayClient(0, [record(client=1)])
 
+    def test_simulation_rejects_negative_client_id(self):
+        # A replay client is the one client type that can carry a
+        # negative id (TrafficGenerator rejects it itself).  AXI-IC^RT
+        # would silently alias it to client n-1's FIFO.
+        for name in ("BlueScale", "AXI-IC^RT"):
+            interconnect = build_interconnect(name, 4, {0: TaskSet()})
+            with pytest.raises(ConfigurationError, match="client id -1"):
+                SoCSimulation([TraceReplayClient(-1, [])], interconnect)
+
     def test_replay_overflow_counts_drops(self):
         records = [record(release=0, address=64 * i) for i in range(5)]
         client = TraceReplayClient(0, records, pending_capacity=2)
@@ -146,3 +173,49 @@ class TestReplayDeterminism:
 
         a, b = run(), run()
         assert a.recorder.response_times == b.recorder.response_times
+
+
+class TestReplayFastPath:
+    """Replay speaks the quiescence contract, so it leaps on every design
+    and the fast path stays bit-identical to the cycle-by-cycle oracle."""
+
+    N_CLIENTS = 8
+    HORIZON = 3_000
+    DRAIN = 300
+
+    def test_fast_path_matches_reference_on_every_design(self):
+        tasksets = generate_client_tasksets(random.Random(11), self.N_CLIENTS, 2, 0.5)
+        generators = [TrafficGenerator(c, ts) for c, ts in tasksets.items()]
+        SoCSimulation(generators, BlueScaleInterconnect(self.N_CLIENTS)).run(
+            self.HORIZON, drain=2_000
+        )
+        per_client = split_by_client(trace_from_clients(generators))
+        for name in INTERCONNECT_NAMES:
+            results = []
+            for fast in (True, False):
+                # A two-entry queue overflows on multi-request releases.
+                replay = [
+                    TraceReplayClient(c, recs, pending_capacity=2)
+                    for c, recs in per_client.items()
+                ]
+                interconnect = build_interconnect(name, self.N_CLIENTS, tasksets)
+                results.append(
+                    SoCSimulation(replay, interconnect, fast_path=fast).run(
+                        self.HORIZON, drain=self.DRAIN
+                    )
+                )
+            fast_result, slow = results
+            assert fast_result.trace_digest == slow.trace_digest, name
+            assert fast_result.job_outcomes == slow.job_outcomes, name
+            ledger = [
+                (r.requests_released, r.requests_completed,
+                 r.requests_dropped, r.requests_in_flight)
+                for r in results
+            ]
+            assert ledger[0] == ledger[1], name
+            released, completed, dropped, in_flight = ledger[0]
+            assert dropped > 0 and completed > 0, name
+            assert completed + dropped + in_flight == released, name
+            # Leaps happen before the horizon too, not only in the drain.
+            assert fast_result.cycles_skipped > self.DRAIN, name
+            assert slow.cycles_skipped == 0, name

@@ -67,14 +67,29 @@ class TestTopLevelExports:
 
     def test_retired_names_stay_out_of_all(self):
         """The BlueScale-only hook timeline (superseded by the span
-        tracer in ``repro.observability``) and the uncalled
-        ``spawn_rng`` are gone from the public surface."""
+        tracer in ``repro.observability``), the uncalled ``spawn_rng``,
+        the multi-memory extension and the optional-contract protocol
+        (every engine component now implements quiescence) are gone
+        from the public surface."""
+        import repro.core
         import repro.runtime
         import repro.sim
 
-        for name in ("Timeline", "RequestTimeline", "format_timeline"):
+        for name in (
+            "Timeline",
+            "RequestTimeline",
+            "format_timeline",
+            "QuiescentComponent",
+        ):
             assert name not in repro.sim.__all__
         assert "spawn_rng" not in repro.runtime.__all__
+        for name in (
+            "AddressInterleaver",
+            "MultiMemoryResult",
+            "MultiMemorySystem",
+            "run_multi_memory_trial",
+        ):
+            assert name not in repro.core.__all__
 
     def test_readme_quickstart_snippet_runs(self):
         """The code block in README.md works as written."""
