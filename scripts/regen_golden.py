@@ -90,7 +90,7 @@ def build_traces() -> dict[Path, str]:
 
 def build_interfaces() -> dict[Path, str]:
     """The scalar-oracle composition snapshots."""
-    from repro.analysis import compose
+    from repro.analysis import AnalysisContext, compose
     from repro.analysis.cache import DISABLED
 
     from analysis.golden_utils import (
@@ -103,7 +103,11 @@ def build_interfaces() -> dict[Path, str]:
     snapshots = {}
     for n_clients in GOLDEN_SIZES:
         topology, tasksets = golden_system(n_clients)
-        result = compose(topology, tasksets, backend="scalar", cache=DISABLED)
+        result = compose(
+            topology,
+            tasksets,
+            ctx=AnalysisContext(backend="scalar", cache=DISABLED),
+        )
         snapshots[str(n_clients)] = composition_snapshot(result)
     return {FIXTURE_PATH: json.dumps(snapshots, indent=2) + "\n"}
 

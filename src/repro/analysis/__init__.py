@@ -1,28 +1,26 @@
 """Schedulability analysis: periodic resource model, Theorems 1 & 2,
 interface selection and hierarchical composition (paper Sec. 5).
 
-Two interchangeable backends evaluate the dbf<=sbf machinery: the
-original ``scalar`` reference oracle and a numpy-backed ``vectorized``
-engine that batches candidate interfaces over shared, memoized
-step-point grids (:mod:`repro.analysis.engine`,
+How an analysis runs is one value, :class:`AnalysisContext` (backend +
+memo cache + selection config), passed as ``ctx=`` to every function
+here.  Two interchangeable backends evaluate the dbf<=sbf machinery:
+the original ``scalar`` reference oracle and a numpy-backed
+``vectorized`` engine that batches candidate interfaces over shared,
+memoized step-point grids (:mod:`repro.analysis.context`,
 :mod:`repro.analysis.vectorized`, :mod:`repro.analysis.cache`)."""
 
 from repro.analysis.cache import (
     AnalysisCache,
     CacheStats,
     get_default_cache,
-    resolve_cache,
-    set_default_cache,
     taskset_digest,
     taskset_key,
 )
 from repro.analysis.context import (
+    BACKENDS,
     DEFAULT_CONFIG,
     AnalysisContext,
-)
-from repro.analysis.engine import (
-    BACKENDS,
-    resolve_backend,
+    SelectionConfig,
 )
 from repro.analysis.prm import (
     ResourceInterface,
@@ -39,7 +37,6 @@ from repro.analysis.schedulability import (
     theorem1_bound,
 )
 from repro.analysis.interface_selection import (
-    SelectionConfig,
     SelectionResult,
     brute_force_minimum_bandwidth,
     minimal_budget_for_period,
@@ -96,11 +93,8 @@ __all__ = [
     "dbf_values",
     "get_default_cache",
     "minimal_budgets_for_periods",
-    "resolve_backend",
-    "resolve_cache",
     "sbf_values",
     "schedulable_many",
-    "set_default_cache",
     "taskset_digest",
     "taskset_key",
     "ResourceInterface",

@@ -25,9 +25,9 @@ is dropped on pickling and re-created on unpickling, which keeps
 cache-carrying objects (e.g. :class:`repro.analysis.model.SystemModel`)
 picklable across executor workers.
 
-The default process-wide cache (:func:`get_default_cache`) is what
-``cache=None`` resolves to; pass :data:`DISABLED` (or
-``AnalysisCache(enabled=False)``) to force cold-path evaluation, e.g.
+The read-only process-wide cache (:func:`get_default_cache`) is the
+cache of ``AnalysisContext()``; a context holding :data:`DISABLED` (or
+``AnalysisCache(enabled=False)``) forces cold-path evaluation, e.g.
 when benchmarking the scalar oracle.
 """
 
@@ -36,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 from repro.tasks.taskset import TaskSet
@@ -135,21 +134,6 @@ class AnalysisCache:
         self._lock = threading.Lock()
 
     # -- selection results ---------------------------------------------------
-    @staticmethod
-    def selection_key(
-        key: TaskSetKey,
-        sibling_utilization: Fraction,
-        config_key: tuple,
-        backend: str,
-    ) -> tuple:
-        return (
-            key,
-            sibling_utilization.numerator,
-            sibling_utilization.denominator,
-            config_key,
-            backend,
-        )
-
     def get_selection(self, key: tuple) -> "SelectionResult | None":
         if not self.enabled:
             return None
@@ -238,18 +222,5 @@ _default_cache = AnalysisCache()
 
 
 def get_default_cache() -> AnalysisCache:
-    """The process-wide cache used when ``cache=None``."""
+    """The process-wide cache of a default analysis context."""
     return _default_cache
-
-
-def set_default_cache(cache: AnalysisCache) -> AnalysisCache:
-    """Swap the process-wide cache; returns the previous one."""
-    global _default_cache
-    previous = _default_cache
-    _default_cache = cache
-    return previous
-
-
-def resolve_cache(cache: AnalysisCache | None) -> AnalysisCache:
-    """Return ``cache`` itself, or the process-wide default for ``None``."""
-    return _default_cache if cache is None else cache

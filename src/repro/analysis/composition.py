@@ -14,9 +14,8 @@ over-utilized by the root's server tasks: ``Σ Θ_X/Π_X <= 1``.
 
 Both :func:`compose` (whole tree) and :func:`update_client` (one
 client's root path) resolve each SE through the same
-:func:`_resolve_node` step, driven by a single
-:class:`~repro.analysis.context.AnalysisContext` built once at the
-entry point — no per-call backend/cache threading.
+:func:`_resolve_node` step, driven by the caller's one
+:class:`~repro.analysis.context.AnalysisContext`.
 """
 
 from __future__ import annotations
@@ -24,12 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from repro.analysis.cache import AnalysisCache
-from repro.analysis.context import (
-    DEFAULT_CONFIG,
-    AnalysisContext,
-    SelectionConfig,
-)
+from repro.analysis.context import AnalysisContext
 from repro.analysis.interface_selection import select_interface
 from repro.analysis.prm import ResourceInterface
 from repro.errors import ConfigurationError, InfeasibleError
@@ -225,10 +219,7 @@ def _check_root(result: CompositionResult) -> None:
 def compose(
     topology: TreeTopology,
     client_tasksets: dict[int, TaskSet],
-    config: SelectionConfig = DEFAULT_CONFIG,
     deadline_margin: int | None = None,
-    backend: str | None = None,
-    cache: AnalysisCache | None = None,
     *,
     ctx: AnalysisContext | None = None,
 ) -> CompositionResult:
@@ -239,9 +230,8 @@ def compose(
     (Fig. 7's utilization sweep) need to observe infeasible points, not
     crash on them.
 
-    ``ctx`` (or the ``config``/``backend``/``cache`` compatibility
-    keywords it is built from) selects and memoizes the per-VE searches
-    (see :func:`~repro.analysis.interface_selection.select_interface`):
+    ``ctx`` selects and memoizes the per-VE searches (see
+    :func:`~repro.analysis.interface_selection.select_interface`):
     sweeps that re-compose mostly-unchanged trees reuse every unchanged
     subtree's selection from the context's cache.
     """
@@ -252,7 +242,7 @@ def compose(
                 f"{topology.n_clients} clients"
             )
     if ctx is None:
-        ctx = AnalysisContext.resolve(backend, cache, config)
+        ctx = AnalysisContext()
     if deadline_margin is None:
         deadline_margin = default_deadline_margin(topology)
     result = CompositionResult(topology=topology)
@@ -273,10 +263,7 @@ def update_client(
     result: CompositionResult,
     client_tasksets: dict[int, TaskSet],
     client_id: int,
-    config: SelectionConfig = DEFAULT_CONFIG,
     deadline_margin: int | None = None,
-    backend: str | None = None,
-    cache: AnalysisCache | None = None,
     *,
     ctx: AnalysisContext | None = None,
 ) -> CompositionResult:
@@ -289,7 +276,7 @@ def update_client(
     """
     topology = result.topology
     if ctx is None:
-        ctx = AnalysisContext.resolve(backend, cache, config)
+        ctx = AnalysisContext()
     if deadline_margin is None:
         deadline_margin = default_deadline_margin(topology)
     fresh = CompositionResult(topology=topology)

@@ -1,35 +1,41 @@
-"""The per-call analysis context: backend + cache + search config.
+"""How an analysis runs: engine backend + memo cache + search config.
 
-Before this module existed, every function on the composition path
-(:func:`~repro.analysis.composition.compose` →
-:func:`~repro.analysis.interface_selection.select_interface` →
-:func:`~repro.analysis.interface_selection.minimal_budgets_for_periods`)
-re-threaded a ``backend=`` and a ``cache=`` keyword argument through
-every call, re-resolving both at every level.  :class:`AnalysisContext`
-bundles the three knobs that select *how* an analysis runs — engine
-backend, memo cache, selection-search config — into one immutable
-object that is resolved **once** at the public entry point and passed
-down unchanged.
-
-The public entry points keep their ``backend=`` / ``cache=`` keyword
-arguments as compatibility shims: they build a context immediately and
-everything below speaks context only.  Long-lived holders
+:class:`AnalysisContext` is the one value that says how an analysis
+runs.  Every public analysis function takes it as ``ctx=`` and passes
+it down unchanged; ``ctx=None`` means ``AnalysisContext()`` — the
+vectorized backend, the process-wide cache and
+:data:`DEFAULT_CONFIG`.  A trial runner builds one context from its
+spec's engine (``spec.engine.analysis_backend``) and hands it to
+everything it analyses; long-lived holders
 (:class:`~repro.analysis.model.SystemModel`,
-:class:`~repro.analysis.session.AdmissionSession`) carry their context
-explicitly.
+:class:`~repro.analysis.session.AdmissionSession`) own theirs.
 
-:class:`SelectionConfig` lives here (re-exported from
-:mod:`repro.analysis.interface_selection` for compatibility) because it
-is part of the context, not of any single search.
+Two backends evaluate the dbf<=sbf machinery:
+
+* ``"scalar"`` — the original pure-Python implementations, kept as the
+  reference oracle.  Every candidate ``(Π, Θ)`` is tested by its own
+  step-point scan.
+* ``"vectorized"`` — numpy-backed batch evaluation
+  (:mod:`repro.analysis.vectorized`): dbf is evaluated once over a
+  deduplicated step-point grid per task set, and all candidate
+  interfaces of a search are checked against that grid at once.
+
+Both are exact over integers and produce **identical** results; the
+property suite asserts it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.analysis.cache import AnalysisCache, resolve_cache
-from repro.analysis.engine import resolve_backend
+from repro.analysis.cache import AnalysisCache, get_default_cache
 from repro.errors import ConfigurationError
+
+#: the recognized backend names
+BACKENDS: tuple[str, ...] = ("scalar", "vectorized")
+
+#: the backend of ``AnalysisContext()``
+DEFAULT_BACKEND = "vectorized"
 
 
 @dataclass(frozen=True)
@@ -64,34 +70,17 @@ class AnalysisContext:
     """How one analysis runs: engine backend, memo cache, search config.
 
     Immutable, cheap, and safe to share: the cache it points at is
-    thread-safe, the other two fields are frozen value objects.
-    Resolve one at the boundary (:meth:`resolve`), then pass it down —
-    never re-resolve mid-computation, or a concurrent
-    ``set_default_cache`` could split one logical analysis across two
-    caches.
+    thread-safe, the other two fields are frozen value objects.  Build
+    one at the boundary, then pass it down.
     """
 
-    backend: str
-    cache: AnalysisCache
+    backend: str = DEFAULT_BACKEND
+    cache: AnalysisCache = field(default_factory=get_default_cache)
     config: SelectionConfig = DEFAULT_CONFIG
 
-    @classmethod
-    def resolve(
-        cls,
-        backend: str | None = None,
-        cache: AnalysisCache | None = None,
-        config: SelectionConfig | None = None,
-    ) -> "AnalysisContext":
-        """Build a context from optional knobs (``None`` → defaults).
-
-        ``backend=None`` resolves to
-        :data:`~repro.analysis.engine.DEFAULT_BACKEND`, ``cache=None``
-        to the process-wide default cache and
-        ``config=None`` to :data:`DEFAULT_CONFIG` — exactly the
-        defaulting every public analysis entry point documents.
-        """
-        return cls(
-            backend=resolve_backend(backend),
-            cache=resolve_cache(cache),
-            config=DEFAULT_CONFIG if config is None else config,
-        )
+    def __post_init__(self) -> None:
+        if self.backend not in BACKENDS:
+            raise ConfigurationError(
+                f"unknown analysis backend {self.backend!r}; "
+                f"expected one of {BACKENDS}"
+            )

@@ -22,9 +22,8 @@ The search follows the paper exactly:
   i.e. less scheduling activity in the SE hardware).
 
 How to run the search — engine backend, memo cache, search config — is
-bundled in one :class:`~repro.analysis.context.AnalysisContext`; the
-public functions still accept ``backend=`` / ``cache=`` keywords and
-fold them into a context at the boundary.
+one :class:`~repro.analysis.context.AnalysisContext`, the ``ctx=`` of
+every function here (``None`` means ``AnalysisContext()``).
 """
 
 from __future__ import annotations
@@ -32,20 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.analysis.cache import AnalysisCache, taskset_key
-from repro.analysis.context import (
-    DEFAULT_CONFIG,
-    AnalysisContext,
-    SelectionConfig,
-)
+from repro.analysis.cache import taskset_key
+from repro.analysis.context import AnalysisContext, SelectionConfig
 from repro.analysis.prm import ResourceInterface
 from repro.analysis.schedulability import is_schedulable
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.tasks.taskset import TaskSet
 
 __all__ = [
-    "DEFAULT_CONFIG",
-    "SelectionConfig",
     "SelectionResult",
     "brute_force_minimum_bandwidth",
     "minimal_budget_for_period",
@@ -76,8 +69,6 @@ def theorem2_period_bound(
 def minimal_budget_for_period(
     taskset: TaskSet,
     period: int,
-    backend: str | None = None,
-    cache: AnalysisCache | None = None,
     *,
     ctx: AnalysisContext | None = None,
 ) -> int | None:
@@ -90,7 +81,7 @@ def minimal_budget_for_period(
     if len(taskset) == 0:
         return 0
     if ctx is None:
-        ctx = AnalysisContext.resolve(backend, cache)
+        ctx = AnalysisContext()
     if ctx.backend == "vectorized":
         return minimal_budgets_for_periods(taskset, [period], ctx=ctx)[0]
     utilization = taskset.utilization
@@ -100,13 +91,13 @@ def minimal_budget_for_period(
     if low > high:
         return None
     if not is_schedulable(
-        taskset, ResourceInterface(period, high), backend="scalar"
+        taskset, ResourceInterface(period, high), ctx=ctx
     ).schedulable:
         return None
     while low < high:
         mid = (low + high) // 2
         if is_schedulable(
-            taskset, ResourceInterface(period, mid), backend="scalar"
+            taskset, ResourceInterface(period, mid), ctx=ctx
         ).schedulable:
             high = mid
         else:
@@ -117,7 +108,6 @@ def minimal_budget_for_period(
 def minimal_budgets_for_periods(
     taskset: TaskSet,
     periods: list[int],
-    cache: AnalysisCache | None = None,
     *,
     ctx: AnalysisContext | None = None,
 ) -> list[int | None]:
@@ -129,12 +119,12 @@ def minimal_budgets_for_periods(
     task set's demand grid is evaluated once and shared by the whole
     candidate front.  Schedulability is monotone in Θ at fixed Π, so
     the converged budgets are exactly the scalar binary search's.
+    Only ``ctx``'s cache is read: this search is the vectorized
+    backend's by construction.
     """
     from repro.analysis.vectorized import schedulable_many
 
-    if ctx is None:
-        ctx = AnalysisContext.resolve("vectorized", cache)
-    memo = ctx.cache
+    memo = (ctx or AnalysisContext()).cache
     if len(taskset) == 0:
         return [0 for _ in periods]
     utilization = taskset.utilization
@@ -203,9 +193,6 @@ class SelectionResult:
 def select_interface(
     taskset: TaskSet,
     sibling_utilization: Fraction = Fraction(0),
-    config: SelectionConfig = DEFAULT_CONFIG,
-    backend: str | None = None,
-    cache: AnalysisCache | None = None,
     *,
     ctx: AnalysisContext | None = None,
 ) -> SelectionResult:
@@ -223,20 +210,18 @@ def select_interface(
     multiset, the sibling utilization and the search config, so
     level-by-level composition reuses unchanged subtree selections
     across sweep points.
-
-    ``ctx`` supersedes the ``config``/``backend``/``cache`` keywords;
-    callers that already hold an :class:`AnalysisContext` pass it alone.
     """
     if len(taskset) == 0:
         return SelectionResult(
             interface=ResourceInterface(1, 0), periods_examined=0, period_bound=0
         )
     if ctx is None:
-        ctx = AnalysisContext.resolve(backend, cache, config)
+        ctx = AnalysisContext()
     memo = ctx.cache
-    memo_key = memo.selection_key(
+    memo_key = (
         taskset_key(taskset),
-        sibling_utilization,
+        sibling_utilization.numerator,
+        sibling_utilization.denominator,
         ctx.config.memo_key(),
         ctx.backend,
     )
@@ -249,7 +234,7 @@ def select_interface(
         budgets = minimal_budgets_for_periods(taskset, candidates, ctx=ctx)
     else:
         budgets = [
-            minimal_budget_for_period(taskset, period, backend="scalar")
+            minimal_budget_for_period(taskset, period, ctx=ctx)
             for period in candidates
         ]
     best: ResourceInterface | None = None

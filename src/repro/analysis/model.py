@@ -26,7 +26,12 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 from repro.analysis.cache import AnalysisCache
-from repro.analysis.context import AnalysisContext, SelectionConfig
+from repro.analysis.context import (
+    DEFAULT_BACKEND,
+    DEFAULT_CONFIG,
+    AnalysisContext,
+    SelectionConfig,
+)
 from repro.analysis.composition import (
     CompositionResult,
     compose,
@@ -79,15 +84,19 @@ class SystemModel:
     ) -> "SystemModel":
         """Compose the hierarchy once and freeze the result.
 
-        ``backend``/``cache``/``config`` default exactly like the rest
-        of the analysis API (the default backend, the process-wide cache,
-        :data:`~repro.analysis.context.DEFAULT_CONFIG`); a long-running
-        service passes a dedicated ``AnalysisCache()`` so its memo
-        tables are isolated from the process default.  The composition
-        itself warms the cache, so the first admission probes already
-        reuse every baseline subtree selection.
+        A model owns its memo tables: ``cache=None`` means a fresh
+        ``AnalysisCache()``, never the process-wide one.
+        ``backend``/``config`` default like ``AnalysisContext()`` (the
+        vectorized backend,
+        :data:`~repro.analysis.context.DEFAULT_CONFIG`).  The
+        composition itself warms the cache, so the first admission
+        probes already reuse every baseline subtree selection.
         """
-        ctx = AnalysisContext.resolve(backend, cache, config)
+        ctx = AnalysisContext(
+            backend=DEFAULT_BACKEND if backend is None else backend,
+            cache=AnalysisCache() if cache is None else cache,
+            config=DEFAULT_CONFIG if config is None else config,
+        )
         margin = (
             default_deadline_margin(topology)
             if deadline_margin is None
@@ -128,7 +137,9 @@ class SystemModel:
         (:func:`~repro.tasks.generators.generate_client_tasksets`), so
         ``from_seed(16, utilization=0.3, seed=7)`` names one exact
         system forever — the service CLI, the load benchmark and the
-        tests all reference models this way.
+        tests all reference models this way.  ``backend``/``cache``/
+        ``config`` mean what they mean for :meth:`build`: the model owns
+        a fresh cache unless one is given.
         """
         if n_clients < 1:
             raise ConfigurationError(
@@ -148,7 +159,7 @@ class SystemModel:
             tasksets,
             config=config,
             backend=backend,
-            cache=cache if cache is not None else AnalysisCache(),
+            cache=cache,
             label=f"seed={seed} n={n_clients} u={utilization:g}",
         )
 
@@ -157,10 +168,6 @@ class SystemModel:
     def cache(self) -> AnalysisCache:
         """The shared, thread-safe memo cache sessions borrow."""
         return self.context.cache
-
-    @property
-    def backend(self) -> str:
-        return self.context.backend
 
     @property
     def n_clients(self) -> int:
@@ -193,7 +200,7 @@ class SystemModel:
             "fanout": self.topology.fanout,
             "depth": self.topology.depth,
             "nodes": self.topology.n_nodes(),
-            "backend": self.backend,
+            "backend": self.context.backend,
             "deadline_margin": self.deadline_margin,
             "baseline_tasks": sum(
                 len(ts) for ts in self.client_tasksets.values()

@@ -12,13 +12,15 @@ task's accumulated upstream response becomes its jitter at the next
 tree level (Tindell-style holistic analysis), and the per-level WCRTs
 plus the constant pipeline latency bound the end-to-end response.  The
 bounds are validated against simulated maxima in the integration tests.
+Their dbf<=sbf precondition runs under the caller's ``ctx``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.composition import CompositionResult
+from repro.analysis.composition import CompositionResult, default_deadline_margin
+from repro.analysis.context import AnalysisContext
 from repro.analysis.prm import ResourceInterface, dbf, sbf
 from repro.analysis.schedulability import is_schedulable
 from repro.errors import ConfigurationError, InfeasibleError
@@ -91,6 +93,8 @@ def wcrt_on_interface(
     interface: ResourceInterface,
     jitters: dict[str, int] | None = None,
     require_schedulable: bool = True,
+    *,
+    ctx: AnalysisContext | None = None,
 ) -> int:
     """WCRT bound of ``task`` within ``taskset`` on a periodic resource.
 
@@ -115,7 +119,9 @@ def wcrt_on_interface(
     """
     if all(member is not task for member in taskset):
         taskset = taskset.merged_with(TaskSet([task]))
-    if require_schedulable and not is_schedulable(taskset, interface).schedulable:
+    if require_schedulable and not is_schedulable(
+        taskset, interface, ctx=ctx
+    ).schedulable:
         raise InfeasibleError(
             "WCRT bound requires a schedulable (task set, interface) pair"
         )
@@ -209,6 +215,8 @@ def _qualified(client_id: int, task: PeriodicTask) -> PeriodicTask:
 def holistic_response_bounds(
     client_tasksets: dict[int, TaskSet],
     composition: CompositionResult,
+    *,
+    ctx: AnalysisContext | None = None,
 ) -> dict[int, PathResponseBound]:
     """Jitter-aware end-to-end bounds for every client's tasks.
 
@@ -234,7 +242,7 @@ def holistic_response_bounds(
         taskset = TaskSet(tasks)
         record: dict[str, int] = {}
         for original, task in zip(client_tasksets[client], tasks):
-            wcrt = wcrt_on_interface(task, taskset, interface)
+            wcrt = wcrt_on_interface(task, taskset, interface, ctx=ctx)
             accumulated[task.name] = wcrt
             record[original.name] = wcrt
         levels[client].append(record)
@@ -281,9 +289,7 @@ def holistic_response_bounds(
                         record[original.name] = wcrt
                     levels[client].append(record)
         accumulated.update(round_results)
-    request_hops = topology.depth + 1
-    response_hops = topology.depth + 2
-    path_latency = request_hops + 1 + response_hops
+    path_latency = default_deadline_margin(topology)
     return {
         client: PathResponseBound(
             client_id=client,
@@ -298,6 +304,8 @@ def end_to_end_bound(
     client_id: int,
     client_tasksets: dict[int, TaskSet],
     composition: CompositionResult,
+    *,
+    ctx: AnalysisContext | None = None,
 ) -> PathResponseBound:
     """End-to-end bound for one client (see
     :func:`holistic_response_bounds`; computing a single client still
@@ -306,4 +314,5 @@ def end_to_end_bound(
     own_taskset = client_tasksets.get(client_id)
     if own_taskset is None or len(own_taskset) == 0:
         raise ConfigurationError(f"client {client_id} has no tasks to bound")
-    return holistic_response_bounds(client_tasksets, composition)[client_id]
+    bounds = holistic_response_bounds(client_tasksets, composition, ctx=ctx)
+    return bounds[client_id]

@@ -16,8 +16,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.analysis.cache import AnalysisCache, resolve_cache
-from repro.analysis.engine import resolve_backend
+from repro.analysis.context import AnalysisContext
 from repro.analysis.prm import ResourceInterface, dbf, dbf_step_points, sbf
 from repro.errors import ConfigurationError
 from repro.tasks.taskset import TaskSet
@@ -60,8 +59,8 @@ def theorem1_bound(interface: ResourceInterface, utilization: Fraction) -> int:
 def is_schedulable(
     taskset: TaskSet,
     interface: ResourceInterface,
-    backend: str | None = None,
-    cache: AnalysisCache | None = None,
+    *,
+    ctx: AnalysisContext | None = None,
 ) -> SchedulabilityResult:
     """Exact EDF-on-periodic-resource schedulability test.
 
@@ -71,11 +70,12 @@ def is_schedulable(
     β itself can be a step point when it is integral, so the scan must
     include it.)
 
-    ``backend`` picks how the scan is evaluated — ``"scalar"`` walks
-    the step points in Python, ``"vectorized"`` evaluates demand once
-    over the task set's shared step grid and supply in one array pass
-    (see :mod:`repro.analysis.engine`).  Both are integer-exact and
-    return identical results, witnesses included.
+    ``ctx``'s backend picks how the scan is evaluated — ``"scalar"``
+    walks the step points in Python, ``"vectorized"`` evaluates demand
+    once over the task set's step grid (memoized in ``ctx``'s cache)
+    and supply in one array pass (see
+    :mod:`repro.analysis.context`).  Both are integer-exact and return
+    identical results, witnesses included.
     """
     if len(taskset) == 0:
         return SchedulabilityResult(schedulable=True)
@@ -116,12 +116,12 @@ def is_schedulable(
             test_bound=0,
         )
     beta = theorem1_bound(interface, utilization)
-    if resolve_backend(backend) == "vectorized":
+    if ctx is None:
+        ctx = AnalysisContext()
+    if ctx.backend == "vectorized":
         from repro.analysis.vectorized import first_violation
 
-        witness = first_violation(
-            taskset, interface, beta, resolve_cache(cache)
-        )
+        witness = first_violation(taskset, interface, beta, ctx.cache)
     else:
         witness = None
         for t in dbf_step_points(taskset, beta):

@@ -18,10 +18,9 @@ directly, without simulation:
   interface's capacity (:func:`slack_per_client`), i.e. where the next
   task should *not* go.
 
-Every probe of a search shares one
-:class:`~repro.analysis.context.AnalysisContext` (resolved once at the
-entry point), so all compositions of a breakdown search hit the same
-memo cache.
+Every probe of a search shares the caller's one
+:class:`~repro.analysis.context.AnalysisContext`, so all compositions
+of a breakdown search hit the same memo cache.
 """
 
 from __future__ import annotations
@@ -29,12 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.analysis.cache import AnalysisCache
-from repro.analysis.context import (
-    DEFAULT_CONFIG,
-    AnalysisContext,
-    SelectionConfig,
-)
+from repro.analysis.context import AnalysisContext
 from repro.analysis.composition import (
     CompositionResult,
     compose,
@@ -70,11 +64,8 @@ class BreakdownResult:
 def breakdown_scale(
     topology: TreeTopology,
     client_tasksets: dict[int, TaskSet],
-    config: SelectionConfig = DEFAULT_CONFIG,
     precision: float = 0.01,
     max_scale: float = 16.0,
-    backend: str | None = None,
-    cache: AnalysisCache | None = None,
     *,
     ctx: AnalysisContext | None = None,
 ) -> BreakdownResult:
@@ -93,7 +84,7 @@ def breakdown_scale(
     if precision <= 0:
         raise ConfigurationError(f"precision must be positive, got {precision}")
     if ctx is None:
-        ctx = AnalysisContext.resolve(backend, cache, config)
+        ctx = AnalysisContext()
     base = compose(topology, client_tasksets, ctx=ctx)
     if not base.schedulable:
         raise ConfigurationError(
@@ -132,16 +123,11 @@ def breakdown_scale(
 def breakdown_utilization(
     topology: TreeTopology,
     client_tasksets: dict[int, TaskSet],
-    config: SelectionConfig = DEFAULT_CONFIG,
     precision: float = 0.01,
-    backend: str | None = None,
-    cache: AnalysisCache | None = None,
     *,
     ctx: AnalysisContext | None = None,
 ) -> float:
     """Total utilization at the breakdown point (the admission ceiling)."""
-    if ctx is None:
-        ctx = AnalysisContext.resolve(backend, cache, config)
     return breakdown_scale(
         topology, client_tasksets, precision=precision, ctx=ctx
     ).utilization
@@ -152,9 +138,6 @@ def can_admit(
     client_tasksets: dict[int, TaskSet],
     client_id: int,
     task: PeriodicTask,
-    config: SelectionConfig = DEFAULT_CONFIG,
-    backend: str | None = None,
-    cache: AnalysisCache | None = None,
     *,
     ctx: AnalysisContext | None = None,
 ) -> tuple[bool, CompositionResult]:
@@ -162,8 +145,6 @@ def can_admit(
     system schedulable?  Uses the path-local update, so the test costs
     O(log n) interface-selection problems.  Returns the verdict and the
     updated composition (apply it only on admit)."""
-    if ctx is None:
-        ctx = AnalysisContext.resolve(backend, cache, config)
     trial = dict(client_tasksets)
     trial[client_id] = trial.get(client_id, TaskSet()).merged_with(
         TaskSet([task.with_client(client_id)])

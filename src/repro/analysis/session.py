@@ -137,14 +137,11 @@ class AdmissionSession:
     ) -> None:
         self.model = model
         base = model.context
-        if backend is None and cache is None and config is None:
-            self._ctx = base
-        else:
-            self._ctx = AnalysisContext(
-                backend=base.backend if backend is None else backend,
-                cache=base.cache if cache is None else cache,
-                config=base.config if config is None else config,
-            )
+        self._ctx = AnalysisContext(
+            backend=base.backend if backend is None else backend,
+            cache=base.cache if cache is None else cache,
+            config=base.config if config is None else config,
+        )
         # Committed state: replaced wholesale (copy-on-write), never
         # mutated in place, so concurrent probes always read a
         # consistent (tasksets, composition) pair.

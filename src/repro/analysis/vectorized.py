@@ -127,13 +127,13 @@ class StepGrid:
         return ts[:end], demands[:end]
 
 
-def grid_for(taskset: TaskSet, cache: AnalysisCache) -> StepGrid:
-    """The (possibly cached) step grid of a task set."""
+def grid_for(taskset: TaskSet, memo: AnalysisCache) -> StepGrid:
+    """The (possibly memoized) step grid of a task set."""
     key: TaskSetKey = taskset_key(taskset)
-    grid = cache.get_grid(key)
+    grid = memo.get_grid(key)
     if grid is None:
         grid = StepGrid(taskset)
-        cache.put_grid(key, grid)
+        memo.put_grid(key, grid)
     return grid
 
 
@@ -197,7 +197,7 @@ def first_violation(
     taskset: TaskSet,
     interface: ResourceInterface,
     beta: int,
-    cache: AnalysisCache,
+    memo: AnalysisCache,
 ) -> tuple[int, int, int] | None:
     """First ``(t, demand, supply)`` with dbf > sbf in (0, β], or None.
 
@@ -205,7 +205,7 @@ def first_violation(
     come from the shared :class:`StepGrid`, supplies from one
     :func:`sbf_values` pass.
     """
-    grid = grid_for(taskset, cache)
+    grid = grid_for(taskset, memo)
     if grid.points_within(beta) > MAX_GRID_POINTS:
         return _lazy_violation(grid, interface.period, interface.budget, beta)
     ts, demands = grid.upto(beta)
@@ -222,7 +222,7 @@ def first_violation(
 def schedulable_many(
     taskset: TaskSet,
     interfaces: list[tuple[int, int]],
-    cache: AnalysisCache,
+    memo: AnalysisCache,
     utilization: Fraction | None = None,
 ) -> list[bool]:
     """Theorem-1 verdicts for a whole batch of candidate ``(Π, Θ)``.
@@ -247,7 +247,7 @@ def schedulable_many(
     if utilization is None:
         utilization = taskset.utilization
     betas = theorem1_betas(utilization, interfaces)
-    grid = grid_for(taskset, cache)
+    grid = grid_for(taskset, memo)
     cap = grid.cap
     verdicts: list[bool | None] = [None] * len(interfaces)
     batched: list[int] = []

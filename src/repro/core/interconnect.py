@@ -23,7 +23,7 @@ from repro.analysis.composition import (
     tighten_deadlines,
     update_client,
 )
-from repro.analysis.interface_selection import DEFAULT_CONFIG, SelectionConfig
+from repro.analysis.context import AnalysisContext
 from repro.analysis.prm import ResourceInterface
 from repro.core.scale_element import ScaleElement
 from repro.errors import ConfigurationError
@@ -106,16 +106,14 @@ class BlueScaleInterconnect(Interconnect):
     def configure(
         self,
         client_tasksets: dict[int, TaskSet],
-        config: SelectionConfig = DEFAULT_CONFIG,
-        backend: str | None = None,
+        *,
+        ctx: AnalysisContext | None = None,
     ) -> CompositionResult:
         """Run the interface-selection composition and program all SEs.
 
-        ``backend`` is :func:`~repro.analysis.composition.compose`'s.
+        ``ctx`` is :func:`~repro.analysis.composition.compose`'s.
         """
-        result = compose(
-            self.topology, client_tasksets, config, backend=backend
-        )
+        result = compose(self.topology, client_tasksets, ctx=ctx)
         self.apply_composition(result)
         return result
 
@@ -153,7 +151,8 @@ class BlueScaleInterconnect(Interconnect):
         client_tasksets: dict[int, TaskSet],
         client_id: int,
         cycle: int,
-        config: SelectionConfig = DEFAULT_CONFIG,
+        *,
+        ctx: AnalysisContext | None = None,
     ) -> CompositionResult:
         """Runtime parameter-path update after a task joins/leaves.
 
@@ -168,7 +167,7 @@ class BlueScaleInterconnect(Interconnect):
                 "reprogram_client needs an initial configure() first"
             )
         updated = update_client(
-            self.composition, client_tasksets, client_id, config
+            self.composition, client_tasksets, client_id, ctx=ctx
         )
         for node in self.topology.path_to_root(client_id):
             element = self.elements[node]
@@ -181,7 +180,8 @@ class BlueScaleInterconnect(Interconnect):
     def configure_distributed(
         self,
         client_tasksets: dict[int, TaskSet],
-        config: SelectionConfig = DEFAULT_CONFIG,
+        *,
+        ctx: AnalysisContext | None = None,
     ) -> dict[NodeId, list[ResourceInterface]]:
         """Let each SE's interface selector resolve its own problem.
 
@@ -200,7 +200,7 @@ class BlueScaleInterconnect(Interconnect):
                 if node not in self.elements:
                     continue
                 element = self.elements[node]
-                element.selector.config = config
+                element.selector.ctx = ctx
                 for port in range(topology.fanout):
                     element.selector.clear_port(port)
                 if level == topology.depth:

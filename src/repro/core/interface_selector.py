@@ -15,11 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.analysis.interface_selection import (
-    DEFAULT_CONFIG,
-    SelectionConfig,
-    select_interface,
-)
+from repro.analysis.context import AnalysisContext
+from repro.analysis.interface_selection import select_interface
 from repro.analysis.prm import ResourceInterface
 from repro.errors import CapacityError, ConfigurationError, InfeasibleError
 from repro.tasks.task import PeriodicTask
@@ -122,19 +119,22 @@ class InterfaceSelector:
     only this SE's local information.  The outputs are simultaneously
     (a) the parameters programmed into this SE's local scheduler and
     (b) the "local task" parameters announced to the parent SE.
+    ``ctx`` is the analysis its searches run under (``None`` means
+    ``AnalysisContext()``).
     """
 
     def __init__(
         self,
         n_ports: int = 4,
         table_depth: int = 16,
-        config: SelectionConfig = DEFAULT_CONFIG,
+        *,
+        ctx: AnalysisContext | None = None,
     ) -> None:
         if n_ports <= 0:
             raise ConfigurationError(f"need at least one port, got {n_ports}")
         self.n_ports = n_ports
         self.table = TaskParameterTable(depth=table_depth)
-        self.config = config
+        self.ctx = ctx
         self._next_task_id = [0] * n_ports
 
     def load_task(self, port: int, period: int, wcet: int) -> TableEntry:
@@ -178,7 +178,7 @@ class InterfaceSelector:
                 continue
             sibling_util = total_util - taskset.utilization
             try:
-                result = select_interface(taskset, sibling_util, self.config)
+                result = select_interface(taskset, sibling_util, ctx=self.ctx)
                 outputs.append(SelectedServer(port, result.interface, True))
             except InfeasibleError:
                 fallback_period = max(taskset.min_period // 2, 1)

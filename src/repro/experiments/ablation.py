@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.analysis.interface_selection import SelectionConfig
+from repro.analysis.context import AnalysisContext, SelectionConfig
 from repro.analysis.prm import ResourceInterface
 from repro.clients.traffic_generator import TrafficGenerator
 from repro.core.interconnect import BlueScaleInterconnect
@@ -90,9 +90,14 @@ def build_variant(
     tasksets: dict[int, TaskSet],
     buffer_capacity: int = 2,
     selection_candidates: int = 64,
-    analysis_backend: str | None = None,
+    *,
+    ctx: AnalysisContext | None = None,
 ) -> BlueScaleInterconnect:
-    """Build BlueScale with one design choice ablated."""
+    """Build BlueScale with one design choice ablated.
+
+    The composition runs under ``ctx``'s backend and cache with a
+    ``selection_candidates``-period search.
+    """
     if variant not in VARIANTS:
         raise ConfigurationError(
             f"unknown variant {variant!r}; expected one of {VARIANTS}"
@@ -101,14 +106,16 @@ def build_variant(
     interconnect = BlueScaleInterconnect(
         n_clients, buffer_capacity=buffer_capacity, fanout=fanout
     )
-    config = SelectionConfig(max_period_candidates=selection_candidates)
     if variant == "naive_interfaces":
         # Equal quarter-bandwidth servers everywhere: (Pi=4, Theta=1).
         for element in interconnect.elements.values():
             for port in range(element.fanout):
                 element.program_port(port, ResourceInterface(4, 1), now=0)
     else:
-        interconnect.configure(tasksets, config, backend=analysis_backend)
+        search = SelectionConfig(max_period_candidates=selection_candidates)
+        interconnect.configure(
+            tasksets, ctx=replace(ctx or AnalysisContext(), config=search)
+        )
     if variant == "round_robin":
         for element in interconnect.elements.values():
             element.scheduler = RoundRobinLocalScheduler(element.interfaces())
@@ -169,7 +176,7 @@ def run_ablation_trial(spec: TrialSpec) -> MetricSet:
         variant,
         n_clients,
         tasksets,
-        analysis_backend=spec.engine.analysis_backend,
+        ctx=AnalysisContext(backend=spec.engine.analysis_backend),
     )
     clients = traffic_generators(spec, tasksets)
     result = SoCSimulation(clients, interconnect).run(

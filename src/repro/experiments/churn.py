@@ -7,7 +7,7 @@ running the same SoC:
 
 * ``BlueScale`` — the paper's answer: every transition runs through an
   :class:`~repro.analysis.session.AdmissionSession` (O(log n)
-  path-local re-selection over the shared
+  path-local re-selection over the trial model's own
   :class:`~repro.analysis.cache.AnalysisCache`), and only the SE ports
   whose (Π, Θ) interface actually changed are reprogrammed, at the
   event cycle.  Each committed transition emits a
@@ -47,8 +47,7 @@ import random
 import statistics
 from dataclasses import dataclass, field
 
-from repro.analysis.cache import AnalysisCache
-from repro.analysis.interface_selection import SelectionConfig
+from repro.analysis.context import SelectionConfig
 from repro.analysis.model import SystemModel
 from repro.core.interconnect import BlueScaleInterconnect
 from repro.errors import ConfigurationError
@@ -244,6 +243,7 @@ class _BlueScaleGate:
                 old_tasksets,
                 old_composition,
                 decision.composition,
+                ctx=session.context,
             )
         )
         return True
@@ -302,7 +302,6 @@ def run_churn_trial(spec: TrialSpec) -> MetricSet:
                     max_period_candidates=config.factory.selection_candidates
                 ),
                 backend=spec.engine.analysis_backend,
-                cache=AnalysisCache(),
                 label=f"churn trial {spec.index}",
             )
             interconnect.configure_from_model(model)

@@ -26,6 +26,7 @@ import random
 import statistics
 from dataclasses import dataclass
 
+from repro.analysis.context import AnalysisContext
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
     DEFAULT_FACTORY_CONFIG,
@@ -136,7 +137,7 @@ def run_dram_trial(spec: TrialSpec) -> MetricSet:
         n_clients,
         tasksets,
         spec.param("factory"),
-        analysis_backend=spec.engine.analysis_backend,
+        ctx=AnalysisContext(backend=spec.engine.analysis_backend),
     )
     clients = traffic_generators(spec, tasksets)
     result = SoCSimulation(clients, interconnect, controller=controller).run(

@@ -16,10 +16,10 @@ isolation/churn companions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.analysis.interface_selection import SelectionConfig
+from repro.analysis.context import AnalysisContext, SelectionConfig
 from repro.clients.traffic_generator import TrafficGenerator
 from repro.core.interconnect import BlueScaleInterconnect
 from repro.errors import ConfigurationError
@@ -104,25 +104,29 @@ def build_interconnect(
     name: str,
     n_clients: int,
     tasksets: dict[int, TaskSet],
-    config: FactoryConfig = DEFAULT_FACTORY_CONFIG,
-    analysis_backend: str | None = None,
+    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG,
+    *,
+    ctx: AnalysisContext | None = None,
 ) -> Interconnect:
-    """Build and configure one of the paper's six interconnects
-    (``analysis_backend``: BlueScale's composition engine; trial
-    runners pass ``spec.engine.analysis_backend``)."""
+    """Build and configure one of the paper's six interconnects.
+
+    BlueScale is composed under ``ctx``'s backend and cache (a trial
+    runner passes the context it built from ``spec.engine``) with the
+    factory's own search config, ``factory.selection_candidates``.
+    """
     if name == "AXI-IC^RT":
         interconnect = AxiIcRtInterconnect(
-            n_clients, arbitration_interval=config.axi_arbitration_interval
+            n_clients, arbitration_interval=factory.axi_arbitration_interval
         )
         budgets = axi_budgets(
-            n_clients, tasksets, config.axi_window, config.axi_margin
+            n_clients, tasksets, factory.axi_window, factory.axi_margin
         )
-        interconnect.configure_regulation(budgets, config.axi_window)
+        interconnect.configure_regulation(budgets, factory.axi_window)
         return interconnect
     if name == "BlueTree":
-        return BlueTreeInterconnect(n_clients, alpha=config.bluetree_alpha)
+        return BlueTreeInterconnect(n_clients, alpha=factory.bluetree_alpha)
     if name == "BlueTree-Smooth":
-        return BlueTreeSmoothInterconnect(n_clients, alpha=config.bluetree_alpha)
+        return BlueTreeSmoothInterconnect(n_clients, alpha=factory.bluetree_alpha)
     if name == "GSMTree-TDM":
         return gsmtree_tdm(n_clients)
     if name == "GSMTree-FBSP":
@@ -131,12 +135,13 @@ def build_interconnect(
         )
     if name == "BlueScale":
         interconnect = BlueScaleInterconnect(
-            n_clients, buffer_capacity=config.bluescale_buffer_capacity
+            n_clients, buffer_capacity=factory.bluescale_buffer_capacity
+        )
+        search = SelectionConfig(
+            max_period_candidates=factory.selection_candidates
         )
         interconnect.configure(
-            tasksets,
-            SelectionConfig(max_period_candidates=config.selection_candidates),
-            backend=analysis_backend,
+            tasksets, ctx=replace(ctx or AnalysisContext(), config=search)
         )
         return interconnect
     raise ConfigurationError(

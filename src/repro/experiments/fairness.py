@@ -18,6 +18,7 @@ import statistics
 from collections import defaultdict
 from dataclasses import dataclass
 
+from repro.analysis.context import AnalysisContext
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
     DEFAULT_FACTORY_CONFIG,
@@ -102,7 +103,7 @@ def run_fairness_trial(spec: TrialSpec) -> MetricSet:
         n_clients,
         tasksets,
         spec.param("factory"),
-        analysis_backend=spec.engine.analysis_backend,
+        ctx=AnalysisContext(backend=spec.engine.analysis_backend),
     )
     clients = traffic_generators(spec, tasksets)
     SoCSimulation(clients, interconnect).run(horizon, drain=6_000)

@@ -24,6 +24,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.analysis.context import AnalysisContext
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
     DEFAULT_FACTORY_CONFIG,
@@ -191,11 +192,11 @@ def fig6_build(spec: TrialSpec):
     config: Fig6Config = spec.param("config")
     interconnects: tuple[str, ...] = spec.param("interconnects")
     tasksets = draw_tasksets(random.Random(spec.seed), config)
-    analysis_backend = spec.engine.analysis_backend
+    ctx = AnalysisContext(backend=spec.engine.analysis_backend)
     pairs: list[tuple[str, SoCSimulation]] = []
     for name in interconnects:
         interconnect = build_interconnect(
-            name, config.n_clients, tasksets, config.factory, analysis_backend
+            name, config.n_clients, tasksets, config.factory, ctx=ctx
         )
         clients = traffic_generators(spec, tasksets)
         pairs.append(

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.analysis.context import AnalysisContext
 from repro.clients.accelerator import AcceleratorClient
 from repro.clients.processor import ProcessorClient
 from repro.errors import ConfigurationError
@@ -205,7 +206,7 @@ def fig7_build(spec: TrialSpec):
     combined[accelerator_id] = accelerator_tasks.merged_with(
         interference.get(accelerator_id, TaskSet())
     )
-    analysis_backend = spec.engine.analysis_backend
+    ctx = AnalysisContext(backend=spec.engine.analysis_backend)
     scalars: dict[str, float] = {}
     if config.analysis:
         from repro.analysis.model import SystemModel
@@ -214,7 +215,7 @@ def fig7_build(spec: TrialSpec):
         model = SystemModel.build(
             quadtree(config.n_clients),
             combined,
-            backend=analysis_backend,
+            backend=ctx.backend,
         )
         scalars["analysis/schedulable"] = 1.0 if model.schedulable else 0.0
         scalars["analysis/root_bandwidth"] = float(
@@ -223,7 +224,7 @@ def fig7_build(spec: TrialSpec):
     pairs: list[tuple[str, SoCSimulation]] = []
     for name in interconnects:
         interconnect = build_interconnect(
-            name, config.n_clients, combined, config.factory, analysis_backend
+            name, config.n_clients, combined, config.factory, ctx=ctx
         )
         clients: list = [
             ProcessorClient(

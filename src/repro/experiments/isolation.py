@@ -38,6 +38,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.analysis.context import AnalysisContext
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
     DEFAULT_FACTORY_CONFIG,
@@ -144,9 +145,10 @@ def _isolation_build(spec: TrialSpec):
     """Build one workload draw's (baseline, faulted) pair per design.
 
     Returns :func:`simulate_specs`' ``(state, sims, horizon, drain)``;
-    the state is ``(tasksets, entries)`` with ``entries`` a list of
-    ``(name, base_sim, fault_sim)`` triples, and ``sims`` flattens them
-    to ``[base, fault, base, fault, …]``.  The taskset draw comes
+    the state is ``(tasksets, ctx, entries)`` — ``ctx`` the trial's one
+    analysis context, ``entries`` a list of ``(name, base_sim,
+    fault_sim)`` triples — and ``sims`` flattens them to ``[base,
+    fault, base, fault, …]``.  The taskset draw comes
     from the trial RNG, and each client's private stream is re-derived
     identically for every simulation, so all designs — and the baseline
     and faulted run of each — see the same declared workload.
@@ -155,11 +157,11 @@ def _isolation_build(spec: TrialSpec):
     interconnects: tuple[str, ...] = spec.param("interconnects")
     tasksets = draw_tasksets(random.Random(spec.seed), config)
     plan = config.fault_plan()
-    analysis_backend = spec.engine.analysis_backend
+    ctx = AnalysisContext(backend=spec.engine.analysis_backend)
 
     def build(name: str, faults: FaultPlan | None) -> SoCSimulation:
         interconnect = build_interconnect(
-            name, config.n_clients, tasksets, config.factory, analysis_backend
+            name, config.n_clients, tasksets, config.factory, ctx=ctx
         )
         clients = traffic_generators(spec, tasksets)
         return SoCSimulation(
@@ -171,7 +173,7 @@ def _isolation_build(spec: TrialSpec):
         for name in interconnects
     ]
     sims = [sim for _, base, fault in entries for sim in (base, fault)]
-    return (tasksets, entries), sims, config.horizon, config.drain
+    return (tasksets, ctx, entries), sims, config.horizon, config.drain
 
 
 def _isolation_fold(
@@ -180,7 +182,7 @@ def _isolation_fold(
     results,  # noqa: ANN001 - [base, fault] per entry, flattened
 ) -> MetricSet:
     """Fold one trial's per-design result pairs into its metric set."""
-    tasksets, entries = state
+    tasksets, ctx, entries = state
     config: IsolationConfig = spec.param("config")
     victims = set(range(config.n_clients)) - {config.aggressor}
     scalars: dict[str, float] = {}
@@ -218,6 +220,7 @@ def _isolation_fold(
                 composition,
                 end_cycle=config.horizon,
                 victims=victims,
+                ctx=ctx,
             )
             scalars[f"{name}/bounds_checked"] = float(verdict.bounds_checked)
             scalars[f"{name}/bound_violations"] = float(

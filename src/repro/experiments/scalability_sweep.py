@@ -14,6 +14,7 @@ import random
 import statistics
 from dataclasses import dataclass, field
 
+from repro.analysis.context import AnalysisContext
 from repro.analysis.model import SystemModel
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
@@ -113,7 +114,7 @@ def _scalability_build(spec: TrialSpec):
         n_clients,
         tasksets,
         spec.param("factory"),
-        analysis_backend=spec.engine.analysis_backend,
+        ctx=AnalysisContext(backend=spec.engine.analysis_backend),
     )
     clients = traffic_generators(spec, tasksets)
     sims = [SoCSimulation(clients, interconnect)]

@@ -21,9 +21,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from repro.analysis.cache import AnalysisCache
 from repro.analysis.composition import compose
-from repro.analysis.interface_selection import SelectionConfig
+from repro.analysis.context import SelectionConfig
 from repro.analysis.model import SystemModel
 from repro.experiments.factory import axi_budgets
 from repro.tasks.generators import generate_client_tasksets
@@ -71,7 +70,6 @@ def measure_update_cost(
         tasksets,
         config=config,
         backend=analysis_backend,
-        cache=AnalysisCache(),
         label=f"update/{seed}",
     )
     baseline = model.baseline

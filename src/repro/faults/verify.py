@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.context import AnalysisContext
 from repro.analysis.response_time import holistic_response_bounds
 from repro.errors import InfeasibleError
 
@@ -115,6 +116,8 @@ def verify_isolation(
     composition,  # noqa: ANN001 - CompositionResult
     end_cycle: int,
     victims: set[int],
+    *,
+    ctx: AnalysisContext | None = None,
 ) -> IsolationVerdict:
     """Check every victim task's observed behaviour against its bound.
 
@@ -124,10 +127,11 @@ def verify_isolation(
     sit unfinished for reasons the analysis does not model).  A job is
     only accused of "never finishing" when the analysis says it had
     time to (``release + bound <= end_cycle``), so truncation at the
-    end of a trial cannot fabricate violations.
+    end of a trial cannot fabricate violations.  The bounds run under
+    ``ctx``, the trial's analysis context.
     """
     try:
-        bounds = holistic_response_bounds(client_tasksets, composition)
+        bounds = holistic_response_bounds(client_tasksets, composition, ctx=ctx)
     except InfeasibleError:
         return IsolationVerdict(bounds_checked=False)
     violations: list[BoundViolation] = []

@@ -26,17 +26,18 @@ class EngineConfig:
 
     #: one of :data:`repro.sim.backend.SIM_BACKENDS`
     sim_backend: str = "batched"
-    #: one of :data:`repro.analysis.engine.BACKENDS`
+    #: one of :data:`repro.analysis.context.BACKENDS`; each trial
+    #: runner builds its one ``AnalysisContext`` from it
     analysis_backend: str = "vectorized"
 
     def __post_init__(self) -> None:
         # imported here: repro.sim's package import reaches repro.soc,
         # which imports repro.runtime.seeding (via the fault plans)
-        from repro.analysis.engine import resolve_backend
+        from repro.analysis.context import AnalysisContext
         from repro.sim.backend import resolve_sim_backend
 
         resolve_sim_backend(self.sim_backend)
-        resolve_backend(self.analysis_backend)
+        AnalysisContext(backend=self.analysis_backend)
 
     def override(
         self,

@@ -91,6 +91,7 @@ def replay_plan(
                 old_tasksets,
                 old_composition,
                 decision.composition,
+                ctx=session.context,
             )
         replayed.append(
             ReplayedEvent(

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.composition import CompositionResult
+from repro.analysis.context import AnalysisContext
 from repro.analysis.response_time import holistic_response_bounds
 from repro.errors import InfeasibleError
 from repro.scenarios.plan import ScenarioEvent, ScenarioKind
@@ -120,6 +121,8 @@ def compute_transient_bound(
     old_tasksets: dict[int, TaskSet],
     old_composition: CompositionResult,
     new_composition: CompositionResult,
+    *,
+    ctx: AnalysisContext | None = None,
 ) -> TransientBound:
     """Bound the drain window of one admitted transition.
 
@@ -130,14 +133,17 @@ def compute_transient_bound(
     provably back in steady state.  If the old composition admits no
     finite bound (it can happen right at the schedulability edge), the
     maximum old deadline is the conservative fallback and the bound is
-    marked non-analytic.
+    marked non-analytic.  The bounds run under ``ctx`` (callers pass
+    their admission session's context).
     """
     populated = {c: ts for c, ts in old_tasksets.items() if len(ts) > 0}
     window = 0
     analytic = True
     if populated:
         try:
-            bounds = holistic_response_bounds(populated, old_composition)
+            bounds = holistic_response_bounds(
+                populated, old_composition, ctx=ctx
+            )
             window = max(
                 bounds[client].bound_for(task.name)
                 for client, taskset in populated.items()

@@ -1,6 +1,7 @@
 """Simulator backend switch: scalar reference engine vs batched SoA.
 
-Mirrors the analysis backend switch (:mod:`repro.analysis.engine`):
+The simulator's counterpart of the analysis backends
+(:data:`repro.analysis.context.BACKENDS`):
 
 * ``"scalar"`` — one :class:`~repro.soc.SoCSimulation` at a time on the
   cycle/quiescence engine.  Kept as the reference oracle.

@@ -126,17 +126,6 @@ class TreeTopology:
         """Number of tree nodes between a client and the memory subsystem."""
         return len(self.path_to_root(client_id))
 
-    def system_model(self, client_tasksets, **kwargs):
-        """Freeze this topology plus a workload into a
-        :class:`~repro.analysis.model.SystemModel` (composed once,
-        ready for :class:`~repro.analysis.session.AdmissionSession`
-        admission queries).  Keyword arguments are forwarded to
-        :meth:`SystemModel.build <repro.analysis.model.SystemModel.build>`.
-        """
-        from repro.analysis.model import SystemModel
-
-        return SystemModel.build(self, client_tasksets, **kwargs)
-
     def _check_client(self, client_id: int) -> None:
         if not 0 <= client_id < self.n_clients:
             raise ConfigurationError(

@@ -3,7 +3,6 @@ semantics, the DISABLED sentinel, and concurrent-hammer integrity."""
 
 import pickle
 import threading
-from fractions import Fraction
 
 from repro.analysis.cache import (
     DISABLED,
@@ -16,10 +15,9 @@ from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
 
 
-def _selection_key(cache: AnalysisCache, i: int) -> tuple:
-    return cache.selection_key(
-        ((100 + i, 1),), Fraction(i, 7), (64, 1), "vectorized"
-    )
+def _selection_key(i: int) -> tuple:
+    """A distinct opaque key per ``i``, shaped like a selection key."""
+    return (((100 + i, 1),), i, 7, (64, 1), "vectorized")
 
 
 class TestKeys:
@@ -54,17 +52,17 @@ class TestFifoEviction:
     def test_selection_table_bounded_fifo(self):
         cache = AnalysisCache(max_selections=4, max_grids=4)
         for i in range(10):
-            cache.put_selection(_selection_key(cache, i), f"sel{i}")
+            cache.put_selection(_selection_key(i), f"sel{i}")
         assert len(cache) == 4
         # the four newest insertions survive, the oldest six are gone
-        assert cache.get_selection(_selection_key(cache, 9)) == "sel9"
-        assert cache.get_selection(_selection_key(cache, 6)) == "sel6"
-        assert cache.get_selection(_selection_key(cache, 5)) is None
+        assert cache.get_selection(_selection_key(9)) == "sel9"
+        assert cache.get_selection(_selection_key(6)) == "sel6"
+        assert cache.get_selection(_selection_key(5)) is None
 
     def test_interleaved_selection_and_grid_inserts_bound_each_table(self):
         cache = AnalysisCache(max_selections=3, max_grids=2)
         for i in range(8):
-            cache.put_selection(_selection_key(cache, i), f"sel{i}")
+            cache.put_selection(_selection_key(i), f"sel{i}")
             cache.put_grid(((200 + i, 1),), f"grid{i}")
         # bounds are per table, not shared
         assert len(cache) == 3 + 2
@@ -73,8 +71,8 @@ class TestFifoEviction:
 
     def test_reinserting_existing_key_at_capacity_evicts_nothing(self):
         cache = AnalysisCache(max_selections=2, max_grids=2)
-        first = _selection_key(cache, 0)
-        second = _selection_key(cache, 1)
+        first = _selection_key(0)
+        second = _selection_key(1)
         cache.put_selection(first, "a")
         cache.put_selection(second, "b")
         cache.put_selection(first, "a2")  # overwrite, table already full
@@ -85,7 +83,7 @@ class TestFifoEviction:
 class TestStats:
     def test_stats_survive_clear(self):
         cache = AnalysisCache()
-        key = _selection_key(cache, 1)
+        key = _selection_key(1)
         cache.get_selection(key)  # miss
         cache.put_selection(key, "sel")
         cache.get_selection(key)  # hit
@@ -121,7 +119,7 @@ class TestStats:
 
 class TestDisabled:
     def test_disabled_never_stores(self):
-        key = _selection_key(DISABLED, 0)
+        key = _selection_key(0)
         DISABLED.put_selection(key, "sel")
         DISABLED.put_grid(((100, 1),), "grid")
         assert len(DISABLED) == 0
@@ -130,7 +128,7 @@ class TestDisabled:
 
     def test_disabled_instance_never_counts(self):
         cache = AnalysisCache(enabled=False)
-        cache.get_selection(_selection_key(cache, 0))
+        cache.get_selection(_selection_key(0))
         cache.get_grid(((100, 1),))
         assert cache.stats.lookups == 0
 
@@ -146,7 +144,7 @@ class TestConcurrency:
         def hammer(tid: int) -> None:
             barrier.wait()
             for i in range(per_thread):
-                key = _selection_key(cache, (tid * per_thread + i) % 40)
+                key = _selection_key((tid * per_thread + i) % 40)
                 if cache.get_selection(key) is None:
                     cache.put_selection(key, f"{tid}/{i}")
                 gkey = ((100 + (i % 10), 1),)
@@ -177,7 +175,7 @@ class TestConcurrency:
 class TestPickling:
     def test_round_trip_recreates_lock_and_contents(self):
         cache = AnalysisCache(max_selections=4)
-        key = _selection_key(cache, 0)
+        key = _selection_key(0)
         cache.put_selection(key, "sel")
         cache.get_selection(key)
         clone = pickle.loads(pickle.dumps(cache))

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.analysis import AnalysisCache, compose
+from repro.analysis import AnalysisCache, AnalysisContext, compose
 from repro.analysis.cache import DISABLED
 
 from .golden_utils import (
@@ -33,7 +33,11 @@ def golden():
 class TestGoldenInterfaces:
     def test_scalar_backend_matches_fixture(self, golden, n_clients):
         topology, tasksets = golden_system(n_clients)
-        result = compose(topology, tasksets, backend="scalar", cache=DISABLED)
+        result = compose(
+            topology,
+            tasksets,
+            ctx=AnalysisContext(backend="scalar", cache=DISABLED),
+        )
         assert composition_snapshot(result) == golden[str(n_clients)]
 
     def test_vectorized_backend_matches_fixture(self, golden, n_clients):
@@ -41,7 +45,9 @@ class TestGoldenInterfaces:
         cache = AnalysisCache()
         for _ in ("cold", "cache-warm"):
             result = compose(
-                topology, tasksets, backend="vectorized", cache=cache
+                topology,
+                tasksets,
+                ctx=AnalysisContext(backend="vectorized", cache=cache),
             )
             assert composition_snapshot(result) == golden[str(n_clients)]
         assert cache.stats.selection_hits > 0

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.context import AnalysisContext, SelectionConfig
 from repro.analysis.interface_selection import (
-    SelectionConfig,
     brute_force_minimum_bandwidth,
     minimal_budget_for_period,
     select_interface,
@@ -19,6 +19,13 @@ from repro.analysis.schedulability import is_schedulable
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
+
+
+def _searching(candidates: int) -> AnalysisContext:
+    """The default context with a ``candidates``-period search."""
+    return AnalysisContext(
+        config=SelectionConfig(max_period_candidates=candidates)
+    )
 
 
 class TestTheorem2:
@@ -116,7 +123,7 @@ class TestSelectInterface:
             wcet = rng.randint(1, period // 3)
             taskset = TaskSet([PeriodicTask(period=period, wcet=wcet)])
             chosen = select_interface(
-                taskset, Fraction(0), SelectionConfig(max_period_candidates=0)
+                taskset, Fraction(0), ctx=_searching(0)
             ).interface
             brute = brute_force_minimum_bandwidth(taskset, period)
             assert brute is not None
@@ -136,10 +143,10 @@ class TestSelectInterface:
             [PeriodicTask(period=400, wcet=9), PeriodicTask(period=1000, wcet=30)]
         )
         exhaustive = select_interface(
-            taskset, Fraction(1, 4), SelectionConfig(max_period_candidates=0)
+            taskset, Fraction(1, 4), ctx=_searching(0)
         )
         sampled = select_interface(
-            taskset, Fraction(1, 4), SelectionConfig(max_period_candidates=32)
+            taskset, Fraction(1, 4), ctx=_searching(32)
         )
         assert sampled.interface.bandwidth <= exhaustive.interface.bandwidth * Fraction(
             11, 10

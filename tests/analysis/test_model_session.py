@@ -10,7 +10,8 @@ import threading
 import pytest
 
 from repro.analysis import AdmissionSession, SystemModel, compose
-from repro.analysis.cache import AnalysisCache
+from repro.analysis.cache import AnalysisCache, get_default_cache
+from repro.analysis.context import AnalysisContext
 from repro.analysis.composition import default_deadline_margin
 from repro.analysis.sensitivity import can_admit
 from repro.errors import ConfigurationError
@@ -49,6 +50,19 @@ class TestSystemModel:
         # mutating the caller's dict afterwards cannot reach the model
         tasksets[0] = TaskSet([PeriodicTask(period=10, wcet=10)])
         assert len(model.client_tasksets[0]) == 2
+
+    def test_a_model_owns_its_memo_tables(self):
+        """``build`` and ``from_seed`` share one rule: no cache given
+        means a fresh one, never the process-wide cache — and a given
+        cache is used as is."""
+        topology = quadtree(8)
+        tasksets = generate_client_tasksets(random.Random("own"), 8, 2, 0.3)
+        built = SystemModel.build(topology, tasksets)
+        assert built.cache is not get_default_cache()
+        assert _model(n_clients=8).cache is not get_default_cache()
+        assert SystemModel.build(topology, tasksets).cache is not built.cache
+        shared = AnalysisCache()
+        assert SystemModel.build(topology, tasksets, cache=shared).cache is shared
 
     def test_default_margin_matches_composition_default(self):
         model = _model()
@@ -92,7 +106,7 @@ class TestAdmissionSession:
                 dict(model.client_tasksets),
                 3,
                 task,
-                cache=AnalysisCache(),
+                ctx=AnalysisContext(cache=AnalysisCache()),
             )
             decision = session.probe(3, task)
             assert decision.admitted == expected_ok

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.analysis.cache import AnalysisCache
+from repro.analysis.context import AnalysisContext
 from repro.analysis.composition import compose
 from repro.analysis.sensitivity import (
     breakdown_scale,
@@ -168,16 +169,16 @@ class TestBreakdownCacheReuse:
             topology,
             tasksets,
             precision=0.05,
-            backend=backend,
-            cache=AnalysisCache(enabled=False),
+            ctx=AnalysisContext(
+                backend=backend, cache=AnalysisCache(enabled=False)
+            ),
         )
         cache = AnalysisCache()
         warm = breakdown_scale(
             topology,
             tasksets,
             precision=0.05,
-            backend=backend,
-            cache=cache,
+            ctx=AnalysisContext(backend=backend, cache=cache),
         )
         assert warm.scale == cold.scale
         assert warm.composition.interfaces == cold.composition.interfaces
@@ -193,11 +194,11 @@ class TestBreakdownCacheReuse:
             topology,
             tasksets,
             precision=0.1,
-            cache=AnalysisCache(enabled=False),
+            ctx=AnalysisContext(cache=AnalysisCache(enabled=False)),
         )
         cache = AnalysisCache()
         warm = breakdown_utilization(
-            topology, tasksets, precision=0.1, cache=cache
+            topology, tasksets, precision=0.1, ctx=AnalysisContext(cache=cache)
         )
         assert warm == cold
         assert cache.stats.selection_hits > 0

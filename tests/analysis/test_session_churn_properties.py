@@ -85,9 +85,7 @@ class TestSessionPathIndependence:
             m.topology,
             populated,
             deadline_margin=m.deadline_margin,
-            ctx=AnalysisContext.resolve(
-                None, AnalysisCache(), m.context.config
-            ),
+            ctx=AnalysisContext(cache=AnalysisCache(), config=m.context.config),
         )
         incremental = session.composition
         for client in populated:

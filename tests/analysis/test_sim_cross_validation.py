@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.analysis import AnalysisCache, compose
+from repro.analysis import AnalysisCache, AnalysisContext, compose
 from repro.analysis.cache import DISABLED
 from repro.analysis.response_time import holistic_response_bounds
 from repro.clients.traffic_generator import TrafficGenerator
@@ -39,9 +39,13 @@ SCENARIOS = [
 
 def _compose_both_backends(topology, tasksets):
     """Compose under both backends; assert they agree; return one."""
-    scalar = compose(topology, tasksets, backend="scalar", cache=DISABLED)
+    scalar = compose(
+        topology, tasksets, ctx=AnalysisContext(backend="scalar", cache=DISABLED)
+    )
     vectorized = compose(
-        topology, tasksets, backend="vectorized", cache=AnalysisCache()
+        topology,
+        tasksets,
+        ctx=AnalysisContext(backend="vectorized", cache=AnalysisCache()),
     )
     assert vectorized.interfaces == scalar.interfaces
     assert vectorized.schedulable == scalar.schedulable

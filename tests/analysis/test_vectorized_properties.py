@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     AnalysisCache,
+    AnalysisContext,
     is_schedulable,
     select_interface,
     taskset_key,
@@ -37,6 +38,13 @@ from repro.analysis.vectorized import (
 )
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
+
+#: the scalar oracle, never memoized
+SCALAR = AnalysisContext(backend="scalar", cache=DISABLED)
+
+
+def vectorized(cache: AnalysisCache) -> AnalysisContext:
+    return AnalysisContext(backend="vectorized", cache=cache)
 
 
 def random_taskset(seed: int, max_tasks: int = 6, max_period: int = 400):
@@ -133,11 +141,11 @@ class TestBackendEquality:
     def test_is_schedulable_full_result_equal(self, seed):
         taskset = random_taskset(seed)
         interface = random_interface(seed)
-        scalar = is_schedulable(taskset, interface, backend="scalar")
-        vectorized = is_schedulable(
-            taskset, interface, backend="vectorized", cache=AnalysisCache()
+        scalar = is_schedulable(taskset, interface, ctx=SCALAR)
+        batched = is_schedulable(
+            taskset, interface, ctx=vectorized(AnalysisCache())
         )
-        assert scalar == vectorized  # witnesses and test bound included
+        assert scalar == batched  # witnesses and test bound included
 
     @given(
         seed=st.integers(0, 50_000),
@@ -148,15 +156,13 @@ class TestBackendEquality:
     @settings(max_examples=40, deadline=None)
     def test_select_interface_equal(self, seed, sibling):
         taskset = random_taskset(seed, max_tasks=4, max_period=300)
-        def run(backend, cache):
+        def run(ctx):
             try:
-                return select_interface(
-                    taskset, sibling, backend=backend, cache=cache
-                )
+                return select_interface(taskset, sibling, ctx=ctx)
             except Exception as exc:  # InfeasibleError etc: compare type
                 return type(exc).__name__
 
-        assert run("scalar", DISABLED) == run("vectorized", AnalysisCache())
+        assert run(SCALAR) == run(vectorized(AnalysisCache()))
 
     @given(seed=st.integers(0, 50_000))
     @settings(max_examples=40, deadline=None)
@@ -174,7 +180,7 @@ class TestBackendEquality:
         verdicts = schedulable_many(taskset, interfaces, AnalysisCache())
         for (period, budget), verdict in zip(interfaces, verdicts):
             expected = is_schedulable(
-                taskset, ResourceInterface(period, budget), backend="scalar"
+                taskset, ResourceInterface(period, budget), ctx=SCALAR
             ).schedulable
             assert verdict == expected
 
@@ -191,9 +197,9 @@ class TestFallbackPaths:
         for seed in range(300):
             taskset = random_taskset(seed, max_tasks=3, max_period=60)
             interface = random_interface(seed, max_period=50)
-            scalar = is_schedulable(taskset, interface, backend="scalar")
+            scalar = is_schedulable(taskset, interface, ctx=SCALAR)
             lazy = is_schedulable(
-                taskset, interface, backend="vectorized", cache=AnalysisCache()
+                taskset, interface, ctx=vectorized(AnalysisCache())
             )
             assert scalar == lazy
 
@@ -205,11 +211,9 @@ class TestFallbackPaths:
             taskset = random_taskset(seed, max_tasks=3, max_period=120)
             if taskset.utilization >= 1:
                 continue
-            scalar = select_interface(
-                taskset, backend="scalar", cache=DISABLED
-            )
+            scalar = select_interface(taskset, ctx=SCALAR)
             chunked = select_interface(
-                taskset, backend="vectorized", cache=AnalysisCache()
+                taskset, ctx=vectorized(AnalysisCache())
             )
             assert chunked == scalar
 
@@ -228,15 +232,11 @@ class TestCacheTransparency:
             return
         cache = AnalysisCache()
         try:
-            cold = select_interface(
-                taskset, sibling, backend="vectorized", cache=cache
-            )
+            cold = select_interface(taskset, sibling, ctx=vectorized(cache))
         except Exception:
             return  # infeasible draws carry nothing to memoize
         hits_before = cache.stats.selection_hits
-        warm = select_interface(
-            taskset, sibling, backend="vectorized", cache=cache
-        )
+        warm = select_interface(taskset, sibling, ctx=vectorized(cache))
         assert warm == cold
         assert warm is cold  # the memo returns the stored object itself
         assert cache.stats.selection_hits == hits_before + 1

@@ -43,14 +43,16 @@ class TestTrialSpec:
 
 class TestEngineConfig:
     def test_defaults_are_the_library_defaults(self):
-        """The literals on the dataclass and the constants behind
-        ``backend=None`` library calls are one choice, kept in step."""
-        from repro.analysis.engine import resolve_backend
+        """The literals on the dataclass and the defaults of
+        ``backend=None`` / ``ctx=None`` library calls are one choice,
+        kept in step."""
+        from repro.analysis.context import AnalysisContext
         from repro.sim.backend import resolve_sim_backend
 
         engine = EngineConfig()
         assert engine.sim_backend == resolve_sim_backend(None) == "batched"
-        assert engine.analysis_backend == resolve_backend(None) == "vectorized"
+        assert engine.analysis_backend == AnalysisContext().backend
+        assert engine.analysis_backend == "vectorized"
         assert TrialSpec.make("e", 0, 1).engine == engine
 
     def test_unknown_backends_rejected_at_construction(self):

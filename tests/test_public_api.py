@@ -68,9 +68,11 @@ class TestTopLevelExports:
     def test_retired_names_stay_out_of_all(self):
         """The BlueScale-only hook timeline (superseded by the span
         tracer in ``repro.observability``), the uncalled ``spawn_rng``,
-        the multi-memory extension and the optional-contract protocol
-        (every engine component now implements quiescence) are gone
-        from the public surface."""
+        the multi-memory extension, the optional-contract protocol
+        (every engine component now implements quiescence) and the
+        analysis knobs one ``AnalysisContext`` replaced are gone from
+        the public surface."""
+        import repro.analysis
         import repro.core
         import repro.runtime
         import repro.sim
@@ -90,6 +92,61 @@ class TestTopLevelExports:
             "run_multi_memory_trial",
         ):
             assert name not in repro.core.__all__
+        for name in ("set_default_cache", "resolve_cache", "resolve_backend"):
+            assert name not in repro.analysis.__all__
+            assert not hasattr(repro.analysis, name)
+
+    def test_analysis_runs_under_one_ctx(self):
+        """How an analysis runs is one value, ``ctx=`` (an
+        ``AnalysisContext``): no public analysis function or BlueScale
+        configure path takes a backend, cache or config of its own.
+        Only the holders that own a context build it from keywords —
+        and the context itself."""
+        import importlib
+        import inspect
+        import pkgutil
+
+        import repro.analysis
+        from repro.core.interconnect import BlueScaleInterconnect
+        from repro.experiments.factory import build_interconnect
+
+        forbidden = {"backend", "cache", "config", "analysis_backend"}
+        exempt = {
+            "SystemModel.build",
+            "SystemModel.from_seed",
+            "AdmissionSession.__init__",
+            "AnalysisContext.__init__",
+        }
+        subjects = {"build_interconnect": build_interconnect}
+        for name in ("configure", "reprogram_client", "configure_distributed"):
+            subjects[f"BlueScaleInterconnect.{name}"] = getattr(
+                BlueScaleInterconnect, name
+            )
+        for info in pkgutil.iter_modules(repro.analysis.__path__):
+            module = importlib.import_module(f"repro.analysis.{info.name}")
+            for name, obj in vars(module).items():
+                if name.startswith("_") or (
+                    getattr(obj, "__module__", None) != module.__name__
+                ):
+                    continue
+                if inspect.isfunction(obj):
+                    subjects[name] = obj
+                elif inspect.isclass(obj):
+                    for attr, member in vars(obj).items():
+                        member = getattr(member, "__func__", member)
+                        if inspect.isfunction(member) and (
+                            attr == "__init__" or not attr.startswith("_")
+                        ):
+                            subjects[f"{name}.{attr}"] = member
+        assert exempt <= set(subjects)
+        offenders = sorted(
+            f"{qualname}({param})"
+            for qualname, func in subjects.items()
+            if qualname not in exempt
+            for param in inspect.signature(func).parameters
+            if param in forbidden
+        )
+        assert offenders == []
 
     def test_readme_quickstart_snippet_runs(self):
         """The code block in README.md works as written."""
