@@ -5,6 +5,7 @@ One entry point for all golden-baseline families::
     PYTHONPATH=src python scripts/regen_golden.py traces
     PYTHONPATH=src python scripts/regen_golden.py interfaces
     PYTHONPATH=src python scripts/regen_golden.py campaign
+    PYTHONPATH=src python scripts/regen_golden.py paper
     PYTHONPATH=src python scripts/regen_golden.py all
 
 Families:
@@ -20,6 +21,11 @@ Families:
 * ``campaign`` — ``tests/fixtures/golden_campaign.json``: the golden
   baseline of the committed CI campaign spec (``campaigns/ci.json``),
   diffed in CI by ``repro campaign diff``.
+* ``paper`` — ``tests/fixtures/golden_paper.json``: the per-trial,
+  per-design inputs of the paper's simulation-backed claims (Figs. 6–7,
+  the ablations, DRAM sensitivity, the scalability sweep), which
+  ``tests/experiments/test_paper_claims.py`` reduces and checks.  The
+  slowest family: a few minutes of simulation.
 
 ``--check`` regenerates every requested fixture in memory and compares
 it byte-for-byte against the committed file without writing anything;
@@ -141,10 +147,33 @@ def build_campaign() -> dict[Path, str]:
     }
 
 
+def build_paper() -> dict[Path, str]:
+    """The recorded inputs of the paper's simulation-backed claims."""
+    from tests.experiments.test_paper_claims import (
+        GOLDEN_PAPER_PATH,
+        collect_paper,
+    )
+
+    payload = {
+        "comment": (
+            "Per-trial, per-design reducer inputs of the paper's "
+            "simulation-backed claims, with the arguments that produced "
+            "them (see tests/experiments/test_paper_claims.py). "
+            "Regenerate with scripts/regen_golden.py paper."
+        ),
+        "runs": collect_paper(),
+    }
+    return {
+        GOLDEN_PAPER_PATH: json.dumps(payload, indent=2, sort_keys=True)
+        + "\n"
+    }
+
+
 BUILDERS = {
     "traces": build_traces,
     "interfaces": build_interfaces,
     "campaign": build_campaign,
+    "paper": build_paper,
 }
 
 

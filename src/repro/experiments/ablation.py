@@ -293,7 +293,11 @@ def run_ablation(
     """
     executor = executor or SerialExecutor()
     specs = build_ablation_specs(VARIANTS, n_clients, utilization, seeds, horizon)
-    outcomes = executor.map(run_ablation_trial, specs, hooks)
+    return reduce_ablation(executor.map(run_ablation_trial, specs, hooks))
+
+
+def reduce_ablation(outcomes: list[TrialOutcome]) -> dict[str, AblationPoint]:
+    """Group every (variant, seed) outcome by variant and average each."""
     by_variant: dict[str, list[TrialOutcome]] = {v: [] for v in VARIANTS}
     for outcome in outcomes:
         by_variant[outcome.spec.param("variant")].append(outcome)

@@ -108,7 +108,6 @@ class ChurnConfig:
     churner: int = 1
     seed: int = 2026
     factory: FactoryConfig = DEFAULT_FACTORY_CONFIG
-    fast_path: bool = True
 
     def __post_init__(self) -> None:
         if not 0 < self.utilization_low <= self.utilization_high:
@@ -316,7 +315,6 @@ def run_churn_trial(spec: TrialSpec) -> MetricSet:
         sim = SoCSimulation(
             traffic_generators(spec, port_tasksets),
             interconnect,
-            fast_path=config.fast_path,
             scenario=driver,
         )
         result = sim.run(config.horizon, drain=config.drain)

@@ -95,7 +95,6 @@ class IsolationConfig:
     burst_deadline_slack: int = 16
     seed: int = 2022
     factory: FactoryConfig = DEFAULT_FACTORY_CONFIG
-    fast_path: bool = True
 
     def __post_init__(self) -> None:
         if not 0 < self.utilization_low <= self.utilization_high:
@@ -164,9 +163,7 @@ def _isolation_build(spec: TrialSpec):
             name, config.n_clients, tasksets, config.factory, ctx=ctx
         )
         clients = traffic_generators(spec, tasksets)
-        return SoCSimulation(
-            clients, interconnect, fast_path=config.fast_path, faults=faults
-        )
+        return SoCSimulation(clients, interconnect, faults=faults)
 
     entries = [
         (name, build(name, None), build(name, plan))

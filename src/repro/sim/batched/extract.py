@@ -41,6 +41,9 @@ from repro.clients.accelerator import AcceleratorClient
 from repro.clients.processor import ProcessorClient
 from repro.clients.traffic_generator import TrafficGenerator
 from repro.core.interconnect import BlueScaleInterconnect
+from repro.core.local_scheduler import LocalScheduler
+from repro.core.random_access_buffer import RandomAccessBuffer
+from repro.core.scale_element import ScaleElement
 from repro.faults.plan import FaultKind
 from repro.interconnects.axi_icrt import AxiIcRtInterconnect
 from repro.interconnects.bluetree import (
@@ -145,6 +148,19 @@ def _check_interconnect(sim) -> None:
     elif type(ic) is BlueScaleInterconnect:
         _require(ic._occupancy == 0, "interconnect not fresh")
         for element in ic.elements.values():
+            # exact types, as for clients: the kernel hard-codes the
+            # paper's nested EDF over random-access priority buffers,
+            # so a substituted scheduler or buffer (the ablations'
+            # round-robin / FIFO variants) must take the scalar engine
+            _require(
+                type(element) is ScaleElement
+                and type(element.scheduler) is LocalScheduler
+                and all(
+                    type(buffer) is RandomAccessBuffer
+                    for buffer in element.buffers
+                ),
+                "non-default scale-element part",
+            )
             _require(
                 all(buffer.empty for buffer in element.buffers),
                 "interconnect not fresh",

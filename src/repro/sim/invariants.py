@@ -95,28 +95,7 @@ class SbfComplianceMonitor:
         self._states = [_PortServiceState() for _ in element.buffers]
         self._port_forwards = [0] * len(element.buffers)
         self._last_stalls = element.stalled_cycles
-        self._last_total_forwarded = element.forwarded
-        self._port_occupancy = [len(b) for b in element.buffers]
         self.intervals_checked = 0
-
-    def _port_forward_delta(self) -> list[int]:
-        """Infer which port forwarded this cycle from buffer movement.
-
-        A port forwarded iff its occupancy dropped without a fetch from
-        ingress... occupancy alone is ambiguous (accept + forward in the
-        same cycle cancels out), so we track via the buffers'
-        total_loaded counters instead.
-        """
-        deltas = []
-        for port, buffer in enumerate(self.element.buffers):
-            loaded = buffer.total_loaded
-            occupancy = len(buffer)
-            previous_occupancy = self._port_occupancy[port]
-            # forwarded = previous + newly_loaded - current
-            newly_loaded = loaded - self._port_forwards[port]
-            del newly_loaded  # tracked differently below
-            deltas.append((previous_occupancy, occupancy, loaded))
-        return deltas
 
     def check(self, cycle: int) -> None:
         element = self.element

@@ -25,7 +25,6 @@ restores the literal cycle-by-cycle loop for differential testing.
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass, field
 
 from repro.clients.traffic_generator import TrafficGenerator
@@ -35,7 +34,7 @@ from repro.faults.plan import FaultPlan
 from repro.scenarios.driver import ScenarioDriver, make_driver
 from repro.scenarios.plan import ScenarioPlan
 from repro.interconnects.base import Interconnect
-from repro.memory.controller import ArbitrationPolicy, MemoryController
+from repro.memory.controller import MemoryController
 from repro.memory.dram import FixedLatencyDevice
 from repro.memory.request import MemoryRequest, reset_request_ids
 from repro.observability.tracer import (
@@ -389,44 +388,6 @@ class SoCSimulation:
         self.cycles_skipped = 0
         self.leaps = 0
 
-    @classmethod
-    def from_model(
-        cls,
-        model,
-        *,
-        seed: int | str = 1,
-        buffer_capacity: int = 8,
-        **kwargs,
-    ) -> "SoCSimulation":
-        """Bring up a BlueScale trial from a prebuilt
-        :class:`~repro.analysis.model.SystemModel`.
-
-        Builds the quadtree fabric for the model's topology, programs
-        every SE from the model's already-composed baseline (no
-        analysis re-run), and attaches one deterministic
-        :class:`TrafficGenerator` per non-empty baseline client.
-        Remaining keyword arguments are forwarded to the constructor
-        (``fast_path``, ``observability``, ``faults``, ...).
-        """
-        from repro.core.interconnect import BlueScaleInterconnect
-
-        interconnect = BlueScaleInterconnect(
-            model.n_clients,
-            buffer_capacity=buffer_capacity,
-            fanout=model.topology.fanout,
-        )
-        interconnect.configure_from_model(model)
-        clients = [
-            TrafficGenerator(
-                client,
-                taskset,
-                rng=random.Random(f"soc-from-model/{seed}/{client}"),
-            )
-            for client, taskset in sorted(model.client_tasksets.items())
-            if len(taskset) > 0
-        ]
-        return cls(clients, interconnect, **kwargs)
-
     def run(
         self, horizon: int, drain: int | None = None, warmup: int = 0
     ) -> TrialResult:
@@ -570,12 +531,3 @@ class SoCSimulation:
                 self.scenario.counters() if self.scenario is not None else {}
             ),
         )
-
-
-def build_unit_service_controller(queue_capacity: int = 4) -> MemoryController:
-    """The provider used by the schedulability-aligned experiments."""
-    return MemoryController(
-        FixedLatencyDevice(1),
-        queue_capacity=queue_capacity,
-        policy=ArbitrationPolicy.FCFS,
-    )

@@ -19,6 +19,7 @@ import pytest
 
 from repro.clients.traffic_generator import TrafficGenerator
 from repro.errors import ConfigurationError
+from repro.experiments.ablation import VARIANTS, build_variant
 from repro.experiments.factory import build_interconnect
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.sim import batched_supported, run_many
@@ -132,3 +133,37 @@ def test_mixed_eligibility_preserves_order_and_horizons():
     ):
         oracle = build_sim(seed, faults=faults).run(horizon, drain=DRAIN)
         assert fingerprint(result) == fingerprint(oracle), seed
+
+
+#: ablation variants that swap a scale-element part the SoA kernel
+#: hard-codes (nested EDF server selection, priority port buffers)
+SUBSTITUTED_PARTS = ("round_robin", "fifo_buffers")
+
+
+def build_variant_sim(variant: str) -> SoCSimulation:
+    """One 16-client ablation trial; every variant sees one workload."""
+    tasksets = generate_client_tasksets(
+        random.Random(5), n_clients=16, tasks_per_client=3,
+        system_utilization=0.85,
+    )
+    clients = [
+        TrafficGenerator(c, ts, rng=random.Random(9_000 + c))
+        for c, ts in tasksets.items()
+    ]
+    return SoCSimulation(clients, build_variant(variant, 16, tasksets))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_ablation_variants_batched_equals_scalar(variant):
+    """A substituted scheduler or buffer takes the scalar engine instead
+    of running the paper's EDF kernel in its place; every other variant
+    stays on the kernel.  Either way the batched result is the scalar
+    one."""
+    assert batched_supported(build_variant_sim(variant)) == (
+        variant not in SUBSTITUTED_PARTS
+    )
+    (batched,) = run_many(
+        [build_variant_sim(variant)], 3_000, drain=1_000, backend="batched"
+    )
+    oracle = build_variant_sim(variant).run(3_000, drain=1_000)
+    assert fingerprint(batched) == fingerprint(oracle)
