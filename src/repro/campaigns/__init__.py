@@ -1,15 +1,17 @@
 """Declarative, resumable, gated experiment campaigns.
 
-The campaign layer turns the repo's experiment triples into CI-grade
-infrastructure (ROADMAP item 5: "enforced in CI, not eyeballed"):
+The campaign layer turns the registered experiments
+(:mod:`repro.experiments.registry`) into resumable, diffable sweeps
+that CI gates against a committed baseline:
 
 * :mod:`repro.campaigns.spec` — TOML/JSON sweep files normalized into
   frozen :class:`CampaignSpec` objects with key-order-independent
   digests;
 * :mod:`repro.campaigns.grid` — deterministic cartesian expansion into
   seeded :class:`GridCell`\\ s with disjoint per-cell seed streams;
-* :mod:`repro.campaigns.families` — adapters running each cell through
-  the existing fig6/fig7/isolation/churn triples, unchanged;
+* :mod:`repro.campaigns.families` — the fig6/fig7/isolation/churn
+  families: each cell's axes mapped onto its experiment's config and
+  run through ``run_experiment``, unchanged;
 * :mod:`repro.campaigns.executor` — sharded execution over
   :mod:`repro.runtime` with per-cell checkpointing; a killed run
   resumes to **byte-identical** final artifacts at any worker count;

@@ -1,13 +1,17 @@
-"""Family adapters: one grid cell → one experiment-triple run.
+"""Campaign families: one grid cell → one registered experiment run.
 
 Each campaign cell names an experiment *family* (``fig6`` / ``fig7`` /
-``isolation`` / ``churn``) and pins a point of that family's parameter
-space.  The adapters here translate a :class:`~repro.campaigns.grid.GridCell`
-into the family's existing runtime triple — spec builder, trial runner,
-reducer — so the campaign layer adds **no new simulation code**: a cell
-runs exactly the trials the standalone experiment would, under the
-cell's seed, and folds the family's own ``metric_set()`` plus combined
-trace digests into one deterministic record.
+``isolation`` / ``churn``) — a record of the experiment registry
+(:mod:`repro.experiments.registry`) — and pins a point of that
+experiment's parameter space.  A family here adds only what a campaign
+needs on top of the record: the axes a sweep of it may name, and the
+mapping from a :class:`~repro.campaigns.grid.GridCell` to the
+experiment's config.  :func:`run_cell` then runs the cell through
+:func:`~repro.experiments.registry.run_experiment`, so the campaign
+layer adds **no new simulation code**: a cell runs exactly the trials
+the standalone experiment would, under the cell's seed, and folds the
+experiment's own ``metric_set()`` plus combined trace digests into one
+deterministic record.
 
 Conventions shared by every family:
 
@@ -36,73 +40,17 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.campaigns.grid import ENGINE_AXES, GridCell
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
+from repro.experiments.factory import INTERCONNECT_NAMES
+from repro.experiments.registry import get_experiment, run_experiment
 from repro.runtime import (
     EngineConfig,
+    KeepOutcomes,
     MetricSet,
     SerialExecutor,
     TrialOutcome,
     TrialSpec,
 )
-
-#: build result: (trial runner, trial specs, outcome folder)
-CellPlan = tuple[
-    Callable[[TrialSpec], MetricSet],
-    "list[TrialSpec]",
-    Callable[[Sequence[TrialOutcome]], MetricSet],
-]
-
-
-@dataclass(frozen=True)
-class CellFamily:
-    """One experiment family's campaign adapter."""
-
-    name: str
-    #: sweepable axis names (subset of spec.AXIS_ORDER)
-    axes: tuple[str, ...]
-    #: extra scalar-only settings beyond trials/horizon/drain
-    extra_settings: tuple[str, ...]
-    build: Callable[[GridCell], CellPlan]
-
-
-def _scale_kwargs(cell: GridCell) -> dict[str, int]:
-    """trials/horizon/drain overrides — only the ones the spec set."""
-    kwargs: dict[str, int] = {}
-    for name in ("trials", "horizon", "drain"):
-        value = cell.value(name)
-        if value is not None:
-            kwargs[name] = int(value)
-    return kwargs
-
-
-def _designs(cell: GridCell, roster: tuple[str, ...]) -> tuple[str, ...]:
-    design = cell.value("design")
-    if design is None:
-        return roster
-    from repro.experiments.factory import INTERCONNECT_NAMES
-
-    if design not in INTERCONNECT_NAMES:
-        raise ConfigurationError(
-            f"cell {cell.cell_id}: unknown design {design!r}; expected one "
-            f"of {INTERCONNECT_NAMES}"
-        )
-    return (str(design),)
-
-
-def _utilization_kwargs(cell: GridCell) -> dict[str, float]:
-    utilization = cell.value("utilization")
-    if utilization is None:
-        return {}
-    utilization = float(utilization)
-    if not 0 < utilization <= 1:
-        raise ConfigurationError(
-            f"cell {cell.cell_id}: utilization must be in (0, 1], got "
-            f"{utilization}"
-        )
-    return {
-        "utilization_low": utilization,
-        "utilization_high": utilization,
-    }
 
 
 def parse_fault_axis(value: Any) -> tuple[int, int]:
@@ -122,103 +70,47 @@ def parse_fault_axis(value: Any) -> tuple[int, int]:
     return size, every
 
 
-def _fig6_build(cell: GridCell) -> CellPlan:
-    from repro.experiments.factory import INTERCONNECT_NAMES
-    from repro.experiments.fig6 import (
-        Fig6Config,
-        build_fig6_specs,
-        reduce_fig6,
-        run_fig6_trial,
-    )
-
-    designs = _designs(cell, INTERCONNECT_NAMES)
-    kwargs: dict[str, Any] = _scale_kwargs(cell)
-    kwargs.update(_utilization_kwargs(cell))
-    if cell.value("n") is not None:
-        kwargs["n_clients"] = int(cell.value("n"))
-    if cell.value("observability") is not None:
-        kwargs["observability"] = bool(cell.value("observability"))
-    config = Fig6Config(seed=cell.seed, **kwargs)
-
-    def fold(outcomes: Sequence[TrialOutcome]) -> MetricSet:
-        return reduce_fig6(config, designs, list(outcomes)).metric_set()
-
-    return run_fig6_trial, build_fig6_specs(config, designs), fold
+#: a cell value → the config keyword arguments it sets
+Field = Callable[[Any], dict[str, Any]]
 
 
-def _fig7_build(cell: GridCell) -> CellPlan:
-    from repro.experiments.factory import INTERCONNECT_NAMES
-    from repro.experiments.fig7 import (
-        Fig7Config,
-        build_fig7_specs,
-        reduce_fig7,
-        run_fig7_trial,
-    )
-
-    designs = _designs(cell, INTERCONNECT_NAMES)
-    kwargs: dict[str, Any] = _scale_kwargs(cell)
-    if cell.value("n") is not None:
-        kwargs["n_processors"] = int(cell.value("n"))
-    if cell.value("utilization") is not None:
-        kwargs["utilizations"] = (float(cell.value("utilization")),)
-    if cell.value("observability") is not None:
-        kwargs["observability"] = bool(cell.value("observability"))
-    if cell.value("analysis") is not None:
-        kwargs["analysis"] = bool(cell.value("analysis"))
-    config = Fig7Config(seed=cell.seed, **kwargs)
-
-    def fold(outcomes: Sequence[TrialOutcome]) -> MetricSet:
-        return reduce_fig7(config, designs, list(outcomes)).metric_set()
-
-    return run_fig7_trial, build_fig7_specs(config, designs), fold
+def _to(name: str, convert: Callable[[Any], Any]) -> Field:
+    return lambda value: {name: convert(value)}
 
 
-def _isolation_build(cell: GridCell) -> CellPlan:
-    from repro.experiments.isolation import (
-        ISOLATION_INTERCONNECTS,
-        IsolationConfig,
-        build_isolation_specs,
-        reduce_isolation,
-        run_isolation_trial,
-    )
-
-    designs = _designs(cell, ISOLATION_INTERCONNECTS)
-    kwargs: dict[str, Any] = _scale_kwargs(cell)
-    kwargs.update(_utilization_kwargs(cell))
-    if cell.value("n") is not None:
-        kwargs["n_clients"] = int(cell.value("n"))
-    if cell.value("fault") is not None:
-        size, every = parse_fault_axis(cell.value("fault"))
-        kwargs["burst_size"] = size
-        kwargs["burst_every"] = every
-    config = IsolationConfig(seed=cell.seed, **kwargs)
-
-    def fold(outcomes: Sequence[TrialOutcome]) -> MetricSet:
-        return reduce_isolation(config, designs, list(outcomes)).metric_set()
-
-    return run_isolation_trial, build_isolation_specs(config, designs), fold
+def _utilization_range(value: Any) -> dict[str, float]:
+    """Pin a ``[low, high]`` utilization draw to one value."""
+    utilization = float(value)
+    if not 0 < utilization <= 1:
+        raise ConfigurationError(
+            f"utilization must be in (0, 1], got {utilization}"
+        )
+    return {"utilization_low": utilization, "utilization_high": utilization}
 
 
-def _churn_build(cell: GridCell) -> CellPlan:
-    from repro.experiments.churn import (
-        ChurnConfig,
-        build_churn_specs,
-        reduce_churn,
-        run_churn_trial,
-    )
+def _fault_bursts(value: Any) -> dict[str, int]:
+    size, every = parse_fault_axis(value)
+    return {"burst_size": size, "burst_every": every}
 
-    kwargs: dict[str, Any] = _scale_kwargs(cell)
-    kwargs.update(_utilization_kwargs(cell))
-    if cell.value("n") is not None:
-        kwargs["n_clients"] = int(cell.value("n"))
-    if cell.value("scenario") is not None:
-        kwargs["joiners"] = int(cell.value("scenario"))
-    config = ChurnConfig(seed=cell.seed, **kwargs)
 
-    def fold(outcomes: Sequence[TrialOutcome]) -> MetricSet:
-        return reduce_churn(config, list(outcomes)).metric_set()
+#: the settings every family maps the same way
+_SCALE: dict[str, Field] = {
+    name: _to(name, int) for name in ("trials", "horizon", "drain")
+}
 
-    return run_churn_trial, build_churn_specs(config), fold
+
+@dataclass(frozen=True)
+class CellFamily:
+    """One registered experiment's campaign surface."""
+
+    name: str
+    #: sweepable axis names (subset of spec.AXIS_ORDER)
+    axes: tuple[str, ...]
+    #: extra scalar-only settings beyond trials/horizon/drain
+    extra_settings: tuple[str, ...]
+    #: the experiment config's mapping of every other axis and setting
+    #: (``design`` picks the roster; the engine axes pick the engine)
+    config: dict[str, Field]
 
 
 FAMILIES: dict[str, CellFamily] = {
@@ -226,25 +118,42 @@ FAMILIES: dict[str, CellFamily] = {
         "fig6",
         axes=("design", "n", "utilization") + ENGINE_AXES,
         extra_settings=("observability",),
-        build=_fig6_build,
+        config={
+            "n": _to("n_clients", int),
+            "utilization": _utilization_range,
+            "observability": _to("observability", bool),
+        },
     ),
     "fig7": CellFamily(
         "fig7",
         axes=("design", "n", "utilization") + ENGINE_AXES,
         extra_settings=("observability", "analysis"),
-        build=_fig7_build,
+        config={
+            "n": _to("n_processors", int),
+            "utilization": _to("utilizations", lambda u: (float(u),)),
+            "observability": _to("observability", bool),
+            "analysis": _to("analysis", bool),
+        },
     ),
     "isolation": CellFamily(
         "isolation",
         axes=("design", "n", "utilization", "fault") + ENGINE_AXES,
         extra_settings=(),
-        build=_isolation_build,
+        config={
+            "n": _to("n_clients", int),
+            "utilization": _utilization_range,
+            "fault": _fault_bursts,
+        },
     ),
     "churn": CellFamily(
         "churn",
         axes=("n", "utilization", "scenario") + ENGINE_AXES,
         extra_settings=(),
-        build=_churn_build,
+        config={
+            "n": _to("n_clients", int),
+            "utilization": _utilization_range,
+            "scenario": _to("joiners", int),
+        },
     ),
 }
 
@@ -264,10 +173,37 @@ def family_axes(name: str) -> tuple[str, ...]:
     return family.axes + family.extra_settings
 
 
+def _designs(cell: GridCell, roster: tuple[str, ...]) -> tuple[str, ...]:
+    design = cell.value("design")
+    if design is None:
+        return roster
+    if design not in INTERCONNECT_NAMES:
+        raise ConfigurationError(
+            f"cell {cell.cell_id}: unknown design {design!r}; expected one "
+            f"of {INTERCONNECT_NAMES}"
+        )
+    return (str(design),)
+
+
+def _cell_run(cell: GridCell) -> tuple[Any, tuple[str, ...]]:
+    """The experiment config and roster one cell runs."""
+    experiment = get_experiment(cell.family)
+    kwargs: dict[str, Any] = {"seed": cell.seed}
+    fields = {**_SCALE, **get_family(cell.family).config}
+    try:
+        for key, field in fields.items():
+            if cell.value(key) is not None:
+                kwargs.update(field(cell.value(key)))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"cell {cell.cell_id}: {exc}") from None
+    config = experiment.resolve("config")(**kwargs)
+    return config, _designs(cell, experiment.resolve("roster"))
+
+
 def cell_trial_specs(cell: GridCell) -> list[TrialSpec]:
     """The exact trial specs a cell will run (for the property tests)."""
-    _, specs, _ = get_family(cell.family).build(cell)
-    return specs
+    config, roster = _cell_run(cell)
+    return get_experiment(cell.family).resolve("specs")(config, roster)
 
 
 def _combined_trace_tags(
@@ -301,28 +237,27 @@ def run_cell(
 ) -> MetricSet:
     """Execute one grid cell to a deterministic metric set.
 
-    Runs the family's trials on a :class:`SerialExecutor` inside the
+    Runs the experiment's trials on a :class:`SerialExecutor` inside the
     current process (the campaign executor shards *cells*, not trials —
     so each trial runner's ``.batch`` seam still batches within the
     cell).  The trials' engine is *cell axis beats run-level ``engine``
     beats default*, stamped onto their specs by that executor.
     """
-    family = get_family(cell.family)
-    runner, specs, fold = family.build(cell)
+    config, roster = _cell_run(cell)
     cell_engine = (engine or EngineConfig()).override(
         cell.value("sim_backend"), cell.value("analysis_backend")
     )
-    outcomes = SerialExecutor(cell_engine).map(runner, specs, None)
-    failures = [outcome for outcome in outcomes if outcome.failed]
-    if failures:
-        raise SimulationError(
-            f"cell {cell.cell_id}: {len(failures)} of {len(outcomes)} "
-            f"trial(s) failed — first error: {failures[0].error}"
-        )
-    reduced = fold(outcomes)
+    kept = KeepOutcomes()
+    reduced = run_experiment(
+        cell.family,
+        config,
+        roster=roster,
+        executor=SerialExecutor(cell_engine),
+        hooks=kept,
+    ).metric_set()
     scalars = dict(reduced.scalars)
-    scalars["cell/trials"] = float(len(specs))
+    scalars["cell/trials"] = float(len(kept.outcomes))
     tags = dict(reduced.tags)
-    tags.update(_combined_trace_tags(outcomes))
+    tags.update(_combined_trace_tags(kept.outcomes))
     tags["cell_id"] = cell.cell_id
     return MetricSet(scalars=scalars, tags=tags)

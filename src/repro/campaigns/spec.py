@@ -170,14 +170,6 @@ class SweepSpec:
     settings: tuple[tuple[str, Any], ...] = ()
 
     @property
-    def axis_dict(self) -> dict[str, tuple[Any, ...]]:
-        return dict(self.axes)
-
-    @property
-    def setting_dict(self) -> dict[str, Any]:
-        return dict(self.settings)
-
-    @property
     def cell_count(self) -> int:
         count = 1
         for _, values in self.axes:

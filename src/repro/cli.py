@@ -378,6 +378,50 @@ def _seeds_kwargs(args: argparse.Namespace, quick_horizon: int) -> dict:
     return {"seeds": (args.seed,)} if args.seed is not None else {}
 
 
+def _sized(args: argparse.Namespace, **kwargs):
+    """Config kwargs plus ``--trials``/``--horizon`` (and ``--seed``)."""
+    return _seeded(args, trials=args.trials, horizon=args.horizon, **kwargs)
+
+
+#: each registered experiment's config keyword arguments, from the
+#: flags of its subcommand (the record's ``command``)
+_CONFIG_FLAGS = {
+    "fig6": lambda args: _sized(args, n_clients=args.clients),
+    "fig7": lambda args: _sized(
+        args, n_processors=args.processors, analysis=args.with_analysis
+    ),
+    "isolation": lambda args: _sized(
+        args,
+        n_clients=args.clients,
+        aggressor=args.aggressor,
+        burst_size=args.burst_size,
+        burst_every=args.burst_every,
+    ),
+    "churn": lambda args: _sized(
+        args, n_clients=args.clients, joiners=args.joiners
+    ),
+    "ablation": lambda args: _seeds_kwargs(args, 5_000),
+    "dram_sensitivity": lambda args: _seeds_kwargs(args, 5_000),
+    "fairness": lambda args: _seeds_kwargs(args, 8_000),
+    "scalability_sweep": lambda args: {
+        "client_counts": tuple(
+            c for c in (4, 16, 64, 256) if c <= args.max_clients
+        ),
+        "seeds": (args.seed if args.seed is not None else 1,),
+    },
+}
+
+#: results that make their subcommand exit 1: an analytical-bound
+#: violation under the rogue client, a miss inside a reconfiguration
+#: transient (``churn --verify``)
+_FAILS = {
+    "isolation": lambda args, result: result.total_bound_violations > 0,
+    "churn": lambda args, result: (
+        args.verify and result.total_transient_violations > 0
+    ),
+}
+
+
 def _campaign_main(args: argparse.Namespace) -> int:
     """The ``repro campaign <run|report|diff>`` group."""
     if args.campaign_command == "report":
@@ -441,13 +485,27 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.experiment == "campaign":
         return _campaign_main(args)
     # Imports are deferred so `--help` stays instant.
+    from repro.experiments.registry import EXPERIMENTS, run_experiment
     from repro.runtime import ProgressPrinter, make_executor
 
     engine = _engine(args)
-    executor = make_executor(args.workers, engine)
-    hooks = ProgressPrinter() if args.progress else None
     failed = False
-    if args.experiment == "table1":
+    by_command = {record.command: record for record in EXPERIMENTS.values()}
+    if args.experiment in by_command:
+        experiment = by_command[args.experiment]
+        config = experiment.resolve("config")(
+            **_CONFIG_FLAGS[experiment.name](args)
+        )
+        result = run_experiment(
+            experiment.name,
+            config,
+            executor=make_executor(args.workers, engine),
+            hooks=ProgressPrinter() if args.progress else None,
+        )
+        print(experiment.resolve("formatter")(result))
+        if experiment.name in _FAILS:
+            failed = _FAILS[experiment.name](args, result)
+    elif args.experiment == "table1":
         from repro.experiments.table1 import format_table1, run_table1
 
         result = run_table1()
@@ -457,102 +515,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         result = run_fig5(1, args.eta_max)
         print(format_fig5(result))
-    elif args.experiment == "fig6":
-        from repro.experiments.fig6 import Fig6Config, format_fig6, run_fig6
-
-        kwargs = _seeded(
-            args,
-            n_clients=args.clients,
-            trials=args.trials,
-            horizon=args.horizon,
-        )
-        result = run_fig6(Fig6Config(**kwargs), executor=executor, hooks=hooks)
-        print(format_fig6(result))
-    elif args.experiment == "fig7":
-        from repro.experiments.fig7 import Fig7Config, format_fig7, run_fig7
-
-        kwargs = _seeded(
-            args,
-            n_processors=args.processors,
-            trials=args.trials,
-            horizon=args.horizon,
-            analysis=args.with_analysis,
-        )
-        result = run_fig7(Fig7Config(**kwargs), executor=executor, hooks=hooks)
-        print(format_fig7(result))
-    elif args.experiment == "faults":
-        from repro.experiments.isolation import (
-            IsolationConfig,
-            format_isolation,
-            run_isolation,
-        )
-
-        kwargs = _seeded(
-            args,
-            n_clients=args.clients,
-            trials=args.trials,
-            horizon=args.horizon,
-            aggressor=args.aggressor,
-            burst_size=args.burst_size,
-            burst_every=args.burst_every,
-        )
-        result = run_isolation(
-            IsolationConfig(**kwargs), executor=executor, hooks=hooks
-        )
-        print(format_isolation(result))
-        failed = result.total_bound_violations > 0
-    elif args.experiment == "churn":
-        from repro.experiments.churn import (
-            ChurnConfig,
-            format_churn,
-            run_churn,
-        )
-
-        kwargs = _seeded(
-            args,
-            n_clients=args.clients,
-            trials=args.trials,
-            horizon=args.horizon,
-            joiners=args.joiners,
-        )
-        result = run_churn(
-            ChurnConfig(**kwargs), executor=executor, hooks=hooks
-        )
-        print(format_churn(result))
-        failed = args.verify and result.total_transient_violations > 0
-    elif args.experiment == "ablation":
-        from repro.experiments.ablation import run_ablation
-        from repro.experiments.reporting import format_table
-
-        result = run_ablation(
-            executor=executor, hooks=hooks, **_seeds_kwargs(args, 5_000)
-        )
-        rows = [
-            [
-                p.variant,
-                f"{100 * p.mean_miss_ratio:.2f}",
-                f"{p.mean_blocking:.2f}",
-                f"{p.mean_response:.1f}",
-            ]
-            for p in result.values()
-        ]
-        print(
-            format_table(
-                ["variant", "miss (%)", "blocking", "response"],
-                rows,
-                title="BlueScale design-choice ablations",
-            )
-        )
-    elif args.experiment == "dram":
-        from repro.experiments.dram_sensitivity import (
-            format_dram_sensitivity,
-            run_dram_sensitivity,
-        )
-
-        result = run_dram_sensitivity(
-            executor=executor, hooks=hooks, **_seeds_kwargs(args, 5_000)
-        )
-        print(format_dram_sensitivity(result))
     elif args.experiment == "update-latency":
         from repro.experiments.update_latency import (
             format_update_latency,
@@ -564,27 +526,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             analysis_backend=engine.analysis_backend, **sizes
         )
         print(format_update_latency(result))
-    elif args.experiment == "scalability":
-        from repro.experiments.scalability_sweep import (
-            format_scalability,
-            run_scalability_sweep,
-        )
-
-        counts = tuple(c for c in (4, 16, 64, 256) if c <= args.max_clients)
-        result = run_scalability_sweep(
-            counts,
-            seeds=(args.seed if args.seed is not None else 1,),
-            executor=executor,
-            hooks=hooks,
-        )
-        print(format_scalability(result))
-    elif args.experiment == "fairness":
-        from repro.experiments.fairness import format_fairness, run_fairness
-
-        result = run_fairness(
-            executor=executor, hooks=hooks, **_seeds_kwargs(args, 8_000)
-        )
-        print(format_fairness(result))
     elif args.experiment == "serve":
         from repro.analysis.model import SystemModel
         from repro.service.daemon import AdmissionService

@@ -1,10 +1,13 @@
-"""Experiment harness: one module per paper table/figure.
+"""Experiment harness: one module per paper table/figure or extension.
 
-* :mod:`repro.experiments.table1` — Table 1 (hardware overhead).
-* :mod:`repro.experiments.fig5` — Fig. 5 (hardware scalability).
-* :mod:`repro.experiments.fig6` — Fig. 6 (interconnect-level real-time
-  performance with synthetic workloads).
-* :mod:`repro.experiments.fig7` — Fig. 7 (automotive case study).
+Table 1, Fig. 5 and the update-latency extension are analytic
+(:mod:`~repro.experiments.table1`, :mod:`~repro.experiments.fig5`,
+:mod:`~repro.experiments.update_latency`).  The simulation-backed ones —
+Fig. 6 (real-time performance under synthetic workloads), Fig. 7 (the
+automotive case study), fault isolation, churn, the design-choice
+ablations, DRAM sensitivity, fairness and the scalability sweep — are
+the records of :data:`EXPERIMENTS`, each run by
+``run_experiment(name, config)`` (:mod:`repro.experiments.registry`).
 """
 
 from repro.experiments.factory import (
@@ -22,7 +25,6 @@ from repro.experiments.fig6 import (
     build_fig6_specs,
     format_fig6,
     reduce_fig6,
-    run_fig6,
     run_fig6_trial,
 )
 from repro.experiments.fig7 import (
@@ -31,32 +33,31 @@ from repro.experiments.fig7 import (
     build_fig7_specs,
     format_fig7,
     reduce_fig7,
-    run_fig7,
     run_fig7_trial,
 )
 from repro.experiments.ablation import (
     VARIANTS,
+    AblationConfig,
     AlphaPoint,
     build_variant,
-    evaluate_variant,
-    run_ablation,
     run_bluetree_alpha_sweep,
 )
 from repro.experiments.dram_sensitivity import (
+    DramConfig,
     format_dram_sensitivity,
-    run_dram_sensitivity,
 )
 from repro.experiments.fairness import (
+    FairnessConfig,
     FairnessOutcome,
     format_fairness,
     jain_index,
-    run_fairness,
 )
 from repro.experiments.persistence import load_json, save_csv, save_json
+from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.scalability_sweep import (
+    ScalabilityConfig,
     ScalabilityResult,
     format_scalability,
-    run_scalability_sweep,
 )
 from repro.experiments.update_latency import (
     format_update_latency,
@@ -89,38 +90,37 @@ __all__ = [
     "build_fig6_specs",
     "format_fig6",
     "reduce_fig6",
-    "run_fig6",
     "run_fig6_trial",
     "Fig7Config",
     "Fig7Result",
     "build_fig7_specs",
     "format_fig7",
     "reduce_fig7",
-    "run_fig7",
     "run_fig7_trial",
     "format_series",
     "format_table",
     "format_bar_chart",
     "format_curves",
     "format_supply_demand",
+    "EXPERIMENTS",
+    "run_experiment",
     "VARIANTS",
+    "AblationConfig",
     "build_variant",
-    "evaluate_variant",
-    "run_ablation",
     "AlphaPoint",
     "run_bluetree_alpha_sweep",
+    "DramConfig",
     "format_dram_sensitivity",
-    "run_dram_sensitivity",
+    "FairnessConfig",
     "FairnessOutcome",
     "format_fairness",
     "jain_index",
-    "run_fairness",
     "load_json",
     "save_csv",
     "save_json",
+    "ScalabilityConfig",
     "ScalabilityResult",
     "format_scalability",
-    "run_scalability_sweep",
     "format_update_latency",
     "measure_update_cost",
     "run_update_latency",

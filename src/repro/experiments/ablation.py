@@ -26,15 +26,9 @@ from repro.core.interconnect import BlueScaleInterconnect
 from repro.core.local_scheduler import LocalScheduler
 from repro.core.random_access_buffer import RandomAccessBuffer
 from repro.errors import ConfigurationError
-from repro.experiments.factory import traffic_generators
-from repro.runtime import (
-    Executor,
-    ExecutionHooks,
-    MetricSet,
-    SerialExecutor,
-    TrialOutcome,
-    TrialSpec,
-)
+from repro.experiments.factory import group_outcomes, traffic_generators
+from repro.experiments.reporting import format_table
+from repro.runtime import MetricSet, TrialOutcome, TrialSpec
 from repro.soc import SoCSimulation
 from repro.tasks.generators import generate_client_tasksets
 from repro.tasks.taskset import TaskSet
@@ -138,28 +132,39 @@ class AblationPoint:
     mean_response: float
 
 
+@dataclass(frozen=True)
+class AblationConfig:
+    """Workload and scale every variant is evaluated under."""
+
+    n_clients: int = 16
+    utilization: float = 0.85
+    seeds: tuple[int, ...] = (1, 2, 3)
+    horizon: int = 15_000
+    drain: int = 5_000
+
+
 def build_ablation_specs(
+    config: AblationConfig = AblationConfig(),
     variants: tuple[str, ...] = VARIANTS,
-    n_clients: int = 16,
-    utilization: float = 0.85,
-    seeds: tuple[int, ...] = (1, 2, 3),
-    horizon: int = 15_000,
-    drain: int = 5_000,
 ) -> list[TrialSpec]:
-    """One spec per (variant, seed) pair, grouped by variant."""
+    """One spec per (variant, seed) pair, grouped by variant.
+
+    All variants' trials go through one executor batch, so a parallel
+    executor overlaps work across variants, not just seeds.
+    """
     return [
         TrialSpec.make(
             "ablation",
             index,
             f"ablation/{seed}",
             variant=variant,
-            n_clients=n_clients,
-            utilization=utilization,
-            horizon=horizon,
-            drain=drain,
+            n_clients=config.n_clients,
+            utilization=config.utilization,
+            horizon=config.horizon,
+            drain=config.drain,
         )
         for index, (variant, seed) in enumerate(
-            (variant, seed) for variant in variants for seed in seeds
+            (variant, seed) for variant in variants for seed in config.seeds
         )
     ]
 
@@ -206,22 +211,33 @@ def reduce_ablation_variant(
     )
 
 
-def evaluate_variant(
-    variant: str,
-    n_clients: int = 16,
-    utilization: float = 0.85,
-    seeds: tuple[int, ...] = (1, 2, 3),
-    horizon: int = 15_000,
-    drain: int = 5_000,
-    executor: Executor | None = None,
-) -> AblationPoint:
-    """Simulate one variant over a seed batch and average the metrics."""
-    executor = executor or SerialExecutor()
-    specs = build_ablation_specs(
-        (variant,), n_clients, utilization, seeds, horizon, drain
-    )
-    return reduce_ablation_variant(
-        variant, executor.map(run_ablation_trial, specs)
+def reduce_ablation(
+    config: AblationConfig,
+    variants: tuple[str, ...],
+    outcomes: list[TrialOutcome],
+) -> dict[str, AblationPoint]:
+    """Group the (variant, seed) outcomes by variant and average each."""
+    return {
+        variant: reduce_ablation_variant(variant, batch)
+        for (variant,), batch in group_outcomes(outcomes, "variant").items()
+    }
+
+
+def format_ablation(points: dict[str, AblationPoint]) -> str:
+    """Render the per-variant miss/blocking/response table."""
+    rows = [
+        [
+            p.variant,
+            f"{100 * p.mean_miss_ratio:.2f}",
+            f"{p.mean_blocking:.2f}",
+            f"{p.mean_response:.1f}",
+        ]
+        for p in points.values()
+    ]
+    return format_table(
+        ["variant", "miss (%)", "blocking", "response"],
+        rows,
+        title="BlueScale design-choice ablations",
     )
 
 
@@ -276,32 +292,3 @@ def run_bluetree_alpha_sweep(
             )
         )
     return points
-
-
-def run_ablation(
-    n_clients: int = 16,
-    utilization: float = 0.85,
-    seeds: tuple[int, ...] = (1, 2, 3),
-    horizon: int = 15_000,
-    executor: Executor | None = None,
-    hooks: ExecutionHooks | None = None,
-) -> dict[str, AblationPoint]:
-    """Evaluate every variant under identical workloads.
-
-    All (variant, seed) trials go through one executor batch, so a
-    parallel executor overlaps work across variants, not just seeds.
-    """
-    executor = executor or SerialExecutor()
-    specs = build_ablation_specs(VARIANTS, n_clients, utilization, seeds, horizon)
-    return reduce_ablation(executor.map(run_ablation_trial, specs, hooks))
-
-
-def reduce_ablation(outcomes: list[TrialOutcome]) -> dict[str, AblationPoint]:
-    """Group every (variant, seed) outcome by variant and average each."""
-    by_variant: dict[str, list[TrialOutcome]] = {v: [] for v in VARIANTS}
-    for outcome in outcomes:
-        by_variant[outcome.spec.param("variant")].append(outcome)
-    return {
-        variant: reduce_ablation_variant(variant, batch)
-        for variant, batch in by_variant.items()
-    }

@@ -61,15 +61,7 @@ from repro.experiments.factory import (
 )
 from repro.experiments.reporting import format_table
 from repro.faults.verify import victim_miss_from_outcomes
-from repro.runtime import (
-    Executor,
-    ExecutionHooks,
-    MetricSet,
-    SerialExecutor,
-    TrialOutcome,
-    TrialSpec,
-    derive_seeds,
-)
+from repro.runtime import MetricSet, TrialOutcome, TrialSpec, derive_seeds
 from repro.scenarios.driver import ScenarioDriver
 from repro.scenarios.plan import ScenarioEvent, ScenarioKind, ScenarioPlan, rate_scaled
 from repro.scenarios.transient import (
@@ -130,12 +122,18 @@ class ChurnConfig:
         )
 
 
-def build_churn_specs(config: ChurnConfig = ChurnConfig()) -> list[TrialSpec]:
+def build_churn_specs(
+    config: ChurnConfig = ChurnConfig(),
+    policies: tuple[str, ...] = CHURN_POLICIES,
+) -> list[TrialSpec]:
+    """One spec per trial; each trial runs every policy."""
     seeds = derive_seeds(
         f"churn/{config.seed}/{config.n_clients}", config.trials
     )
     return [
-        TrialSpec.make("churn", trial, seed, config=config)
+        TrialSpec.make(
+            "churn", trial, seed, config=config, policies=tuple(policies)
+        )
         for trial, seed in enumerate(seeds)
     ]
 
@@ -270,7 +268,7 @@ class _AxiDynamicGate:
 
 
 def run_churn_trial(spec: TrialSpec) -> MetricSet:
-    """One workload draw through all three policies, scalar engine.
+    """One workload draw through the spec's policies, scalar engine.
 
     Pure function of the spec.  No ``.batch`` attribute on purpose:
     scenario-bearing sims are SoA-ineligible, so a batch entry point
@@ -287,7 +285,7 @@ def run_churn_trial(spec: TrialSpec) -> MetricSet:
     scalars: dict[str, float] = {}
     tags = {"experiment": "churn", "trial": str(spec.index)}
 
-    for policy in CHURN_POLICIES:
+    for policy in spec.param("policies"):
         gate = None
         if policy == "BlueScale":
             interconnect = BlueScaleInterconnect(
@@ -398,7 +396,6 @@ class ChurnResult:
     #: sha256 over every per-trial trace digest — one line to diff
     #: between backends/executors
     campaign_digest: str = ""
-    failed_trials: int = 0
 
     @property
     def total_transient_violations(self) -> int:
@@ -427,17 +424,15 @@ class ChurnResult:
 
 
 def reduce_churn(
-    config: ChurnConfig, outcomes: list[TrialOutcome]
+    config: ChurnConfig,
+    policies: tuple[str, ...],
+    outcomes: list[TrialOutcome],
 ) -> ChurnResult:
-    """Fold trial metric sets; failed trials are counted, not folded."""
-    metrics = {name: PolicyChurn(name) for name in CHURN_POLICIES}
+    """Fold trial metric sets into per-policy measurements."""
+    metrics = {name: PolicyChurn(name) for name in policies}
     digest = hashlib.sha256()
-    failed = 0
     for outcome in outcomes:
-        if outcome.failed:
-            failed += 1
-            continue
-        for name in CHURN_POLICIES:
+        for name in policies:
             m = metrics[name]
             m.victim_miss.append(outcome.metrics[f"{name}/victim_miss"])
             m.churner_miss.append(outcome.metrics[f"{name}/churner_miss"])
@@ -467,20 +462,7 @@ def reduce_churn(
         config=config,
         metrics=metrics,
         campaign_digest=digest.hexdigest(),
-        failed_trials=failed,
     )
-
-
-def run_churn(
-    config: ChurnConfig = ChurnConfig(),
-    executor: Executor | None = None,
-    hooks: ExecutionHooks | None = None,
-) -> ChurnResult:
-    """Run the churn campaign through any executor."""
-    executor = executor or SerialExecutor()
-    specs = build_churn_specs(config)
-    outcomes = executor.map(run_churn_trial, specs, hooks)
-    return reduce_churn(config, outcomes)
 
 
 def format_churn(result: ChurnResult) -> str:
@@ -523,8 +505,6 @@ def format_churn(result: ChurnResult) -> str:
         ),
     )
     lines = [table, f"campaign digest: {result.campaign_digest[:16]}"]
-    if result.failed_trials:
-        lines.append(f"WARNING: {result.failed_trials} trial(s) failed")
     if result.total_transient_violations:
         lines.append(
             f"FAIL: {result.total_transient_violations} monitored deadline "

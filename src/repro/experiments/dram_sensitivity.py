@@ -32,18 +32,12 @@ from repro.experiments.factory import (
     DEFAULT_FACTORY_CONFIG,
     FactoryConfig,
     build_interconnect,
+    group_outcomes,
     traffic_generators,
 )
 from repro.memory.controller import ArbitrationPolicy, MemoryController
 from repro.memory.dram import DramDevice, DramTiming, FixedLatencyDevice
-from repro.runtime import (
-    Executor,
-    ExecutionHooks,
-    MetricSet,
-    SerialExecutor,
-    TrialOutcome,
-    TrialSpec,
-)
+from repro.runtime import MetricSet, TrialOutcome, TrialSpec
 from repro.soc import SoCSimulation
 from repro.tasks.generators import generate_client_tasksets
 
@@ -92,20 +86,31 @@ def _make_controller(kind: str) -> MemoryController:
     raise ConfigurationError(f"unknown device kind {kind!r}")
 
 
+#: designs compared by default
+DRAM_INTERCONNECTS = ("BlueScale", "BlueTree", "AXI-IC^RT")
+
+
+@dataclass(frozen=True)
+class DramConfig:
+    """Workload and scale of the provisioning comparison."""
+
+    n_clients: int = 16
+    utilization: float = 0.7
+    seeds: tuple[int, ...] = (1, 2, 3)
+    horizon: int = 15_000
+    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG
+
+
 def build_dram_specs(
-    n_clients: int = 16,
-    utilization: float = 0.7,
-    seeds: tuple[int, ...] = (1, 2, 3),
-    horizon: int = 15_000,
-    interconnects: tuple[str, ...] = ("BlueScale", "BlueTree", "AXI-IC^RT"),
-    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG,
+    config: DramConfig = DramConfig(),
+    interconnects: tuple[str, ...] = DRAM_INTERCONNECTS,
 ) -> list[TrialSpec]:
     """One spec per (configuration, interconnect, seed), grouped by
     configuration then interconnect in the reporting order."""
     specs: list[TrialSpec] = []
     for label, kind, divisor in _configurations():
         for name in interconnects:
-            for seed in seeds:
+            for seed in config.seeds:
                 specs.append(
                     TrialSpec.make(
                         "dram_sensitivity",
@@ -115,10 +120,10 @@ def build_dram_specs(
                         kind=kind,
                         divisor=divisor,
                         interconnect=name,
-                        n_clients=n_clients,
-                        utilization=utilization,
-                        horizon=horizon,
-                        factory=factory,
+                        n_clients=config.n_clients,
+                        utilization=config.utilization,
+                        horizon=config.horizon,
+                        factory=config.factory,
                     )
                 )
     return specs
@@ -158,16 +163,12 @@ def run_dram_trial(spec: TrialSpec) -> MetricSet:
 
 
 def reduce_dram_sensitivity(
+    config: DramConfig,
+    interconnects: tuple[str, ...],
     outcomes: list[TrialOutcome],
 ) -> list[DeviceOutcome]:
     """Average per-seed metrics into one outcome per (config, design)."""
-    grouped: dict[tuple[str, str], list[TrialOutcome]] = {}
-    for outcome in outcomes:
-        key = (
-            outcome.spec.param("configuration"),
-            outcome.spec.param("interconnect"),
-        )
-        grouped.setdefault(key, []).append(outcome)
+    grouped = group_outcomes(outcomes, "configuration", "interconnect")
     return [
         DeviceOutcome(
             interconnect=name,
@@ -182,24 +183,6 @@ def reduce_dram_sensitivity(
         )
         for (label, name), batch in grouped.items()
     ]
-
-
-def run_dram_sensitivity(
-    n_clients: int = 16,
-    utilization: float = 0.7,
-    seeds: tuple[int, ...] = (1, 2, 3),
-    horizon: int = 15_000,
-    interconnects: tuple[str, ...] = ("BlueScale", "BlueTree", "AXI-IC^RT"),
-    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG,
-    executor: Executor | None = None,
-    hooks: ExecutionHooks | None = None,
-) -> list[DeviceOutcome]:
-    """Compare provisioning policies on a banked-DRAM provider."""
-    executor = executor or SerialExecutor()
-    specs = build_dram_specs(
-        n_clients, utilization, seeds, horizon, tuple(interconnects), factory
-    )
-    return reduce_dram_sensitivity(executor.map(run_dram_trial, specs, hooks))
 
 
 def format_dram_sensitivity(outcomes: list[DeviceOutcome]) -> str:

@@ -10,7 +10,8 @@ interfaces from the composition of Sec. 5.
 :func:`simulate_specs` is the build → run → fold loop every
 simulation-backed trial runner and batch entry point shares, and
 :func:`draw_tasksets` the synthetic workload draw of Fig. 6 and its
-isolation/churn companions.
+isolation/churn companions.  :func:`group_outcomes` is the first step
+of the reducers that average per design, variant or size.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.tasks.generators import generate_client_tasksets
 from repro.tasks.taskset import TaskSet
 
 if TYPE_CHECKING:
-    from repro.runtime import MetricSet, TrialSpec
+    from repro.runtime import MetricSet, TrialOutcome, TrialSpec
     from repro.soc import SoCSimulation, TrialResult
 
 #: the evaluation order used in the paper's figures
@@ -221,3 +222,15 @@ def simulate_specs(
         folded.append(fold(spec, state, results[at : at + len(spec_sims)]))
         at += len(spec_sims)
     return folded
+
+
+def group_outcomes(
+    outcomes: Sequence[TrialOutcome], *params: str
+) -> dict[tuple, list[TrialOutcome]]:
+    """Outcomes keyed by their specs' values of ``params``, in the order
+    the keys first appear (spec order)."""
+    groups: dict[tuple, list[TrialOutcome]] = {}
+    for outcome in outcomes:
+        key = tuple(outcome.spec.param(name) for name in params)
+        groups.setdefault(key, []).append(outcome)
+    return groups

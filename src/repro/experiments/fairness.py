@@ -25,16 +25,10 @@ from repro.experiments.factory import (
     INTERCONNECT_NAMES,
     FactoryConfig,
     build_interconnect,
+    group_outcomes,
     traffic_generators,
 )
-from repro.runtime import (
-    Executor,
-    ExecutionHooks,
-    MetricSet,
-    SerialExecutor,
-    TrialOutcome,
-    TrialSpec,
-)
+from repro.runtime import MetricSet, TrialOutcome, TrialSpec
 from repro.soc import SoCSimulation
 from repro.tasks.generators import generate_client_tasksets
 
@@ -60,13 +54,20 @@ class FairnessOutcome:
     miss_concentration: float
 
 
+@dataclass(frozen=True)
+class FairnessConfig:
+    """Workload and scale of the fairness comparison."""
+
+    n_clients: int = 16
+    utilization: float = 0.8
+    seeds: tuple[int, ...] = (1, 2, 3)
+    horizon: int = 15_000
+    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG
+
+
 def build_fairness_specs(
-    n_clients: int = 16,
-    utilization: float = 0.8,
-    seeds: tuple[int, ...] = (1, 2, 3),
-    horizon: int = 15_000,
+    config: FairnessConfig = FairnessConfig(),
     interconnects: tuple[str, ...] = INTERCONNECT_NAMES,
-    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG,
 ) -> list[TrialSpec]:
     """One spec per (interconnect, seed), grouped by interconnect."""
     return [
@@ -75,13 +76,13 @@ def build_fairness_specs(
             index,
             f"fairness/{seed}",
             interconnect=name,
-            n_clients=n_clients,
-            utilization=utilization,
-            horizon=horizon,
-            factory=factory,
+            n_clients=config.n_clients,
+            utilization=config.utilization,
+            horizon=config.horizon,
+            factory=config.factory,
         )
         for index, (name, seed) in enumerate(
-            (name, seed) for name in interconnects for seed in seeds
+            (name, seed) for name in interconnects for seed in config.seeds
         )
     ]
 
@@ -145,13 +146,12 @@ def run_fairness_trial(spec: TrialSpec) -> MetricSet:
 
 
 def reduce_fairness(
-    interconnects: tuple[str, ...], outcomes: list[TrialOutcome]
+    config: FairnessConfig,
+    interconnects: tuple[str, ...],
+    outcomes: list[TrialOutcome],
 ) -> list[FairnessOutcome]:
     """Average valid trials into one outcome per design."""
-    grouped: dict[str, list[TrialOutcome]] = {name: [] for name in interconnects}
-    for outcome in outcomes:
-        if outcome.metrics["valid"]:
-            grouped[outcome.spec.param("interconnect")].append(outcome)
+    valid = [outcome for outcome in outcomes if outcome.metrics["valid"]]
     return [
         FairnessOutcome(
             interconnect=name,
@@ -163,30 +163,8 @@ def reduce_fairness(
                 o.metrics["concentration"] for o in batch
             ),
         )
-        for name, batch in grouped.items()
-        if batch
+        for (name,), batch in group_outcomes(valid, "interconnect").items()
     ]
-
-
-def run_fairness(
-    n_clients: int = 16,
-    utilization: float = 0.8,
-    seeds: tuple[int, ...] = (1, 2, 3),
-    horizon: int = 15_000,
-    interconnects: tuple[str, ...] = INTERCONNECT_NAMES,
-    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG,
-    executor: Executor | None = None,
-    hooks: ExecutionHooks | None = None,
-) -> list[FairnessOutcome]:
-    """Measure fairness metrics per design over a seed batch."""
-    executor = executor or SerialExecutor()
-    interconnects = tuple(interconnects)
-    specs = build_fairness_specs(
-        n_clients, utilization, seeds, horizon, interconnects, factory
-    )
-    return reduce_fairness(
-        interconnects, executor.map(run_fairness_trial, specs, hooks)
-    )
 
 
 def format_fairness(outcomes: list[FairnessOutcome]) -> str:

@@ -13,8 +13,8 @@ Two metrics per design, each with its cross-trial variance:
 Structured as a runtime triple: :func:`build_fig6_specs` describes the
 trials, :func:`run_fig6_trial` executes one (pure function of its
 spec), and :func:`reduce_fig6` folds the per-trial metrics back into a
-:class:`Fig6Result`.  :func:`run_fig6` wires the three through any
-:class:`repro.runtime.Executor`.
+:class:`Fig6Result`; :func:`repro.experiments.registry.run_experiment`
+wires the three through any :class:`repro.runtime.Executor`.
 """
 
 from __future__ import annotations
@@ -37,15 +37,7 @@ from repro.experiments.factory import (
 )
 from repro.experiments.reporting import format_table
 from repro.observability import ObservabilityConfig
-from repro.runtime import (
-    Executor,
-    ExecutionHooks,
-    MetricSet,
-    SerialExecutor,
-    TrialOutcome,
-    TrialSpec,
-    derive_seeds,
-)
+from repro.runtime import MetricSet, TrialOutcome, TrialSpec, derive_seeds
 from repro.soc import SoCSimulation
 
 
@@ -271,20 +263,6 @@ def reduce_fig6(
             )
             metrics[name].miss_ratios.append(outcome.metrics[f"{name}/miss"])
     return Fig6Result(config=config, metrics=metrics)
-
-
-def run_fig6(
-    config: Fig6Config = Fig6Config(),
-    interconnects: tuple[str, ...] = INTERCONNECT_NAMES,
-    executor: Executor | None = None,
-    hooks: ExecutionHooks | None = None,
-) -> Fig6Result:
-    """Run the Fig. 6 experiment for one client count."""
-    executor = executor or SerialExecutor()
-    interconnects = tuple(interconnects)
-    specs = build_fig6_specs(config, interconnects)
-    outcomes = executor.map(run_fig6_trial, specs, hooks)
-    return reduce_fig6(config, interconnects, outcomes)
 
 
 def format_fig6(result: Fig6Result) -> str:

@@ -28,19 +28,12 @@ from repro.experiments.factory import (
     INTERCONNECT_NAMES,
     FactoryConfig,
     build_interconnect,
+    group_outcomes,
     simulate_specs,
 )
 from repro.experiments.reporting import format_series
 from repro.observability import ObservabilityConfig
-from repro.runtime import (
-    Executor,
-    ExecutionHooks,
-    MetricSet,
-    SerialExecutor,
-    TrialOutcome,
-    TrialSpec,
-    derive_seeds,
-)
+from repro.runtime import MetricSet, TrialOutcome, TrialSpec, derive_seeds
 from repro.soc import SoCSimulation
 from repro.tasks.taskset import TaskSet
 from repro.workloads.automotive import assign_case_study
@@ -325,38 +318,16 @@ def reduce_fig7(
         config=config,
         success_ratio={name: [] for name in interconnects},
     )
-    by_utilization: dict[float, list[TrialOutcome]] = {
-        u: [] for u in config.utilizations
-    }
-    for outcome in outcomes:
-        by_utilization[outcome.spec.param("utilization")].append(outcome)
+    by_utilization = group_outcomes(outcomes, "utilization")
     for utilization in config.utilizations:
-        batch = by_utilization[utilization]
+        batch = by_utilization[(utilization,)]
         for name in interconnects:
             successes = sum(o.metrics[f"{name}/success"] for o in batch)
             result.success_ratio[name].append(successes / config.trials)
         if config.analysis:
-            schedulable = sum(
-                o.metrics["analysis/schedulable"]
-                for o in batch
-                if "analysis/schedulable" in o.metrics
-            )
+            schedulable = sum(o.metrics["analysis/schedulable"] for o in batch)
             result.analysis_ratio.append(schedulable / config.trials)
     return result
-
-
-def run_fig7(
-    config: Fig7Config = Fig7Config(),
-    interconnects: tuple[str, ...] = INTERCONNECT_NAMES,
-    executor: Executor | None = None,
-    hooks: ExecutionHooks | None = None,
-) -> Fig7Result:
-    """Run the success-ratio sweep for one system size."""
-    executor = executor or SerialExecutor()
-    interconnects = tuple(interconnects)
-    specs = build_fig7_specs(config, interconnects)
-    outcomes = executor.map(run_fig7_trial, specs, hooks)
-    return reduce_fig7(config, interconnects, outcomes)
 
 
 def format_fig7(result: Fig7Result) -> str:

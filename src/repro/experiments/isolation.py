@@ -51,15 +51,7 @@ from repro.experiments.factory import (
 from repro.experiments.reporting import format_table
 from repro.faults.plan import FaultPlan
 from repro.faults.verify import verify_isolation, victim_miss_from_outcomes
-from repro.runtime import (
-    Executor,
-    ExecutionHooks,
-    MetricSet,
-    SerialExecutor,
-    TrialOutcome,
-    TrialSpec,
-    derive_seeds,
-)
+from repro.runtime import MetricSet, TrialOutcome, TrialSpec, derive_seeds
 from repro.soc import SoCSimulation
 
 #: designs compared by default — one per arbitration family, kept small
@@ -294,8 +286,6 @@ class DesignIsolation:
 class IsolationResult:
     config: IsolationConfig
     metrics: dict[str, DesignIsolation]
-    #: trials whose runner raised (captured by the executor, skipped here)
-    failed_trials: int = 0
 
     @property
     def total_bound_violations(self) -> int:
@@ -322,13 +312,9 @@ def reduce_isolation(
     interconnects: tuple[str, ...],
     outcomes: list[TrialOutcome],
 ) -> IsolationResult:
-    """Fold trial metric sets; failed trials are counted, not folded."""
+    """Fold trial metric sets into per-design isolation measurements."""
     metrics = {name: DesignIsolation(name) for name in interconnects}
-    failed = 0
     for outcome in outcomes:
-        if outcome.failed:
-            failed += 1
-            continue
         for name in interconnects:
             m = metrics[name]
             m.miss_base.append(outcome.metrics[f"{name}/victim_miss_base"])
@@ -341,23 +327,7 @@ def reduce_isolation(
                 m.bound_violations += int(
                     outcome.metrics[f"{name}/bound_violations"]
                 )
-    return IsolationResult(
-        config=config, metrics=metrics, failed_trials=failed
-    )
-
-
-def run_isolation(
-    config: IsolationConfig = IsolationConfig(),
-    interconnects: tuple[str, ...] = ISOLATION_INTERCONNECTS,
-    executor: Executor | None = None,
-    hooks: ExecutionHooks | None = None,
-) -> IsolationResult:
-    """Run the isolation campaign through any executor."""
-    executor = executor or SerialExecutor()
-    interconnects = tuple(interconnects)
-    specs = build_isolation_specs(config, interconnects)
-    outcomes = executor.map(run_isolation_trial, specs, hooks)
-    return reduce_isolation(config, interconnects, outcomes)
+    return IsolationResult(config=config, metrics=metrics)
 
 
 def format_isolation(result: IsolationResult) -> str:
@@ -395,8 +365,6 @@ def format_isolation(result: IsolationResult) -> str:
         ),
     )
     lines = [table]
-    if result.failed_trials:
-        lines.append(f"WARNING: {result.failed_trials} trial(s) failed")
     if result.total_bound_violations:
         lines.append(
             f"FAIL: {result.total_bound_violations} analytical-bound "

@@ -21,18 +21,11 @@ from repro.experiments.factory import (
     DEFAULT_FACTORY_CONFIG,
     FactoryConfig,
     build_interconnect,
+    group_outcomes,
     simulate_specs,
     traffic_generators,
 )
-from repro.runtime import (
-    EngineConfig,
-    Executor,
-    ExecutionHooks,
-    MetricSet,
-    SerialExecutor,
-    TrialOutcome,
-    TrialSpec,
-)
+from repro.runtime import MetricSet, TrialOutcome, TrialSpec
 from repro.soc import SoCSimulation
 from repro.tasks.generators import generate_client_tasksets
 from repro.topology import quadtree
@@ -73,20 +66,39 @@ class ScalabilityResult:
         return sorted({p.n_clients for p in self.points})
 
 
+#: designs compared by default
+SWEEP_INTERCONNECTS = ("BlueScale", "BlueTree", "AXI-IC^RT")
+
+
+@dataclass(frozen=True)
+class ScalabilityConfig:
+    """System sizes, workload and analysis side of the sweep."""
+
+    client_counts: tuple[int, ...] = (4, 16, 64, 256)
+    utilization: float = 0.45
+    seeds: tuple[int, ...] = (1, 2)
+    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG
+    #: also search BlueScale's admission ceiling at every size
+    with_admission_ceiling: bool = True
+
+    def __post_init__(self) -> None:
+        if not self.client_counts:
+            raise ConfigurationError("need at least one system size")
+        if not self.seeds:
+            raise ConfigurationError("need at least one seed")
+
+
 def build_scalability_specs(
-    client_counts: tuple[int, ...],
-    utilization: float,
-    seeds: tuple[int, ...],
-    interconnects: tuple[str, ...],
-    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG,
+    config: ScalabilityConfig = ScalabilityConfig(),
+    interconnects: tuple[str, ...] = SWEEP_INTERCONNECTS,
 ) -> list[TrialSpec]:
     """One spec per (system size, interconnect, seed)."""
     specs: list[TrialSpec] = []
-    for n_clients in client_counts:
+    for n_clients in config.client_counts:
         # keep total simulated work comparable across sizes
         horizon = max(4_000, 64_000 // n_clients)
         for name in interconnects:
-            for seed in seeds:
+            for seed in config.seeds:
                 specs.append(
                     TrialSpec.make(
                         "scalability",
@@ -94,9 +106,9 @@ def build_scalability_specs(
                         f"sweep/{seed}/{n_clients}",
                         n_clients=n_clients,
                         interconnect=name,
-                        utilization=utilization,
+                        utilization=config.utilization,
                         horizon=horizon,
-                        factory=factory,
+                        factory=config.factory,
                     )
                 )
     return specs
@@ -154,17 +166,16 @@ run_scalability_trial.batch = run_scalability_batch
 
 
 def reduce_scalability(
-    utilization: float, outcomes: list[TrialOutcome]
+    config: ScalabilityConfig,
+    interconnects: tuple[str, ...],
+    outcomes: list[TrialOutcome],
 ) -> ScalabilityResult:
-    """Average per-seed metrics into one point per (size, design)."""
-    result = ScalabilityResult(utilization=utilization)
-    grouped: dict[tuple[int, str], list[TrialOutcome]] = {}
-    for outcome in outcomes:
-        key = (
-            outcome.spec.param("n_clients"),
-            outcome.spec.param("interconnect"),
-        )
-        grouped.setdefault(key, []).append(outcome)
+    """Average per-seed metrics into one point per (size, design), then
+    search the admission ceilings (exact rational arithmetic, fast) on
+    the analysis backend the trials ran on; the ceilings are identical
+    under either backend."""
+    result = ScalabilityResult(utilization=config.utilization)
+    grouped = group_outcomes(outcomes, "n_clients", "interconnect")
     for (n_clients, name), batch in grouped.items():
         result.points.append(
             SweepPoint(
@@ -176,44 +187,16 @@ def reduce_scalability(
                 ),
             )
         )
-    return result
-
-
-def run_scalability_sweep(
-    client_counts: tuple[int, ...] = (4, 16, 64, 256),
-    utilization: float = 0.45,
-    seeds: tuple[int, ...] = (1, 2),
-    interconnects: tuple[str, ...] = ("BlueScale", "BlueTree", "AXI-IC^RT"),
-    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG,
-    with_admission_ceiling: bool = True,
-    executor: Executor | None = None,
-    hooks: ExecutionHooks | None = None,
-) -> ScalabilityResult:
-    """Sweep the system size at a fixed utilization.
-
-    The simulation trials fan out through the executor; the
-    analysis-side admission ceiling (exact rational arithmetic, fast)
-    stays in-process, on the analysis backend of the executor's engine;
-    the ceilings are identical under either backend.
-    """
-    if not client_counts:
-        raise ConfigurationError("need at least one system size")
-    executor = executor or SerialExecutor()
-    specs = build_scalability_specs(
-        tuple(client_counts), utilization, seeds, tuple(interconnects), factory
-    )
-    outcomes = executor.map(run_scalability_trial, specs, hooks)
-    result = reduce_scalability(utilization, outcomes)
-    if with_admission_ceiling:
-        engine = executor.engine or EngineConfig()
-        for n_clients in client_counts:
+    if config.with_admission_ceiling:
+        backend = outcomes[0].spec.engine.analysis_backend
+        for n_clients in config.client_counts:
             rng = random.Random(f"sweep/ceiling/{n_clients}")
             tasksets = generate_client_tasksets(rng, n_clients, 2, 0.2)
             try:
                 model = SystemModel.build(
                     quadtree(n_clients),
                     tasksets,
-                    backend=engine.analysis_backend,
+                    backend=backend,
                 )
                 result.admission_ceiling[n_clients] = (
                     model.session().breakdown(precision=0.1).utilization

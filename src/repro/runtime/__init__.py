@@ -27,6 +27,7 @@ plugs into the same seam.
 from repro.runtime.executor import (
     Executor,
     ExecutionHooks,
+    KeepOutcomes,
     ParallelExecutor,
     ProgressPrinter,
     SerialExecutor,
@@ -50,6 +51,7 @@ __all__ = [
     "EngineConfig",
     "Executor",
     "ExecutionHooks",
+    "KeepOutcomes",
     "MetricSet",
     "ParallelExecutor",
     "ProgressPrinter",

@@ -89,6 +89,18 @@ class ExecutionHooks:
         """Called once after every trial was collected."""
 
 
+class KeepOutcomes(ExecutionHooks):
+    """Keeps the last batch's outcomes, in spec order, for callers that
+    need more than a reduced result (a campaign cell's trace digests,
+    a golden's per-trial inputs)."""
+
+    def __init__(self) -> None:
+        self.outcomes: list[TrialOutcome] = []
+
+    def on_batch_done(self, outcomes: Sequence[TrialOutcome]) -> None:
+        self.outcomes = list(outcomes)
+
+
 class ProgressPrinter(ExecutionHooks):
     """Minimal progress/timing hook: one status line per batch."""
 

@@ -63,7 +63,7 @@ class MetricSet:
 
 
 #: scalar present (== 1.0) in the metric set of a trial whose runner
-#: raised; reducers filter on it (or on ``TrialOutcome.failed``)
+#: raised; ``run_experiment`` fails the run on ``TrialOutcome.failed``
 FAILURE_METRIC = "trial/failed"
 
 

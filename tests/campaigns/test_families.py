@@ -1,4 +1,4 @@
-"""Family adapters: cells map onto the existing experiment triples."""
+"""Campaign families: cells map onto registered experiment runs."""
 
 from __future__ import annotations
 
@@ -148,26 +148,12 @@ class TestRunCell:
             {"family": "fig6", "design": ["BlueScale"], "n": 5,
              "utilization": [0.5], "trials": 1, "horizon": 300}
         )
-        import dataclasses
+        from repro.experiments import fig6
 
         def boom(spec):
             raise RuntimeError("injected")
 
-        # the runner is resolved at build time inside run_cell's plan,
-        # so swap in a family whose build hands the executor a failing
-        # runner (CellFamily is frozen — replace the registry entry)
-        from repro.campaigns import families
-
-        original = families.FAMILIES["fig6"]
-
-        def patched(c):
-            runner, specs, fold = original.build(c)
-            return boom, specs, fold
-
-        monkeypatch.setitem(
-            families.FAMILIES,
-            "fig6",
-            dataclasses.replace(original, build=patched),
-        )
+        # the registry looks the runner up in its module at call time
+        monkeypatch.setattr(fig6, "run_fig6_trial", boom)
         with pytest.raises(SimulationError, match="1 of 1"):
             run_cell(cell)

@@ -4,7 +4,8 @@ import pickle
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.experiments import churn, run_experiment
 from repro.experiments.churn import (
     CHURN_POLICIES,
     ChurnConfig,
@@ -97,15 +98,18 @@ def _outcome(metrics, error=None):
 class TestReduceAndRender:
     def test_reduce_folds_and_digests(self, smoke_metrics):
         result = reduce_churn(
-            SMOKE, [_outcome(smoke_metrics), _outcome(smoke_metrics)]
+            SMOKE,
+            CHURN_POLICIES,
+            [_outcome(smoke_metrics), _outcome(smoke_metrics)],
         )
         bluescale = result.metrics["BlueScale"]
         assert len(bluescale.victim_miss) == 2
-        assert result.failed_trials == 0
         assert len(result.campaign_digest) == 64
         # same outcomes -> same campaign digest (the CI diff anchor)
         again = reduce_churn(
-            SMOKE, [_outcome(smoke_metrics), _outcome(smoke_metrics)]
+            SMOKE,
+            CHURN_POLICIES,
+            [_outcome(smoke_metrics), _outcome(smoke_metrics)],
         )
         assert again.campaign_digest == result.campaign_digest
 
@@ -114,23 +118,25 @@ class TestReduceAndRender:
             scalars=dict(smoke_metrics.scalars),
             tags={**smoke_metrics.tags, "BlueScale/trace": "0" * 64},
         )
-        a = reduce_churn(SMOKE, [_outcome(smoke_metrics)])
-        b = reduce_churn(SMOKE, [_outcome(tweaked)])
+        a = reduce_churn(SMOKE, CHURN_POLICIES, [_outcome(smoke_metrics)])
+        b = reduce_churn(SMOKE, CHURN_POLICIES, [_outcome(tweaked)])
         assert a.campaign_digest != b.campaign_digest
 
-    def test_failed_trials_counted_not_folded(self, smoke_metrics):
-        result = reduce_churn(
-            SMOKE,
-            [
-                _outcome(smoke_metrics),
-                _outcome(MetricSet(scalars={}), error="RuntimeError: boom"),
-            ],
-        )
-        assert result.failed_trials == 1
-        assert len(result.metrics["BlueScale"].victim_miss) == 1
+    def test_failed_trial_fails_the_run(self, monkeypatch):
+        """A raising trial raises with its own error before the reducer
+        could fold the others."""
+
+        def boom(spec):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(churn, "run_churn_trial", boom)
+        with pytest.raises(
+            SimulationError, match="1 of 1 trial.*RuntimeError: boom"
+        ):
+            run_experiment("churn", SMOKE)
 
     def test_metric_set_and_format(self, smoke_metrics):
-        result = reduce_churn(SMOKE, [_outcome(smoke_metrics)])
+        result = reduce_churn(SMOKE, CHURN_POLICIES, [_outcome(smoke_metrics)])
         folded = result.metric_set()
         assert folded["transient_violations"] == 0.0
         assert folded.tags["campaign_digest"] == result.campaign_digest
@@ -143,15 +149,16 @@ class TestReduceAndRender:
     def test_cli_verify_exit_code(self, smoke_metrics, monkeypatch):
         """`repro churn --verify` exits 1 exactly when a monitored
         deadline was missed inside a reconfiguration transient."""
-        import repro.experiments.churn as churn_mod
         from repro.cli import main
+        from repro.experiments import registry
 
-        clean = reduce_churn(SMOKE, [_outcome(smoke_metrics)])
+        clean = reduce_churn(SMOKE, CHURN_POLICIES, [_outcome(smoke_metrics)])
 
-        def fake_run(config, executor=None, hooks=None):
+        def fake_run(name, config, **kwargs):
+            assert name == "churn"
             return clean
 
-        monkeypatch.setattr(churn_mod, "run_churn", fake_run)
+        monkeypatch.setattr(registry, "run_experiment", fake_run)
         assert main(["churn", "--verify"]) == 0
         clean.metrics["BlueScale"].transient_violations = 1
         assert main(["churn", "--verify"]) == 1

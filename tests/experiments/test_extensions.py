@@ -4,17 +4,18 @@ update latency) and result persistence."""
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import run_experiment
 from repro.experiments.ablation import (
     VARIANTS,
+    AblationConfig,
     FifoPortBuffer,
     RoundRobinLocalScheduler,
     build_variant,
-    evaluate_variant,
 )
 from repro.experiments.dram_sensitivity import (
     DeviceOutcome,
+    DramConfig,
     format_dram_sensitivity,
-    run_dram_sensitivity,
 )
 from repro.experiments.persistence import (
     load_json,
@@ -83,7 +84,11 @@ class TestAblationVariants:
         assert buffer.fetch_highest_priority() is late
 
     def test_evaluate_variant_returns_metrics(self):
-        point = evaluate_variant("paper", seeds=(1,), horizon=4_000)
+        point = run_experiment(
+            "ablation",
+            AblationConfig(seeds=(1,), horizon=4_000),
+            roster=("paper",),
+        )["paper"]
         assert point.variant == "paper"
         assert 0 <= point.mean_miss_ratio <= 1
         assert point.mean_response > 0
@@ -108,15 +113,16 @@ class TestBlueTreeAlphaSweep:
     def test_no_alpha_reaches_bluescale_quality(self):
         """The paper's point: the static heuristic cannot match the
         demand-aware scheduler at any setting."""
-        from repro.experiments.ablation import (
-            evaluate_variant,
-            run_bluetree_alpha_sweep,
-        )
+        from repro.experiments.ablation import run_bluetree_alpha_sweep
 
         points = run_bluetree_alpha_sweep(
             alphas=(1, 2, 8), seeds=(1, 2), horizon=8_000
         )
-        bluescale = evaluate_variant("paper", seeds=(1, 2), horizon=8_000)
+        bluescale = run_experiment(
+            "ablation",
+            AblationConfig(seeds=(1, 2), horizon=8_000),
+            roster=("paper",),
+        )["paper"]
         best_tree = min(p.mean_miss_ratio for p in points)
         assert bluescale.mean_miss_ratio <= best_tree
 
@@ -124,8 +130,10 @@ class TestBlueTreeAlphaSweep:
 class TestDramSensitivity:
     @pytest.fixture(scope="class")
     def outcomes(self):
-        return run_dram_sensitivity(
-            seeds=(1,), horizon=6_000, interconnects=("BlueScale", "AXI-IC^RT")
+        return run_experiment(
+            "dram_sensitivity",
+            DramConfig(seeds=(1,), horizon=6_000),
+            roster=("BlueScale", "AXI-IC^RT"),
         )
 
     def test_three_configurations_per_interconnect(self, outcomes):

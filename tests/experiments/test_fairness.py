@@ -3,11 +3,12 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import run_experiment
 from repro.experiments.fairness import (
+    FairnessConfig,
     FairnessOutcome,
     format_fairness,
     jain_index,
-    run_fairness,
 )
 
 
@@ -40,10 +41,10 @@ class TestJainIndex:
 class TestFairnessExperiment:
     @pytest.fixture(scope="class")
     def outcomes(self):
-        return run_fairness(
-            seeds=(1,),
-            horizon=8_000,
-            interconnects=("BlueScale", "BlueTree", "GSMTree-TDM"),
+        return run_experiment(
+            "fairness",
+            FairnessConfig(seeds=(1,), horizon=8_000),
+            roster=("BlueScale", "BlueTree", "GSMTree-TDM"),
         )
 
     def test_one_outcome_per_design(self, outcomes):

@@ -8,8 +8,9 @@ harness runs the fuller versions.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.fig6 import Fig6Config, format_fig6, run_fig6
-from repro.experiments.fig7 import Fig7Config, format_fig7, run_fig7
+from repro.experiments import run_experiment
+from repro.experiments.fig6 import Fig6Config, format_fig6
+from repro.experiments.fig7 import Fig7Config, format_fig7
 from repro.runtime import EngineConfig, SerialExecutor
 
 #: these tests are about the harnesses (shapes, ordering, formatting),
@@ -23,8 +24,11 @@ MICRO_FIG6 = Fig6Config(n_clients=16, trials=2, horizon=6_000, drain=2_000)
 
 class TestFig6Harness:
     def test_micro_run_produces_metrics(self):
-        result = run_fig6(
-            MICRO_FIG6, interconnects=("BlueScale", "BlueTree"), executor=SCALAR
+        result = run_experiment(
+            "fig6",
+            MICRO_FIG6,
+            roster=("BlueScale", "BlueTree"),
+            executor=SCALAR,
         )
         assert set(result.metrics) == {"BlueScale", "BlueTree"}
         for metrics in result.metrics.values():
@@ -34,31 +38,37 @@ class TestFig6Harness:
             assert all(b >= 0 for b in metrics.blocking_means)
 
     def test_bluescale_beats_bluetree_on_misses(self):
-        result = run_fig6(
-            MICRO_FIG6, interconnects=("BlueScale", "BlueTree"), executor=SCALAR
+        result = run_experiment(
+            "fig6",
+            MICRO_FIG6,
+            roster=("BlueScale", "BlueTree"),
+            executor=SCALAR,
         )
         blue = result.metrics["BlueScale"].mean_miss_ratio
         tree = result.metrics["BlueTree"].mean_miss_ratio
         assert blue <= tree
 
     def test_best_selectors(self):
-        result = run_fig6(
-            MICRO_FIG6, interconnects=("BlueScale", "BlueTree"), executor=SCALAR
+        result = run_experiment(
+            "fig6",
+            MICRO_FIG6,
+            roster=("BlueScale", "BlueTree"),
+            executor=SCALAR,
         )
         assert result.best_miss_ratio() in ("BlueScale", "BlueTree")
 
     def test_deterministic(self):
-        a = run_fig6(
-            MICRO_FIG6, interconnects=("BlueTree",), executor=SCALAR
+        a = run_experiment(
+            "fig6", MICRO_FIG6, roster=("BlueTree",), executor=SCALAR
         )
-        b = run_fig6(
-            MICRO_FIG6, interconnects=("BlueTree",), executor=SCALAR
+        b = run_experiment(
+            "fig6", MICRO_FIG6, roster=("BlueTree",), executor=SCALAR
         )
         assert a.metrics["BlueTree"].miss_ratios == b.metrics["BlueTree"].miss_ratios
 
     def test_formatting(self):
-        result = run_fig6(
-            MICRO_FIG6, interconnects=("BlueTree",), executor=SCALAR
+        result = run_experiment(
+            "fig6", MICRO_FIG6, roster=("BlueTree",), executor=SCALAR
         )
         text = format_fig6(result)
         assert "BlueTree" in text
@@ -89,9 +99,10 @@ MICRO_FIG7 = Fig7Config(
 class TestFig7Harness:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig7(
+        return run_experiment(
+            "fig7",
             MICRO_FIG7,
-            interconnects=("BlueScale", "GSMTree-TDM"),
+            roster=("BlueScale", "GSMTree-TDM"),
             executor=SCALAR,
         )
 
@@ -140,8 +151,8 @@ class TestFig7WithAnalysis:
 
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig7(
-            self.CONFIG, interconnects=("BlueScale",), executor=SCALAR
+        return run_experiment(
+            "fig7", self.CONFIG, roster=("BlueScale",), executor=SCALAR
         )
 
     def test_analysis_ratio_per_utilization_point(self, result):
@@ -169,9 +180,10 @@ class TestFig7WithAnalysis:
         """The spec's engine is the analysis backend's one source: the
         scalar oracle, chosen on the executor, agrees verdict for
         verdict."""
-        scalar = run_fig7(
+        scalar = run_experiment(
+            "fig7",
             self.CONFIG,
-            interconnects=("BlueScale",),
+            roster=("BlueScale",),
             executor=SerialExecutor(
                 EngineConfig(sim_backend="scalar", analysis_backend="scalar")
             ),

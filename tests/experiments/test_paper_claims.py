@@ -22,46 +22,20 @@ is what the current code produces.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.composition import compose
 from repro.experiments import update_latency
-from repro.experiments.ablation import (
-    VARIANTS,
-    build_ablation_specs,
-    reduce_ablation,
-    run_ablation,
-)
-from repro.experiments.dram_sensitivity import (
-    build_dram_specs,
-    reduce_dram_sensitivity,
-    run_dram_sensitivity,
-)
+from repro.experiments.ablation import VARIANTS
 from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import (
-    Fig6Config,
-    build_fig6_specs,
-    format_fig6,
-    reduce_fig6,
-    run_fig6,
-)
-from repro.experiments.fig7 import (
-    Fig7Config,
-    build_fig7_specs,
-    format_fig7,
-    reduce_fig7,
-    run_fig7,
-)
-from repro.experiments.factory import INTERCONNECT_NAMES
-from repro.experiments.scalability_sweep import (
-    build_scalability_specs,
-    reduce_scalability,
-    run_scalability_sweep,
-)
+from repro.experiments.fig6 import format_fig6
+from repro.experiments.fig7 import format_fig7
+from repro.experiments.registry import get_experiment, run_experiment
 from repro.experiments.table1 import run_table1
-from repro.runtime import ExecutionHooks, MetricSet, TrialOutcome
+from repro.runtime import KeepOutcomes, MetricSet, TrialOutcome
 
 REPO = Path(__file__).resolve().parent.parent.parent
 GOLDEN_PAPER_PATH = REPO / "tests" / "fixtures" / "golden_paper.json"
@@ -72,11 +46,9 @@ REGEN_HINT = (
     "regenerate with: PYTHONPATH=src python scripts/regen_golden.py paper"
 )
 
-#: the scalability sweep's designs (``run_scalability_sweep``'s default)
-SWEEP_DESIGNS = ("BlueScale", "BlueTree", "AXI-IC^RT")
-
-#: every simulation-backed run, keyed ``family`` or ``family/size``,
-#: as the keyword arguments of its experiment (a config for fig6/fig7)
+#: every simulation-backed run, keyed ``experiment`` or
+#: ``experiment/size`` (a registry name), as the keyword arguments of
+#: its experiment's config; each runs its experiment's whole roster
 RUNS: dict[str, dict] = {
     "fig6/16": dict(n_clients=16, trials=5, horizon=20_000),
     "fig6/64": dict(n_clients=64, trials=3, horizon=10_000),
@@ -105,45 +77,13 @@ RUNS: dict[str, dict] = {
 }
 
 
-def _family(key: str) -> str:
+def _name(key: str) -> str:
     return key.split("/")[0]
 
 
-def _run(key: str, hooks: ExecutionHooks):
-    """Run one entry of :data:`RUNS` through its experiment."""
-    args = RUNS[key]
-    family = _family(key)
-    if family == "fig6":
-        return run_fig6(Fig6Config(**args), hooks=hooks)
-    if family == "fig7":
-        return run_fig7(Fig7Config(**args), hooks=hooks)
-    if family == "ablation":
-        return run_ablation(**args, hooks=hooks)
-    if family == "dram_sensitivity":
-        return run_dram_sensitivity(**args, hooks=hooks)
-    return run_scalability_sweep(**args, hooks=hooks)
-
-
-def _specs(key: str):
-    """The specs :func:`_run` executes for ``key``, in execution order."""
-    args = RUNS[key]
-    family = _family(key)
-    if family == "fig6":
-        return build_fig6_specs(Fig6Config(**args))
-    if family == "fig7":
-        return build_fig7_specs(Fig7Config(**args))
-    if family == "ablation":
-        return build_ablation_specs(VARIANTS, **args)
-    if family == "dram_sensitivity":
-        return build_dram_specs(**args)
-    return build_scalability_specs(
-        args["client_counts"], args["utilization"], args["seeds"], SWEEP_DESIGNS
-    )
-
-
-class _Collect(ExecutionHooks):
-    def on_batch_done(self, outcomes) -> None:
-        self.outcomes = list(outcomes)
+def _config(key: str):
+    """The config one entry of :data:`RUNS` runs at."""
+    return get_experiment(_name(key)).resolve("config")(**RUNS[key])
 
 
 def _jsonable(value):
@@ -160,16 +100,13 @@ def collect_paper() -> dict[str, dict]:
     """
     runs: dict[str, dict] = {}
     for key in RUNS:
-        hooks = _Collect()
-        result = _run(key, hooks)
-        failed = [o.error for o in hooks.outcomes if o.failed]
-        if failed:
-            raise RuntimeError(f"{key}: {len(failed)} trials failed: {failed}")
+        hooks = KeepOutcomes()
+        result = run_experiment(_name(key), _config(key), hooks=hooks)
         entry = {
             "args": _jsonable(RUNS[key]),
             "trials": [dict(o.metrics.scalars) for o in hooks.outcomes],
         }
-        if _family(key) == "scalability_sweep":
+        if _name(key) == "scalability_sweep":
             entry["admission_ceiling"] = {
                 str(n): u for n, u in result.admission_ceiling.items()
             }
@@ -185,28 +122,29 @@ def golden() -> dict[str, dict]:
     return json.loads(GOLDEN_PAPER_PATH.read_text())["runs"]
 
 
-def _outcomes(golden: dict[str, dict], key: str) -> list[TrialOutcome]:
-    """The recorded trials of ``key`` as the outcomes its reducer takes."""
+def _reduce(golden: dict[str, dict], key: str, config=None):
+    """The typed result of ``key``, rebuilt from its recorded trials by
+    its experiment's own spec builder and reducer."""
     entry = golden[key]
     assert entry["args"] == _jsonable(RUNS[key]), REGEN_HINT
-    specs = _specs(key)
+    experiment = get_experiment(_name(key))
+    config = config or _config(key)
+    roster = experiment.resolve("roster")
+    specs = experiment.resolve("specs")(config, roster)
     assert len(specs) == len(entry["trials"]), REGEN_HINT
-    return [
+    outcomes = [
         TrialOutcome(spec=spec, metrics=MetricSet(scalars=scalars), seconds=0.0)
         for spec, scalars in zip(specs, entry["trials"])
     ]
+    return experiment.resolve("reducer")(config, roster, outcomes)
 
 
 def _fig6(golden, size: int):
-    config = Fig6Config(**RUNS[f"fig6/{size}"])
-    outcomes = _outcomes(golden, f"fig6/{size}")
-    return reduce_fig6(config, INTERCONNECT_NAMES, outcomes)
+    return _reduce(golden, f"fig6/{size}")
 
 
 def _fig7(golden, size: int):
-    config = Fig7Config(**RUNS[f"fig7/{size}"])
-    outcomes = _outcomes(golden, f"fig7/{size}")
-    return reduce_fig7(config, INTERCONNECT_NAMES, outcomes)
+    return _reduce(golden, f"fig7/{size}")
 
 
 def test_golden_covers_every_run(golden):
@@ -372,7 +310,7 @@ def test_experiments_md_embeds_rendering(golden, key):
 
 
 def test_design_choice_ablations(golden):
-    results = reduce_ablation(_outcomes(golden, "ablation"))
+    results = _reduce(golden, "ablation")
 
     assert set(results) == set(VARIANTS)
     paper = results["paper"]
@@ -435,7 +373,7 @@ def test_full_recompose_runs_cold(update_costs):
 
 
 def test_dram_provider_sensitivity(golden):
-    outcomes = reduce_dram_sensitivity(_outcomes(golden, "dram_sensitivity"))
+    outcomes = _reduce(golden, "dram_sensitivity")
 
     by_key = {(o.interconnect, o.configuration): o for o in outcomes}
     # the slot abstraction is safe under worst-case provisioning
@@ -455,10 +393,11 @@ def test_dram_provider_sensitivity(golden):
 
 
 def test_scalability_sweep(golden):
-    result = reduce_scalability(
-        RUNS["scalability_sweep"]["utilization"],
-        _outcomes(golden, "scalability_sweep"),
+    # the ceilings are recorded too: read them back, not re-searched
+    config = replace(
+        _config("scalability_sweep"), with_admission_ceiling=False
     )
+    result = _reduce(golden, "scalability_sweep", config)
     result.admission_ceiling = {
         int(n): u
         for n, u in golden["scalability_sweep"]["admission_ceiling"].items()

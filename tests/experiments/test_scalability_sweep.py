@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import run_experiment
 from repro.experiments.scalability_sweep import (
+    ScalabilityConfig,
     format_scalability,
-    run_scalability_sweep,
 )
 from repro.runtime import EngineConfig, SerialExecutor
 
@@ -16,12 +17,15 @@ SCALAR = SerialExecutor(EngineConfig(sim_backend="scalar"))
 class TestScalabilitySweep:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_scalability_sweep(
-            client_counts=(4, 16),
-            utilization=0.4,
-            seeds=(1,),
-            interconnects=("BlueScale", "BlueTree"),
-            with_admission_ceiling=False,
+        return run_experiment(
+            "scalability_sweep",
+            ScalabilityConfig(
+                client_counts=(4, 16),
+                utilization=0.4,
+                seeds=(1,),
+                with_admission_ceiling=False,
+            ),
+            roster=("BlueScale", "BlueTree"),
             executor=SCALAR,
         )
 
@@ -45,12 +49,15 @@ class TestScalabilitySweep:
         assert "admission ceiling" not in text
 
     def test_admission_ceiling_recorded_when_requested(self):
-        result = run_scalability_sweep(
-            client_counts=(4,),
-            utilization=0.3,
-            seeds=(1,),
-            interconnects=("BlueScale",),
-            with_admission_ceiling=True,
+        result = run_experiment(
+            "scalability_sweep",
+            ScalabilityConfig(
+                client_counts=(4,),
+                utilization=0.3,
+                seeds=(1,),
+                with_admission_ceiling=True,
+            ),
+            roster=("BlueScale",),
             executor=SCALAR,
         )
         assert 4 in result.admission_ceiling
@@ -61,7 +68,9 @@ class TestScalabilitySweep:
         self, monkeypatch
     ):
         """The in-process ceiling search has no spec of its own; its
-        analysis backend is the executor's engine's, nothing else's."""
+        analysis backend is the executor's engine's (the one its trials
+        ran on — a sweep always has one, see below), nothing else's.
+        One BlueTree trial: no analysis of its own to record."""
         from repro.experiments import scalability_sweep
 
         seen = []
@@ -73,14 +82,27 @@ class TestScalabilitySweep:
 
         monkeypatch.setattr(scalability_sweep.SystemModel, "build", recording)
         for engine in (None, EngineConfig(analysis_backend="scalar")):
-            run_scalability_sweep(
-                client_counts=(4,),
-                seeds=(),
-                interconnects=(),
+            run_experiment(
+                "scalability_sweep",
+                ScalabilityConfig(client_counts=(4,), seeds=(1,)),
+                roster=("BlueTree",),
                 executor=SerialExecutor(engine),
             )
         assert seen == ["vectorized", "scalar"]
 
     def test_empty_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_scalability_sweep(client_counts=())
+            ScalabilityConfig(client_counts=())
+
+    def test_zero_trial_sweep_rejected(self):
+        """No seeds or no designs would leave the ceiling search with no
+        trial engine to run on; both are rejected up front."""
+        with pytest.raises(ConfigurationError, match="seed"):
+            ScalabilityConfig(client_counts=(4,), seeds=())
+        with pytest.raises(ConfigurationError, match="roster"):
+            run_experiment(
+                "scalability_sweep",
+                ScalabilityConfig(client_counts=(4,)),
+                roster=(),
+                executor=SCALAR,
+            )

@@ -6,13 +6,14 @@
 * every BlueScale victim response in the faulted runs stays within the
   fault-oblivious analytical bounds (zero violations across trials);
 * the campaign replays identically on serial and parallel executors;
-* a raising trial is folded as a counted failure, not a crash, and the
+* a raising trial fails the whole run with its own error, and the
   report flags bound violations as a failure.
 """
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.experiments import isolation, run_experiment
 from repro.experiments.isolation import (
     ISOLATION_INTERCONNECTS,
     DesignIsolation,
@@ -20,18 +21,10 @@ from repro.experiments.isolation import (
     IsolationResult,
     build_isolation_specs,
     format_isolation,
-    reduce_isolation,
-    run_isolation,
     run_isolation_trial,
 )
 from repro.faults.verify import BoundViolation
-from repro.runtime import (
-    EngineConfig,
-    ParallelExecutor,
-    SerialExecutor,
-    TrialOutcome,
-    failure_metric_set,
-)
+from repro.runtime import EngineConfig, ParallelExecutor, SerialExecutor
 
 CONFIG = IsolationConfig(trials=3)
 
@@ -42,7 +35,9 @@ SCALAR = EngineConfig(sim_backend="scalar")
 
 @pytest.fixture(scope="module")
 def campaign():
-    return run_isolation(CONFIG, executor=SerialExecutor(SCALAR))
+    return run_experiment(
+        "isolation", CONFIG, executor=SerialExecutor(SCALAR)
+    )
 
 
 class TestIsolationClaim:
@@ -135,23 +130,25 @@ class TestBackends:
 
 
 class TestRobustness:
-    def test_failed_trial_is_counted_not_folded(self):
-        config = IsolationConfig(trials=2)
-        specs = build_isolation_specs(config)
-        healthy = SerialExecutor(SCALAR).map(run_isolation_trial, specs[:1])[0]
-        broken = TrialOutcome(
-            spec=specs[1],
-            metrics=failure_metric_set(specs[1], ValueError("boom")),
-            seconds=0.0,
-            error="ValueError: boom",
-        )
-        result = reduce_isolation(
-            config, ISOLATION_INTERCONNECTS, [healthy, broken]
-        )
-        assert result.failed_trials == 1
-        for m in result.metrics.values():
-            assert len(m.miss_base) == 1  # only the healthy trial folded
-        assert "WARNING: 1 trial(s) failed" in format_isolation(result)
+    def test_failed_trial_fails_the_run(self, monkeypatch):
+        """One raising trial of two: the run raises with that trial's
+        error instead of folding the healthy one alone."""
+
+        def second_fails(spec):
+            if spec.index == 1:
+                raise ValueError("boom")
+            return run_isolation_trial(spec)
+
+        monkeypatch.setattr(isolation, "run_isolation_trial", second_fails)
+        with pytest.raises(
+            SimulationError, match="1 of 2 trial.*ValueError: boom"
+        ):
+            run_experiment(
+                "isolation",
+                IsolationConfig(trials=2, horizon=2_000, drain=800),
+                roster=("BlueScale",),
+                executor=SerialExecutor(SCALAR),
+            )
 
     def test_violations_flagged_as_failure(self):
         config = IsolationConfig(trials=1)

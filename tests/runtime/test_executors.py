@@ -221,14 +221,23 @@ class TestParallelEqualsSerial:
     """Parallel ≡ serial, exact equality, on the real experiments."""
 
     def test_fig6_identical(self):
-        from repro.experiments.fig6 import Fig6Config, run_fig6
+        from repro.experiments import run_experiment
+        from repro.experiments.fig6 import Fig6Config
 
         config = Fig6Config(trials=3, horizon=4_000, drain=1_500)
         interconnects = ("BlueScale", "BlueTree")
         engine = EngineConfig(sim_backend="scalar")
-        serial = run_fig6(config, interconnects, SerialExecutor(engine))
-        parallel = run_fig6(
-            config, interconnects, ParallelExecutor(2, engine=engine)
+        serial = run_experiment(
+            "fig6",
+            config,
+            roster=interconnects,
+            executor=SerialExecutor(engine),
+        )
+        parallel = run_experiment(
+            "fig6",
+            config,
+            roster=interconnects,
+            executor=ParallelExecutor(2, engine=engine),
         )
         for name in interconnects:
             assert (
@@ -241,16 +250,25 @@ class TestParallelEqualsSerial:
             )
 
     def test_fig7_identical(self):
-        from repro.experiments.fig7 import Fig7Config, run_fig7
+        from repro.experiments import run_experiment
+        from repro.experiments.fig7 import Fig7Config
 
         config = Fig7Config(
             trials=2, horizon=4_000, drain=1_500, utilizations=(0.4, 0.8)
         )
         interconnects = ("BlueScale", "GSMTree-TDM")
         engine = EngineConfig(sim_backend="scalar")
-        serial = run_fig7(config, interconnects, SerialExecutor(engine))
-        parallel = run_fig7(
-            config, interconnects, ParallelExecutor(2, engine=engine)
+        serial = run_experiment(
+            "fig7",
+            config,
+            roster=interconnects,
+            executor=SerialExecutor(engine),
+        )
+        parallel = run_experiment(
+            "fig7",
+            config,
+            roster=interconnects,
+            executor=ParallelExecutor(2, engine=engine),
         )
         assert parallel.success_ratio == serial.success_ratio
 

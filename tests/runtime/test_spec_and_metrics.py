@@ -119,11 +119,13 @@ class TestMetricSet:
             )
 
     def test_experiment_results_expose_metric_sets(self):
-        from repro.experiments.fig6 import Fig6Config, run_fig6
+        from repro.experiments import run_experiment
+        from repro.experiments.fig6 import Fig6Config
 
-        result = run_fig6(
+        result = run_experiment(
+            "fig6",
             Fig6Config(trials=1, horizon=3_000, drain=1_000),
-            interconnects=("BlueTree",),
+            roster=("BlueTree",),
         )
         ms = result.metric_set()
         assert "BlueTree/miss" in ms and "BlueTree/blocking" in ms

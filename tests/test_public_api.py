@@ -70,10 +70,12 @@ class TestTopLevelExports:
         tracer in ``repro.observability``), the uncalled ``spawn_rng``,
         the multi-memory extension, the optional-contract protocol
         (every engine component now implements quiescence) and the
-        analysis knobs one ``AnalysisContext`` replaced are gone from
-        the public surface."""
+        analysis knobs one ``AnalysisContext`` replaced, and the
+        per-experiment ``run_*`` wrappers ``run_experiment`` replaced are
+        gone from the public surface."""
         import repro.analysis
         import repro.core
+        import repro.experiments
         import repro.runtime
         import repro.sim
 
@@ -95,6 +97,19 @@ class TestTopLevelExports:
         for name in ("set_default_cache", "resolve_cache", "resolve_backend"):
             assert name not in repro.analysis.__all__
             assert not hasattr(repro.analysis, name)
+        for name in (
+            "run_fig6",
+            "run_fig7",
+            "run_isolation",
+            "run_churn",
+            "run_ablation",
+            "evaluate_variant",
+            "run_dram_sensitivity",
+            "run_fairness",
+            "run_scalability_sweep",
+        ):
+            assert name not in repro.experiments.__all__
+            assert not hasattr(repro.experiments, name)
 
     def test_analysis_runs_under_one_ctx(self):
         """How an analysis runs is one value, ``ctx=`` (an
