@@ -13,7 +13,7 @@ import random
 from collections import defaultdict
 
 from repro.clients import AcceleratorClient, ProcessorClient
-from repro.experiments.factory import DEFAULT_FACTORY_CONFIG, build_interconnect
+from repro.experiments.factory import build_interconnect
 from repro.soc import SoCSimulation
 from repro.tasks import TaskSet
 from repro.workloads import (
@@ -43,9 +43,7 @@ def build_system(interconnect_name: str, rng: random.Random):
         interference.get(accelerator_id, TaskSet())
     )
     n_clients = N_PROCESSORS + 1
-    interconnect = build_interconnect(
-        interconnect_name, n_clients, combined, DEFAULT_FACTORY_CONFIG
-    )
+    interconnect = build_interconnect(interconnect_name, n_clients, combined)
     clients = [
         ProcessorClient(
             c,

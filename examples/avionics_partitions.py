@@ -22,7 +22,7 @@ HORIZON = 30_000
 
 def main() -> None:
     assignment = assign_partitions(N_CLIENTS)
-    interconnect = BlueScaleInterconnect(N_CLIENTS, buffer_capacity=2)
+    interconnect = BlueScaleInterconnect(N_CLIENTS)
     composition = interconnect.configure(assignment)
     print(f"composition schedulable: {composition.schedulable}")
     for client, taskset in assignment.items():

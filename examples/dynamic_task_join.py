@@ -133,7 +133,7 @@ def analysis_leg() -> None:
 
     # The centralized alternative recomputes every client's budget on
     # every one of those transitions.
-    budgets = axi_budgets(n_clients, session.tasksets, window=200, margin=1.5)
+    budgets = axi_budgets(n_clients, session.tasksets)
     worst_ports = max(
         r.transient.reprogrammed_ports for r in replayed if r.transient
     )

@@ -48,7 +48,7 @@ def main() -> None:
 
     # 3. Build the hardware: quadtree of Scale Elements + unit-service
     #    memory controller (wired by SoCSimulation).
-    interconnect = BlueScaleInterconnect(n_clients, buffer_capacity=2)
+    interconnect = BlueScaleInterconnect(n_clients)
     interconnect.apply_composition(composition)
     clients = [
         TrafficGenerator(client_id, taskset)

@@ -28,7 +28,7 @@ def main() -> None:
     tasksets = generate_client_tasksets(
         rng, N_CLIENTS, tasks_per_client=2, system_utilization=0.6
     )
-    interconnect = BlueScaleInterconnect(N_CLIENTS, buffer_capacity=2)
+    interconnect = BlueScaleInterconnect(N_CLIENTS)
     composition = interconnect.configure(tasksets)
     print(f"composition schedulable: {composition.schedulable}")
 

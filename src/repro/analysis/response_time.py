@@ -94,6 +94,7 @@ def wcrt_on_interface(
     jitters: dict[str, int] | None = None,
     require_schedulable: bool = True,
     *,
+    blocking: int = 0,
     ctx: AnalysisContext | None = None,
 ) -> int:
     """WCRT bound of ``task`` within ``taskset`` on a periodic resource.
@@ -112,6 +113,12 @@ def wcrt_on_interface(
     ``jitters`` maps task names to release-jitter bounds (upstream
     delays in a multi-level path, Tindell-style): a task with jitter
     ``J_i`` can present ``ceil((t + J_i)/T_i)`` arrivals in ``[0, t)``.
+
+    ``blocking`` is served ahead of the analyzed job on top of its own
+    demand: later-deadline work of the same set that priority inversion
+    lets through first (see :func:`holistic_response_bounds`).  The
+    busy-period horizon needs no extra term, because that work is
+    already part of the set's synchronous demand.
 
     Requires the pair to pass the dbf<=sbf test; raises otherwise.
     ``task`` itself need not be a member of ``taskset`` — if absent it
@@ -152,7 +159,7 @@ def wcrt_on_interface(
     wcrt = 0
     for offset in sorted(offsets):
         deadline = offset + task.deadline
-        own_demand = (offset // task.period + 1) * task.wcet
+        own_demand = (offset // task.period + 1) * task.wcet + blocking
         t = supply_inverse(own_demand, interface)
         while True:
             interference = 0
@@ -226,6 +233,22 @@ def holistic_response_bounds(
     upstream shaping are accounted for.  At the leaf a task competes
     with its client's other tasks; at each interior port it competes
     with the whole subtree funnelling through that port.
+
+    Every level also charges one request of priority-inversion
+    *blocking* (``wcrt_on_interface(..., blocking=1)``).  A port's
+    random-access buffer serves its contents in EDF order, but it holds
+    only a few requests.  When a job is released while its port buffer
+    is full of later-deadline requests of the same client (at an
+    interior port: of the same child subtree, whose SE forwards only
+    into a free slot), the job's first request waits outside.  The SE
+    may then forward one buffered request — spending the port's budget
+    on the later deadline — before the freed slot admits the
+    earlier-deadline request.  A client emits its pending requests
+    earliest deadline first, and an SE forwards the earliest-deadline
+    request of the port it serves, so once a slot is free the job's
+    request enters the buffer and overtakes everything still buffered
+    with a later deadline.  One request per level is therefore enough,
+    whatever the buffer depth.
     """
     topology = composition.topology
     qualified: dict[int, list[PeriodicTask]] = {
@@ -242,7 +265,9 @@ def holistic_response_bounds(
         taskset = TaskSet(tasks)
         record: dict[str, int] = {}
         for original, task in zip(client_tasksets[client], tasks):
-            wcrt = wcrt_on_interface(task, taskset, interface, ctx=ctx)
+            wcrt = wcrt_on_interface(
+                task, taskset, interface, blocking=1, ctx=ctx
+            )
             accumulated[task.name] = wcrt
             record[original.name] = wcrt
         levels[client].append(record)
@@ -284,6 +309,7 @@ def holistic_response_bounds(
                             interface,
                             jitters,
                             require_schedulable=False,
+                            blocking=1,
                         )
                         round_results[task.name] = accumulated[task.name] + wcrt
                         record[original.name] = wcrt

@@ -25,12 +25,16 @@ from repro.analysis.composition import (
 )
 from repro.analysis.context import AnalysisContext
 from repro.analysis.prm import ResourceInterface
-from repro.core.scale_element import ScaleElement
+from repro.core.scale_element import PORT_BUFFER_DEPTH, ScaleElement
 from repro.errors import ConfigurationError
 from repro.interconnects.base import Interconnect
 from repro.memory.request import MemoryRequest
 from repro.tasks.taskset import TaskSet
 from repro.topology import NodeId, TreeTopology
+
+#: interface-selector table depth of the leaf SEs, which face the
+#: clients' tasks directly (interior SEs hold 16 entries)
+LEAF_TABLE_DEPTH = 64
 
 
 class BlueScaleInterconnect(Interconnect):
@@ -41,8 +45,7 @@ class BlueScaleInterconnect(Interconnect):
     def __init__(
         self,
         n_clients: int,
-        buffer_capacity: int = 8,
-        leaf_table_depth: int = 64,
+        buffer_capacity: int = PORT_BUFFER_DEPTH,
         fanout: int = 4,
     ) -> None:
         super().__init__(n_clients)
@@ -50,7 +53,7 @@ class BlueScaleInterconnect(Interconnect):
         self.elements: dict[NodeId, ScaleElement] = {}
         for node in self.topology.all_nodes():
             depth = (
-                leaf_table_depth if node[0] == self.topology.depth else 16
+                LEAF_TABLE_DEPTH if node[0] == self.topology.depth else 16
             )
             self.elements[node] = ScaleElement(
                 node,

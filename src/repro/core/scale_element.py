@@ -29,6 +29,10 @@ from repro.topology import NodeId
 #: provider-side hook: returns True when it consumed the request
 ForwardHook = Callable[[MemoryRequest, int], bool]
 
+#: requests per port buffer: the paper's small random-access buffers,
+#: the depth the hardware cost model prices (``scale_element_cost``)
+PORT_BUFFER_DEPTH = 2
+
 
 class ScaleElement:
     """One Scale Element of the BlueScale tree.
@@ -42,7 +46,7 @@ class ScaleElement:
     def __init__(
         self,
         node: NodeId,
-        buffer_capacity: int = 8,
+        buffer_capacity: int = PORT_BUFFER_DEPTH,
         table_depth: int = 16,
         interfaces: list[ResourceInterface] | None = None,
         fanout: int | None = None,

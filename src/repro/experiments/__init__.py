@@ -8,14 +8,11 @@ automotive case study), fault isolation, churn, the design-choice
 ablations, DRAM sensitivity, fairness and the scalability sweep — are
 the records of :data:`EXPERIMENTS`, each run by
 ``run_experiment(name, config)`` (:mod:`repro.experiments.registry`).
+All of them build their designs with the paper's settings from
+:mod:`~repro.experiments.factory`; no experiment config overrides them.
 """
 
-from repro.experiments.factory import (
-    DEFAULT_FACTORY_CONFIG,
-    INTERCONNECT_NAMES,
-    FactoryConfig,
-    build_interconnect,
-)
+from repro.experiments.factory import INTERCONNECT_NAMES, build_interconnect
 from repro.experiments.table1 import PAPER_TABLE1, Table1Row, format_table1, run_table1
 from repro.experiments.fig5 import Fig5Result, format_fig5, run_fig5
 from repro.experiments.fig6 import (
@@ -73,9 +70,7 @@ from repro.experiments.reporting import (
 )
 
 __all__ = [
-    "DEFAULT_FACTORY_CONFIG",
     "INTERCONNECT_NAMES",
-    "FactoryConfig",
     "build_interconnect",
     "PAPER_TABLE1",
     "Table1Row",

@@ -17,16 +17,20 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.analysis.context import AnalysisContext, SelectionConfig
+from repro.analysis.context import AnalysisContext
 from repro.analysis.prm import ResourceInterface
 from repro.clients.traffic_generator import TrafficGenerator
 from repro.core.interconnect import BlueScaleInterconnect
 from repro.core.local_scheduler import LocalScheduler
 from repro.core.random_access_buffer import RandomAccessBuffer
 from repro.errors import ConfigurationError
-from repro.experiments.factory import group_outcomes, traffic_generators
+from repro.experiments.factory import (
+    bluescale_context,
+    group_outcomes,
+    traffic_generators,
+)
 from repro.experiments.reporting import format_table
 from repro.runtime import MetricSet, TrialOutcome, TrialSpec
 from repro.soc import SoCSimulation
@@ -82,41 +86,34 @@ def build_variant(
     variant: str,
     n_clients: int,
     tasksets: dict[int, TaskSet],
-    buffer_capacity: int = 2,
-    selection_candidates: int = 64,
     *,
     ctx: AnalysisContext | None = None,
 ) -> BlueScaleInterconnect:
     """Build BlueScale with one design choice ablated.
 
-    The composition runs under ``ctx``'s backend and cache with a
-    ``selection_candidates``-period search.
+    The composition runs under ``ctx``'s backend and cache with the
+    factory's search (:func:`~repro.experiments.factory.bluescale_context`).
     """
     if variant not in VARIANTS:
         raise ConfigurationError(
             f"unknown variant {variant!r}; expected one of {VARIANTS}"
         )
     fanout = 2 if variant == "binary_fanout" else 4
-    interconnect = BlueScaleInterconnect(
-        n_clients, buffer_capacity=buffer_capacity, fanout=fanout
-    )
+    interconnect = BlueScaleInterconnect(n_clients, fanout=fanout)
     if variant == "naive_interfaces":
         # Equal quarter-bandwidth servers everywhere: (Pi=4, Theta=1).
         for element in interconnect.elements.values():
             for port in range(element.fanout):
                 element.program_port(port, ResourceInterface(4, 1), now=0)
     else:
-        search = SelectionConfig(max_period_candidates=selection_candidates)
-        interconnect.configure(
-            tasksets, ctx=replace(ctx or AnalysisContext(), config=search)
-        )
+        interconnect.configure(tasksets, ctx=bluescale_context(ctx))
     if variant == "round_robin":
         for element in interconnect.elements.values():
             element.scheduler = RoundRobinLocalScheduler(element.interfaces())
     elif variant == "fifo_buffers":
         for element in interconnect.elements.values():
             element.buffers = [
-                FifoPortBuffer(buffer_capacity) for _ in range(element.fanout)
+                FifoPortBuffer(buffer.capacity) for buffer in element.buffers
             ]
     return interconnect
 

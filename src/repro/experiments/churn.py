@@ -47,13 +47,12 @@ import random
 import statistics
 from dataclasses import dataclass, field
 
-from repro.analysis.context import SelectionConfig
 from repro.analysis.model import SystemModel
 from repro.core.interconnect import BlueScaleInterconnect
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
-    DEFAULT_FACTORY_CONFIG,
-    FactoryConfig,
+    AXI_WINDOW,
+    BLUESCALE_SEARCH,
     axi_budgets,
     build_interconnect,
     draw_tasksets,
@@ -99,7 +98,6 @@ class ChurnConfig:
     #: the client that changes rate and later leaves
     churner: int = 1
     seed: int = 2026
-    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG
 
     def __post_init__(self) -> None:
         if not 0 < self.utilization_low <= self.utilization_high:
@@ -255,14 +253,8 @@ class _AxiDynamicGate:
         self.budgets_recomputed = 0
 
     def __call__(self, index, event, cycle, proposed) -> bool:  # noqa: ANN001
-        factory = self.config.factory
-        budgets = axi_budgets(
-            self.config.n_clients,
-            proposed,
-            factory.axi_window,
-            factory.axi_margin,
-        )
-        self.interconnect.configure_regulation(budgets, factory.axi_window)
+        budgets = axi_budgets(self.config.n_clients, proposed)
+        self.interconnect.configure_regulation(budgets, AXI_WINDOW)
         self.budgets_recomputed += self.config.n_clients
         return True
 
@@ -288,16 +280,11 @@ def run_churn_trial(spec: TrialSpec) -> MetricSet:
     for policy in spec.param("policies"):
         gate = None
         if policy == "BlueScale":
-            interconnect = BlueScaleInterconnect(
-                config.n_clients,
-                buffer_capacity=config.factory.bluescale_buffer_capacity,
-            )
+            interconnect = BlueScaleInterconnect(config.n_clients)
             model = SystemModel.build(
                 interconnect.topology,
                 base,
-                config=SelectionConfig(
-                    max_period_candidates=config.factory.selection_candidates
-                ),
+                config=BLUESCALE_SEARCH,
                 backend=spec.engine.analysis_backend,
                 label=f"churn trial {spec.index}",
             )
@@ -305,7 +292,7 @@ def run_churn_trial(spec: TrialSpec) -> MetricSet:
             gate = _BlueScaleGate(model.session(), interconnect)
         else:
             interconnect = build_interconnect(
-                "AXI-IC^RT", config.n_clients, base, config.factory
+                "AXI-IC^RT", config.n_clients, base
             )
             if policy == "AXI-dynamic":
                 gate = _AxiDynamicGate(interconnect, config)

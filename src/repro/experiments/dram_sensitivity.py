@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from repro.analysis.context import AnalysisContext
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
-    DEFAULT_FACTORY_CONFIG,
-    FactoryConfig,
     build_interconnect,
     group_outcomes,
     traffic_generators,
@@ -98,7 +96,6 @@ class DramConfig:
     utilization: float = 0.7
     seeds: tuple[int, ...] = (1, 2, 3)
     horizon: int = 15_000
-    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG
 
 
 def build_dram_specs(
@@ -123,7 +120,6 @@ def build_dram_specs(
                         n_clients=config.n_clients,
                         utilization=config.utilization,
                         horizon=config.horizon,
-                        factory=config.factory,
                     )
                 )
     return specs
@@ -141,7 +137,6 @@ def run_dram_trial(spec: TrialSpec) -> MetricSet:
         spec.param("interconnect"),
         n_clients,
         tasksets,
-        spec.param("factory"),
         ctx=AnalysisContext(backend=spec.engine.analysis_backend),
     )
     clients = traffic_generators(spec, tasksets)

@@ -7,6 +7,13 @@ reservations, GSMTree-FBSP with workload-proportional reservations,
 AXI-IC^RT with workload-based bandwidth regulation, and BlueScale with
 interfaces from the composition of Sec. 5.
 
+Each of those settings lives in one place and is not a parameter:
+BlueTree's α, AXI-IC^RT's arbitration interval and BlueScale's
+port-buffer depth are their constructors' defaults; the regulation
+window and margin and BlueScale's search width are this module's
+constants (:data:`AXI_WINDOW`, :data:`AXI_MARGIN`,
+:data:`BLUESCALE_SEARCH`).
+
 :func:`simulate_specs` is the build → run → fold loop every
 simulation-backed trial runner and batch entry point shares, and
 :func:`draw_tasksets` the synthetic workload draw of Fig. 6 and its
@@ -17,7 +24,7 @@ of the reducers that average per design, variant or size.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.analysis.context import AnalysisContext, SelectionConfig
@@ -49,26 +56,19 @@ INTERCONNECT_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class FactoryConfig:
-    """Shared experiment-level configuration of the baselines."""
+#: AXI-IC^RT's bandwidth-regulation window (slots) and over-provisioning
+#: margin — fixed properties of the regulator, as in Agrawal et al.
+AXI_WINDOW = 200
+AXI_MARGIN = 1.5
 
-    #: BlueTree/-Smooth blocking factor (paper: default settings, α = 2)
-    bluetree_alpha: int = 2
-    #: AXI-IC^RT bandwidth-regulation window and over-provisioning margin
-    axi_window: int = 200
-    axi_margin: float = 1.5
-    #: arbitration slow-down of the centralized arbiter (1 = full speed;
-    #: >1 couples in the Fig. 5(c) frequency wall, used by ablations)
-    axi_arbitration_interval: int = 1
-    #: BlueScale port-buffer depth and interface-selection search width
-    bluescale_buffer_capacity: int = 2
-    selection_candidates: int = 64
+#: BlueScale's interface-selection search: every simulated composition
+#: and every analysis verdict next to one uses this width
+BLUESCALE_SEARCH = SelectionConfig(max_period_candidates=64)
 
 
-DEFAULT_FACTORY_CONFIG = FactoryConfig()
-
-Factory = Callable[[int, dict[int, TaskSet]], Interconnect]
+def bluescale_context(ctx: AnalysisContext | None) -> AnalysisContext:
+    """``ctx`` (backend and cache) with :data:`BLUESCALE_SEARCH`."""
+    return replace(ctx or AnalysisContext(), config=BLUESCALE_SEARCH)
 
 
 def _client_utilizations(
@@ -79,13 +79,9 @@ def _client_utilizations(
     ]
 
 
-def axi_budgets(
-    n_clients: int,
-    tasksets: dict[int, TaskSet],
-    window: int,
-    margin: float,
-) -> list[int]:
-    """Workload-based per-client budgets for AXI-IC^RT's regulation.
+def axi_budgets(n_clients: int, tasksets: dict[int, TaskSet]) -> list[int]:
+    """Workload-based per-client budgets for AXI-IC^RT's regulation
+    over an :data:`AXI_WINDOW`-slot window.
 
     Proportional-to-utilization with head-room, but never below twice
     the client's largest job burst — a client must be able to absorb a
@@ -95,9 +91,11 @@ def axi_budgets(
     budgets = []
     for client in range(n_clients):
         taskset = tasksets.get(client, TaskSet())
-        proportional = round(taskset.utilization_float * window * margin)
+        proportional = round(
+            taskset.utilization_float * AXI_WINDOW * AXI_MARGIN
+        )
         burst_floor = 2 * max((t.wcet for t in taskset), default=0)
-        budgets.append(min(window, max(1, proportional, burst_floor)))
+        budgets.append(min(AXI_WINDOW, max(1, proportional, burst_floor)))
     return budgets
 
 
@@ -105,29 +103,25 @@ def build_interconnect(
     name: str,
     n_clients: int,
     tasksets: dict[int, TaskSet],
-    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG,
     *,
     ctx: AnalysisContext | None = None,
 ) -> Interconnect:
     """Build and configure one of the paper's six interconnects.
 
     BlueScale is composed under ``ctx``'s backend and cache (a trial
-    runner passes the context it built from ``spec.engine``) with the
-    factory's own search config, ``factory.selection_candidates``.
+    runner passes the context it built from ``spec.engine``) with
+    :data:`BLUESCALE_SEARCH`.
     """
     if name == "AXI-IC^RT":
-        interconnect = AxiIcRtInterconnect(
-            n_clients, arbitration_interval=factory.axi_arbitration_interval
+        interconnect = AxiIcRtInterconnect(n_clients)
+        interconnect.configure_regulation(
+            axi_budgets(n_clients, tasksets), AXI_WINDOW
         )
-        budgets = axi_budgets(
-            n_clients, tasksets, factory.axi_window, factory.axi_margin
-        )
-        interconnect.configure_regulation(budgets, factory.axi_window)
         return interconnect
     if name == "BlueTree":
-        return BlueTreeInterconnect(n_clients, alpha=factory.bluetree_alpha)
+        return BlueTreeInterconnect(n_clients)
     if name == "BlueTree-Smooth":
-        return BlueTreeSmoothInterconnect(n_clients, alpha=factory.bluetree_alpha)
+        return BlueTreeSmoothInterconnect(n_clients)
     if name == "GSMTree-TDM":
         return gsmtree_tdm(n_clients)
     if name == "GSMTree-FBSP":
@@ -135,15 +129,8 @@ def build_interconnect(
             n_clients, _client_utilizations(n_clients, tasksets)
         )
     if name == "BlueScale":
-        interconnect = BlueScaleInterconnect(
-            n_clients, buffer_capacity=factory.bluescale_buffer_capacity
-        )
-        search = SelectionConfig(
-            max_period_candidates=factory.selection_candidates
-        )
-        interconnect.configure(
-            tasksets, ctx=replace(ctx or AnalysisContext(), config=search)
-        )
+        interconnect = BlueScaleInterconnect(n_clients)
+        interconnect.configure(tasksets, ctx=bluescale_context(ctx))
         return interconnect
     raise ConfigurationError(
         f"unknown interconnect {name!r}; expected one of {INTERCONNECT_NAMES}"

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 from repro.analysis.context import AnalysisContext
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
-    DEFAULT_FACTORY_CONFIG,
     INTERCONNECT_NAMES,
-    FactoryConfig,
     build_interconnect,
     group_outcomes,
     traffic_generators,
@@ -62,7 +60,6 @@ class FairnessConfig:
     utilization: float = 0.8
     seeds: tuple[int, ...] = (1, 2, 3)
     horizon: int = 15_000
-    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG
 
 
 def build_fairness_specs(
@@ -79,7 +76,6 @@ def build_fairness_specs(
             n_clients=config.n_clients,
             utilization=config.utilization,
             horizon=config.horizon,
-            factory=config.factory,
         )
         for index, (name, seed) in enumerate(
             (name, seed) for name in interconnects for seed in config.seeds
@@ -103,7 +99,6 @@ def run_fairness_trial(spec: TrialSpec) -> MetricSet:
         spec.param("interconnect"),
         n_clients,
         tasksets,
-        spec.param("factory"),
         ctx=AnalysisContext(backend=spec.engine.analysis_backend),
     )
     clients = traffic_generators(spec, tasksets)

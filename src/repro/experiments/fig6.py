@@ -27,9 +27,7 @@ from typing import Sequence
 from repro.analysis.context import AnalysisContext
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
-    DEFAULT_FACTORY_CONFIG,
     INTERCONNECT_NAMES,
-    FactoryConfig,
     build_interconnect,
     draw_tasksets,
     simulate_specs,
@@ -61,10 +59,6 @@ class Fig6Config:
     period_min: int = 100
     period_max: int = 4_000
     seed: int = 2022
-    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG
-    #: engine quiescence fast path; results are identical either way
-    #: (the differential tests assert it), False forces cycle-by-cycle
-    fast_path: bool = True
     #: opt-in request tracing (repro.observability): per-trial span
     #: rings plus ``{name}/obs/…`` metric scalars; measured results are
     #: identical with it on or off (tracing is observation-only).  An
@@ -188,17 +182,14 @@ def fig6_build(spec: TrialSpec):
     pairs: list[tuple[str, SoCSimulation]] = []
     for name in interconnects:
         interconnect = build_interconnect(
-            name, config.n_clients, tasksets, config.factory, ctx=ctx
+            name, config.n_clients, tasksets, ctx=ctx
         )
         clients = traffic_generators(spec, tasksets)
         pairs.append(
             (
                 name,
                 SoCSimulation(
-                    clients,
-                    interconnect,
-                    fast_path=config.fast_path,
-                    observability=config.observability,
+                    clients, interconnect, observability=config.observability
                 ),
             )
         )

@@ -24,9 +24,8 @@ from repro.clients.accelerator import AcceleratorClient
 from repro.clients.processor import ProcessorClient
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
-    DEFAULT_FACTORY_CONFIG,
+    BLUESCALE_SEARCH,
     INTERCONNECT_NAMES,
-    FactoryConfig,
     build_interconnect,
     group_outcomes,
     simulate_specs,
@@ -56,9 +55,6 @@ class Fig7Config:
     drain: int = 6_000
     utilizations: tuple[float, ...] = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     seed: int = 59  # DAC'22 is the 59th DAC
-    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG
-    #: engine quiescence fast path; results are identical either way
-    fast_path: bool = True
     #: opt-in request tracing (repro.observability); observation-only,
     #: so measured results are identical with it on or off.  An
     #: :class:`ObservabilityConfig` sizes the ring and the sampling.
@@ -205,10 +201,13 @@ def fig7_build(spec: TrialSpec):
         from repro.analysis.model import SystemModel
         from repro.topology import quadtree
 
+        # the simulated BlueScale's search, on the trial's cache
         model = SystemModel.build(
             quadtree(config.n_clients),
             combined,
+            config=BLUESCALE_SEARCH,
             backend=ctx.backend,
+            cache=ctx.cache,
         )
         scalars["analysis/schedulable"] = 1.0 if model.schedulable else 0.0
         scalars["analysis/root_bandwidth"] = float(
@@ -217,7 +216,7 @@ def fig7_build(spec: TrialSpec):
     pairs: list[tuple[str, SoCSimulation]] = []
     for name in interconnects:
         interconnect = build_interconnect(
-            name, config.n_clients, combined, config.factory, ctx=ctx
+            name, config.n_clients, combined, ctx=ctx
         )
         clients: list = [
             ProcessorClient(
@@ -245,10 +244,7 @@ def fig7_build(spec: TrialSpec):
             (
                 name,
                 SoCSimulation(
-                    clients,
-                    interconnect,
-                    fast_path=config.fast_path,
-                    observability=config.observability,
+                    clients, interconnect, observability=config.observability
                 ),
             )
         )

@@ -41,8 +41,6 @@ from typing import Sequence
 from repro.analysis.context import AnalysisContext
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
-    DEFAULT_FACTORY_CONFIG,
-    FactoryConfig,
     build_interconnect,
     draw_tasksets,
     simulate_specs,
@@ -86,7 +84,6 @@ class IsolationConfig:
     burst_every: int = 60
     burst_deadline_slack: int = 16
     seed: int = 2022
-    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG
 
     def __post_init__(self) -> None:
         if not 0 < self.utilization_low <= self.utilization_high:
@@ -152,7 +149,7 @@ def _isolation_build(spec: TrialSpec):
 
     def build(name: str, faults: FaultPlan | None) -> SoCSimulation:
         interconnect = build_interconnect(
-            name, config.n_clients, tasksets, config.factory, ctx=ctx
+            name, config.n_clients, tasksets, ctx=ctx
         )
         clients = traffic_generators(spec, tasksets)
         return SoCSimulation(clients, interconnect, faults=faults)

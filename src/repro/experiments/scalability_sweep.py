@@ -18,8 +18,6 @@ from repro.analysis.context import AnalysisContext
 from repro.analysis.model import SystemModel
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
-    DEFAULT_FACTORY_CONFIG,
-    FactoryConfig,
     build_interconnect,
     group_outcomes,
     simulate_specs,
@@ -77,7 +75,6 @@ class ScalabilityConfig:
     client_counts: tuple[int, ...] = (4, 16, 64, 256)
     utilization: float = 0.45
     seeds: tuple[int, ...] = (1, 2)
-    factory: FactoryConfig = DEFAULT_FACTORY_CONFIG
     #: also search BlueScale's admission ceiling at every size
     with_admission_ceiling: bool = True
 
@@ -108,7 +105,6 @@ def build_scalability_specs(
                         interconnect=name,
                         utilization=config.utilization,
                         horizon=horizon,
-                        factory=config.factory,
                     )
                 )
     return specs
@@ -125,7 +121,6 @@ def _scalability_build(spec: TrialSpec):
         spec.param("interconnect"),
         n_clients,
         tasksets,
-        spec.param("factory"),
         ctx=AnalysisContext(backend=spec.engine.analysis_backend),
     )
     clients = traffic_generators(spec, tasksets)

@@ -23,9 +23,8 @@ from dataclasses import dataclass, replace
 
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.composition import compose
-from repro.analysis.context import SelectionConfig
 from repro.analysis.model import SystemModel
-from repro.experiments.factory import axi_budgets
+from repro.experiments.factory import BLUESCALE_SEARCH, axi_budgets
 from repro.tasks.generators import generate_client_tasksets
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
@@ -56,20 +55,18 @@ def measure_update_cost(
     utilization: float = 0.5,
     seed: int = 11,
     joining_client: int | None = None,
-    selection_candidates: int = 64,
     analysis_backend: str | None = None,
 ) -> UpdateCost:
     """Measure one task-join update at ``n_clients``."""
     rng = random.Random(f"update/{seed}")
     tasksets = generate_client_tasksets(rng, n_clients, 2, utilization)
     topology = quadtree(n_clients)
-    config = SelectionConfig(max_period_candidates=selection_candidates)
     # Compose once into a frozen model; the join then runs through the
     # per-request AdmissionSession exactly like the service's own path.
     model = SystemModel.build(
         topology,
         tasksets,
-        config=config,
+        config=BLUESCALE_SEARCH,
         backend=analysis_backend,
         label=f"update/{seed}",
     )
@@ -97,7 +94,7 @@ def measure_update_cost(
         for node in baseline.interfaces
         if baseline.interfaces[node] != updated.interfaces[node]
     )
-    budgets = axi_budgets(n_clients, tasksets, window=200, margin=1.5)
+    budgets = axi_budgets(n_clients, tasksets)
     return UpdateCost(
         n_clients=n_clients,
         total_ses=topology.n_nodes(),

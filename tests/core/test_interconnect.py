@@ -143,7 +143,7 @@ class TestConfiguration:
         from repro.soc import SoCSimulation
 
         tasksets = light_tasksets(16)
-        interconnect = BlueScaleInterconnect(16, buffer_capacity=2)
+        interconnect = BlueScaleInterconnect(16)
         interconnect.configure(tasksets)
         joined = tasksets[5].merged_with(
             TaskSet([PeriodicTask(period=200, wcet=2, name="joiner", client_id=5)])

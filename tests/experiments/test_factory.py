@@ -7,9 +7,8 @@ import pytest
 from repro.core.interconnect import BlueScaleInterconnect
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
-    DEFAULT_FACTORY_CONFIG,
+    AXI_WINDOW,
     INTERCONNECT_NAMES,
-    FactoryConfig,
     axi_budgets,
     build_interconnect,
 )
@@ -45,7 +44,7 @@ class TestBuildInterconnect:
     def test_axi_is_regulated(self, tasksets):
         interconnect = build_interconnect("AXI-IC^RT", 16, tasksets)
         assert isinstance(interconnect, AxiIcRtInterconnect)
-        assert interconnect._window == DEFAULT_FACTORY_CONFIG.axi_window
+        assert interconnect._window == AXI_WINDOW
 
     def test_fbsp_frame_reflects_workloads(self, tasksets):
         interconnect = build_interconnect("GSMTree-FBSP", 16, tasksets)
@@ -53,13 +52,6 @@ class TestBuildInterconnect:
         heaviest = max(tasksets, key=lambda c: tasksets[c].utilization_float)
         lightest = min(tasksets, key=lambda c: tasksets[c].utilization_float)
         assert interconnect.frame.count(heaviest) >= interconnect.frame.count(lightest)
-
-    def test_factory_config_is_applied(self, tasksets):
-        config = FactoryConfig(bluetree_alpha=3, axi_arbitration_interval=2)
-        bluetree = build_interconnect("BlueTree", 16, tasksets, config)
-        assert bluetree.alpha == 3
-        axi = build_interconnect("AXI-IC^RT", 16, tasksets, config)
-        assert axi.arbitration_interval == 2
 
     def test_missing_clients_treated_as_idle(self, rng):
         sparse = {0: TaskSet([PeriodicTask(period=100, wcet=2, client_id=0)])}
@@ -71,20 +63,20 @@ class TestBuildInterconnect:
 class TestAxiBudgets:
     def test_burst_floor_applied(self):
         tasksets = {0: TaskSet([PeriodicTask(period=1000, wcet=9, client_id=0)])}
-        budgets = axi_budgets(4, tasksets, window=200, margin=1.5)
+        budgets = axi_budgets(4, tasksets)
         # utilization share is ~3 slots but the burst floor demands 18
         assert budgets[0] == 18
 
     def test_proportional_term_dominates_for_heavy_clients(self):
         tasksets = {0: TaskSet([PeriodicTask(period=10, wcet=5, client_id=0)])}
-        budgets = axi_budgets(1, tasksets, window=200, margin=1.5)
+        budgets = axi_budgets(1, tasksets)
         assert budgets[0] == 150  # 0.5 * 200 * 1.5
 
     def test_budget_capped_at_window(self):
-        tasksets = {0: TaskSet([PeriodicTask(period=10, wcet=9, client_id=0)])}
-        budgets = axi_budgets(1, tasksets, window=100, margin=2.0)
-        assert budgets[0] == 100
+        tasksets = {0: TaskSet([PeriodicTask(period=10, wcet=10, client_id=0)])}
+        budgets = axi_budgets(1, tasksets)
+        assert budgets[0] == AXI_WINDOW  # 1.0 * 200 * 1.5 = 300, capped
 
     def test_idle_clients_get_floor(self):
-        budgets = axi_budgets(3, {}, window=100, margin=1.5)
+        budgets = axi_budgets(3, {})
         assert budgets == [1, 1, 1]

@@ -10,7 +10,12 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import run_experiment
 from repro.experiments.fig6 import Fig6Config, format_fig6
-from repro.experiments.fig7 import Fig7Config, format_fig7
+from repro.experiments.fig7 import (
+    Fig7Config,
+    build_fig7_specs,
+    fig7_build,
+    format_fig7,
+)
 from repro.runtime import EngineConfig, SerialExecutor
 
 #: these tests are about the harnesses (shapes, ordering, formatting),
@@ -175,6 +180,24 @@ class TestFig7WithAnalysis:
     def test_metric_set_and_formatting_carry_analysis(self, result):
         assert "analysis/schedulable_mean" in result.metric_set().scalars
         assert "analysis (BlueScale)" in format_fig7(result)
+
+    def test_verdict_describes_the_simulated_interfaces(self):
+        """The analysis composes exactly what the simulated BlueScale
+        is programmed with: same search width, so the same interfaces
+        and the same root bandwidth in every trial."""
+        config = Fig7Config(
+            n_processors=16,
+            trials=3,
+            utilizations=(0.3, 0.6, 0.9),
+            analysis=True,
+        )
+        for spec in build_fig7_specs(config, ("BlueScale",)):
+            (pairs, scalars), _, _, _ = fig7_build(spec)
+            ((_, simulation),) = pairs
+            composition = simulation.interconnect.composition
+            assert scalars["analysis/root_bandwidth"] == float(
+                composition.root_bandwidth
+            ), spec.param("utilization")
 
     def test_backend_override_identical(self, result):
         """The spec's engine is the analysis backend's one source: the

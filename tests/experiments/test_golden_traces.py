@@ -17,13 +17,17 @@ and review the diff alongside the change that caused it.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.fig6 import Fig6Config, build_fig6_specs, run_fig6_trial
+from repro.experiments.fig6 import (
+    Fig6Config,
+    build_fig6_specs,
+    fig6_build,
+    run_fig6_trial,
+)
 from repro.experiments.fig7 import Fig7Config, build_fig7_specs, run_fig7_trial
 
 GOLDEN_PATH = (
@@ -56,17 +60,15 @@ def fig7_config(**overrides) -> Fig7Config:
     return Fig7Config(**params)
 
 
-def collect_digests(fast_path: bool = True) -> dict[str, str]:
+def collect_digests() -> dict[str, str]:
     """Run the pinned configurations and gather every trace digest."""
     digests: dict[str, str] = {}
-    config6 = fig6_config(fast_path=fast_path)
-    for spec in build_fig6_specs(config6):
+    for spec in build_fig6_specs(fig6_config()):
         metrics = run_fig6_trial(spec)
         for key, value in sorted(metrics.tags.items()):
             if key.endswith("/trace"):
                 digests[f"fig6/trial{spec.index}/{key[:-6]}"] = value
-    config7 = fig7_config(fast_path=fast_path)
-    for spec in build_fig7_specs(config7):
+    for spec in build_fig7_specs(fig7_config()):
         metrics = run_fig7_trial(spec)
         utilization = spec.param("utilization")
         for key, value in sorted(metrics.tags.items()):
@@ -98,12 +100,12 @@ def test_reference_path_matches_golden(golden):
 
     One Fig. 6 trial is enough here (the full differential matrix lives
     in tests/sim/test_engine_equivalence.py)."""
-    config = dataclasses.replace(fig6_config(), trials=1, fast_path=False)
-    spec = build_fig6_specs(config)[0]
-    metrics = run_fig6_trial(spec)
-    for key, value in metrics.tags.items():
-        if key.endswith("/trace"):
-            assert golden[f"fig6/trial0/{key[:-6]}"] == value, REGEN_HINT
+    spec = build_fig6_specs(fig6_config(trials=1))[0]
+    pairs, _, horizon, drain = fig6_build(spec)
+    for name, simulation in pairs:
+        simulation.fast_path = False
+        result = simulation.run(horizon, drain=drain)
+        assert golden[f"fig6/trial0/{name}"] == result.trace_digest, REGEN_HINT
 
 
 def test_golden_fixture_is_well_formed():

@@ -67,6 +67,22 @@ class TestIsolationClaim:
             if name != "BlueScale":
                 assert campaign.metrics[name].bounds_checked_trials == 0
 
+    def test_bluescale_bounds_hold_on_a_single_se(self):
+        """Four clients share one SE, so no deeper level's pessimism
+        hides the port buffer's priority inversion: a job released
+        behind two later-deadline requests in its 2-slot buffer waits
+        for one of them (observed 80 against a bound of 78 without the
+        blocking term)."""
+        result = run_experiment(
+            "isolation",
+            IsolationConfig(n_clients=4, trials=1),
+            roster=("BlueScale",),
+            executor=SerialExecutor(SCALAR),
+        )
+        bluescale = result.metrics["BlueScale"]
+        assert bluescale.bounds_checked_trials == 1
+        assert bluescale.bound_violations == 0
+
     def test_report_reads_clean(self, campaign):
         report = format_isolation(campaign)
         assert "BlueScale" in report

@@ -21,7 +21,7 @@ class TestTimelineExplainsWcrtBound:
         the span tracer and the analysis agree."""
         rng = random.Random(23)
         tasksets = generate_client_tasksets(rng, 16, 2, 0.55)
-        interconnect = BlueScaleInterconnect(16, buffer_capacity=2)
+        interconnect = BlueScaleInterconnect(16)
         composition = interconnect.configure(tasksets)
         assert composition.schedulable
         clients = [TrafficGenerator(c, ts) for c, ts in tasksets.items()]

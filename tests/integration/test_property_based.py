@@ -25,7 +25,7 @@ def build_clients(seed: int, n_clients: int, utilization: float):
 
 
 INTERCONNECT_FACTORIES = [
-    lambda n: BlueScaleInterconnect(n, buffer_capacity=2),
+    lambda n: BlueScaleInterconnect(n),
     lambda n: AxiIcRtInterconnect(n),
     lambda n: BlueTreeInterconnect(n),
     lambda n: gsmtree_tdm(n),
@@ -60,7 +60,7 @@ class TestConservationProperty:
     @settings(max_examples=10, deadline=None)
     def test_all_metrics_well_formed(self, seed):
         tasksets, clients = build_clients(seed, 8, 0.7)
-        interconnect = BlueScaleInterconnect(8, buffer_capacity=2)
+        interconnect = BlueScaleInterconnect(8)
         interconnect.configure(tasksets)
         result = SoCSimulation(clients, interconnect).run(1_000, drain=500)
         assert 0.0 <= result.deadline_miss_ratio <= 1.0
@@ -90,7 +90,7 @@ class TestResponsesBelongToIssuer:
             for c in range(n_clients)
         }
         clients = [TrafficGenerator(c, ts) for c, ts in tasksets.items()]
-        interconnect = BlueScaleInterconnect(n_clients, buffer_capacity=2)
+        interconnect = BlueScaleInterconnect(n_clients)
         simulation = SoCSimulation(clients, interconnect)
         simulation.run(600, drain=400)
         # each client's accounting is internally consistent

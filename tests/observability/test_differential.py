@@ -14,9 +14,23 @@ import dataclasses
 import pytest
 
 from repro.experiments.factory import INTERCONNECT_NAMES
-from repro.experiments.fig6 import Fig6Config, build_fig6_specs, run_fig6_trial
-from repro.experiments.fig7 import Fig7Config, build_fig7_specs, run_fig7_trial
-from repro.experiments.trace_replay import trace_fig6_trial, trace_fig7_trial
+from repro.experiments.fig6 import (
+    Fig6Config,
+    build_fig6_specs,
+    fig6_build,
+    run_fig6_trial,
+)
+from repro.experiments.fig7 import (
+    Fig7Config,
+    build_fig7_specs,
+    fig7_build,
+    run_fig7_trial,
+)
+from repro.experiments.trace_replay import (
+    DEFAULT_REPLAY_RING,
+    trace_fig6_trial,
+    trace_fig7_trial,
+)
 from repro.observability import (
     ObservabilityConfig,
     load_spans_jsonl,
@@ -28,25 +42,43 @@ FIG7_CONFIG = Fig7Config(trials=1, horizon=1_500, drain=800, utilizations=(0.8,)
 FIG6_CONFIG = Fig6Config(trials=1, horizon=1_500, drain=800)
 
 
-def _assert_traced_equals_untraced(config, build_specs, run_trial, trace, name):
+def _reference_run(build, spec):
+    """``spec``'s one simulation, built by the experiment's own
+    ``build``, run on the cycle-by-cycle reference path."""
+    _, (simulation,), horizon, drain = build(spec)
+    simulation.fast_path = False
+    return simulation, simulation.run(horizon, drain=drain)
+
+
+def _spans(tracer):
+    return [span.as_dict() for span in tracer.recorder.spans()]
+
+
+def _traced(config, sample_every=1):
+    return dataclasses.replace(
+        config,
+        observability=ObservabilityConfig(DEFAULT_REPLAY_RING, sample_every),
+    )
+
+
+def _assert_traced_equals_untraced(
+    config, build_specs, build, run_trial, trace, name
+):
     """Replay ≡ experiment trial on ``name``, on both engine paths, and
     both paths observe the same span stream."""
-    digests = {}
-    streams = {}
-    for fast in (True, False):
-        narrowed = dataclasses.replace(config, fast_path=fast)
-        untraced = run_trial(build_specs(narrowed, (name,))[0])
-        traced = trace(narrowed, 0, name)
-        # tracing did not perturb the simulation
-        assert traced.trace_digest == untraced.tags[f"{name}/trace"], name
-        digests[fast] = traced.trace_digest
-        streams[fast] = [
-            span.as_dict() for span in traced.tracer.recorder.spans()
-        ]
-    # both engine paths agree — on results AND on the observed spans
-    assert digests[True] == digests[False], name
-    assert streams[True] == streams[False], name
-    assert streams[True], f"{name}: trial recorded no spans"
+    untraced = run_trial(build_specs(config, (name,))[0]).tags[f"{name}/trace"]
+    fast = trace(config, 0, name)
+    _, slow_untraced = _reference_run(build, build_specs(config, (name,))[0])
+    slow, slow_traced = _reference_run(
+        build, build_specs(_traced(config), (name,))[0]
+    )
+    # tracing did not perturb the simulation, and both engine paths
+    # agree — on results AND on the observed spans
+    assert fast.trace_digest == untraced, name
+    assert slow_untraced.trace_digest == untraced, name
+    assert slow_traced.trace_digest == untraced, name
+    assert _spans(fast.tracer) == _spans(slow.tracer), name
+    assert _spans(fast.tracer), f"{name}: trial recorded no spans"
 
 
 # every design: the replay shares the experiments' build functions, and
@@ -54,30 +86,38 @@ def _assert_traced_equals_untraced(config, build_specs, run_trial, trace, name):
 @pytest.mark.parametrize("name", INTERCONNECT_NAMES)
 def test_fig7_traced_equals_untraced_on_both_paths(name):
     _assert_traced_equals_untraced(
-        FIG7_CONFIG, build_fig7_specs, run_fig7_trial, trace_fig7_trial, name
+        FIG7_CONFIG,
+        build_fig7_specs,
+        fig7_build,
+        run_fig7_trial,
+        trace_fig7_trial,
+        name,
     )
 
 
 def test_fig6_traced_equals_untraced_on_both_paths():
     for name in INTERCONNECT_NAMES:
         _assert_traced_equals_untraced(
-            FIG6_CONFIG, build_fig6_specs, run_fig6_trial, trace_fig6_trial, name
+            FIG6_CONFIG,
+            build_fig6_specs,
+            fig6_build,
+            run_fig6_trial,
+            trace_fig6_trial,
+            name,
         )
 
 
 def test_sampled_tracing_is_deterministic_across_paths():
     """Sampling counts issue attempts in rid order, so fast and slow
     runs must trace the identical request subset."""
-    streams = {}
-    for fast in (True, False):
-        config = dataclasses.replace(FIG6_CONFIG, fast_path=fast)
-        traced = trace_fig6_trial(config, 0, "BlueScale", sample_every=5)
-        streams[fast] = [
-            span.as_dict() for span in traced.tracer.recorder.spans()
-        ]
-    assert streams[True] == streams[False]
+    fast = trace_fig6_trial(FIG6_CONFIG, 0, "BlueScale", sample_every=5)
+    slow, _ = _reference_run(
+        fig6_build,
+        build_fig6_specs(_traced(FIG6_CONFIG, 5), ("BlueScale",))[0],
+    )
+    assert _spans(fast.tracer) == _spans(slow.tracer)
     full = trace_fig6_trial(FIG6_CONFIG, 0, "BlueScale")
-    sampled_rids = {span["rid"] for span in streams[True]}
+    sampled_rids = {span["rid"] for span in _spans(fast.tracer)}
     full_rids = {span.rid for span in full.tracer.recorder.spans()}
     assert sampled_rids < full_rids
 

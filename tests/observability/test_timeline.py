@@ -130,7 +130,7 @@ class TestLiveSimulation:
         """Every delivered request of a traced BlueScale run wins
         arbitration once at each SE level between its leaf and the root."""
         tasksets = generate_client_tasksets(random.Random(4), 8, 2, 0.5)
-        interconnect = BlueScaleInterconnect(8, buffer_capacity=2)
+        interconnect = BlueScaleInterconnect(8)
         interconnect.configure(tasksets)
         clients = [TrafficGenerator(c, ts) for c, ts in tasksets.items()]
         simulation = SoCSimulation(clients, interconnect, observability=True)

@@ -122,7 +122,7 @@ class TestInterconnectMonitor:
         analysis assumes."""
         rng = random.Random(21)
         tasksets = generate_client_tasksets(rng, 16, 2, 0.65)
-        interconnect = BlueScaleInterconnect(16, buffer_capacity=2)
+        interconnect = BlueScaleInterconnect(16)
         composition = interconnect.configure(tasksets)
         assert composition.schedulable
         clients = [TrafficGenerator(c, ts) for c, ts in tasksets.items()]

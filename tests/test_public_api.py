@@ -71,8 +71,9 @@ class TestTopLevelExports:
         the multi-memory extension, the optional-contract protocol
         (every engine component now implements quiescence) and the
         analysis knobs one ``AnalysisContext`` replaced, and the
-        per-experiment ``run_*`` wrappers ``run_experiment`` replaced are
-        gone from the public surface."""
+        per-experiment ``run_*`` wrappers ``run_experiment`` replaced and
+        the experiment-level design-setting knobs are gone from the
+        public surface."""
         import repro.analysis
         import repro.core
         import repro.experiments
@@ -107,6 +108,8 @@ class TestTopLevelExports:
             "run_dram_sensitivity",
             "run_fairness",
             "run_scalability_sweep",
+            "FactoryConfig",
+            "DEFAULT_FACTORY_CONFIG",
         ):
             assert name not in repro.experiments.__all__
             assert not hasattr(repro.experiments, name)
@@ -175,7 +178,7 @@ class TestTopLevelExports:
             random.Random(0), n_clients=16, tasks_per_client=3,
             system_utilization=0.8,
         )
-        interconnect = BlueScaleInterconnect(16, buffer_capacity=2)
+        interconnect = BlueScaleInterconnect(16)
         composition = interconnect.configure(tasksets)
         assert composition is not None
         clients = [TrafficGenerator(c, ts) for c, ts in tasksets.items()]

@@ -90,7 +90,7 @@ class TestAvionicsOnBlueScale:
         from repro.soc import SoCSimulation
 
         assignment = assign_partitions(4)
-        interconnect = BlueScaleInterconnect(4, buffer_capacity=2)
+        interconnect = BlueScaleInterconnect(4)
         composition = interconnect.configure(assignment)
         assert composition.schedulable
         clients = [
