@@ -60,8 +60,6 @@ from repro.analysis.composition import (
 from repro.analysis.sensitivity import (
     BreakdownResult,
     breakdown_scale,
-    breakdown_utilization,
-    can_admit,
     slack_per_client,
 )
 from repro.analysis.model import SystemModel
@@ -120,8 +118,6 @@ __all__ = [
     "update_client",
     "BreakdownResult",
     "breakdown_scale",
-    "breakdown_utilization",
-    "can_admit",
     "slack_per_client",
     "PathResponseBound",
     "busy_period_length",

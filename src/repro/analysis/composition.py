@@ -290,3 +290,25 @@ def update_client(
         _resolve_node(node, port_sets, fresh, ctx)
     _check_root(fresh)
     return fresh
+
+
+def changed_ports(
+    old: CompositionResult | None, new: CompositionResult
+) -> list[tuple[NodeId, int]]:
+    """``(node, port)`` pairs whose interface differs between compositions.
+
+    After a path-local :func:`update_client` only the touched client's
+    path can appear here — the count is the reprogramming work of the
+    transition.  Against no composition (``old=None``) every port of
+    ``new`` has changed.
+    """
+    changed: list[tuple[NodeId, int]] = []
+    for node, interfaces in new.interfaces.items():
+        before = None if old is None else old.interfaces.get(node)
+        if before is None:
+            changed.extend((node, port) for port in range(len(interfaces)))
+            continue
+        for port, interface in enumerate(interfaces):
+            if before[port] != interface:
+                changed.append((node, port))
+    return changed

@@ -186,11 +186,11 @@ class SystemModel:
             Fraction(0),
         )
 
-    def session(self, **kwargs) -> "AdmissionSession":
+    def session(self) -> "AdmissionSession":
         """A fresh per-request :class:`AdmissionSession` over this model."""
         from repro.analysis.session import AdmissionSession
 
-        return AdmissionSession(self, **kwargs)
+        return AdmissionSession(self)
 
     def describe(self) -> dict:
         """JSON-able summary (the service's ``GET /model`` payload)."""

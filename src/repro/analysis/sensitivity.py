@@ -5,15 +5,9 @@ directly, without simulation:
 
 * **breakdown utilization** — scale a workload's execution times up
   until the composition stops being schedulable; the largest surviving
-  scale factor measures the configuration's head-room
-  (:func:`breakdown_scale`, :func:`breakdown_utilization`).
-* **admission test** — would adding one task to one client keep the
-  system schedulable? (:func:`can_admit`) — the online question an
-  integrator asks before loading new software.  The long-running form
-  of this question lives in
-  :class:`~repro.analysis.session.AdmissionSession`, which wraps the
-  same machinery around a prebuilt
-  :class:`~repro.analysis.model.SystemModel`.
+  scale factor measures the configuration's head-room, and the total
+  utilization there is the admission ceiling
+  (:func:`breakdown_scale`).
 * **critical clients** — which client's demand is closest to its
   interface's capacity (:func:`slack_per_client`), i.e. where the next
   task should *not* go.
@@ -34,10 +28,8 @@ from repro.analysis.composition import (
     compose,
     default_deadline_margin,
     tighten_deadlines,
-    update_client,
 )
 from repro.errors import ConfigurationError
-from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
 from repro.topology import TreeTopology
 
@@ -118,39 +110,6 @@ def breakdown_scale(
     scaled = _scaled_tasksets(client_tasksets, low)
     utilization = sum((ts.utilization for ts in scaled.values()), Fraction(0))
     return BreakdownResult(low, float(utilization), low_result)
-
-
-def breakdown_utilization(
-    topology: TreeTopology,
-    client_tasksets: dict[int, TaskSet],
-    precision: float = 0.01,
-    *,
-    ctx: AnalysisContext | None = None,
-) -> float:
-    """Total utilization at the breakdown point (the admission ceiling)."""
-    return breakdown_scale(
-        topology, client_tasksets, precision=precision, ctx=ctx
-    ).utilization
-
-
-def can_admit(
-    baseline: CompositionResult,
-    client_tasksets: dict[int, TaskSet],
-    client_id: int,
-    task: PeriodicTask,
-    *,
-    ctx: AnalysisContext | None = None,
-) -> tuple[bool, CompositionResult]:
-    """Online admission: would adding ``task`` to ``client_id`` keep the
-    system schedulable?  Uses the path-local update, so the test costs
-    O(log n) interface-selection problems.  Returns the verdict and the
-    updated composition (apply it only on admit)."""
-    trial = dict(client_tasksets)
-    trial[client_id] = trial.get(client_id, TaskSet()).merged_with(
-        TaskSet([task.with_client(client_id)])
-    )
-    updated = update_client(baseline, trial, client_id, ctx=ctx)
-    return updated.schedulable, updated
 
 
 def slack_per_client(

@@ -28,12 +28,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.analysis.cache import (
-    AnalysisCache,
-    CacheStats,
-    taskset_digest,
-)
-from repro.analysis.context import AnalysisContext, SelectionConfig
+from repro.analysis.cache import CacheStats, taskset_digest
+from repro.analysis.context import AnalysisContext
 from repro.analysis.composition import CompositionResult, update_client
 from repro.analysis.model import SystemModel
 from repro.analysis.sensitivity import (
@@ -121,27 +117,14 @@ class AdmissionDecision:
 class AdmissionSession:
     """Cheap per-request admission state borrowing one frozen model.
 
-    ``backend``/``cache``/``config`` default to the model's own
-    context; overriding them (e.g. ``backend="scalar"`` for a
-    differential check) still reuses the model's baseline composition,
-    which is backend-independent by construction.
+    Every decision runs under the model's own
+    :class:`~repro.analysis.context.AnalysisContext` (backend, shared
+    cache, selection config); a differential check across backends
+    builds a model per backend.
     """
 
-    def __init__(
-        self,
-        model: SystemModel,
-        *,
-        backend: str | None = None,
-        cache: AnalysisCache | None = None,
-        config: SelectionConfig | None = None,
-    ) -> None:
+    def __init__(self, model: SystemModel) -> None:
         self.model = model
-        base = model.context
-        self._ctx = AnalysisContext(
-            backend=base.backend if backend is None else backend,
-            cache=base.cache if cache is None else cache,
-            config=base.config if config is None else config,
-        )
         # Committed state: replaced wholesale (copy-on-write), never
         # mutated in place, so concurrent probes always read a
         # consistent (tasksets, composition) pair.
@@ -153,7 +136,7 @@ class AdmissionSession:
     # -- read-only views -----------------------------------------------------
     @property
     def context(self) -> AnalysisContext:
-        return self._ctx
+        return self.model.context
 
     @property
     def composition(self) -> CompositionResult:
@@ -173,7 +156,7 @@ class AdmissionSession:
     @property
     def cache_stats(self) -> CacheStats:
         """Point-in-time snapshot of the borrowed cache's counters."""
-        return self._ctx.cache.stats_snapshot()
+        return self.model.cache.stats_snapshot()
 
     # -- admission primitives ------------------------------------------------
     def _normalize(
@@ -233,7 +216,7 @@ class AdmissionSession:
             trial,
             client_id,
             deadline_margin=self.model.deadline_margin,
-            ctx=self._ctx,
+            ctx=self.model.context,
         )
         self._decisions += 1
         return trial, self._decide(client_id, submission, updated)
@@ -294,7 +277,7 @@ class AdmissionSession:
                 tasksets,
                 client_id,
                 deadline_margin=self.model.deadline_margin,
-                ctx=self._ctx,
+                ctx=self.model.context,
             )
             self._decisions += 1
             decision = self._decide(client_id, submission, updated)
@@ -325,7 +308,7 @@ class AdmissionSession:
                 tasksets,
                 client_id,
                 deadline_margin=self.model.deadline_margin,
-                ctx=self._ctx,
+                ctx=self.model.context,
             )
             self._tasksets = tasksets
             self._composition = updated
@@ -354,7 +337,7 @@ class AdmissionSession:
             self.tasksets,
             precision=precision,
             max_scale=max_scale,
-            ctx=self._ctx,
+            ctx=self.model.context,
         )
 
     def slack(self) -> dict[int, float]:

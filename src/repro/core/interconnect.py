@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from repro.analysis.composition import (
     CompositionResult,
+    changed_ports,
     compose,
     default_deadline_margin,
     tighten_deadlines,
@@ -137,17 +138,28 @@ class BlueScaleInterconnect(Interconnect):
         self.apply_composition(model.baseline)
         return model.baseline
 
-    def apply_composition(self, result: CompositionResult) -> None:
-        """Program every SE's server tasks from a composition result."""
+    def apply_composition(
+        self, result: CompositionResult, cycle: int = 0
+    ) -> int:
+        """Program the SE ports whose interface differs from the
+        fabric's current composition — every port on first
+        configuration — at ``cycle``, budgets restarting fresh there.
+
+        The one way a composition reaches the fabric: configuration
+        applies at cycle 0, a runtime reconfiguration at its event
+        cycle.  Returns how many ports were programmed.
+        """
         if result.topology.n_clients != self.n_clients:
             raise ConfigurationError(
                 "composition was computed for a different client count"
             )
-        for node, interfaces in result.interfaces.items():
-            element = self.elements[node]
-            for port, interface in enumerate(interfaces):
-                element.program_port(port, interface, now=0)
+        changed = changed_ports(self.composition, result)
+        for node, port in changed:
+            self.elements[node].program_port(
+                port, result.interface_for(node, port), now=cycle
+            )
         self.composition = result
+        return len(changed)
 
     def reprogram_client(
         self,
@@ -172,12 +184,7 @@ class BlueScaleInterconnect(Interconnect):
         updated = update_client(
             self.composition, client_tasksets, client_id, ctx=ctx
         )
-        for node in self.topology.path_to_root(client_id):
-            element = self.elements[node]
-            for port, interface in enumerate(updated.interfaces[node]):
-                if interface != self.composition.interfaces[node][port]:
-                    element.program_port(port, interface, now=cycle)
-        self.composition = updated
+        self.apply_composition(updated, cycle)
         return updated
 
     def configure_distributed(

@@ -6,15 +6,15 @@ replays the same deterministic :class:`~repro.scenarios.plan.ScenarioPlan`
 running the same SoC:
 
 * ``BlueScale`` — the paper's answer: every transition runs through an
-  :class:`~repro.analysis.session.AdmissionSession` (O(log n)
-  path-local re-selection over the trial model's own
-  :class:`~repro.analysis.cache.AnalysisCache`), and only the SE ports
-  whose (Π, Θ) interface actually changed are reprogrammed, at the
-  event cycle.  Each committed transition emits a
-  :class:`~repro.scenarios.transient.TransientBound`; after the run the
-  job ledgers are checked against those windows — **no monitored job
-  may miss its deadline during reconfiguration** (``repro churn
-  --verify`` exits 1 otherwise).
+  :class:`~repro.analysis.session.AdmissionSession` by the replay's
+  :func:`~repro.scenarios.replay.decide_event` (O(log n) path-local
+  re-selection over the trial model's own cache), and the fabric's
+  ``apply_composition`` reprograms only the SE ports whose (Π, Θ)
+  interface changed, at the event cycle.  Each committed transition
+  emits a :class:`~repro.scenarios.transient.TransientBound`; after the
+  run the job ledgers are checked against those windows — **no
+  monitored job may miss its deadline during reconfiguration**
+  (``repro churn --verify`` exits 1 otherwise).
 * ``AXI-dynamic`` — dynamic bandwidth regulation in the style of
   Agrawal et al. (PAPERS.md): every transition is accepted and answered
   by recomputing *all* per-client budgets
@@ -46,6 +46,7 @@ import hashlib
 import random
 import statistics
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.analysis.model import SystemModel
 from repro.core.interconnect import BlueScaleInterconnect
@@ -63,10 +64,10 @@ from repro.faults.verify import victim_miss_from_outcomes
 from repro.runtime import MetricSet, TrialOutcome, TrialSpec, derive_seeds
 from repro.scenarios.driver import ScenarioDriver
 from repro.scenarios.plan import ScenarioEvent, ScenarioKind, ScenarioPlan, rate_scaled
+from repro.scenarios.replay import decide_event
 from repro.scenarios.transient import (
     TransientBound,
     compute_transient_bound,
-    changed_ports,
     verify_transients,
 )
 from repro.soc import SoCSimulation
@@ -89,15 +90,16 @@ class ChurnConfig:
     #: is exactly what the transient verification hunts
     utilization_low: float = 0.30
     utilization_high: float = 0.45
-    tasks_per_client: int = 2
-    period_min: int = 100
-    period_max: int = 1_200
     #: how many of the highest-numbered clients start idle and join
     #: mid-run (their drawn task sets become the join payloads)
     joiners: int = 2
-    #: the client that changes rate and later leaves
-    churner: int = 1
     seed: int = 2026
+    tasks_per_client: ClassVar[int] = 2
+    period_min: ClassVar[int] = 100
+    period_max: ClassVar[int] = 1_200
+    #: the client that changes rate and later leaves; the joiners bound
+    #: keeps it among the initially-active clients
+    churner: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if not 0 < self.utilization_low <= self.utilization_high:
@@ -107,10 +109,6 @@ class ChurnConfig:
         if not 1 <= self.joiners <= self.n_clients - 2:
             raise ConfigurationError(
                 f"joiners must lie in [1, n_clients - 2], got {self.joiners}"
-            )
-        if not 0 <= self.churner < self.n_clients - self.joiners:
-            raise ConfigurationError(
-                f"churner {self.churner} must be an initially-active client"
             )
 
     @property
@@ -194,7 +192,8 @@ def _churn_workload(spec: TrialSpec):
 
 
 class _BlueScaleGate:
-    """Admission gate: session re-selection + path-local SE reprogramming."""
+    """Admission gate: the replay's event decision, then path-local SE
+    reprogramming at the event cycle."""
 
     def __init__(self, session, interconnect) -> None:  # noqa: ANN001
         self.session = session
@@ -206,30 +205,14 @@ class _BlueScaleGate:
         session = self.session
         old_tasksets = session.tasksets
         old_composition = session.composition
-        if event.kind is ScenarioKind.CLIENT_JOIN:
-            decision = session.admit(event.client_id, event.assigned_tasks())
-        elif event.kind is ScenarioKind.CLIENT_LEAVE:
-            decision = session.evict(event.client_id)
-        else:
-            new_tasks = proposed[event.client_id]
-            decision = (
-                session.retask(event.client_id, new_tasks)
-                if len(new_tasks) > 0
-                else session.evict(event.client_id)
-            )
+        decision = decide_event(session, event, proposed[event.client_id])
         if not decision.committed:
             return False
-        # Reprogram exactly the SE ports whose interface changed — the
+        # Only the ports whose interface changed are reprogrammed — the
         # path-local footprint the paper's scalability argument counts.
-        changed = changed_ports(old_composition, decision.composition)
-        for node, port in changed:
-            self.interconnect.elements[node].program_port(
-                port,
-                decision.composition.interface_for(node, port),
-                now=cycle,
-            )
-        self.interconnect.composition = decision.composition
-        self.ports_reprogrammed += len(changed)
+        self.ports_reprogrammed += self.interconnect.apply_composition(
+            decision.composition, cycle
+        )
         self.transients.append(
             compute_transient_bound(
                 index,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from repro.analysis.context import AnalysisContext
 from repro.errors import ConfigurationError
@@ -55,15 +55,15 @@ class Fig6Config:
     drain: int = 5_000
     utilization_low: float = 0.70
     utilization_high: float = 0.90
-    tasks_per_client: int = 3
-    period_min: int = 100
-    period_max: int = 4_000
     seed: int = 2022
     #: opt-in request tracing (repro.observability): per-trial span
     #: rings plus ``{name}/obs/…`` metric scalars; measured results are
     #: identical with it on or off (tracing is observation-only).  An
     #: :class:`ObservabilityConfig` sizes the ring and the sampling.
     observability: bool | ObservabilityConfig = False
+    tasks_per_client: ClassVar[int] = 3
+    period_min: ClassVar[int] = 100
+    period_max: ClassVar[int] = 4_000
 
     @classmethod
     def paper_scale(cls, n_clients: int = 16) -> "Fig6Config":

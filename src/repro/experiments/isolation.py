@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from repro.analysis.context import AnalysisContext
 from repro.errors import ConfigurationError
@@ -74,16 +74,16 @@ class IsolationConfig:
     #: schedulable so victim degradation is attributable to the fault
     utilization_low: float = 0.40
     utilization_high: float = 0.55
-    tasks_per_client: int = 3
-    period_min: int = 100
-    period_max: int = 1_500
     #: the rogue client and its burst model (see FaultPlan.rogue_client)
     aggressor: int = 0
-    rogue_start: int = 400
     burst_size: int = 24
     burst_every: int = 60
-    burst_deadline_slack: int = 16
     seed: int = 2022
+    tasks_per_client: ClassVar[int] = 3
+    period_min: ClassVar[int] = 100
+    period_max: ClassVar[int] = 1_500
+    rogue_start: ClassVar[int] = 400
+    burst_deadline_slack: ClassVar[int] = 16
 
     def __post_init__(self) -> None:
         if not 0 < self.utilization_low <= self.utilization_high:

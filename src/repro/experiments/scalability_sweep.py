@@ -18,6 +18,7 @@ from repro.analysis.context import AnalysisContext
 from repro.analysis.model import SystemModel
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
+    BLUESCALE_SEARCH,
     build_interconnect,
     group_outcomes,
     simulate_specs,
@@ -166,8 +167,10 @@ def reduce_scalability(
     outcomes: list[TrialOutcome],
 ) -> ScalabilityResult:
     """Average per-seed metrics into one point per (size, design), then
-    search the admission ceilings (exact rational arithmetic, fast) on
-    the analysis backend the trials ran on; the ceilings are identical
+    search the admission ceilings (exact rational arithmetic, fast)
+    with the simulated BlueScale's search width
+    (:data:`~repro.experiments.factory.BLUESCALE_SEARCH`) on the
+    analysis backend the trials ran on; the ceilings are identical
     under either backend."""
     result = ScalabilityResult(utilization=config.utilization)
     grouped = group_outcomes(outcomes, "n_clients", "interconnect")
@@ -191,6 +194,7 @@ def reduce_scalability(
                 model = SystemModel.build(
                     quadtree(n_clients),
                     tasksets,
+                    config=BLUESCALE_SEARCH,
                     backend=backend,
                 )
                 result.admission_ceiling[n_clients] = (

@@ -29,7 +29,6 @@ from repro.faults.verify import (
     IsolationVerdict,
     verify_isolation,
     victim_miss_from_outcomes,
-    victim_miss_ratio,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "make_orchestrator",
     "verify_isolation",
     "victim_miss_from_outcomes",
-    "victim_miss_ratio",
 ]

@@ -71,32 +71,15 @@ class IsolationVerdict:
         return not self.violations
 
 
-def victim_miss_ratio(
-    clients, horizon: int, victims: set[int]  # noqa: ANN001
-) -> float:
-    """Job-level deadline-miss ratio across the victim clients only."""
-    judged = 0
-    missed = 0
-    for client in clients:
-        if client.client_id not in victims:
-            continue
-        judged += client.monitored_jobs_judged(horizon)
-        missed += client.monitored_job_misses(horizon)
-    if judged == 0:
-        return 0.0
-    return missed / judged
-
-
 def victim_miss_from_outcomes(
     job_outcomes: dict[int, tuple[int, int]], victims: set[int]
 ) -> float:
-    """:func:`victim_miss_ratio` computed from a
-    :class:`~repro.soc.TrialResult`'s ``job_outcomes`` fold.
+    """Job-level deadline-miss ratio across the ``victims`` clients,
+    from a :class:`~repro.soc.TrialResult`'s ``job_outcomes`` fold.
 
-    Identical by construction — ``job_outcomes`` is the per-client
-    ``(judged, missed)`` pair at the trial's horizon — but it works on
-    any backend's :class:`~repro.soc.TrialResult` without touching the
-    client objects.
+    ``job_outcomes`` is the per-client ``(judged, missed)`` pair at the
+    trial's horizon, so this works on any backend's
+    :class:`~repro.soc.TrialResult` without touching the client objects.
     """
     judged = 0
     missed = 0

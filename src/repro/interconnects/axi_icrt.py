@@ -81,7 +81,8 @@ class AxiIcRtInterconnect(Interconnect):
     ) -> None:
         """Assign per-client bandwidth: ``budgets[c]`` slots per ``window``.
 
-        The centralized design's scheduling-scalability weakness shows
+        The experiments' one budget rule is
+        :func:`repro.experiments.factory.axi_budgets`.  The centralized design's scheduling-scalability weakness shows
         here: *all* budgets must be recomputed whenever any client's
         workload changes (the paper contrasts this with BlueScale's
         path-local updates).
@@ -105,18 +106,6 @@ class AxiIcRtInterconnect(Interconnect):
     def window(self) -> int | None:
         """Bandwidth-regulation replenishment window (None = unregulated)."""
         return self._window
-
-    @staticmethod
-    def budgets_from_utilizations(
-        utilizations: Sequence[float], window: int, margin: float = 1.2
-    ) -> list[int]:
-        """Workload-proportional budgets with head-room ``margin``."""
-        budgets = []
-        for u in utilizations:
-            if u < 0:
-                raise ConfigurationError(f"negative utilization {u}")
-            budgets.append(min(window, max(1, round(u * window * margin))))
-        return budgets
 
     # -- ingress ------------------------------------------------------------
     def try_inject(self, request: MemoryRequest, cycle: int) -> bool:

@@ -4,8 +4,9 @@ The simulator's :class:`~repro.scenarios.driver.ScenarioDriver` is one
 consumer of a plan; this module provides the other two:
 
 * :func:`replay_plan` — drive the events through a live
-  :class:`~repro.analysis.session.AdmissionSession` (join → ``admit``,
-  leave → ``evict``, rate change / mode switch → ``retask``), emitting
+  :class:`~repro.analysis.session.AdmissionSession` via
+  :func:`decide_event` (the one event → decision mapping, which the
+  churn experiment's simulated gate shares), emitting
   one :class:`~repro.scenarios.transient.TransientBound` per committed
   transition.  This is the pure-analysis view of a churn timeline —
   what budgets would be reprogrammed, and how long each old guarantee
@@ -30,7 +31,12 @@ from repro.scenarios.plan import ScenarioEvent, ScenarioKind, ScenarioPlan
 from repro.scenarios.transient import TransientBound, compute_transient_bound
 from repro.tasks.taskset import TaskSet
 
-__all__ = ["ReplayedEvent", "replay_plan", "replay_plan_service"]
+__all__ = [
+    "ReplayedEvent",
+    "decide_event",
+    "replay_plan",
+    "replay_plan_service",
+]
 
 
 @dataclass(frozen=True)
@@ -48,17 +54,20 @@ class ReplayedEvent:
         return self.decision.committed
 
 
-def _decide_event(
-    session: AdmissionSession, event: ScenarioEvent, current: TaskSet
+def decide_event(
+    session: AdmissionSession, event: ScenarioEvent, proposed: TaskSet
 ) -> AdmissionDecision:
+    """Run one plan event through ``session``: join → ``admit``, leave →
+    ``evict``, rate change / mode switch → ``retask``.
+
+    ``proposed`` is the client's task set after the event
+    (:meth:`~repro.scenarios.plan.ScenarioEvent.proposed`).  A rate
+    change that leaves the client running nothing degenerates to an
+    evict (``retask`` refuses empty submissions by design).
+    """
     if event.kind is ScenarioKind.CLIENT_JOIN:
         return session.admit(event.client_id, event.assigned_tasks())
-    if event.kind is ScenarioKind.CLIENT_LEAVE:
-        return session.evict(event.client_id)
-    proposed = event.proposed(current)
-    if len(proposed) == 0:
-        # A rate change on a client that runs nothing degenerates to an
-        # evict (retask refuses empty submissions by design).
+    if event.kind is ScenarioKind.CLIENT_LEAVE or len(proposed) == 0:
         return session.evict(event.client_id)
     return session.retask(event.client_id, proposed)
 
@@ -81,7 +90,7 @@ def replay_plan(
         old_tasksets = session.tasksets
         old_composition = session.composition
         current = old_tasksets.get(event.client_id, TaskSet())
-        decision = _decide_event(session, event, current)
+        decision = decide_event(session, event, event.proposed(current))
         transient = None
         if transients and decision.committed:
             transient = compute_transient_bound(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.composition import CompositionResult
+from repro.analysis.composition import CompositionResult, changed_ports
 from repro.analysis.context import AnalysisContext
 from repro.analysis.response_time import holistic_response_bounds
 from repro.errors import InfeasibleError
@@ -91,27 +91,6 @@ class TransientReport:
         if not self.bounds:
             return 0.0
         return sum(b.window for b in self.bounds) / len(self.bounds)
-
-
-def changed_ports(
-    old: CompositionResult, new: CompositionResult
-) -> list[tuple[tuple[int, int], int]]:
-    """``(node, port)`` pairs whose interface differs between compositions.
-
-    After a path-local :func:`~repro.analysis.composition.update_client`
-    only the touched client's path can appear here — the count is the
-    reprogramming work of the transition.
-    """
-    changed: list[tuple[tuple[int, int], int]] = []
-    for node, interfaces in new.interfaces.items():
-        before = old.interfaces.get(node)
-        if before is None:
-            changed.extend((node, port) for port in range(len(interfaces)))
-            continue
-        for port, interface in enumerate(interfaces):
-            if before[port] != interface:
-                changed.append((node, port))
-    return changed
 
 
 def compute_transient_bound(

@@ -12,8 +12,7 @@ import pytest
 from repro.analysis import AdmissionSession, SystemModel, compose
 from repro.analysis.cache import AnalysisCache, get_default_cache
 from repro.analysis.context import AnalysisContext
-from repro.analysis.composition import default_deadline_margin
-from repro.analysis.sensitivity import can_admit
+from repro.analysis.composition import default_deadline_margin, update_client
 from repro.errors import ConfigurationError
 from repro.tasks.generators import generate_client_tasksets
 from repro.tasks.task import PeriodicTask
@@ -97,19 +96,22 @@ class TestSystemModel:
 
 
 class TestAdmissionSession:
-    def test_probe_matches_can_admit(self):
+    def test_probe_matches_merged_update_client(self):
+        """A probe is the path-local update of the client's merged task
+        set, computed here independently on a cold cache."""
         model = _model()
         session = model.session()
         for task in (SMALL, HEAVY):
-            expected_ok, expected = can_admit(
+            merged = dict(model.client_tasksets)
+            merged[3] = merged[3].merged_with(TaskSet([task.with_client(3)]))
+            expected = update_client(
                 model.baseline,
-                dict(model.client_tasksets),
+                merged,
                 3,
-                task,
                 ctx=AnalysisContext(cache=AnalysisCache()),
             )
             decision = session.probe(3, task)
-            assert decision.admitted == expected_ok
+            assert decision.admitted == expected.schedulable
             assert decision.composition.interfaces == expected.interfaces
 
     def test_probe_does_not_mutate_state(self):
@@ -223,11 +225,13 @@ class TestAdmissionSession:
         assert set(slack) == set(session.tasksets)
         assert all(value > -1.0 for value in slack.values())
 
-    def test_session_context_overrides(self):
-        model = _model()
+    def test_session_borrows_the_model_context(self):
+        """A session decides under its model's context, nothing else:
+        a run on the other backend is a model built on it."""
         own_cache = AnalysisCache()
-        session = AdmissionSession(model, cache=own_cache, backend="scalar")
+        model = _model(backend="scalar", cache=own_cache)
+        session = AdmissionSession(model)
+        assert session.context is model.context
         assert session.context.backend == "scalar"
-        assert session.context.cache is own_cache
         assert session.probe(3, SMALL).admitted
         assert own_cache.stats.lookups > 0

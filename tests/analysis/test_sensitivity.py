@@ -7,12 +7,8 @@ import pytest
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.context import AnalysisContext
 from repro.analysis.composition import compose
-from repro.analysis.sensitivity import (
-    breakdown_scale,
-    breakdown_utilization,
-    can_admit,
-    slack_per_client,
-)
+from repro.analysis.model import SystemModel
+from repro.analysis.sensitivity import breakdown_scale, slack_per_client
 from repro.errors import ConfigurationError
 from repro.tasks.generators import generate_client_tasksets
 from repro.tasks.task import PeriodicTask
@@ -43,10 +39,10 @@ class TestBreakdown:
         }
         assert not compose(topology, over).schedulable
 
-    def test_breakdown_utilization_below_one(self):
+    def test_breakdown_ceiling_below_one(self):
         topology, tasksets = light_system(utilization=0.3)
-        ceiling = breakdown_utilization(topology, tasksets, precision=0.05)
-        assert 0.3 < ceiling <= 1.0
+        result = breakdown_scale(topology, tasksets, precision=0.05)
+        assert 0.3 < result.utilization <= 1.0
 
     def test_unschedulable_base_rejected(self):
         topology, tasksets = light_system(utilization=0.3)
@@ -65,58 +61,48 @@ class TestBreakdown:
         topo16, ts16 = light_system(16, 0.25, seed=7)
         rng = random.Random(7)
         ts64 = generate_client_tasksets(rng, 64, 2, 0.25)
-        ceiling16 = breakdown_utilization(topo16, ts16, precision=0.1)
-        ceiling64 = breakdown_utilization(quadtree(64), ts64, precision=0.1)
-        assert ceiling16 > ceiling64
+        ceiling16 = breakdown_scale(topo16, ts16, precision=0.1)
+        ceiling64 = breakdown_scale(quadtree(64), ts64, precision=0.1)
+        assert ceiling16.utilization > ceiling64.utilization
 
 
 class TestAdmission:
+    """Online admission through the one entry point,
+    :meth:`AdmissionSession.probe`."""
+
     def test_small_task_admitted(self):
         topology, tasksets = light_system(utilization=0.3)
-        baseline = compose(topology, tasksets)
-        admitted, updated = can_admit(
-            baseline,
-            tasksets,
-            client_id=5,
-            task=PeriodicTask(period=1000, wcet=1, name="tiny"),
+        decision = SystemModel.build(topology, tasksets).session().probe(
+            5, PeriodicTask(period=1000, wcet=1, name="tiny")
         )
-        assert admitted
-        assert updated.schedulable
+        assert decision.admitted
+        assert decision.composition.schedulable
 
     def test_huge_task_rejected(self):
         topology, tasksets = light_system(utilization=0.5)
-        baseline = compose(topology, tasksets)
-        admitted, updated = can_admit(
-            baseline,
-            tasksets,
-            client_id=5,
-            task=PeriodicTask(period=100, wcet=90, name="hog"),
+        decision = SystemModel.build(topology, tasksets).session().probe(
+            5, PeriodicTask(period=100, wcet=90, name="hog")
         )
-        assert not admitted
-        assert not updated.schedulable
+        assert not decision.admitted
+        assert not decision.composition.schedulable
 
     def test_admission_does_not_mutate_inputs(self):
         topology, tasksets = light_system(utilization=0.3)
-        baseline = compose(topology, tasksets)
         sizes = {c: len(ts) for c, ts in tasksets.items()}
-        can_admit(
-            baseline, tasksets, 3, PeriodicTask(period=500, wcet=2, name="x")
+        SystemModel.build(topology, tasksets).session().probe(
+            3, PeriodicTask(period=500, wcet=2, name="x")
         )
         assert {c: len(ts) for c, ts in tasksets.items()} == sizes
 
     def test_admitting_to_empty_client(self):
         topology, tasksets = light_system(utilization=0.3)
         del tasksets[7]
-        baseline = compose(topology, tasksets)
-        admitted, updated = can_admit(
-            baseline,
-            tasksets,
-            client_id=7,
-            task=PeriodicTask(period=400, wcet=2, name="newcomer"),
+        decision = SystemModel.build(topology, tasksets).session().probe(
+            7, PeriodicTask(period=400, wcet=2, name="newcomer")
         )
-        assert admitted
+        assert decision.admitted
         leaf, port = topology.leaf_of_client(7)
-        assert updated.interfaces[leaf][port].budget > 0
+        assert decision.composition.interfaces[leaf][port].budget > 0
 
 
 class TestSlack:
@@ -186,19 +172,4 @@ class TestBreakdownCacheReuse:
             warm.composition.root_bandwidth == cold.composition.root_bandwidth
         )
         # the probes really did share selections across sweep points
-        assert cache.stats.selection_hits > 0
-
-    def test_breakdown_utilization_identical_with_and_without_cache(self):
-        topology, tasksets = light_system(utilization=0.25)
-        cold = breakdown_utilization(
-            topology,
-            tasksets,
-            precision=0.1,
-            ctx=AnalysisContext(cache=AnalysisCache(enabled=False)),
-        )
-        cache = AnalysisCache()
-        warm = breakdown_utilization(
-            topology, tasksets, precision=0.1, ctx=AnalysisContext(cache=cache)
-        )
-        assert warm == cold
         assert cache.stats.selection_hits > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.composition import compose
+from repro.analysis.composition import changed_ports, compose, update_client
 from repro.core.interconnect import BlueScaleInterconnect
 from repro.errors import ConfigurationError
 from repro.memory.controller import MemoryController
@@ -99,6 +99,49 @@ class TestConfiguration:
         other = compose(quadtree(64), light_tasksets(64))
         with pytest.raises(ConfigurationError):
             interconnect.apply_composition(other)
+
+    def test_apply_composition_programs_only_changed_ports(self):
+        """The one way a composition reaches the fabric: every port on
+        first use; afterwards exactly ``changed_ports(old, new)``, at
+        the given cycle with fresh budgets; nothing for an identical
+        composition."""
+        interconnect = BlueScaleInterconnect(16)
+        tasksets = light_tasksets(16)
+        old = compose(interconnect.topology, tasksets)
+        calls = []
+        for node, element in interconnect.elements.items():
+            program = element.program_port
+
+            def recording(port, interface, now=0, node=node, program=program):
+                calls.append((node, port, now))
+                program(port, interface, now=now)
+
+            element.program_port = recording
+
+        total = sum(len(ifaces) for ifaces in old.interfaces.values())
+        assert interconnect.apply_composition(old) == total
+        assert len(calls) == total
+        assert {now for _, _, now in calls} == {0}
+
+        tasksets[9] = tasksets[9].merged_with(
+            TaskSet([PeriodicTask(period=300, wcet=3, client_id=9)])
+        )
+        new = update_client(old, tasksets, 9)
+        expected = changed_ports(old, new)
+        assert expected
+        calls.clear()
+        assert interconnect.apply_composition(new, cycle=700) == len(expected)
+        assert calls == [(node, port, 700) for node, port in expected]
+        assert interconnect.composition is new
+        for node, port in expected:
+            server = interconnect.elements[node].scheduler.servers[port]
+            assert server.interface == new.interface_for(node, port)
+            assert server.deadline == 700 + server.counters.period
+            assert server.counters.remaining_budget == server.interface.budget
+
+        calls.clear()
+        assert interconnect.apply_composition(new, cycle=900) == 0
+        assert calls == []
 
     def test_distributed_selection_matches_central_composition(self):
         """Each SE resolving its own interface-selection problem from its

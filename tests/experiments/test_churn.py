@@ -4,6 +4,8 @@ import pickle
 
 import pytest
 
+from repro.analysis.model import SystemModel
+from repro.core.interconnect import BlueScaleInterconnect
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import churn, run_experiment
 from repro.experiments.churn import (
@@ -16,9 +18,12 @@ from repro.experiments.churn import (
     reduce_churn,
     run_churn_trial,
 )
+from repro.experiments.factory import BLUESCALE_SEARCH, traffic_generators
 from repro.runtime.executor import TrialOutcome
 from repro.runtime.metrics import MetricSet
-from repro.scenarios import ScenarioKind
+from repro.scenarios import ScenarioDriver, ScenarioKind, replay_plan
+from repro.soc import SoCSimulation
+from repro.tasks.taskset import TaskSet
 
 SMOKE = ChurnConfig(n_clients=8, trials=1, horizon=3_000, drain=1_500)
 
@@ -56,8 +61,6 @@ class TestConfigAndSpecs:
             ChurnConfig(n_clients=4, joiners=3)
         with pytest.raises(ConfigurationError):
             ChurnConfig(utilization_low=0.5, utilization_high=0.4)
-        with pytest.raises(ConfigurationError):
-            ChurnConfig(churner=7)  # a joiner, not initially active
 
 
 class TestTrial:
@@ -82,6 +85,46 @@ class TestTrial:
             dynamic = smoke_metrics["AXI-dynamic/reconfig_work"] / dyn_applied
             assert dynamic == SMOKE.n_clients
         assert smoke_metrics["AXI-static/reconfig_work"] == 0.0
+
+    def test_simulated_gate_decides_like_the_replay(self):
+        """The simulated BlueScale gate and the analysis-only replay are
+        one event → decision path: on trial 0's plan they commit the
+        same events, with the same transient windows, and the fabric
+        reprograms exactly the ports each replayed transition counts."""
+        (spec,) = build_churn_specs(SMOKE)
+        base, plan = churn._churn_workload(spec)
+        interconnect = BlueScaleInterconnect(SMOKE.n_clients)
+        model = SystemModel.build(
+            interconnect.topology, base, config=BLUESCALE_SEARCH
+        )
+        interconnect.configure_from_model(model)
+        programmed = []
+        apply = interconnect.apply_composition
+
+        def recording(result, cycle=0):
+            programmed.append(apply(result, cycle))
+            return programmed[-1]
+
+        interconnect.apply_composition = recording
+        gate = churn._BlueScaleGate(model.session(), interconnect)
+        ports = {c: base.get(c, TaskSet()) for c in range(SMOKE.n_clients)}
+        SoCSimulation(
+            traffic_generators(spec, ports),
+            interconnect,
+            scenario=ScenarioDriver(plan, admission=gate),
+        ).run(SMOKE.horizon, drain=SMOKE.drain)
+
+        replayed = [
+            event
+            for event in replay_plan(model.session(), plan)
+            if event.applied
+        ]
+        assert replayed
+        assert gate.transients == [event.transient for event in replayed]
+        assert programmed == [
+            event.transient.reprogrammed_ports for event in replayed
+        ]
+        assert gate.ports_reprogrammed == sum(programmed)
 
     def test_trial_is_deterministic(self, smoke_metrics):
         (spec,) = build_churn_specs(SMOKE)

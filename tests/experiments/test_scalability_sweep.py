@@ -69,16 +69,19 @@ class TestScalabilitySweep:
     ):
         """The in-process ceiling search has no spec of its own; its
         analysis backend is the executor's engine's (the one its trials
-        ran on — a sweep always has one, see below), nothing else's.
-        One BlueTree trial: no analysis of its own to record."""
+        ran on — a sweep always has one, see below), nothing else's, and
+        its search width is the simulated BlueScale's.  One BlueTree
+        trial: no analysis of its own to record."""
         from repro.experiments import scalability_sweep
 
         seen = []
         build = scalability_sweep.SystemModel.build
 
-        def recording(*args, backend=None, **kwargs):
+        def recording(*args, backend=None, config=None, **kwargs):
+            # the ceiling searches like the simulated BlueScale
+            assert config is scalability_sweep.BLUESCALE_SEARCH
             seen.append(backend)
-            return build(*args, backend=backend, **kwargs)
+            return build(*args, backend=backend, config=config, **kwargs)
 
         monkeypatch.setattr(scalability_sweep.SystemModel, "build", recording)
         for engine in (None, EngineConfig(analysis_backend="scalar")):

@@ -180,7 +180,7 @@ class TestRobustness:
         with pytest.raises(ConfigurationError):
             IsolationConfig(aggressor=9, n_clients=8)
         with pytest.raises(ConfigurationError):
-            IsolationConfig(rogue_start=5_000, horizon=4_000)
+            IsolationConfig(horizon=IsolationConfig.rogue_start)
         with pytest.raises(ConfigurationError):
             IsolationConfig(utilization_low=0.9, utilization_high=0.5)
 

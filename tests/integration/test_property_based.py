@@ -2,11 +2,12 @@
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.clients.traffic_generator import TrafficGenerator
 from repro.core.interconnect import BlueScaleInterconnect
+from repro.faults.verify import verify_isolation
 from repro.interconnects.axi_icrt import AxiIcRtInterconnect
 from repro.interconnects.bluetree import BlueTreeInterconnect
 from repro.interconnects.gsmtree import gsmtree_tdm
@@ -99,3 +100,47 @@ class TestResponsesBelongToIssuer:
             for job in completed_jobs:
                 assert job.outstanding == 0
                 assert job.task_name == f"t{client.client_id}"
+
+
+class TestSoundnessProperty:
+    @given(
+        seed=st.integers(0, 10_000),
+        n_clients=st.sampled_from([4, 5, 8, 16]),
+        buffer_capacity=st.integers(1, 4),
+        tasks_per_client=st.integers(1, 3),
+        utilization=st.floats(0.2, 0.9),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_admitted_jobs_stay_within_their_bounds(
+        self, seed, n_clients, buffer_capacity, tasks_per_client, utilization
+    ):
+        """Admitted ⇒ every job within its analytical bound, over small
+        trees (one SE, a sparse two-level tree, full two-level trees)
+        and every port-buffer depth up to 4; fault-free, scalar fast
+        path.  Draws the composition rejects are discarded."""
+        rng = random.Random(seed)
+        tasksets = generate_client_tasksets(
+            rng,
+            n_clients,
+            tasks_per_client,
+            utilization,
+            period_min=50,
+            period_max=800,
+        )
+        interconnect = BlueScaleInterconnect(
+            n_clients, buffer_capacity=buffer_capacity
+        )
+        composition = interconnect.configure(tasksets)
+        assume(composition.schedulable)
+        clients = [TrafficGenerator(c, ts) for c, ts in tasksets.items()]
+        horizon = 2_000
+        SoCSimulation(clients, interconnect).run(horizon, drain=1_000)
+        verdict = verify_isolation(
+            clients,
+            tasksets,
+            composition,
+            end_cycle=horizon,
+            victims=set(tasksets),
+        )
+        assert verdict.bounds_checked
+        assert verdict.violations == ()

@@ -105,14 +105,6 @@ class TestRegulation:
         with pytest.raises(ConfigurationError):
             interconnect.configure_regulation([1, 1, 1, 1], window=0)
 
-    def test_budgets_from_utilizations(self):
-        budgets = AxiIcRtInterconnect.budgets_from_utilizations(
-            [0.5, 0.001, 0.9], window=100, margin=1.2
-        )
-        assert budgets[0] == 60
-        assert budgets[1] == 1  # floor of one slot
-        assert budgets[2] == 100  # capped at the window
-
 
 class TestArbitrationInterval:
     def test_slow_arbiter_halves_decision_rate(self):

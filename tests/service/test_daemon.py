@@ -35,7 +35,7 @@ def service(model):
         client.close()
         handle.stop()
         handle.service.session.reset()
-        handle.service.session._ctx.cache.reset_stats()
+        handle.service.session.context.cache.reset_stats()
 
 
 class TestEndpoints:

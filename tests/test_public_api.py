@@ -70,13 +70,16 @@ class TestTopLevelExports:
         tracer in ``repro.observability``), the uncalled ``spawn_rng``,
         the multi-memory extension, the optional-contract protocol
         (every engine component now implements quiescence) and the
-        analysis knobs one ``AnalysisContext`` replaced, and the
+        analysis knobs one ``AnalysisContext`` replaced, the admission
+        and ceiling shortcuts ``AdmissionSession`` and ``breakdown_scale``
+        already answer, the uncalled per-client victim miss fold, the
         per-experiment ``run_*`` wrappers ``run_experiment`` replaced and
         the experiment-level design-setting knobs are gone from the
         public surface."""
         import repro.analysis
         import repro.core
         import repro.experiments
+        import repro.faults
         import repro.runtime
         import repro.sim
 
@@ -95,9 +98,17 @@ class TestTopLevelExports:
             "run_multi_memory_trial",
         ):
             assert name not in repro.core.__all__
-        for name in ("set_default_cache", "resolve_cache", "resolve_backend"):
+        for name in (
+            "set_default_cache",
+            "resolve_cache",
+            "resolve_backend",
+            "can_admit",
+            "breakdown_utilization",
+        ):
             assert name not in repro.analysis.__all__
             assert not hasattr(repro.analysis, name)
+        assert "victim_miss_ratio" not in repro.faults.__all__
+        assert not hasattr(repro.faults, "victim_miss_ratio")
         for name in (
             "run_fig6",
             "run_fig7",
@@ -132,7 +143,6 @@ class TestTopLevelExports:
         exempt = {
             "SystemModel.build",
             "SystemModel.from_seed",
-            "AdmissionSession.__init__",
             "AnalysisContext.__init__",
         }
         subjects = {"build_interconnect": build_interconnect}
