@@ -10,15 +10,19 @@ everything it analyses; long-lived holders
 (:class:`~repro.analysis.model.SystemModel`,
 :class:`~repro.analysis.session.AdmissionSession`) own theirs.
 
-Two backends evaluate the dbf<=sbf machinery:
+Two backends evaluate the dbf<=sbf machinery and the holistic WCRT
+bound:
 
 * ``"scalar"`` — the original pure-Python implementations, kept as the
   reference oracle.  Every candidate ``(Π, Θ)`` is tested by its own
-  step-point scan.
+  step-point scan, and every task's response bound is its own
+  fixpoint per release offset.
 * ``"vectorized"`` — numpy-backed batch evaluation
   (:mod:`repro.analysis.vectorized`): dbf is evaluated once over a
   deduplicated step-point grid per task set, and all candidate
-  interfaces of a search are checked against that grid at once.
+  interfaces of a search are checked against that grid at once; the
+  response bounds of all tasks and release offsets of one port are one
+  array fixpoint.
 
 Both are exact over integers and produce **identical** results; the
 property suite asserts it.

@@ -12,13 +12,20 @@ task's accumulated upstream response becomes its jitter at the next
 tree level (Tindell-style holistic analysis), and the per-level WCRTs
 plus the constant pipeline latency bound the end-to-end response.  The
 bounds are validated against simulated maxima in the integration tests.
-Their dbf<=sbf precondition runs under the caller's ``ctx``.
+
+The caller's ``ctx`` picks the backend, one port at a time.
+``"scalar"`` runs ``wcrt_on_interface`` once per task, the oracle;
+``"vectorized"`` computes the port's busy period and dbf<=sbf check
+once and every task's fixpoints as one array program
+(:func:`repro.analysis.vectorized.port_wcrts`).  The two return
+identical bounds and raise in the same cases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis import vectorized
 from repro.analysis.composition import CompositionResult, default_deadline_margin
 from repro.analysis.context import AnalysisContext
 from repro.analysis.prm import ResourceInterface, dbf, sbf
@@ -219,6 +226,53 @@ def _qualified(client_id: int, task: PeriodicTask) -> PeriodicTask:
     )
 
 
+def _port_wcrts(
+    tasks: list[PeriodicTask],
+    interface: ResourceInterface,
+    jitters: dict[str, int],
+    *,
+    checked: bool,
+    ctx: AnalysisContext,
+) -> list[int]:
+    """WCRT of each of one port's ``tasks`` against all of them.
+
+    Every task is charged one request of blocking; ``checked`` first
+    requires the port to pass the dbf<=sbf test.  ``ctx.backend`` picks
+    the evaluation: ``"scalar"`` runs :func:`wcrt_on_interface` once per
+    task, ``"vectorized"`` runs the busy period and the dbf<=sbf test
+    once for the port and every task's fixpoints as one array program
+    (:func:`repro.analysis.vectorized.port_wcrts`).  Both raise
+    :class:`InfeasibleError` in the same cases and return identical
+    bounds.
+    """
+    taskset = TaskSet(tasks)
+    if ctx.backend == "scalar":
+        return [
+            wcrt_on_interface(
+                task,
+                taskset,
+                interface,
+                jitters,
+                require_schedulable=checked,
+                blocking=1,
+                ctx=ctx,
+            )
+            for task in tasks
+        ]
+    if checked and not is_schedulable(taskset, interface, ctx=ctx).schedulable:
+        raise InfeasibleError(
+            "WCRT bound requires a schedulable (task set, interface) pair"
+        )
+    return vectorized.port_wcrts(
+        tasks,
+        interface,
+        [jitters.get(task.name, 0) for task in tasks],
+        busy_period_length(taskset, interface, jitters),
+        blocking=1,
+        cap=_BUSY_PERIOD_CAP,
+    )
+
+
 def holistic_response_bounds(
     client_tasksets: dict[int, TaskSet],
     composition: CompositionResult,
@@ -256,18 +310,17 @@ def holistic_response_bounds(
         for client, taskset in client_tasksets.items()
         if len(taskset) > 0
     }
+    if ctx is None:
+        ctx = AnalysisContext()
     accumulated: dict[str, int] = {}
     levels: dict[int, list[dict[str, int]]] = {c: [] for c in qualified}
     # Leaf level: per-client analysis on the client's own interface.
     for client, tasks in qualified.items():
         leaf, port = topology.leaf_of_client(client)
         interface = composition.interface_for(leaf, port)
-        taskset = TaskSet(tasks)
+        wcrts = _port_wcrts(tasks, interface, {}, checked=True, ctx=ctx)
         record: dict[str, int] = {}
-        for original, task in zip(client_tasksets[client], tasks):
-            wcrt = wcrt_on_interface(
-                task, taskset, interface, blocking=1, ctx=ctx
-            )
+        for original, task, wcrt in zip(client_tasksets[client], tasks, wcrts):
             accumulated[task.name] = wcrt
             record[original.name] = wcrt
         levels[client].append(record)
@@ -290,27 +343,24 @@ def holistic_response_bounds(
                 subtree_tasks = [
                     t for c in subtree_clients for t in qualified[c]
                 ]
-                taskset = TaskSet(subtree_tasks)
                 jitters = {
                     t.name: accumulated[t.name] for t in subtree_tasks
                 }
+                # The interface was selected for the child's *server
+                # tasks*; the raw subtree union may not pass the plain
+                # dbf test, so run unchecked (the busy-period cap
+                # guards divergence).
+                wcrts = iter(
+                    _port_wcrts(
+                        subtree_tasks, interface, jitters, checked=False, ctx=ctx
+                    )
+                )
                 for client in subtree_clients:
                     record: dict[str, int] = {}
                     for original, task in zip(
                         client_tasksets[client], qualified[client]
                     ):
-                        # The interface was selected for the child's
-                        # *server tasks*; the raw subtree union may not
-                        # pass the plain dbf test, so run unchecked
-                        # (the busy-period cap guards divergence).
-                        wcrt = wcrt_on_interface(
-                            task,
-                            taskset,
-                            interface,
-                            jitters,
-                            require_schedulable=False,
-                            blocking=1,
-                        )
+                        wcrt = next(wcrts)
                         round_results[task.name] = accumulated[task.name] + wcrt
                         record[original.name] = wcrt
                     levels[client].append(record)

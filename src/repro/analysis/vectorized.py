@@ -12,7 +12,11 @@ two hot loops into array programs:
 * :func:`sbf_values` evaluates the supply bound function of one
   candidate over the whole grid in a handful of vector ops, and
   :func:`schedulable_many` folds that into per-candidate verdicts for a
-  whole batch of interfaces at once.
+  whole batch of interfaces at once;
+* :func:`port_wcrts` bounds the response time of every task of one
+  port at once: one fixpoint iteration advances every (task, release
+  offset) pair of Spuri's analysis, with :func:`supply_inverse_values`
+  as the array form of the supply delay.
 
 Everything stays in int64 — the formulas are integer-exact, so the
 vectorized verdicts are *identical* to the scalar oracle's (asserted by
@@ -30,7 +34,8 @@ import numpy as np
 
 from repro.analysis.cache import AnalysisCache, TaskSetKey, taskset_key
 from repro.analysis.prm import ResourceInterface
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InfeasibleError
+from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
 
 #: largest step-point grid the vectorized path will materialize; beyond
@@ -38,7 +43,8 @@ from repro.tasks.taskset import TaskSet
 MAX_GRID_POINTS = 2_000_000
 
 #: cells-per-chunk budget of the batched (candidates × points) supply
-#: evaluation — bounds transient memory at ~8 int64 arrays of this size
+#: evaluation and of the (release offsets × tasks) response fixpoint —
+#: bounds transient memory at ~8 int64 arrays of this size
 MAX_BATCH_CELLS = 2_000_000
 
 
@@ -302,3 +308,125 @@ def schedulable_many(
             verdicts[batched[start + offset]] = bool(verdict)
         start = stop
     return verdicts  # type: ignore[return-value]
+
+
+def supply_inverse_values(
+    demands: np.ndarray, period: int, budget: int
+) -> np.ndarray:
+    """Smallest ``t`` with ``sbf(t) >= d`` for every ``d`` in ``demands``.
+
+    :func:`repro.analysis.response_time.supply_inverse` over an int64
+    array: the same closed form, the same errors, and its two
+    postconditions asserted over the whole array.
+    """
+    if demands.size and int(demands.min()) < 0:
+        raise ConfigurationError(
+            f"demand must be non-negative, got {int(demands.min())}"
+        )
+    positive = demands > 0
+    if budget == 0:
+        if positive.any():
+            raise InfeasibleError("zero-budget interface never supplies demand")
+        return np.zeros_like(demands)
+    full_periods, remainder = np.divmod(demands, budget)
+    # A remainder of 0 is a whole last budget: one period fewer.
+    boundary = remainder == 0
+    ts = (
+        (full_periods - boundary) * period
+        + 2 * (period - budget)
+        + np.where(boundary, budget, remainder)
+    )
+    ts = np.where(positive, ts, 0)
+    assert np.all(sbf_values(ts, period, budget) >= demands)
+    assert np.all((ts == 0) | (sbf_values(ts - 1, period, budget) < demands))
+    return ts
+
+
+def _release_offsets(
+    tasks: list[PeriodicTask], jitters: list[int], horizon: int
+) -> list[np.ndarray]:
+    """Spuri's candidate release offsets of each task, sorted, unique.
+
+    Task k's own releases in ``[0, horizon)``, plus every offset in
+    ``(0, horizon)`` aligning its absolute deadline with a deadline of
+    another task — the same set the scalar analysis enumerates.
+    """
+    offsets = []
+    for k, task in enumerate(tasks):
+        parts = [np.arange(0, max(horizon, 1), task.period, dtype=np.int64)]
+        for i, (other, jitter) in enumerate(zip(tasks, jitters)):
+            if i == k:
+                continue
+            base = other.deadline - jitter - task.deadline
+            if base <= 0:
+                base += (-base // other.period + 1) * other.period
+            parts.append(np.arange(base, horizon, other.period, dtype=np.int64))
+        offsets.append(np.unique(np.concatenate(parts)))
+    return offsets
+
+
+def port_wcrts(
+    tasks: list[PeriodicTask],
+    interface: ResourceInterface,
+    jitters: list[int],
+    horizon: int,
+    *,
+    blocking: int,
+    cap: int,
+) -> list[int]:
+    """WCRT bound of every task of one port, each against all the others.
+
+    The array form of running
+    :func:`repro.analysis.response_time.wcrt_on_interface` once per
+    task of ``tasks`` (unchecked, with ``jitters[i]`` the release jitter
+    of ``tasks[i]``): each row is one (task, release offset ``a``) pair,
+    and one iteration advances every unconverged row of
+
+        t = supply_inverse(own(a) + Σ_i min(⌈(t+J_i)/T_i⌉, by_deadline_i(a))·C_i)
+
+    where the ``by_deadline`` matrix is fixed per row and zero on the
+    row's own task.  ``horizon`` is the port's busy-period length.  A
+    row's iterates are exactly the scalar ones, so the bounds are
+    integer-identical; a row that steps past ``cap`` raises
+    :class:`InfeasibleError` as the scalar fixpoint does.
+    """
+    periods = np.array([task.period for task in tasks], dtype=np.int64)
+    wcets = np.array([task.wcet for task in tasks], dtype=np.int64)
+    deadlines = np.array([task.deadline for task in tasks], dtype=np.int64)
+    jitter = np.array(jitters, dtype=np.int64)
+    offsets = _release_offsets(tasks, jitters, horizon)
+    all_offsets = np.concatenate(offsets)
+    owners = np.repeat(
+        np.arange(len(tasks)), [len(block) for block in offsets]
+    )
+    wcrt = np.zeros(len(tasks), dtype=np.int64)
+    rows = max(1, MAX_BATCH_CELLS // len(tasks))
+    for start in range(0, len(all_offsets), rows):
+        offset = all_offsets[start : start + rows]
+        owner = owners[start : start + rows]
+        deadline = offset + deadlines[owner]
+        own = (offset // periods[owner] + 1) * wcets[owner] + blocking
+        by_deadline = np.maximum(
+            (deadline[:, None] - deadlines + jitter) // periods + 1, 0
+        )
+        by_deadline[np.arange(len(offset)), owner] = 0
+        t = supply_inverse_values(own, interface.period, interface.budget)
+        finish = np.empty_like(offset)
+        active = np.arange(len(offset))
+        while active.size:
+            arrivals = -(-(t[:, None] + jitter) // periods)
+            interference = np.minimum(arrivals, by_deadline) @ wcets
+            t_next = supply_inverse_values(
+                own + interference, interface.period, interface.budget
+            )
+            done = t_next == t
+            if np.any(t_next[~done] > cap):
+                raise InfeasibleError(
+                    "WCRT fixpoint diverged: demand outpaces the supply"
+                )
+            finish[active[done]] = t[done]
+            going = ~done
+            active, t, own = active[going], t_next[going], own[going]
+            by_deadline = by_deadline[going]
+        np.maximum.at(wcrt, owner, finish - offset)
+    return [int(value) for value in wcrt]

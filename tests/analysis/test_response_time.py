@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from repro.analysis.response_time import (
     supply_inverse,
     wcrt_on_interface,
 )
+from repro.analysis.vectorized import supply_inverse_values
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.tasks.generators import generate_client_tasksets
 from repro.tasks.task import PeriodicTask
@@ -52,10 +54,27 @@ class TestSupplyInverse:
     @given(iface=interfaces, demand=st.integers(1, 200))
     @settings(max_examples=80)
     def test_closed_form_matches_linear_scan(self, iface, demand):
-        """supply_inverse is the exact inverse of sbf."""
+        """supply_inverse is the exact inverse of sbf — and so is its
+        array form, over demand 0 and the whole-budget (``remainder ==
+        0``) boundaries as well."""
         t = supply_inverse(demand, iface)
         assert sbf(t, iface) >= demand
         assert sbf(t - 1, iface) < demand
+        demands = [0, demand, iface.budget, demand * iface.budget]
+        ts = supply_inverse_values(
+            np.array(demands, dtype=np.int64), iface.period, iface.budget
+        )
+        assert ts.tolist() == [supply_inverse(d, iface) for d in demands]
+        for value, d in zip(ts.tolist(), demands):
+            assert sbf(value, iface) >= d
+            assert value == 0 or sbf(value - 1, iface) < d
+
+    def test_array_form_keeps_the_scalar_errors(self):
+        with pytest.raises(InfeasibleError):
+            supply_inverse_values(np.array([0, 1]), 10, 0)
+        assert supply_inverse_values(np.array([0, 0]), 10, 0).tolist() == [0, 0]
+        with pytest.raises(ConfigurationError):
+            supply_inverse_values(np.array([3, -1]), 10, 3)
 
 
 class TestBusyPeriod:
