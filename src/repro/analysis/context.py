@@ -1,28 +1,29 @@
-"""How an analysis runs: engine backend + memo cache + search config.
+"""How an analysis runs: engine + memo cache + search config.
 
 :class:`AnalysisContext` is the one value that says how an analysis
 runs.  Every public analysis function takes it as ``ctx=`` and passes
 it down unchanged; ``ctx=None`` means ``AnalysisContext()`` — the
-vectorized backend, the process-wide cache and
-:data:`DEFAULT_CONFIG`.  A trial runner builds one context from its
-spec's engine (``spec.engine.analysis_backend``) and hands it to
-everything it analyses; long-lived holders
+vectorized engine, the process-wide cache and :data:`DEFAULT_CONFIG`.
+Every trial runner, the CLI and the admission daemon analyse on
+``AnalysisContext()``; long-lived holders
 (:class:`~repro.analysis.model.SystemModel`,
 :class:`~repro.analysis.session.AdmissionSession`) own theirs.
 
-Two backends evaluate the dbf<=sbf machinery and the holistic WCRT
-bound:
+The analysis has one engine and one oracle:
 
-* ``"scalar"`` — the original pure-Python implementations, kept as the
-  reference oracle.  Every candidate ``(Π, Θ)`` is tested by its own
-  step-point scan, and every task's response bound is its own
-  fixpoint per release offset.
-* ``"vectorized"`` — numpy-backed batch evaluation
+* ``"vectorized"`` (the engine) — numpy-backed batch evaluation
   (:mod:`repro.analysis.vectorized`): dbf is evaluated once over a
   deduplicated step-point grid per task set, and all candidate
   interfaces of a search are checked against that grid at once; the
   response bounds of all tasks and release offsets of one port are one
   array fixpoint.
+* ``"scalar"`` (the oracle) — the original pure-Python
+  implementations.  Every candidate ``(Π, Θ)`` is tested by its own
+  step-point scan, and every task's response bound is its own
+  fixpoint per release offset.  No option selects it: tests and
+  ``scripts/regen_golden.py`` reach it by building
+  ``AnalysisContext(backend="scalar")`` (or
+  ``SystemModel.build(..., backend="scalar")``).
 
 Both are exact over integers and produce **identical** results; the
 property suite asserts it.
@@ -50,20 +51,18 @@ class SelectionConfig:
     the Theorem-2 range is wider, candidates are sampled evenly across
     it (the bandwidth landscape is smooth enough that this finds the
     optimum or a near-optimum; set it to 0 for exhaustive enumeration).
+    The period range itself always starts at 1.
     """
 
     max_period_candidates: int = 256
-    min_period: int = 1
 
     def __post_init__(self) -> None:
         if self.max_period_candidates < 0:
             raise ConfigurationError("max_period_candidates must be >= 0")
-        if self.min_period < 1:
-            raise ConfigurationError("min_period must be >= 1")
 
     def memo_key(self) -> tuple:
         """The config's contribution to a selection cache key."""
-        return (self.max_period_candidates, self.min_period)
+        return (self.max_period_candidates,)
 
 
 DEFAULT_CONFIG = SelectionConfig()

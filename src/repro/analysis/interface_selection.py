@@ -164,7 +164,7 @@ def minimal_budgets_for_periods(
 
 def _candidate_periods(upper: int, config: SelectionConfig) -> list[int]:
     """Periods to examine: exhaustive when small, evenly sampled otherwise."""
-    lower = config.min_period
+    lower = 1
     if upper < lower:
         return []
     count = upper - lower + 1

@@ -303,7 +303,17 @@ def holistic_response_bounds(
     request enters the buffer and overtakes everything still buffered
     with a later deadline.  One request per level is therefore enough,
     whatever the buffer depth.
+
+    Raises :class:`InfeasibleError` when ``composition`` is not
+    schedulable (e.g. its root demands more than the memory controller
+    supplies): the per-port bounds assume every interface is actually
+    served, so no finite bound holds then.
     """
+    if not composition.schedulable:
+        raise InfeasibleError(
+            f"no response bound on an unschedulable composition: "
+            f"{composition.failure}"
+        )
     topology = composition.topology
     qualified: dict[int, list[PeriodicTask]] = {
         client: [_qualified(client, task) for task in taskset]

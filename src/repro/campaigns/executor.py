@@ -38,7 +38,6 @@ from repro.campaigns.grid import GridCell, expand_campaign, grid_digest
 from repro.campaigns.spec import CampaignSpec, canonical_json
 from repro.errors import ConfigurationError
 from repro.runtime import (
-    EngineConfig,
     ExecutionHooks,
     Executor,
     MetricSet,
@@ -157,7 +156,7 @@ def run_campaign_cell(spec: TrialSpec) -> MetricSet:
     ships cells to worker processes; deliberately has **no** ``batch``
     attribute — cells are coarse units that shard one-per-task.
     """
-    return run_cell(spec.param("cell"), spec.engine)
+    return run_cell(spec.param("cell"), spec.sim_backend)
 
 
 class _CheckpointHooks(ExecutionHooks):
@@ -254,14 +253,14 @@ def run_campaign(
     workers: int | None = 1,
     resume: bool = True,
     hooks: ExecutionHooks | None = None,
-    engine: EngineConfig | None = None,
+    sim_backend: str | None = None,
 ) -> CampaignRun:
     """Execute (or finish) a campaign into ``out_dir``.
 
-    ``engine`` is the run-level engine choice (``None`` → the default
-    :class:`~repro.runtime.EngineConfig`); it rides to each cell on the
-    cell's :class:`TrialSpec`, where a cell's own backend axes override
-    it (:func:`~repro.campaigns.families.run_cell`).
+    ``sim_backend`` is the run-level simulator backend (``None`` → the
+    default); it rides to each cell on the cell's :class:`TrialSpec`,
+    where a cell's own ``sim_backend`` axis overrides it
+    (:func:`~repro.campaigns.families.run_cell`).
 
     With ``resume=True`` (the default) an existing checkpoint for the
     *same* spec — same spec digest, same grid digest — is continued:
@@ -311,10 +310,10 @@ def run_campaign(
         # chunk_size=1: cells are coarse (tens of trials each), so
         # shard them one per pool task for checkpoint granularity
         executor: Executor = ParallelExecutor(
-            workers, chunk_size=1, engine=engine
+            workers, chunk_size=1, sim_backend=sim_backend
         )
     else:
-        executor = SerialExecutor(engine)
+        executor = SerialExecutor(sim_backend)
     executor.map(run_campaign_cell, specs, checkpoint)
 
     records = sorted(

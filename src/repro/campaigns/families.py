@@ -23,11 +23,11 @@ Conventions shared by every family:
 * ``fault`` (isolation) is a ``"SIZExEVERY"`` burst shape, e.g.
   ``"24x60"`` = bursts of 24 every 60 cycles;
 * ``scenario`` (churn) is the joiner count of the churn timeline;
-* ``sim_backend`` / ``analysis_backend`` name the cell's engines: they
-  override the run-level :class:`~repro.runtime.EngineConfig` for this
-  cell's trial specs and touch nothing else — results are bit-identical
-  across them (the repo's differential walls), so sweeping a backend
-  axis is a *test*, not a new experiment: the gate diffs the cells flat.
+* ``sim_backend`` names the cell's simulator backend: it overrides the
+  run-level backend for this cell's trial specs and touches nothing
+  else — results are bit-identical across backends (the repo's
+  differential walls), so sweeping it is a *test*, not a new
+  experiment: the gate diffs the cells flat.
 
 A failed trial fails its whole cell (recorded, surfaced by the gate) —
 campaign records never average over silently-missing trials.
@@ -44,7 +44,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.factory import INTERCONNECT_NAMES
 from repro.experiments.registry import get_experiment, run_experiment
 from repro.runtime import (
-    EngineConfig,
     KeepOutcomes,
     MetricSet,
     SerialExecutor,
@@ -109,7 +108,7 @@ class CellFamily:
     #: extra scalar-only settings beyond trials/horizon/drain
     extra_settings: tuple[str, ...]
     #: the experiment config's mapping of every other axis and setting
-    #: (``design`` picks the roster; the engine axes pick the engine)
+    #: (``design`` picks the roster; ``sim_backend`` the simulator)
     config: dict[str, Field]
 
 
@@ -232,27 +231,23 @@ def _combined_trace_tags(
     return combined
 
 
-def run_cell(
-    cell: GridCell, engine: EngineConfig | None = None
-) -> MetricSet:
+def run_cell(cell: GridCell, sim_backend: str | None = None) -> MetricSet:
     """Execute one grid cell to a deterministic metric set.
 
     Runs the experiment's trials on a :class:`SerialExecutor` inside the
     current process (the campaign executor shards *cells*, not trials —
     so each trial runner's ``.batch`` seam still batches within the
-    cell).  The trials' engine is *cell axis beats run-level ``engine``
-    beats default*, stamped onto their specs by that executor.
+    cell).  The trials' simulator backend is *cell axis beats run-level
+    ``sim_backend`` beats default*, stamped onto their specs by that
+    executor.
     """
     config, roster = _cell_run(cell)
-    cell_engine = (engine or EngineConfig()).override(
-        cell.value("sim_backend"), cell.value("analysis_backend")
-    )
     kept = KeepOutcomes()
     reduced = run_experiment(
         cell.family,
         config,
         roster=roster,
-        executor=SerialExecutor(cell_engine),
+        executor=SerialExecutor(cell.value("sim_backend") or sim_backend),
         hooks=kept,
     ).metric_set()
     scalars = dict(reduced.scalars)

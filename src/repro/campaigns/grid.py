@@ -10,13 +10,13 @@ machinery leans on (and the property tests pin):
   spec; file key order, executor width and resume history cannot move a
   cell or change its seed.
 * **Disjoint seed streams** — every cell's seed derives from the
-  campaign seed and the cell's *workload* coordinates (the engine
-  backend axes are excluded: cells that differ only in
-  ``sim_backend``/``analysis_backend`` deliberately share a seed, so a
-  backend sweep replays the identical workload and the gate's exact
-  tag rules certify bit-identity).  Trial seeds inside a cell come
-  from family streams keyed by the cell seed, so no two
-  workload-distinct cells can share a trial seed stream.
+  campaign seed and the cell's *workload* coordinates (the simulator
+  backend axis is excluded: cells that differ only in ``sim_backend``
+  deliberately share a seed, so a backend sweep replays the identical
+  workload and the gate's exact tag rules certify bit-identity).
+  Trial seeds inside a cell come from family streams keyed by the cell
+  seed, so no two workload-distinct cells can share a trial seed
+  stream.
 * **Stable identity** — ``cell_id`` names the cell by its coordinates
   (``fig7/s0/design=BlueScale/utilization=0.3``), so checkpoints,
   manifests and gate diffs address cells symbolically, never by list
@@ -35,7 +35,7 @@ from repro.runtime import derive_seed
 
 #: axes that select an *engine*, not a workload — excluded from seed
 #: derivation so backend-swept cells replay identical trials
-ENGINE_AXES = ("sim_backend", "analysis_backend")
+ENGINE_AXES = ("sim_backend",)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,12 @@
 
 A campaign spec describes *what to run* as data: a list of sweep
 blocks, each naming an experiment family plus the axes to sweep
-(design, system size, utilization, fault plan, scenario plan, engine
-backends).  :func:`parse_campaign_spec` normalizes the raw mapping into
-a frozen :class:`CampaignSpec` whose canonical form — and therefore
-whose digest — is independent of the key order of the source file:
-axes expand in a fixed canonical order, settings sort by name, and the
-digest covers the normalized structure, never the file bytes.
+(design, system size, utilization, fault plan, scenario plan,
+simulator backend).  :func:`parse_campaign_spec` normalizes the raw
+mapping into a frozen :class:`CampaignSpec` whose canonical form — and
+therefore whose digest — is independent of the key order of the source
+file: axes expand in a fixed canonical order, settings sort by name,
+and the digest covers the normalized structure, never the file bytes.
 
 Example (JSON; TOML is accepted wherever ``tomllib`` exists)::
 
@@ -50,7 +50,6 @@ AXIS_ORDER = (
     "fault",
     "scenario",
     "sim_backend",
-    "analysis_backend",
 )
 
 #: scalar knobs every family accepts next to its axes

@@ -69,14 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         "subcommands; ignored by the purely analytical ones)",
     )
     common.add_argument(
-        "--analysis-backend",
-        choices=("scalar", "vectorized"),
-        default=None,
-        help="schedulability-analysis engine backend for this run "
-        "(default: the built-in default, vectorized); results are "
-        "identical under either backend",
-    )
-    common.add_argument(
         "--sim-backend",
         choices=("scalar", "batched"),
         default=None,
@@ -352,14 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _engine(args: argparse.Namespace):
-    """The run's one engine choice, from ``--sim-backend`` and
-    ``--analysis-backend`` (an omitted flag keeps the default)."""
-    from repro.runtime import EngineConfig
-
-    return EngineConfig().override(args.sim_backend, args.analysis_backend)
-
-
 def _seeded(args: argparse.Namespace, **kwargs):
     """Config kwargs, plus ``seed`` when ``--seed`` was given."""
     if args.seed is not None:
@@ -462,7 +446,7 @@ def _campaign_main(args: argparse.Namespace) -> int:
         workers=args.workers,
         resume=not args.no_resume,
         hooks=ProgressPrinter() if args.progress else None,
-        engine=_engine(args),
+        sim_backend=args.sim_backend,
     )
     print(
         f"campaign '{spec.name}': {len(run.records)} cell(s) "
@@ -488,7 +472,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     from repro.experiments.registry import EXPERIMENTS, run_experiment
     from repro.runtime import ProgressPrinter, make_executor
 
-    engine = _engine(args)
     failed = False
     by_command = {record.command: record for record in EXPERIMENTS.values()}
     if args.experiment in by_command:
@@ -499,7 +482,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         result = run_experiment(
             experiment.name,
             config,
-            executor=make_executor(args.workers, engine),
+            executor=make_executor(args.workers, args.sim_backend),
             hooks=ProgressPrinter() if args.progress else None,
         )
         print(experiment.resolve("formatter")(result))
@@ -522,9 +505,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
 
         sizes = {"client_counts": (16, 64)} if args.quick else {}
-        result = run_update_latency(
-            analysis_backend=engine.analysis_backend, **sizes
-        )
+        result = run_update_latency(**sizes)
         print(format_update_latency(result))
     elif args.experiment == "serve":
         from repro.analysis.model import SystemModel
@@ -535,7 +516,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             utilization=args.utilization,
             tasks_per_client=args.tasks_per_client,
             seed=args.seed if args.seed is not None else 1,
-            backend=engine.analysis_backend,
         )
         print(f"model composed: {model.describe()}")
         AdmissionService(model, max_workers=args.max_workers).run(

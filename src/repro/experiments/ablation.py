@@ -19,7 +19,6 @@ import random
 import statistics
 from dataclasses import dataclass
 
-from repro.analysis.context import AnalysisContext
 from repro.analysis.prm import ResourceInterface
 from repro.clients.traffic_generator import TrafficGenerator
 from repro.core.interconnect import BlueScaleInterconnect
@@ -86,13 +85,11 @@ def build_variant(
     variant: str,
     n_clients: int,
     tasksets: dict[int, TaskSet],
-    *,
-    ctx: AnalysisContext | None = None,
 ) -> BlueScaleInterconnect:
     """Build BlueScale with one design choice ablated.
 
-    The composition runs under ``ctx``'s backend and cache with the
-    factory's search (:func:`~repro.experiments.factory.bluescale_context`).
+    The composition runs on the one analysis engine with the factory's
+    search (:func:`~repro.experiments.factory.bluescale_context`).
     """
     if variant not in VARIANTS:
         raise ConfigurationError(
@@ -106,7 +103,7 @@ def build_variant(
             for port in range(element.fanout):
                 element.program_port(port, ResourceInterface(4, 1), now=0)
     else:
-        interconnect.configure(tasksets, ctx=bluescale_context(ctx))
+        interconnect.configure(tasksets, ctx=bluescale_context(None))
     if variant == "round_robin":
         for element in interconnect.elements.values():
             element.scheduler = RoundRobinLocalScheduler(element.interfaces())
@@ -174,12 +171,7 @@ def run_ablation_trial(spec: TrialSpec) -> MetricSet:
     tasksets = generate_client_tasksets(
         rng, n_clients, 3, spec.param("utilization")
     )
-    interconnect = build_variant(
-        variant,
-        n_clients,
-        tasksets,
-        ctx=AnalysisContext(backend=spec.engine.analysis_backend),
-    )
+    interconnect = build_variant(variant, n_clients, tasksets)
     clients = traffic_generators(spec, tasksets)
     result = SoCSimulation(clients, interconnect).run(
         spec.param("horizon"), drain=spec.param("drain")

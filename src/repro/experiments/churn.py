@@ -268,7 +268,6 @@ def run_churn_trial(spec: TrialSpec) -> MetricSet:
                 interconnect.topology,
                 base,
                 config=BLUESCALE_SEARCH,
-                backend=spec.engine.analysis_backend,
                 label=f"churn trial {spec.index}",
             )
             interconnect.configure_from_model(model)

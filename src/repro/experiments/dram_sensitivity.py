@@ -26,7 +26,6 @@ import random
 import statistics
 from dataclasses import dataclass
 
-from repro.analysis.context import AnalysisContext
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
     build_interconnect,
@@ -134,10 +133,7 @@ def run_dram_trial(spec: TrialSpec) -> MetricSet:
     )
     controller = _make_controller(spec.param("kind"))
     interconnect = build_interconnect(
-        spec.param("interconnect"),
-        n_clients,
-        tasksets,
-        ctx=AnalysisContext(backend=spec.engine.analysis_backend),
+        spec.param("interconnect"), n_clients, tasksets
     )
     clients = traffic_generators(spec, tasksets)
     result = SoCSimulation(clients, interconnect, controller=controller).run(

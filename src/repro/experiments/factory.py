@@ -108,9 +108,8 @@ def build_interconnect(
 ) -> Interconnect:
     """Build and configure one of the paper's six interconnects.
 
-    BlueScale is composed under ``ctx``'s backend and cache (a trial
-    runner passes the context it built from ``spec.engine``) with
-    :data:`BLUESCALE_SEARCH`.
+    BlueScale is composed under ``ctx``'s backend and cache
+    (``None``: ``AnalysisContext()``) with :data:`BLUESCALE_SEARCH`.
     """
     if name == "AXI-IC^RT":
         interconnect = AxiIcRtInterconnect(n_clients)
@@ -193,7 +192,7 @@ def simulate_specs(
     if not specs:
         return []
     if backend is None:
-        backend = specs[0].engine.sim_backend
+        backend = specs[0].sim_backend
     built = [build(spec) for spec in specs]
     sims: list[SoCSimulation] = []
     horizons: list[int] = []

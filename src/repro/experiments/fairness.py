@@ -18,7 +18,6 @@ import statistics
 from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.analysis.context import AnalysisContext
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
     INTERCONNECT_NAMES,
@@ -96,10 +95,7 @@ def run_fairness_trial(spec: TrialSpec) -> MetricSet:
         rng, n_clients, 3, spec.param("utilization")
     )
     interconnect = build_interconnect(
-        spec.param("interconnect"),
-        n_clients,
-        tasksets,
-        ctx=AnalysisContext(backend=spec.engine.analysis_backend),
+        spec.param("interconnect"), n_clients, tasksets
     )
     clients = traffic_generators(spec, tasksets)
     SoCSimulation(clients, interconnect).run(horizon, drain=6_000)

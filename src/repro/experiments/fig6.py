@@ -24,7 +24,6 @@ import statistics
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
-from repro.analysis.context import AnalysisContext
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
     INTERCONNECT_NAMES,
@@ -178,12 +177,9 @@ def fig6_build(spec: TrialSpec):
     config: Fig6Config = spec.param("config")
     interconnects: tuple[str, ...] = spec.param("interconnects")
     tasksets = draw_tasksets(random.Random(spec.seed), config)
-    ctx = AnalysisContext(backend=spec.engine.analysis_backend)
     pairs: list[tuple[str, SoCSimulation]] = []
     for name in interconnects:
-        interconnect = build_interconnect(
-            name, config.n_clients, tasksets, ctx=ctx
-        )
+        interconnect = build_interconnect(name, config.n_clients, tasksets)
         clients = traffic_generators(spec, tasksets)
         pairs.append(
             (
@@ -231,7 +227,7 @@ def run_fig6_batch(specs: Sequence[TrialSpec]) -> list[MetricSet]:
 
     Every (trial, design) simulation of the chunk goes through one
     :func:`repro.sim.batched.run_many` call on the chunk's
-    ``spec.engine.sim_backend`` (see :func:`simulate_specs`).  The
+    ``spec.sim_backend`` (see :func:`simulate_specs`).  The
     folded metric sets are bit-identical to :func:`run_fig6_trial`'s.
     """
     return simulate_specs(specs, fig6_build, _fig6_fold)

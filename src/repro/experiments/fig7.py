@@ -195,7 +195,7 @@ def fig7_build(spec: TrialSpec):
     combined[accelerator_id] = accelerator_tasks.merged_with(
         interference.get(accelerator_id, TaskSet())
     )
-    ctx = AnalysisContext(backend=spec.engine.analysis_backend)
+    ctx = AnalysisContext()
     scalars: dict[str, float] = {}
     if config.analysis:
         from repro.analysis.model import SystemModel
@@ -206,7 +206,6 @@ def fig7_build(spec: TrialSpec):
             quadtree(config.n_clients),
             combined,
             config=BLUESCALE_SEARCH,
-            backend=ctx.backend,
             cache=ctx.cache,
         )
         scalars["analysis/schedulable"] = 1.0 if model.schedulable else 0.0

@@ -145,7 +145,7 @@ def _isolation_build(spec: TrialSpec):
     interconnects: tuple[str, ...] = spec.param("interconnects")
     tasksets = draw_tasksets(random.Random(spec.seed), config)
     plan = config.fault_plan()
-    ctx = AnalysisContext(backend=spec.engine.analysis_backend)
+    ctx = AnalysisContext()
 
     def build(name: str, faults: FaultPlan | None) -> SoCSimulation:
         interconnect = build_interconnect(
@@ -237,7 +237,7 @@ def run_isolation_batch(specs: Sequence[TrialSpec]) -> list[MetricSet]:
 
     Every (trial, design, baseline/faulted) simulation goes through one
     :func:`repro.sim.batched.run_many` call on the chunk's
-    ``spec.engine.sim_backend``; rogue-burst fault plans compile into
+    ``spec.sim_backend``; rogue-burst fault plans compile into
     the SoA request schedule, so faulted runs ride the kernels
     alongside their baselines.  The folded metric sets are
     bit-identical to :func:`run_isolation_trial`'s.

@@ -14,7 +14,6 @@ import random
 import statistics
 from dataclasses import dataclass, field
 
-from repro.analysis.context import AnalysisContext
 from repro.analysis.model import SystemModel
 from repro.errors import ConfigurationError
 from repro.experiments.factory import (
@@ -119,10 +118,7 @@ def _scalability_build(spec: TrialSpec):
         rng, n_clients, 2, spec.param("utilization")
     )
     interconnect = build_interconnect(
-        spec.param("interconnect"),
-        n_clients,
-        tasksets,
-        ctx=AnalysisContext(backend=spec.engine.analysis_backend),
+        spec.param("interconnect"), n_clients, tasksets
     )
     clients = traffic_generators(spec, tasksets)
     sims = [SoCSimulation(clients, interconnect)]
@@ -153,7 +149,7 @@ def run_scalability_trial(spec: TrialSpec) -> MetricSet:
 
 def run_scalability_batch(specs) -> list[MetricSet]:
     """Batch entry point: same-shaped (size, design) trials advance in
-    lock-step on the chunk's ``spec.engine.sim_backend``; results are
+    lock-step on the chunk's ``spec.sim_backend``; results are
     bit-identical to :func:`run_scalability_trial`."""
     return simulate_specs(specs, _scalability_build, _scalability_fold)
 
@@ -169,9 +165,7 @@ def reduce_scalability(
     """Average per-seed metrics into one point per (size, design), then
     search the admission ceilings (exact rational arithmetic, fast)
     with the simulated BlueScale's search width
-    (:data:`~repro.experiments.factory.BLUESCALE_SEARCH`) on the
-    analysis backend the trials ran on; the ceilings are identical
-    under either backend."""
+    (:data:`~repro.experiments.factory.BLUESCALE_SEARCH`)."""
     result = ScalabilityResult(utilization=config.utilization)
     grouped = group_outcomes(outcomes, "n_clients", "interconnect")
     for (n_clients, name), batch in grouped.items():
@@ -186,7 +180,6 @@ def reduce_scalability(
             )
         )
     if config.with_admission_ceiling:
-        backend = outcomes[0].spec.engine.analysis_backend
         for n_clients in config.client_counts:
             rng = random.Random(f"sweep/ceiling/{n_clients}")
             tasksets = generate_client_tasksets(rng, n_clients, 2, 0.2)
@@ -195,7 +188,6 @@ def reduce_scalability(
                     quadtree(n_clients),
                     tasksets,
                     config=BLUESCALE_SEARCH,
-                    backend=backend,
                 )
                 result.admission_ceiling[n_clients] = (
                     model.session().breakdown(precision=0.1).utilization

@@ -55,7 +55,6 @@ def measure_update_cost(
     utilization: float = 0.5,
     seed: int = 11,
     joining_client: int | None = None,
-    analysis_backend: str | None = None,
 ) -> UpdateCost:
     """Measure one task-join update at ``n_clients``."""
     rng = random.Random(f"update/{seed}")
@@ -67,7 +66,6 @@ def measure_update_cost(
         topology,
         tasksets,
         config=BLUESCALE_SEARCH,
-        backend=analysis_backend,
         label=f"update/{seed}",
     )
     baseline = model.baseline
@@ -110,13 +108,10 @@ def measure_update_cost(
 def run_update_latency(
     client_counts: tuple[int, ...] = (16, 64, 256),
     utilization: float = 0.4,
-    analysis_backend: str | None = None,
 ) -> list[UpdateCost]:
     """Sweep the system size."""
     return [
-        measure_update_cost(
-            n, utilization=utilization, analysis_backend=analysis_backend
-        )
+        measure_update_cost(n, utilization=utilization)
         for n in client_counts
     ]
 

@@ -57,8 +57,9 @@ class BoundViolation:
 class IsolationVerdict:
     """Outcome of checking victims against their analytical bounds."""
 
-    #: False when the composition admitted no finite bounds (the check
-    #: is then vacuous, not passed — reported separately)
+    #: False when the composition admitted no finite bounds, e.g. an
+    #: unschedulable one (the check is then vacuous, not passed —
+    #: reported separately)
     bounds_checked: bool
     violations: tuple[BoundViolation, ...] = ()
     #: worst observed victim response over all checked tasks

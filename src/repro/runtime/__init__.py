@@ -7,7 +7,7 @@ spec-builder + per-trial-runner + reducer triple:
 
 * :class:`TrialSpec` — a pure, picklable description of one trial
   (experiment name, trial index, seed, frozen parameters, and the
-  :class:`EngineConfig` naming the engines that run it);
+  simulator backend that runs it);
 * :class:`Executor` — the seam that maps a trial runner over specs.
   :class:`SerialExecutor` runs in-process; :class:`ParallelExecutor`
   fans trials out over a :class:`concurrent.futures.ProcessPoolExecutor`
@@ -44,11 +44,10 @@ from repro.runtime.seeding import (
     derive_seeds,
     seed_stream,
 )
-from repro.runtime.spec import EngineConfig, TrialSpec
+from repro.runtime.spec import TrialSpec
 
 __all__ = [
     "FAILURE_METRIC",
-    "EngineConfig",
     "Executor",
     "ExecutionHooks",
     "KeepOutcomes",

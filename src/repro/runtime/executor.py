@@ -15,11 +15,11 @@ Runners must be module-level functions (picklable by reference) for the
 parallel backend; per-trial wall-clock is measured inside the worker
 and shipped back with the metrics.
 
-An executor built with ``engine=`` stamps that
-:class:`~repro.runtime.spec.EngineConfig` onto every spec before
-dispatch, so the engine choice reaches a worker process inside the
-pickled spec — under any start method, with nothing to initialize in
-the worker.  ``engine=None`` leaves each spec's own engine untouched.
+An executor built with ``sim_backend=`` stamps that simulator backend
+onto every spec before dispatch, so the choice reaches a worker
+process inside the pickled spec — under any start method, with nothing
+to initialize in the worker.  ``sim_backend=None`` leaves each spec's
+own backend untouched.
 
 Both executors dispatch chunks of specs through one function,
 :func:`_execute_batch`.  A runner may carry a ``batch`` attribute — a
@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.errors import ConfigurationError
 from repro.runtime.metrics import MetricSet, failure_metric_set
-from repro.runtime.spec import EngineConfig, TrialSpec
+from repro.runtime.spec import TrialSpec
 
 #: a per-trial runner: pure function of the spec
 TrialRunner = Callable[[TrialSpec], MetricSet]
@@ -145,7 +145,7 @@ class Executor(Protocol):
     """Anything that can map a trial runner over specs, in order."""
 
     #: stamped onto every mapped spec; ``None`` keeps the specs' own
-    engine: EngineConfig | None
+    sim_backend: str | None
 
     @property
     def workers(self) -> int: ...
@@ -234,12 +234,13 @@ def _execute_batch(
 
 
 def _stamp(
-    specs: Sequence[TrialSpec], engine: EngineConfig | None
+    specs: Sequence[TrialSpec], sim_backend: str | None
 ) -> Sequence[TrialSpec]:
-    """The specs as dispatched: carrying the executor's engine, if any."""
-    if engine is None:
+    """The specs as dispatched: carrying the executor's simulator
+    backend, if any."""
+    if sim_backend is None:
         return specs
-    return [replace(spec, engine=engine) for spec in specs]
+    return [replace(spec, sim_backend=sim_backend) for spec in specs]
 
 
 def _chunks(specs: Sequence[TrialSpec], size: int) -> list[list[TrialSpec]]:
@@ -266,8 +267,8 @@ class SerialExecutor:
 
     workers = 1
 
-    def __init__(self, engine: EngineConfig | None = None) -> None:
-        self.engine = engine
+    def __init__(self, sim_backend: str | None = None) -> None:
+        self.sim_backend = sim_backend
 
     def map(
         self,
@@ -275,7 +276,7 @@ class SerialExecutor:
         specs: Sequence[TrialSpec],
         hooks: ExecutionHooks | None = None,
     ) -> list[TrialOutcome]:
-        specs = _stamp(specs, self.engine)
+        specs = _stamp(specs, self.sim_backend)
         hooks = hooks or ExecutionHooks()
         hooks.on_batch_start(specs)
         # a runner without ``batch`` gets chunks of one, so its hooks
@@ -300,7 +301,7 @@ class ParallelExecutor:
         self,
         workers: int,
         chunk_size: int | None = None,
-        engine: EngineConfig | None = None,
+        sim_backend: str | None = None,
     ) -> None:
         if workers < 2:
             raise ConfigurationError(
@@ -311,7 +312,7 @@ class ParallelExecutor:
             raise ConfigurationError(f"invalid chunk size {chunk_size}")
         self._workers = workers
         self.chunk_size = chunk_size
-        self.engine = engine
+        self.sim_backend = sim_backend
 
     @property
     def workers(self) -> int:
@@ -328,7 +329,7 @@ class ParallelExecutor:
         specs: Sequence[TrialSpec],
         hooks: ExecutionHooks | None = None,
     ) -> list[TrialOutcome]:
-        specs = _stamp(specs, self.engine)
+        specs = _stamp(specs, self.sim_backend)
         hooks = hooks or ExecutionHooks()
         hooks.on_batch_start(specs)
         if not specs:
@@ -344,10 +345,10 @@ class ParallelExecutor:
 
 
 def make_executor(
-    workers: int | None, engine: EngineConfig | None = None
+    workers: int | None, sim_backend: str | None = None
 ) -> Executor:
     """The executor for a ``--workers N`` request (None/0/1 → serial),
-    stamping ``engine`` (if given) onto every spec it maps."""
+    stamping ``sim_backend`` (if given) onto every spec it maps."""
     if workers is None or workers <= 1:
-        return SerialExecutor(engine)
-    return ParallelExecutor(workers, engine=engine)
+        return SerialExecutor(sim_backend)
+    return ParallelExecutor(workers, sim_backend=sim_backend)

@@ -2,56 +2,20 @@
 
 A :class:`TrialSpec` carries everything a per-trial runner needs —
 experiment name, trial index, seed, a frozen parameter mapping and the
-:class:`EngineConfig` naming the engines that run it — and nothing
-else.  Because the spec (not a closure, not ambient process state)
-crosses the process boundary, any executor backend can ship trials
-anywhere and replay them identically.
+simulator backend that runs it — and nothing else.  Because the spec
+(not a closure, not ambient process state) crosses the process
+boundary, any executor backend can ship trials anywhere and replay
+them identically.  Every trial analyses on the one analysis engine,
+``AnalysisContext()``; the scalar analysis oracle is reachable only
+by building a context with ``backend="scalar"`` directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Which engines run a trial — the one place they are chosen.
-
-    Results are bit-identical on every combination (the repo's
-    differential walls); the choice only moves wall-clock.
-    """
-
-    #: one of :data:`repro.sim.backend.SIM_BACKENDS`
-    sim_backend: str = "batched"
-    #: one of :data:`repro.analysis.context.BACKENDS`; each trial
-    #: runner builds its one ``AnalysisContext`` from it
-    analysis_backend: str = "vectorized"
-
-    def __post_init__(self) -> None:
-        # imported here: repro.sim's package import reaches repro.soc,
-        # which imports repro.runtime.seeding (via the fault plans)
-        from repro.analysis.context import AnalysisContext
-        from repro.sim.backend import resolve_sim_backend
-
-        resolve_sim_backend(self.sim_backend)
-        AnalysisContext(backend=self.analysis_backend)
-
-    def override(
-        self,
-        sim_backend: str | None = None,
-        analysis_backend: str | None = None,
-    ) -> "EngineConfig":
-        """This config with every non-``None`` argument taking over —
-        the precedence rule: ``EngineConfig().override(*flags)`` is
-        *flag beats default*, ``run_level.override(*cell_axes)`` is
-        *cell axis beats run-level flag*."""
-        return EngineConfig(
-            sim_backend or self.sim_backend,
-            analysis_backend or self.analysis_backend,
-        )
 
 
 @dataclass(frozen=True)
@@ -71,9 +35,18 @@ class TrialSpec:
     #: all trial randomness derives from this seed, nothing else
     seed: int | str
     params: tuple[tuple[str, Any], ...] = ()
-    #: the engines this trial runs on; executors stamp their own value
-    #: here before dispatch (``dataclasses.replace``), runners read it
-    engine: EngineConfig = field(default_factory=EngineConfig)
+    #: the simulator backend this trial runs on, one of
+    #: :data:`repro.sim.backend.SIM_BACKENDS`; executors stamp their own
+    #: value here before dispatch (``dataclasses.replace``), runners
+    #: read it.  Results are bit-identical on either backend.
+    sim_backend: str = "batched"
+
+    def __post_init__(self) -> None:
+        # imported here: repro.sim's package import reaches repro.soc,
+        # which imports repro.runtime.seeding (via the fault plans)
+        from repro.sim.backend import resolve_sim_backend
+
+        resolve_sim_backend(self.sim_backend)
 
     @classmethod
     def make(

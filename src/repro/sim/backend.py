@@ -1,8 +1,5 @@
 """Simulator backend switch: scalar reference engine vs batched SoA.
 
-The simulator's counterpart of the analysis backends
-(:data:`repro.analysis.context.BACKENDS`):
-
 * ``"scalar"`` — one :class:`~repro.soc.SoCSimulation` at a time on the
   cycle/quiescence engine.  Kept as the reference oracle.
 * ``"batched"`` — :func:`repro.sim.batched.run_many` advances many
@@ -16,10 +13,13 @@ contents — trace digests, recorder streams, job outcomes — which the
 differential/property suites assert
 (``tests/sim/test_batched_equivalence.py`` and neighbours).
 Which one runs a trial is a value on its spec
-(:class:`repro.runtime.EngineConfig`, ``spec.engine.sim_backend``);
-``backend=None`` on a direct library call such as
-``run_many(sims, horizon)`` means :data:`DEFAULT_SIM_BACKEND`.  Nothing
-here is mutable.
+(:attr:`repro.runtime.TrialSpec.sim_backend`, set by ``--sim-backend``
+or a campaign cell's ``sim_backend`` axis); ``backend=None`` on a
+direct library call such as ``run_many(sims, horizon)`` means
+:data:`DEFAULT_SIM_BACKEND`.  Nothing here is mutable.  The analysis
+has no such choice: every trial analyses on the vectorized engine,
+and its scalar oracle is reachable only from
+``AnalysisContext(backend="scalar")``.
 """
 
 from __future__ import annotations

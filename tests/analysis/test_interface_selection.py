@@ -177,7 +177,3 @@ class TestSelectionConfig:
     def test_rejects_negative_candidates(self):
         with pytest.raises(ConfigurationError):
             SelectionConfig(max_period_candidates=-1)
-
-    def test_rejects_bad_min_period(self):
-        with pytest.raises(ConfigurationError):
-            SelectionConfig(min_period=0)

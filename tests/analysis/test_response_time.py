@@ -207,3 +207,34 @@ class TestHolisticBounds:
         for client, bound in bounds.items():
             for task in tasksets[client]:
                 assert bound.bound_for(task.name) > bound.path_latency
+
+
+#: compositions whose root demands more than the memory controller
+#: supplies: ``(n_clients, generator seed, utilization)``
+UNSCHEDULABLE_DRAWS = [("32/0/0.6", 32, 0.6)] + [
+    (f"4/{s}/0.85", 4, 0.85) for s in range(4)
+]
+
+
+class TestUnschedulableComposition:
+    """No finite bound exists on a composition ``compose`` rejected."""
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("seed,n,utilization", UNSCHEDULABLE_DRAWS)
+    def test_bounds_and_verdict_refuse_it(self, seed, n, utilization, backend):
+        from repro.analysis.cache import AnalysisCache
+        from repro.analysis.context import AnalysisContext
+        from repro.faults.verify import verify_isolation
+
+        ctx = AnalysisContext(backend=backend, cache=AnalysisCache())
+        tasksets = generate_client_tasksets(
+            random.Random(seed), n, 2, utilization
+        )
+        composition = compose(quadtree(n), tasksets, ctx=ctx)
+        assert not composition.schedulable
+        with pytest.raises(InfeasibleError, match="unschedulable"):
+            holistic_response_bounds(tasksets, composition, ctx=ctx)
+        verdict = verify_isolation(
+            [], tasksets, composition, end_cycle=1_000, victims=set(), ctx=ctx
+        )
+        assert not verdict.bounds_checked

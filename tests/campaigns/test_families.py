@@ -91,17 +91,21 @@ class TestRunCell:
         assert len(cell_trial_specs(cell)) == 3
 
     def test_engine_precedence_cell_axis_run_level_default(self, monkeypatch):
-        """Cell axis beats the run-level engine beats the default, per
-        field — read off the engine ``run_cell`` hands its executor."""
+        """Cell axis beats the run-level sim backend beats the default
+        — read off the backend ``run_cell`` hands its executor and the
+        one its trial specs carry."""
         from repro.campaigns import families
-        from repro.runtime import EngineConfig, SerialExecutor
+        from repro.runtime import SerialExecutor
 
         seen = []
 
         class Recording(SerialExecutor):
-            def __init__(self, engine=None):
-                seen.append(engine)
-                super().__init__(engine)
+            def map(self, runner, specs, hooks=None):
+                outcomes = super().map(runner, specs, hooks)
+                seen.append(
+                    (self.sim_backend, outcomes[0].spec.sim_backend)
+                )
+                return outcomes
 
         monkeypatch.setattr(families, "SerialExecutor", Recording)
         base = {
@@ -110,18 +114,13 @@ class TestRunCell:
         }
         plain = one_cell(base)
         pinned = one_cell({**base, "sim_backend": ["batched"]})
-        run_level = EngineConfig(
-            sim_backend="scalar", analysis_backend="scalar"
-        )
         run_cell(plain)
-        run_cell(plain, run_level)
-        run_cell(pinned, run_level)
-        run_cell(one_cell({**base, "analysis_backend": ["scalar"]}))
+        run_cell(plain, "scalar")
+        run_cell(pinned, "scalar")
         assert seen == [
-            EngineConfig(),
-            run_level,
-            EngineConfig(sim_backend="batched", analysis_backend="scalar"),
-            EngineConfig(analysis_backend="scalar"),
+            (None, "batched"),
+            ("scalar", "scalar"),
+            ("batched", "batched"),
         ]
 
     def test_backend_axis_value_is_bit_identical(self, kernel_groups):
@@ -157,3 +156,41 @@ class TestRunCell:
         monkeypatch.setattr(fig6, "run_fig6_trial", boom)
         with pytest.raises(SimulationError, match="1 of 1"):
             run_cell(cell)
+
+
+class TestAnalysisOracle:
+    def test_ci_spec_bluescale_matches_the_scalar_oracle(self):
+        """Every trial of every ``campaigns/ci.json`` cell programs
+        BlueScale with the same interfaces when its composition runs on
+        the scalar analysis oracle as on the one engine."""
+        import random
+        from pathlib import Path
+
+        from repro.analysis.cache import AnalysisCache
+        from repro.analysis.context import AnalysisContext
+        from repro.campaigns import load_campaign_spec
+        from repro.experiments.factory import build_interconnect, draw_tasksets
+
+        root = Path(__file__).resolve().parents[2]
+        cells = expand_campaign(load_campaign_spec(root / "campaigns/ci.json"))
+        checked = 0
+        for cell in cells:
+            if cell.value("design") != "BlueScale":
+                continue
+            for spec in cell_trial_specs(cell):
+                config = spec.param("config")
+                tasksets = draw_tasksets(random.Random(spec.seed), config)
+                built = [
+                    build_interconnect(
+                        "BlueScale", config.n_clients, tasksets, ctx=ctx
+                    ).composition
+                    for ctx in (
+                        AnalysisContext(backend="scalar", cache=AnalysisCache()),
+                        AnalysisContext(),
+                    )
+                ]
+                oracle, engine = built
+                assert oracle.interfaces == engine.interfaces, spec.seed
+                assert oracle.schedulable == engine.schedulable
+                checked += 1
+        assert checked == 4  # 2 utilizations x 2 trials

@@ -57,6 +57,15 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="unknown keys"):
             parse_campaign_spec(raw)
 
+    def test_analysis_backend_key_rejected(self):
+        """The analysis has one engine; a spec cannot pick another."""
+        for value in (["scalar", "vectorized"], "scalar"):
+            raw = raw_spec(
+                sweeps=[{"family": "fig6", "analysis_backend": value}]
+            )
+            with pytest.raises(ConfigurationError, match="unknown keys"):
+                parse_campaign_spec(raw)
+
     def test_family_specific_keys_stay_family_specific(self):
         """churn has no design axis; fig6 has no scenario axis."""
         with pytest.raises(ConfigurationError, match="unknown keys"):

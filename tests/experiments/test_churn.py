@@ -126,6 +126,33 @@ class TestTrial:
         ]
         assert gate.ports_reprogrammed == sum(programmed)
 
+    def test_replay_matches_the_scalar_oracle(self):
+        """Trial 0 of ``repro churn --trials 2 --horizon 4000 --verify``
+        replays to the same decisions and transient windows on a model
+        built on the scalar analysis oracle as on the one engine."""
+        spec = build_churn_specs(ChurnConfig(trials=2, horizon=4_000))[0]
+        base, plan = churn._churn_workload(spec)
+        topology = BlueScaleInterconnect(spec.param("config").n_clients).topology
+
+        def replay(backend):
+            model = SystemModel.build(
+                topology, base, config=BLUESCALE_SEARCH, backend=backend
+            )
+            return [
+                (
+                    event.decision.admitted,
+                    event.decision.committed,
+                    event.decision.composition.interfaces,
+                    event.decision.witness,
+                    event.transient,
+                )
+                for event in replay_plan(model.session(), plan)
+            ]
+
+        oracle = replay("scalar")
+        assert sum(transient is not None for *_, transient in oracle) >= 2
+        assert replay(None) == oracle
+
     def test_trial_is_deterministic(self, smoke_metrics):
         (spec,) = build_churn_specs(SMOKE)
         again = run_churn_trial(spec)

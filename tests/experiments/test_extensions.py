@@ -253,6 +253,15 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["warp-drive"])
 
+    def test_analysis_backend_flag_is_gone(self, capsys):
+        """The analysis has one engine; no flag picks another."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig6", "--analysis-backend", "scalar"])
+        assert excinfo.value.code == 2
+        assert "--analysis-backend" in capsys.readouterr().err
+
     def test_update_latency_quick(self, capsys):
         from repro.cli import main
 

@@ -16,12 +16,12 @@ from repro.experiments.fig7 import (
     fig7_build,
     format_fig7,
 )
-from repro.runtime import EngineConfig, SerialExecutor
+from repro.runtime import SerialExecutor
 
 #: these tests are about the harnesses (shapes, ordering, formatting),
 #: not the batch seam, and their batches are far below the group size
 #: at which the lock-step kernels pay off — so they say so, by value
-SCALAR = SerialExecutor(EngineConfig(sim_backend="scalar"))
+SCALAR = SerialExecutor("scalar")
 
 
 MICRO_FIG6 = Fig6Config(n_clients=16, trials=2, horizon=6_000, drain=2_000)
@@ -199,17 +199,31 @@ class TestFig7WithAnalysis:
                 composition.root_bandwidth
             ), spec.param("utilization")
 
-    def test_backend_override_identical(self, result):
-        """The spec's engine is the analysis backend's one source: the
-        scalar oracle, chosen on the executor, agrees verdict for
-        verdict."""
-        scalar = run_experiment(
-            "fig7",
-            self.CONFIG,
-            roster=("BlueScale",),
-            executor=SerialExecutor(
-                EngineConfig(sim_backend="scalar", analysis_backend="scalar")
-            ),
+    def test_backend_override_identical(self, result, monkeypatch):
+        """The scalar analysis oracle, swapped in under the trial runner
+        for both the ``--with-analysis`` model and the simulated
+        BlueScale's composition, agrees verdict for verdict."""
+        from functools import partial
+
+        from repro.analysis.context import AnalysisContext
+        from repro.analysis.model import SystemModel
+        from repro.experiments import fig7
+
+        build = SystemModel.build.__func__
+        seen = []
+
+        def scalar_build(cls, *args, **kwargs):
+            seen.append(kwargs.get("backend"))
+            return build(cls, *args, backend="scalar", **kwargs)
+
+        monkeypatch.setattr(SystemModel, "build", classmethod(scalar_build))
+        monkeypatch.setattr(
+            fig7, "AnalysisContext", partial(AnalysisContext, backend="scalar")
         )
+        scalar = run_experiment(
+            "fig7", self.CONFIG, roster=("BlueScale",), executor=SCALAR
+        )
+        # one model per (trial, utilization), none of them pinned
+        assert seen and set(seen) == {None}
         assert scalar.analysis_ratio == result.analysis_ratio
         assert scalar.success_ratio == result.success_ratio

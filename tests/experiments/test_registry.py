@@ -22,10 +22,10 @@ from repro.experiments.registry import (
     run_experiment,
 )
 from repro.experiments.scalability_sweep import ScalabilityConfig
-from repro.runtime import EngineConfig, SerialExecutor
+from repro.runtime import SerialExecutor
 
 #: tiny runs on the scalar engine: far below the lock-step break-even
-SCALAR = EngineConfig(sim_backend="scalar")
+SCALAR = "scalar"
 
 #: per registered experiment: its subcommand's flags at the smallest
 #: size they reach, and the config those flags must produce

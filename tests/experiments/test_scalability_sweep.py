@@ -8,10 +8,10 @@ from repro.experiments.scalability_sweep import (
     ScalabilityConfig,
     format_scalability,
 )
-from repro.runtime import EngineConfig, SerialExecutor
+from repro.runtime import SerialExecutor
 
 #: a handful of one-trial groups is far below the lock-step break-even
-SCALAR = SerialExecutor(EngineConfig(sim_backend="scalar"))
+SCALAR = SerialExecutor("scalar")
 
 
 class TestScalabilitySweep:
@@ -64,42 +64,40 @@ class TestScalabilitySweep:
         assert result.admission_ceiling[4] > 0.3
         assert "admission ceiling" in format_scalability(result)
 
-    def test_ceiling_runs_on_the_executors_analysis_backend(
+    def test_ceiling_searches_like_the_simulated_bluescale(
         self, monkeypatch
     ):
-        """The in-process ceiling search has no spec of its own; its
-        analysis backend is the executor's engine's (the one its trials
-        ran on — a sweep always has one, see below), nothing else's, and
-        its search width is the simulated BlueScale's.  One BlueTree
-        trial: no analysis of its own to record."""
+        """The in-process ceiling search runs on the one analysis
+        engine (no ``backend=``) with the simulated BlueScale's search
+        width, on either sim backend.  One BlueTree trial: no analysis
+        of its own to record."""
         from repro.experiments import scalability_sweep
 
         seen = []
         build = scalability_sweep.SystemModel.build
 
-        def recording(*args, backend=None, config=None, **kwargs):
-            # the ceiling searches like the simulated BlueScale
+        def recording(*args, config=None, **kwargs):
             assert config is scalability_sweep.BLUESCALE_SEARCH
-            seen.append(backend)
-            return build(*args, backend=backend, config=config, **kwargs)
+            seen.append(kwargs.get("backend"))
+            return build(*args, config=config, **kwargs)
 
         monkeypatch.setattr(scalability_sweep.SystemModel, "build", recording)
-        for engine in (None, EngineConfig(analysis_backend="scalar")):
+        for sim_backend in (None, "scalar"):
             run_experiment(
                 "scalability_sweep",
                 ScalabilityConfig(client_counts=(4,), seeds=(1,)),
                 roster=("BlueTree",),
-                executor=SerialExecutor(engine),
+                executor=SerialExecutor(sim_backend),
             )
-        assert seen == ["vectorized", "scalar"]
+        assert seen == [None, None]
 
     def test_empty_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
             ScalabilityConfig(client_counts=())
 
     def test_zero_trial_sweep_rejected(self):
-        """No seeds or no designs would leave the ceiling search with no
-        trial engine to run on; both are rejected up front."""
+        """A sweep with no seeds or no designs runs no trial; both are
+        rejected up front."""
         with pytest.raises(ConfigurationError, match="seed"):
             ScalabilityConfig(client_counts=(4,), seeds=())
         with pytest.raises(ConfigurationError, match="roster"):

@@ -24,13 +24,13 @@ from repro.experiments.isolation import (
     run_isolation_trial,
 )
 from repro.faults.verify import BoundViolation
-from repro.runtime import EngineConfig, ParallelExecutor, SerialExecutor
+from repro.runtime import ParallelExecutor, SerialExecutor
 
 CONFIG = IsolationConfig(trials=3)
 
 #: for the tests that are about the isolation claim, the executors or
 #: the reducer rather than the batch seam (TestBackends is the seam's)
-SCALAR = EngineConfig(sim_backend="scalar")
+SCALAR = "scalar"
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ class TestReplay:
         specs = build_isolation_specs(config)
         serial = SerialExecutor(SCALAR).map(run_isolation_trial, specs)
         parallel = ParallelExecutor(
-            workers=2, chunk_size=1, engine=SCALAR
+            workers=2, chunk_size=1, sim_backend=SCALAR
         ).map(run_isolation_trial, specs)
         assert len(serial) == len(parallel) == 2
         for s, p in zip(serial, parallel):
@@ -122,7 +122,7 @@ class TestBackends:
         specs = build_isolation_specs(config)
         scalar = [run_isolation_trial(spec) for spec in specs]
         assert not kernel_groups, "the scalar reference ran on the kernels"
-        batched = SerialExecutor(EngineConfig(sim_backend="batched")).map(
+        batched = SerialExecutor("batched").map(
             run_isolation_trial, specs
         )
         # 4 designs x (baseline + faulted) x 2 trials, all on the kernels

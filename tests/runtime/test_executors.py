@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.runtime import (
     FAILURE_METRIC,
-    EngineConfig,
     ExecutionHooks,
     MetricSet,
     ParallelExecutor,
@@ -30,19 +29,13 @@ def flaky_runner(spec: TrialSpec) -> MetricSet:
 
 
 def engine_probe_runner(spec: TrialSpec) -> MetricSet:
-    """Reports the engine the executing process found on its spec."""
-    return MetricSet(
-        scalars={},
-        tags={
-            "sim": spec.engine.sim_backend,
-            "analysis": spec.engine.analysis_backend,
-        },
-    )
+    """Reports the sim backend the executing process found on its spec."""
+    return MetricSet(scalars={}, tags={"sim": spec.sim_backend})
 
 
-#: non-default in both fields, so a worker that fell back to any
-#: default (its own or the submitting process's) cannot report it
-SCALAR_ENGINE = EngineConfig(sim_backend="scalar", analysis_backend="scalar")
+#: not the default, so a worker that fell back to any default (its own
+#: or the submitting process's) cannot report it
+SCALAR = "scalar"
 
 
 def make_specs(n):
@@ -106,16 +99,19 @@ class TestSerialExecutor:
             SerialExecutor().map(lambda spec: {"raw": 1}, make_specs(1))
 
     def test_engine_stamped_or_left_alone(self):
-        """``engine=`` overwrites every spec's engine; ``None`` keeps
-        whatever each spec already carries."""
+        """``sim_backend=`` overwrites every spec's backend; ``None``
+        keeps whatever each spec already carries; an unknown one is
+        refused before any trial runs."""
         import dataclasses
 
         specs = make_specs(2)
-        specs[1] = dataclasses.replace(specs[1], engine=SCALAR_ENGINE)
+        specs[1] = dataclasses.replace(specs[1], sim_backend=SCALAR)
         kept = SerialExecutor().map(engine_probe_runner, specs)
         assert [o.metrics.tags["sim"] for o in kept] == ["batched", "scalar"]
-        stamped = SerialExecutor(SCALAR_ENGINE).map(engine_probe_runner, specs)
-        assert [o.spec.engine for o in stamped] == [SCALAR_ENGINE] * 2
+        stamped = SerialExecutor(SCALAR).map(engine_probe_runner, specs)
+        assert [o.spec.sim_backend for o in stamped] == [SCALAR] * 2
+        with pytest.raises(ConfigurationError, match="sim backend"):
+            SerialExecutor("simd").map(engine_probe_runner, specs)
 
 
 class TestFailureCapture:
@@ -179,24 +175,22 @@ class TestParallelExecutor:
         assert ParallelExecutor(2).map(square_runner, []) == []
 
     def test_engine_reaches_every_worker_inside_the_spec(self):
-        """The executor's engine crosses the process boundary in the
-        pickled spec — nothing is initialized in the worker, so this
+        """The executor's sim backend crosses the process boundary in
+        the pickled spec — nothing is initialized in the worker, so this
         holds under fork, spawn and forkserver alike."""
-        outcomes = ParallelExecutor(2, chunk_size=1, engine=SCALAR_ENGINE).map(
+        outcomes = ParallelExecutor(2, chunk_size=1, sim_backend=SCALAR).map(
             engine_probe_runner, make_specs(4)
         )
-        assert [o.metrics.tags for o in outcomes] == [
-            {"sim": "scalar", "analysis": "scalar"}
-        ] * 4
-        assert [o.spec.engine for o in outcomes] == [SCALAR_ENGINE] * 4
+        assert [o.metrics.tags for o in outcomes] == [{"sim": "scalar"}] * 4
+        assert [o.spec.sim_backend for o in outcomes] == [SCALAR] * 4
 
     def test_engine_survives_a_pickle_round_trip(self):
         import dataclasses
         import pickle
 
-        spec = dataclasses.replace(make_specs(1)[0], engine=SCALAR_ENGINE)
+        spec = dataclasses.replace(make_specs(1)[0], sim_backend=SCALAR)
         clone = pickle.loads(pickle.dumps(spec))
-        assert clone == spec and clone.engine == SCALAR_ENGINE
+        assert clone == spec and clone.sim_backend == SCALAR
         assert engine_probe_runner(clone).tags["sim"] == "scalar"
 
 
@@ -213,8 +207,8 @@ class TestMakeExecutor:
 
     def test_engine_forwarded(self):
         for workers in (1, 2):
-            assert make_executor(workers, SCALAR_ENGINE).engine is SCALAR_ENGINE
-            assert make_executor(workers).engine is None
+            assert make_executor(workers, SCALAR).sim_backend == SCALAR
+            assert make_executor(workers).sim_backend is None
 
 
 class TestParallelEqualsSerial:
@@ -226,18 +220,17 @@ class TestParallelEqualsSerial:
 
         config = Fig6Config(trials=3, horizon=4_000, drain=1_500)
         interconnects = ("BlueScale", "BlueTree")
-        engine = EngineConfig(sim_backend="scalar")
         serial = run_experiment(
             "fig6",
             config,
             roster=interconnects,
-            executor=SerialExecutor(engine),
+            executor=SerialExecutor(SCALAR),
         )
         parallel = run_experiment(
             "fig6",
             config,
             roster=interconnects,
-            executor=ParallelExecutor(2, engine=engine),
+            executor=ParallelExecutor(2, sim_backend=SCALAR),
         )
         for name in interconnects:
             assert (
@@ -257,18 +250,17 @@ class TestParallelEqualsSerial:
             trials=2, horizon=4_000, drain=1_500, utilizations=(0.4, 0.8)
         )
         interconnects = ("BlueScale", "GSMTree-TDM")
-        engine = EngineConfig(sim_backend="scalar")
         serial = run_experiment(
             "fig7",
             config,
             roster=interconnects,
-            executor=SerialExecutor(engine),
+            executor=SerialExecutor(SCALAR),
         )
         parallel = run_experiment(
             "fig7",
             config,
             roster=interconnects,
-            executor=ParallelExecutor(2, engine=engine),
+            executor=ParallelExecutor(2, sim_backend=SCALAR),
         )
         assert parallel.success_ratio == serial.success_ratio
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime import (
-    EngineConfig,
     MetricSet,
     TrialSpec,
     derive_seeds,
@@ -40,43 +39,29 @@ class TestTrialSpec:
             spec.client_seed(1)
         ).random()
 
-
-class TestEngineConfig:
-    def test_defaults_are_the_library_defaults(self):
-        """The literals on the dataclass and the defaults of
-        ``backend=None`` / ``ctx=None`` library calls are one choice,
-        kept in step."""
-        from repro.analysis.context import AnalysisContext
+    def test_sim_backend_default_is_the_library_default(self):
+        """The literal on the dataclass and the default of a
+        ``backend=None`` library call are one choice, kept in step."""
         from repro.sim.backend import resolve_sim_backend
 
-        engine = EngineConfig()
-        assert engine.sim_backend == resolve_sim_backend(None) == "batched"
-        assert engine.analysis_backend == AnalysisContext().backend
-        assert engine.analysis_backend == "vectorized"
-        assert TrialSpec.make("e", 0, 1).engine == engine
+        spec = TrialSpec.make("e", 0, 1)
+        assert spec.sim_backend == resolve_sim_backend(None) == "batched"
 
-    def test_unknown_backends_rejected_at_construction(self):
+    def test_unknown_sim_backend_rejected_at_construction(self):
+        import dataclasses
+
         with pytest.raises(ConfigurationError, match="sim backend"):
-            EngineConfig(sim_backend="simd")
-        with pytest.raises(ConfigurationError, match="analysis backend"):
-            EngineConfig(analysis_backend="numpy")
-        with pytest.raises(ConfigurationError):
-            EngineConfig().override(sim_backend="simd")
-
-    def test_override_keeps_what_is_none(self):
-        base = EngineConfig(sim_backend="scalar")
-        assert base.override() == base
-        assert base.override(analysis_backend="scalar") == EngineConfig(
-            sim_backend="scalar", analysis_backend="scalar"
-        )
-        assert base.override("batched", None) == EngineConfig()
+            TrialSpec("e", 0, 1, sim_backend="simd")
+        with pytest.raises(ConfigurationError, match="sim backend"):
+            dataclasses.replace(TrialSpec.make("e", 0, 1), sim_backend="simd")
 
     def test_frozen_and_hashable(self):
         import dataclasses
 
+        spec = TrialSpec.make("e", 0, 1, x=1)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            EngineConfig().sim_backend = "scalar"
-        assert len({EngineConfig(), EngineConfig()}) == 1
+            spec.sim_backend = "scalar"
+        assert len({spec, TrialSpec.make("e", 0, 1, x=1)}) == 1
 
 
 class TestSeeding:

@@ -191,20 +191,21 @@ def test_executor_results_identical_across_worker_counts(kernel_groups):
     """Fig. 6 campaign outcomes are bit-identical on the batched engine
     for --workers 1, 2 and 3 (and equal to the scalar oracle)."""
     from repro.experiments.fig6 import Fig6Config, build_fig6_specs, run_fig6_trial
-    from repro.runtime import EngineConfig, make_executor
+    from repro.runtime import make_executor
 
     config = Fig6Config(trials=4, horizon=1_500, drain=500)
     specs = build_fig6_specs(config)
 
-    def fingerprint(engine, workers):
-        outcomes = make_executor(workers, engine).map(run_fig6_trial, specs)
+    def fingerprint(sim_backend, workers):
+        outcomes = make_executor(workers, sim_backend).map(
+            run_fig6_trial, specs
+        )
         return [(o.metrics.scalars, o.metrics.tags, o.error) for o in outcomes]
 
-    batched = EngineConfig(sim_backend="batched")
-    batched_runs = [fingerprint(batched, workers) for workers in (1, 2, 3)]
+    batched_runs = [fingerprint("batched", workers) for workers in (1, 2, 3)]
     assert kernel_groups, "the in-process batched leg never reached a kernel"
     kernel_groups.clear()
-    oracle = fingerprint(EngineConfig(sim_backend="scalar"), 1)
+    oracle = fingerprint("scalar", 1)
     assert not kernel_groups, "the scalar oracle ran on the kernels"
     assert batched_runs[0] == batched_runs[1] == batched_runs[2]
     assert batched_runs[0] == oracle

@@ -49,8 +49,8 @@ class TestTopLevelExports:
                 assert getattr(module, name) is not None, (module.__name__, name)
 
     def test_no_process_global_engine_switches(self):
-        """The engine is a value on the trial spec
-        (``repro.runtime.EngineConfig``); the process-wide setters and
+        """The sim backend is a value on the trial spec
+        (``TrialSpec.sim_backend``); the process-wide setters and
         getters it replaced must not come back."""
         import repro.analysis
         import repro.runtime
@@ -63,7 +63,7 @@ class TestTopLevelExports:
             for name in (f"set_{stem}", f"get_{stem}"):
                 assert name not in module.__all__
                 assert not hasattr(module, name)
-        assert "EngineConfig" in repro.runtime.__all__
+        assert repro.runtime.TrialSpec.make("e", 0, 1).sim_backend == "batched"
 
     def test_retired_names_stay_out_of_all(self):
         """The BlueScale-only hook timeline (superseded by the span
@@ -73,9 +73,10 @@ class TestTopLevelExports:
         analysis knobs one ``AnalysisContext`` replaced, the admission
         and ceiling shortcuts ``AdmissionSession`` and ``breakdown_scale``
         already answer, the uncalled per-client victim miss fold, the
-        per-experiment ``run_*`` wrappers ``run_experiment`` replaced and
-        the experiment-level design-setting knobs are gone from the
-        public surface."""
+        per-experiment ``run_*`` wrappers ``run_experiment`` replaced, the
+        experiment-level design-setting knobs and ``EngineConfig`` (its
+        analysis half had no caller outside the tests, its sim half is
+        ``TrialSpec.sim_backend``) are gone from the public surface."""
         import repro.analysis
         import repro.core
         import repro.experiments
@@ -90,7 +91,9 @@ class TestTopLevelExports:
             "QuiescentComponent",
         ):
             assert name not in repro.sim.__all__
-        assert "spawn_rng" not in repro.runtime.__all__
+        for name in ("spawn_rng", "EngineConfig"):
+            assert name not in repro.runtime.__all__
+        assert not hasattr(repro.runtime, "EngineConfig")
         for name in (
             "AddressInterleaver",
             "MultiMemoryResult",
