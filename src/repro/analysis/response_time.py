@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from repro.analysis import vectorized
 from repro.analysis.composition import CompositionResult, default_deadline_margin
 from repro.analysis.context import AnalysisContext
-from repro.analysis.prm import ResourceInterface, dbf, sbf
+from repro.analysis.prm import ResourceInterface, sbf
 from repro.analysis.schedulability import is_schedulable
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.tasks.task import PeriodicTask

@@ -1,11 +1,10 @@
 """Client models: traffic generators, processors, DNN accelerators."""
 
-from repro.clients.traffic_generator import QUEUE_POLICIES, JobRecord, TrafficGenerator
+from repro.clients.traffic_generator import JobRecord, TrafficGenerator
 from repro.clients.processor import ProcessorClient
 from repro.clients.accelerator import AcceleratorClient, dnn_inference_task
 
 __all__ = [
-    "QUEUE_POLICIES",
     "JobRecord",
     "TrafficGenerator",
     "ProcessorClient",

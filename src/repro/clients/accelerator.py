@@ -41,7 +41,6 @@ class AcceleratorClient(TrafficGenerator):
         inference_tasks: TaskSet,
         bandwidth_cap: float = 1.0,
         rng: random.Random | None = None,
-        pending_capacity: int = 1024,
     ) -> None:
         if not 0.0 < bandwidth_cap <= 1.0:
             raise ConfigurationError(
@@ -50,7 +49,7 @@ class AcceleratorClient(TrafficGenerator):
         super().__init__(
             client_id=client_id,
             taskset=inference_tasks,
-            pending_capacity=pending_capacity,
+            pending_capacity=1024,
             rng=rng,
             write_ratio=0.0,  # inference streams are read-dominated
         )

@@ -24,9 +24,6 @@ class ProcessorClient(TrafficGenerator):
         application_tasks: TaskSet,
         interference_tasks: TaskSet | None = None,
         rng: random.Random | None = None,
-        pending_capacity: int = 256,
-        random_phases: bool = False,
-        write_ratio: float = 0.25,
     ) -> None:
         interference = interference_tasks if interference_tasks is not None else TaskSet()
         combined = application_tasks.merged_with(interference)
@@ -34,10 +31,8 @@ class ProcessorClient(TrafficGenerator):
         super().__init__(
             client_id=client_id,
             taskset=combined,
-            pending_capacity=pending_capacity,
             rng=rng,
-            random_phases=random_phases,
-            write_ratio=write_ratio,
+            write_ratio=0.25,  # a quarter of a core's transactions write
             monitored_tasks=monitored,
         )
         self.application_tasks = application_tasks

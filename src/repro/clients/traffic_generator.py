@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.memory.request import MemoryRequest, RequestKind
@@ -45,20 +45,8 @@ class JobRecord:
         return self.finished and self.dropped == 0 and self.last_completion <= self.deadline
 
 
-#: client-side issue-order policies: how the pending queue is sorted
-QUEUE_POLICIES = ("edf", "fifo", "rm")
-
-
 class TrafficGenerator:
-    """A client that converts a periodic task set into memory requests.
-
-    ``queue_policy`` selects the *issue order* of the client's own
-    pending transactions: ``edf`` (the paper's GEDF assignment,
-    default), ``fifo`` (release order), or ``rm`` (rate-monotonic: the
-    shortest-period task's transactions first).  The deadline carried
-    by each transaction — what the interconnects arbitrate on — is
-    unaffected.
-    """
+    """A client that converts a periodic task set into memory requests."""
 
     #: address stride between consecutive requests of one burst
     BURST_STRIDE = 64
@@ -69,12 +57,8 @@ class TrafficGenerator:
         taskset: TaskSet,
         pending_capacity: int = 256,
         rng: random.Random | None = None,
-        random_phases: bool = False,
         write_ratio: float = 0.0,
         monitored_tasks: set[str] | None = None,
-        address_base: int | None = None,
-        queue_policy: str = "edf",
-        criticality: dict[str, int] | None = None,
     ) -> None:
         if client_id < 0:
             raise ConfigurationError(f"client id must be >= 0, got {client_id}")
@@ -82,16 +66,6 @@ class TrafficGenerator:
             raise ConfigurationError("pending capacity must be positive")
         if not 0.0 <= write_ratio <= 1.0:
             raise ConfigurationError(f"write ratio {write_ratio} outside [0, 1]")
-        if queue_policy not in QUEUE_POLICIES:
-            raise ConfigurationError(
-                f"unknown queue policy {queue_policy!r}; "
-                f"expected one of {QUEUE_POLICIES}"
-            )
-        self.queue_policy = queue_policy
-        # Optional criticality-aware shedding (higher value = more
-        # critical): on queue overflow, a new transaction may evict the
-        # least critical pending one instead of being dropped itself.
-        self.criticality = criticality
         self.client_id = client_id
         self.taskset = taskset
         self.pending_capacity = pending_capacity
@@ -99,14 +73,12 @@ class TrafficGenerator:
         self.write_ratio = write_ratio
         self.monitored_tasks = monitored_tasks
         # Give each client its own 16 MB window so DRAM banks/rows differ.
-        self.address_base = (
-            address_base if address_base is not None else client_id * (1 << 24)
-        )
-        # (next_release, task_index, job_index) min-heap
-        self._release_heap: list[tuple[int, int, int]] = []
-        for index, task in enumerate(taskset):
-            phase = self.rng.randrange(task.period) if random_phases else 0
-            heapq.heappush(self._release_heap, (phase, index, 0))
+        self.address_base = client_id << 24
+        # (next_release, task_index, job_index) min-heap; every task
+        # releases its first job at cycle 0
+        self._release_heap: list[tuple[int, int, int]] = [
+            (0, index, 0) for index in range(len(taskset))
+        ]
         # pending transactions in EDF order
         self._pending: list[tuple[tuple[int, int], MemoryRequest]] = []
         self.jobs: list[JobRecord] = []
@@ -119,15 +91,6 @@ class TrafficGenerator:
         # against the analytical bounds (repro.faults.verify).
         self.max_response_by_task: dict[str, int] = {}
         self.max_blocking = 0
-
-    def _queue_key(self, request: MemoryRequest, task) -> tuple[int, int]:  # noqa: ANN001
-        """Pending-queue ordering key under the configured policy."""
-        if self.queue_policy == "edf":
-            return request.priority_key
-        if self.queue_policy == "fifo":
-            return (request.release_cycle, request.rid)
-        # rm: shortest period first, ties by id
-        return (task.period, request.rid)
 
     # -- releases ------------------------------------------------------------
     def _release_due_jobs(self, cycle: int) -> None:
@@ -168,55 +131,21 @@ class TrafficGenerator:
                 )
                 self.released_requests += 1
                 if len(self._pending) >= self.pending_capacity:
-                    if not self._try_evict_for(task.name):
-                        # Queue overflow: the transaction can never make
-                        # its deadline; count it against the job.
-                        self.dropped_requests += 1
-                        job.dropped += 1
-                        job.outstanding -= 1
-                        continue
-                heapq.heappush(
-                    self._pending, (self._queue_key(request, task), request)
-                )
+                    # Queue overflow: the transaction can never make
+                    # its deadline; count it against the job.
+                    self.dropped_requests += 1
+                    job.dropped += 1
+                    job.outstanding -= 1
+                    continue
+                heapq.heappush(self._pending, (request.priority_key, request))
                 self._job_of_request[request.rid] = job
-
-    def _try_evict_for(self, task_name: str) -> bool:
-        """Criticality-aware shedding: make room for a more critical
-        transaction by dropping the least critical pending one.
-
-        Returns True when a slot was freed.  Without a criticality map
-        (the default) no eviction happens — the newest transaction is
-        the one dropped, matching plain overflow semantics.
-        """
-        if self.criticality is None or not self._pending:
-            return False
-        new_level = self.criticality.get(task_name, 0)
-        victim_index = min(
-            range(len(self._pending)),
-            key=lambda i: (
-                self.criticality.get(self._pending[i][1].task_name, 0),
-                -self._pending[i][1].absolute_deadline,
-            ),
-        )
-        victim = self._pending[victim_index][1]
-        if self.criticality.get(victim.task_name, 0) >= new_level:
-            return False  # nothing less critical to shed
-        self._pending.pop(victim_index)
-        heapq.heapify(self._pending)
-        victim_job = self._job_of_request.pop(victim.rid, None)
-        if victim_job is not None:
-            victim_job.dropped += 1
-            victim_job.outstanding -= 1
-        self.dropped_requests += 1
-        return True
 
     # -- issue ----------------------------------------------------------------
     def tick(self, cycle: int, inject) -> None:  # noqa: ANN001 - hook
         """Release due jobs, then offer the head transaction.
 
         ``inject`` is ``interconnect.try_inject``.  The client has one
-        memory port: the head of the pending queue (issue order per
-        ``queue_policy``) is offered and, if refused, stays at the head
+        memory port: the head of the EDF pending queue is offered and, if refused, stays at the head
         and is retried next cycle.
         """
         self._release_due_jobs(cycle)
@@ -262,13 +191,7 @@ class TrafficGenerator:
             if len(self._pending) >= self.pending_capacity:
                 self.dropped_requests += 1
                 continue
-            if self.queue_policy == "edf":
-                key = request.priority_key
-            elif self.queue_policy == "fifo":
-                key = (request.release_cycle, request.rid)
-            else:  # rm: a contract violator masquerades as the hottest task
-                key = (1, request.rid)
-            heapq.heappush(self._pending, (key, request))
+            heapq.heappush(self._pending, (request.priority_key, request))
             injected += 1
         return injected
 

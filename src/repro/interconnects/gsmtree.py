@@ -23,7 +23,6 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.interconnects.mux_tree import MuxNode, MuxTreeInterconnect
-from repro.memory.request import MemoryRequest
 from repro.topology import NodeId
 
 

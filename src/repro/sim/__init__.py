@@ -24,14 +24,6 @@ from repro.sim.invariants import (
     StructuralMonitor,
     monitor_interconnect,
 )
-from repro.sim.trace import (
-    TraceRecord,
-    TraceReplayClient,
-    load_trace,
-    save_trace,
-    split_by_client,
-    trace_from_clients,
-)
 
 # imported last: repro.sim.batched reaches back through repro.soc into
 # the engine/clock names bound above
@@ -57,10 +49,4 @@ __all__ = [
     "SbfComplianceMonitor",
     "StructuralMonitor",
     "monitor_interconnect",
-    "TraceRecord",
-    "TraceReplayClient",
-    "load_trace",
-    "save_trace",
-    "split_by_client",
-    "trace_from_clients",
 ]

@@ -101,8 +101,6 @@ def _check_controller(sim) -> None:
 def _check_clients(sim) -> None:
     for client in sim.clients:
         _require(type(client) in _CLIENT_TYPES, "unknown client type")
-        _require(client.queue_policy == "edf", "non-EDF client queue")
-        _require(client.criticality is None, "criticality-aware client")
         _require(
             not client._pending
             and not client.jobs
@@ -339,9 +337,8 @@ def extract_plan(sim, horizon: int, drain: int, warmup: int) -> TrialPlan:
     """Replay the release heaps into a complete request schedule.
 
     Read-only with respect to ``sim``: heaps are copied before popping,
-    and no client rng is consumed (the only timing-relevant draw, the
-    release phase, already happened at client construction; the
-    read/write kind draw affects neither arbitration nor the trace).
+    and no client rng is consumed (the read/write kind draw, the only
+    one a client makes, affects neither arbitration nor the trace).
     """
     # the heap pops entries in (release, task_index, job_index) order and
     # every task advances by a fixed period, so the full pop sequence is

@@ -22,7 +22,7 @@ once per cycle (after ``tick_request_path``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.prm import sbf
 from repro.core.interconnect import BlueScaleInterconnect

@@ -200,3 +200,40 @@ def test_equivalence_without_accelerator(name):
         name, 0.2, fast=False, seed=555, accelerator=False
     )
     _assert_identical(f"{name}/no-ha", fast_run, slow_run)
+
+
+def test_fast_path_identical_with_client_queue_overflow():
+    """Clients that drop on queue overflow leap on every design, and
+    the fast path stays bit-identical to the cycle-by-cycle reference.
+    No other equivalence test makes a client drop."""
+    n_clients, horizon, drain = 8, 3_000, 300
+    tasksets = generate_client_tasksets(random.Random(11), n_clients, 2, 0.5)
+    for name in INTERCONNECT_NAMES:
+        results = []
+        for fast in (True, False):
+            # A two-entry queue overflows on multi-request releases.
+            clients = [
+                TrafficGenerator(c, ts, pending_capacity=2)
+                for c, ts in tasksets.items()
+            ]
+            interconnect = build_interconnect(name, n_clients, tasksets)
+            results.append(
+                SoCSimulation(clients, interconnect, fast_path=fast).run(
+                    horizon, drain=drain
+                )
+            )
+        fast_result, slow = results
+        assert fast_result.trace_digest == slow.trace_digest, name
+        assert fast_result.job_outcomes == slow.job_outcomes, name
+        ledger = [
+            (r.requests_released, r.requests_completed,
+             r.requests_dropped, r.requests_in_flight)
+            for r in results
+        ]
+        assert ledger[0] == ledger[1], name
+        released, completed, dropped, in_flight = ledger[0]
+        assert dropped > 0 and completed > 0, name
+        assert completed + dropped + in_flight == released, name
+        # Leaps happen before the horizon too, not only in the drain.
+        assert fast_result.cycles_skipped > drain, name
+        assert slow.cycles_skipped == 0, name

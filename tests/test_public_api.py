@@ -74,10 +74,15 @@ class TestTopLevelExports:
         and ceiling shortcuts ``AdmissionSession`` and ``breakdown_scale``
         already answer, the uncalled per-client victim miss fold, the
         per-experiment ``run_*`` wrappers ``run_experiment`` replaced, the
-        experiment-level design-setting knobs and ``EngineConfig`` (its
+        experiment-level design-setting knobs, ``EngineConfig`` (its
         analysis half had no caller outside the tests, its sim half is
-        ``TrialSpec.sim_backend``) are gone from the public surface."""
+        ``TrialSpec.sim_backend``), trace capture/replay and the client
+        issue policies (every client issues EDF) are gone from the
+        public surface."""
+        import importlib
+
         import repro.analysis
+        import repro.clients
         import repro.core
         import repro.experiments
         import repro.faults
@@ -89,8 +94,18 @@ class TestTopLevelExports:
             "RequestTimeline",
             "format_timeline",
             "QuiescentComponent",
+            "TraceRecord",
+            "TraceReplayClient",
+            "load_trace",
+            "save_trace",
+            "split_by_client",
+            "trace_from_clients",
         ):
             assert name not in repro.sim.__all__
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.sim.trace")
+        assert "QUEUE_POLICIES" not in repro.clients.__all__
+        assert not hasattr(repro.clients, "QUEUE_POLICIES")
         for name in ("spawn_rng", "EngineConfig"):
             assert name not in repro.runtime.__all__
         assert not hasattr(repro.runtime, "EngineConfig")
@@ -127,6 +142,32 @@ class TestTopLevelExports:
         ):
             assert name not in repro.experiments.__all__
             assert not hasattr(repro.experiments, name)
+
+    def test_clients_take_only_the_settings_experiments_use(self):
+        """Every client issues in EDF order from its own 16 MB window,
+        phased at cycle 0, and drops the newest transaction on
+        overflow; a processor writes a quarter of its transactions and
+        an accelerator queues up to 1024.  None of that is a parameter."""
+        import inspect
+
+        from repro.clients import (
+            AcceleratorClient,
+            ProcessorClient,
+            TrafficGenerator,
+        )
+
+        retired = {
+            TrafficGenerator: {
+                "queue_policy", "criticality", "random_phases", "address_base",
+            },
+            ProcessorClient: {
+                "pending_capacity", "random_phases", "write_ratio",
+            },
+            AcceleratorClient: {"pending_capacity"},
+        }
+        for client, names in retired.items():
+            params = set(inspect.signature(client).parameters)
+            assert not params & names, client.__name__
 
     def test_analysis_runs_under_one_ctx(self):
         """How an analysis runs is one value, ``ctx=`` (an

@@ -37,6 +37,26 @@ class TestWiring:
         with pytest.raises(ConfigurationError):
             SoCSimulation(simple_clients(5), BlueScaleInterconnect(4))
 
+    def test_simulation_rejects_negative_client_id(self):
+        # TrafficGenerator rejects a negative id itself, but any object
+        # speaking the client contract can be handed in.  AXI-IC^RT
+        # would silently alias it to client n-1's FIFO.
+        class IdleClient:
+            client_id = -1
+
+            def tick(self, cycle, inject):
+                pass
+
+            def is_quiescent(self):
+                return True
+
+            def next_activity_cycle(self, cycle):
+                return None
+
+        for interconnect in (BlueScaleInterconnect(4), AxiIcRtInterconnect(4)):
+            with pytest.raises(ConfigurationError, match="client id -1"):
+                SoCSimulation([IdleClient()], interconnect)
+
     def test_rejects_empty_clients(self):
         with pytest.raises(ConfigurationError):
             SoCSimulation([], BlueScaleInterconnect(4))
