@@ -30,8 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import numpy as np
 
-from repro.analysis.cache import taskset_key
+from repro.analysis import vectorized
+from repro.analysis.cache import AnalysisCache, taskset_key
 from repro.analysis.context import AnalysisContext, SelectionConfig
 from repro.analysis.prm import ResourceInterface
 from repro.analysis.schedulability import is_schedulable
@@ -113,53 +115,76 @@ def minimal_budgets_for_periods(
 ) -> list[int | None]:
     """Minimal schedulable Θ for *every* candidate Π at once (vectorized).
 
-    The per-period binary searches advance in lock-step: each round
-    batches one probe per still-open period into a single
-    :func:`~repro.analysis.vectorized.schedulable_many` call, so the
-    task set's demand grid is evaluated once and shared by the whole
-    candidate front.  Schedulability is monotone in Θ at fixed Π, so
-    the converged budgets are exactly the scalar binary search's.
-    Only ``ctx``'s cache is read: this search is the vectorized
-    backend's by construction.
+    The per-period binary searches advance in lock-step
+    (:func:`_lockstep_budgets`), so the task set's demand grid is
+    evaluated once and shared by the whole candidate front.
+    Schedulability is monotone in Θ at fixed Π, so the converged
+    budgets are exactly the scalar binary search's.  Only ``ctx``'s
+    cache is read: this search is the vectorized backend's by
+    construction.
     """
-    from repro.analysis.vectorized import schedulable_many
-
     memo = (ctx or AnalysisContext()).cache
     if len(taskset) == 0:
         return [0 for _ in periods]
+    return _lockstep_budgets(taskset, periods, memo, prune=False)
+
+
+def _lockstep_budgets(
+    taskset: TaskSet, periods: list[int], memo: AnalysisCache, *, prune: bool
+) -> list[int | None]:
+    """Binary-search every period's minimal budget as one array program.
+
+    Returns each period's minimal schedulable Θ, or None where even
+    Θ = Π is unschedulable (or the period was pruned).  ``lows`` and
+    ``highs`` stay int64 arrays across rounds, each round is one
+    :func:`~repro.analysis.vectorized.grid_verdicts` call on the one
+    grid this search looks up, and each period's range moves with
+    ``np.where``.
+
+    With ``prune``, a still-open period leaves the search once its
+    budget floor is *strictly* dearer than some feasible ``(Π, Θ)``
+    already found: ``lows[i]/Π_i > Θ_k/Π_k``.  Its final bandwidth
+    could only be higher still, so it can neither be the minimum nor
+    tie it, and it gets None.  A period whose floor merely ties the
+    incumbent stays open, since the larger period wins a tie.
+    """
     utilization = taskset.utilization
     p, q = utilization.numerator, utilization.denominator
-    budgets: list[int | None] = [None] * len(periods)
+    grid = vectorized.grid_for(taskset, memo)
+    period = np.array(periods, dtype=np.int64)
     # Θ/Π must strictly exceed U, so each search starts above the
     # utilization floor; every probed (Π, Θ) therefore satisfies the
     # Theorem-1 bandwidth precondition by construction.
-    lows = {i: (p * period) // q + 1 for i, period in enumerate(periods)}
-    open_indices = [i for i, period in enumerate(periods) if lows[i] <= period]
-    feasible = schedulable_many(
-        taskset,
-        [(periods[i], periods[i]) for i in open_indices],
-        memo,
-        utilization=utilization,
-    )
-    highs = {i: periods[i] for i, ok in zip(open_indices, feasible) if ok}
-    searching = [i for i in highs if lows[i] < highs[i]]
-    while searching:
-        probes = [(periods[i], (lows[i] + highs[i]) // 2) for i in searching]
-        verdicts = schedulable_many(
-            taskset, probes, memo, utilization=utilization
-        )
-        still_open: list[int] = []
-        for i, (_, mid), ok in zip(searching, probes, verdicts):
-            if ok:
-                highs[i] = mid
-            else:
-                lows[i] = mid + 1
-            if lows[i] < highs[i]:
-                still_open.append(i)
-        searching = still_open
-    for i in highs:
-        budgets[i] = lows[i]
-    return budgets
+    lows = np.array([(p * each) // q + 1 for each in periods], dtype=np.int64)
+    highs = period.copy()
+    # lows <= Π means U < 1, so Θ = Π has β = 0: nothing to check.
+    feasible = lows <= period
+    settled = feasible.copy()
+    candidates = np.flatnonzero(feasible)
+    # incumbent bandwidths are compared as int64 cross products
+    prune = prune and candidates.size > 0 and int(period.max()) < 2**31
+    active = np.flatnonzero(feasible & (lows < highs))
+    while active.size:
+        at = period[active]
+        low, high = lows[active], highs[active]
+        mid = (low + high) // 2
+        ok = vectorized.grid_verdicts(grid, utilization, at, mid)
+        high = np.where(ok, mid, high)
+        low = np.where(ok, low, mid + 1)
+        lows[active], highs[active] = low, high
+        going = low < high
+        if prune:
+            best = candidates[
+                np.argmin(highs[candidates] / period[candidates])
+            ]
+            dominated = low * period[best] > highs[best] * at
+            settled[active[going & dominated]] = False
+            going &= ~dominated
+        active = active[going]
+    return [
+        budget if ok else None
+        for budget, ok in zip(lows.tolist(), settled.tolist())
+    ]
 
 
 def _candidate_periods(upper: int, config: SelectionConfig) -> list[int]:
@@ -202,10 +227,12 @@ def select_interface(
     Theorem-2 period range schedules the task set.
     An empty task set yields the idle interface ``(1, 0)``.
 
-    The ``vectorized`` backend resolves every candidate period's
-    minimal-budget search against one shared demand grid
-    (:func:`minimal_budgets_for_periods`); the ``scalar`` backend keeps
-    the original one-test-per-candidate oracle.  Results are memoized
+    The ``vectorized`` backend runs every candidate period's
+    minimal-budget search in lock-step against one shared demand grid
+    and drops a period as soon as it can no longer win
+    (:func:`_lockstep_budgets`); the ``scalar`` backend keeps the
+    original one-test-per-candidate oracle.  Both pick the same
+    interface.  Results are memoized
     in the context's cache keyed by the task set's exact ``(T, C)``
     multiset, the sibling utilization and the search config, so
     level-by-level composition reuses unchanged subtree selections
@@ -231,37 +258,46 @@ def select_interface(
     period_bound = theorem2_period_bound(taskset, sibling_utilization)
     candidates = _candidate_periods(period_bound, ctx.config)
     if ctx.backend == "vectorized":
-        budgets = minimal_budgets_for_periods(taskset, candidates, ctx=ctx)
+        budgets = _lockstep_budgets(taskset, candidates, memo, prune=True)
     else:
         budgets = [
             minimal_budget_for_period(taskset, period, ctx=ctx)
             for period in candidates
         ]
-    best: ResourceInterface | None = None
-    best_bw: Fraction | None = None
-    for period, budget in zip(candidates, budgets):
-        if budget is None:
-            continue
-        interface = ResourceInterface(period, budget)
-        bandwidth = interface.bandwidth
-        if (
-            best_bw is None
-            or bandwidth < best_bw
-            or (bandwidth == best_bw and period > best.period)  # type: ignore[union-attr]
-        ):
-            best, best_bw = interface, bandwidth
+    best = _minimum_bandwidth(candidates, budgets)
     if best is None:
         raise InfeasibleError(
             f"no schedulable interface for task set with U="
             f"{taskset.utilization_float:.3f} within period bound {period_bound}"
         )
     result = SelectionResult(
-        interface=best,
+        interface=ResourceInterface(*best),
         periods_examined=len(candidates),
         period_bound=period_bound,
     )
     memo.put_selection(memo_key, result)
     return result
+
+
+def _minimum_bandwidth(
+    periods: list[int], budgets: list[int | None]
+) -> tuple[int, int] | None:
+    """The minimum-bandwidth ``(Π, Θ)``; ties go to the larger Π.
+
+    Periods with budget None are skipped.  Bandwidths ``Θa/Πa`` and
+    ``Θb/Πb`` compare as the integers ``Θa·Πb`` and ``Θb·Πa``.
+    """
+    best: tuple[int, int] | None = None
+    for period, budget in zip(periods, budgets):
+        if budget is None:
+            continue
+        if best is None:
+            best = (period, budget)
+            continue
+        mine, theirs = budget * best[0], best[1] * period
+        if mine < theirs or (mine == theirs and period > best[0]):
+            best = (period, budget)
+    return best
 
 
 def brute_force_minimum_bandwidth(

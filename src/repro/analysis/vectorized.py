@@ -11,16 +11,19 @@ two hot loops into array programs:
   every candidate of a search shares one demand evaluation;
 * :func:`sbf_values` evaluates the supply bound function of one
   candidate over the whole grid in a handful of vector ops, and
-  :func:`schedulable_many` folds that into per-candidate verdicts for a
-  whole batch of interfaces at once;
+  :func:`grid_verdicts` folds that into per-candidate verdicts for a
+  whole batch of interfaces at once, each checked up to a float64
+  over-approximation of its Theorem-1 horizon
+  (:func:`theorem1_horizons`);
 * :func:`port_wcrts` bounds the response time of every task of one
   port at once: one fixpoint iteration advances every (task, release
   offset) pair of Spuri's analysis, with :func:`supply_inverse_values`
   as the array form of the supply delay.
 
-Everything stays in int64 — the formulas are integer-exact, so the
+Every compared dbf and sbf value stays in int64 — the formulas are
+integer-exact, and a horizon past β cannot change a verdict — so the
 vectorized verdicts are *identical* to the scalar oracle's (asserted by
-the property suite and the analysis benchmark).  Grids whose Theorem-1
+the property suite).  Grids whose Theorem-1
 horizon would not fit the configured point budget fall back to a lazy
 heap-merged scan with the same semantics and bounded memory.
 """
@@ -48,10 +51,12 @@ MAX_GRID_POINTS = 2_000_000
 MAX_BATCH_CELLS = 2_000_000
 
 
-def sbf_values(ts: np.ndarray, period: int, budget: int) -> np.ndarray:
+def sbf_values(ts: np.ndarray, period, budget) -> np.ndarray:
     """``sbf(t, (Π, Θ))`` for every t in ``ts`` (int64 array in/out).
 
     Same formula as :func:`repro.analysis.prm.sbf`, vectorized.
+    ``period`` and ``budget`` are ints, or int64 arrays that broadcast
+    against ``ts`` (one row of candidates per column of points).
     """
     t_prime = ts - (period - budget)
     full_periods = t_prime // period
@@ -153,17 +158,80 @@ def theorem1_betas(
     utilization denominators cannot overflow.  Every candidate must
     satisfy ``Θ/Π > U`` strictly.
     """
+    return [
+        _ceil_beta(utilization, period, budget) for period, budget in interfaces
+    ]
+
+
+def _beta_numerators(periods, budgets):
+    """β's numerator ``2Θ(Π−Θ)``, for ints or int arrays alike.
+
+    A blocking term B (``dbf(t) + B <= sbf(t)``) would add ``B·Π`` here
+    and nowhere else.
+    """
+    return 2 * budgets * (periods - budgets)
+
+
+def _ceil_beta(utilization: Fraction, period: int, budget: int) -> int:
+    """Exact ``ceil(β)`` of one candidate, in Python ints."""
     p, q = utilization.numerator, utilization.denominator
-    betas: list[int] = []
-    for period, budget in interfaces:
-        denominator = budget * q - p * period
-        if denominator <= 0:
-            raise ConfigurationError(
-                f"Theorem 1 needs bandwidth {budget}/{period} > U={utilization}"
+    denominator = budget * q - p * period
+    if denominator <= 0:
+        raise ConfigurationError(
+            f"Theorem 1 needs bandwidth {budget}/{period} > U={utilization}"
+        )
+    return -(-(_beta_numerators(period, budget) * q) // denominator)
+
+
+#: marks a horizon whose exact value does not fit int64
+HORIZON_OVERFLOW = int(np.iinfo(np.int64).max)
+
+#: largest period the float64 horizon bound takes: below it Π, Θ and
+#: 2Θ(Π−Θ) are exact int64 values and float64 holds Π and Θ exactly
+_FLOAT_PERIOD_LIMIT = 2**31
+
+
+def theorem1_horizons(
+    utilization: Fraction, periods: np.ndarray, budgets: np.ndarray
+) -> np.ndarray:
+    """An int64 horizon ``H >= ceil(β)`` per candidate ``(Π, Θ)``.
+
+    Any ``H >= β`` decides Theorem 1's test exactly like β itself: for
+    ``t >= β``, ``dbf(t) <= U·t <= lsbf(t) <= sbf(t)``, so no point past
+    β can hold a violation.  ``H`` is therefore computed in float64 and
+    only ever rounded *up*: with ``u = float(U)`` (correctly rounded),
+    the computed ``Θ − u·Π`` is within ``2⁻⁵¹·(Θ + UΠ)`` of the exact
+    ``Θ − UΠ``; ``margin`` is 64 times that, subtracted from the
+    denominator, and the quotient is scaled up by ``1 + 2⁻⁴⁰``, which
+    covers its four remaining roundings.  A candidate whose denominator
+    is within ``2¹⁰·margin`` of zero (ill-conditioned: the bound would
+    be loose), or whose bound reaches 2⁶², gets the exact
+    :func:`theorem1_betas` value instead — :data:`HORIZON_OVERFLOW`
+    when even that does not fit int64.  Every candidate must satisfy
+    ``Θ/Π > U`` strictly (checked exactly on the fallback path, and
+    implied by a positive ``denominator − margin`` on the float one).
+    """
+    horizons = np.full(len(periods), HORIZON_OVERFLOW, dtype=np.int64)
+    if len(periods) and int(periods.max()) < _FLOAT_PERIOD_LIMIT:
+        numerators = _beta_numerators(periods, budgets)
+        u = float(utilization)
+        supply = budgets.astype(np.float64)
+        demand = u * periods.astype(np.float64)
+        denominator = supply - demand
+        margin = (supply + demand) * 2.0**-45
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.ceil(
+                numerators / (denominator - margin) * (1.0 + 2.0**-40)
             )
-        numerator = 2 * budget * (period - budget) * q
-        betas.append(-(-numerator // denominator))
-    return betas
+        fast = (denominator > 1024.0 * margin) & (bound < 2.0**62)
+        horizons[fast] = bound[fast]
+        exact = np.flatnonzero(~fast)
+    else:
+        exact = np.arange(len(periods))
+    for i in exact:
+        beta = _ceil_beta(utilization, int(periods[i]), int(budgets[i]))
+        horizons[i] = min(beta, HORIZON_OVERFLOW)
+    return horizons
 
 
 def _lazy_violation(
@@ -238,76 +306,73 @@ def schedulable_many(
     guarantee it); degenerate cases stay with the scalar entry point.
     Callers that already hold ``taskset.utilization`` can pass it via
     ``utilization`` to skip re-deriving the Fraction sum per call.
-
-    One shared demand grid serves the entire batch, and supplies are
-    evaluated as a single (candidates × points) array program — chunked
-    to :data:`MAX_BATCH_CELLS` — instead of one scan per candidate.
-    Points beyond a candidate's own Theorem-1 bound β are masked out,
-    which keeps the verdict bit-identical to the scalar per-candidate
-    scan (a schedulable pair satisfies dbf<=sbf *everywhere*, so the
-    masking only matters for unschedulable ones, whose witness sits
-    inside (0, β] by Theorem 1).
+    Same verdicts as :func:`grid_verdicts` on the task set's grid.
     """
     if not interfaces:
         return []
     if utilization is None:
         utilization = taskset.utilization
-    betas = theorem1_betas(utilization, interfaces)
-    grid = grid_for(taskset, memo)
-    cap = grid.cap
-    verdicts: list[bool | None] = [None] * len(interfaces)
-    batched: list[int] = []
-    for i, beta in enumerate(betas):
-        if beta > cap and grid.points_within(beta) > MAX_GRID_POINTS:
-            period, budget = interfaces[i]
-            verdicts[i] = _lazy_violation(grid, period, budget, beta) is None
-        else:
-            batched.append(i)
-    if not batched:
-        return verdicts  # type: ignore[return-value]
-    # Ascending-β order lets each chunk slice the grid at its *own*
-    # largest horizon — one huge-β probe no longer inflates the work of
-    # every small-β candidate sharing its batch.
-    batched.sort(key=lambda i: betas[i])
-    ts, demands = grid.upto(betas[batched[-1]])
-    if len(ts) == 0:
-        for i in batched:
-            verdicts[i] = True
-        return verdicts  # type: ignore[return-value]
-    periods = np.array([interfaces[i][0] for i in batched], dtype=np.int64)
-    budgets = np.array([interfaces[i][1] for i in batched], dtype=np.int64)
-    beta_arr = np.array([betas[i] for i in batched], dtype=np.int64)
-    ends = np.searchsorted(ts, beta_arr, side="right")
+    pairs = np.array(interfaces, dtype=np.int64)
+    verdicts = grid_verdicts(
+        grid_for(taskset, memo), utilization, pairs[:, 0], pairs[:, 1]
+    )
+    return verdicts.tolist()
+
+
+def grid_verdicts(
+    grid: StepGrid,
+    utilization: Fraction,
+    periods: np.ndarray,
+    budgets: np.ndarray,
+) -> np.ndarray:
+    """Theorem-1 verdicts of candidates ``(periods[i], budgets[i])``.
+
+    ``grid`` is the step grid of a task set of utilization
+    ``utilization``; every candidate's bandwidth must exceed it.  One
+    shared demand grid serves the whole batch, and supplies are one
+    (candidates × points) array program — chunked to
+    :data:`MAX_BATCH_CELLS` — in ascending-horizon order, so each chunk
+    slices the grid at its *own* largest horizon.  A row is checked at
+    every grid point up to its chunk's horizon, which may lie past the
+    row's own β: no violation can sit there
+    (:func:`theorem1_horizons`), so the verdict is exactly the scalar
+    per-candidate scan's.  Candidates whose horizon would not fit the
+    point budget take the lazy scan.
+    """
+    horizons = theorem1_horizons(utilization, periods, budgets)
+    verdicts = np.ones(len(periods), dtype=bool)
+    batched = np.ones(len(periods), dtype=bool)
+    for i in np.flatnonzero(horizons > grid.cap):
+        horizon = int(horizons[i])
+        if grid.points_within(horizon) > MAX_GRID_POINTS:
+            verdicts[i] = (
+                _lazy_violation(grid, int(periods[i]), int(budgets[i]), horizon)
+                is None
+            )
+            batched[i] = False
+    rows = np.flatnonzero(batched)
+    if not rows.size:
+        return verdicts
+    rows = rows[np.argsort(horizons[rows], kind="stable")]
+    ts, demands = grid.upto(int(horizons[rows[-1]]))
+    ends = np.searchsorted(ts, horizons[rows], side="right")
     start = 0
-    while start < len(batched):
-        stop = start + 1
-        while (
-            stop < len(batched)
-            and int(ends[stop]) * (stop + 1 - start) <= MAX_BATCH_CELLS
-        ):
-            stop += 1
+    while start < len(rows):
+        # the longest run from `start` whose cells stay in budget (at
+        # least one row); ends ascend, so the cell counts do too
+        cells = ends[start:] * np.arange(1, len(rows) - start + 1)
+        stop = start + max(
+            1, int(np.searchsorted(cells, MAX_BATCH_CELLS, side="right"))
+        )
         end = int(ends[stop - 1])
-        if end == 0:
-            for i in batched[start:stop]:
-                verdicts[i] = True
-            start = stop
-            continue
-        p = periods[start:stop, None]
-        b = budgets[start:stop, None]
-        slack = p - b
-        t_prime = ts[None, :end] - slack
-        full = t_prime // p
-        epsilon = t_prime - p * full - slack
-        supplies = np.where(
-            t_prime < 0, 0, full * b + np.maximum(epsilon, 0)
-        )
-        ok = (demands[None, :end] <= supplies) | (
-            ts[None, :end] > beta_arr[start:stop, None]
-        )
-        for offset, verdict in enumerate(ok.all(axis=1)):
-            verdicts[batched[start + offset]] = bool(verdict)
+        if end:
+            chunk = rows[start:stop]
+            supplies = sbf_values(
+                ts[None, :end], periods[chunk, None], budgets[chunk, None]
+            )
+            verdicts[chunk] = (demands[None, :end] <= supplies).all(axis=1)
         start = stop
-    return verdicts  # type: ignore[return-value]
+    return verdicts
 
 
 def supply_inverse_values(

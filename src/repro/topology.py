@@ -123,8 +123,13 @@ class TreeTopology:
         return path
 
     def hops_to_memory(self, client_id: int) -> int:
-        """Number of tree nodes between a client and the memory subsystem."""
-        return len(self.path_to_root(client_id))
+        """Number of tree nodes between a client and the memory subsystem.
+
+        ``len(path_to_root(client_id))`` without building the path: the
+        tree is complete, so every client hangs off a leaf at depth L.
+        """
+        self._check_client(client_id)
+        return self.depth + 1
 
     def _check_client(self, client_id: int) -> None:
         if not 0 <= client_id < self.n_clients:

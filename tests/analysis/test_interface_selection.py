@@ -7,16 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.context import AnalysisContext, SelectionConfig
+import repro.analysis.vectorized as vectorized_module
+from repro.analysis.cache import AnalysisCache
+from repro.analysis.context import (
+    DEFAULT_CONFIG,
+    AnalysisContext,
+    SelectionConfig,
+)
 from repro.analysis.interface_selection import (
+    _candidate_periods,
+    _minimum_bandwidth,
     brute_force_minimum_bandwidth,
     minimal_budget_for_period,
+    minimal_budgets_for_periods,
     select_interface,
     theorem2_period_bound,
 )
 from repro.analysis.prm import ResourceInterface
 from repro.analysis.schedulability import is_schedulable
 from repro.errors import ConfigurationError, InfeasibleError
+from repro.tasks.generators import generate_client_tasksets
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
 
@@ -171,6 +181,51 @@ class TestSelectInterface:
         except InfeasibleError:
             return
         assert is_schedulable(taskset, result.interface).schedulable
+
+
+class TestPruning:
+    """The vectorized search drops periods that can no longer win."""
+
+    def test_tie_goes_to_the_larger_period(self):
+        """(2, 1) and (4, 2) both reach the minimum bandwidth 1/2: the
+        larger period wins, on the pruned search as on the oracle.  A
+        pruning test that also drops *tying* periods picks (2, 1)."""
+        taskset = TaskSet([PeriodicTask(period=6, wcet=2)])
+        assert minimal_budgets_for_periods(taskset, [2, 4]) == [1, 2]
+        oracle = AnalysisContext(backend="scalar", cache=AnalysisCache())
+        for ctx in (AnalysisContext(cache=AnalysisCache()), oracle):
+            chosen = select_interface(taskset, ctx=ctx).interface
+            assert chosen == ResourceInterface(4, 2)
+
+    def test_pruning_evaluates_fewer_probes(self, monkeypatch):
+        """On one n=64 leaf task set the pruned selection evaluates
+        strictly fewer (Π, Θ) probes than the full lock-step search and
+        picks the identical interface."""
+        tasksets = generate_client_tasksets(random.Random(64), 64, 2, 0.4)
+        taskset = tasksets[0]
+        sibling = sum((tasksets[c].utilization for c in (1, 2, 3)), Fraction(0))
+        probes = []
+        verdicts = vectorized_module.grid_verdicts
+
+        def counting(grid, utilization, periods, budgets):
+            probes.append(len(periods))
+            return verdicts(grid, utilization, periods, budgets)
+
+        monkeypatch.setattr(vectorized_module, "grid_verdicts", counting)
+        pruned = select_interface(
+            taskset, sibling, ctx=AnalysisContext(cache=AnalysisCache())
+        )
+        pruned_probes, probes[:] = sum(probes), []
+        periods = _candidate_periods(
+            theorem2_period_bound(taskset, sibling), DEFAULT_CONFIG
+        )
+        budgets = minimal_budgets_for_periods(
+            taskset, periods, ctx=AnalysisContext(cache=AnalysisCache())
+        )
+        full_probes = sum(probes)
+        full = _minimum_bandwidth(periods, budgets)
+        assert pruned.interface == ResourceInterface(*full)
+        assert 0 < pruned_probes < full_probes
 
 
 class TestSelectionConfig:

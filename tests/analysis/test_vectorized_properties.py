@@ -10,16 +10,24 @@ comparison on randomized tasksets and interfaces:
 * the step grid's points are exactly the instants where dbf changes;
 * full :func:`is_schedulable` result equality (witnesses included) and
   :func:`select_interface` equality between backends;
+* the equivalence wall: selections and lock-step budget searches equal
+  the scalar oracle on coprime periods (utilization denominators past
+  2⁶⁴), on probes just above the utilization floor (huge β, lazy
+  scan) and under tiny grid and chunk budgets;
+* the float horizon never undercuts the exact Theorem-1 bound;
 * a cache hit returns the *same object* the cold path produced.
 """
 
 import random
+from contextlib import ExitStack
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.analysis.vectorized as vectorized_module
 from repro.analysis import (
     AnalysisCache,
     AnalysisContext,
@@ -28,13 +36,21 @@ from repro.analysis import (
     taskset_key,
 )
 from repro.analysis.cache import DISABLED
+from repro.analysis.context import SelectionConfig
+from repro.analysis.interface_selection import (
+    minimal_budget_for_period,
+    minimal_budgets_for_periods,
+)
 from repro.analysis.prm import ResourceInterface, dbf, dbf_step_points, sbf
 from repro.analysis.vectorized import (
+    HORIZON_OVERFLOW,
     StepGrid,
     dbf_values,
     grid_for,
     sbf_values,
     schedulable_many,
+    theorem1_betas,
+    theorem1_horizons,
 )
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
@@ -216,6 +232,164 @@ class TestFallbackPaths:
                 taskset, ctx=vectorized(AnalysisCache())
             )
             assert chunked == scalar
+
+
+#: distinct primes: task sets over them have U's denominator = Π Tᵢ
+PRIMES = [p for p in range(257, 700) if all(p % d for d in range(2, 27))]
+
+
+@st.composite
+def wall_tasksets(draw):
+    """Task sets of the three regimes the equivalence wall must cover.
+
+    * ``random``: small arbitrary task sets;
+    * ``coprime``: eight distinct prime periods, so U's denominator is
+      their product, above 2⁶⁴;
+    * ``floor``: U = Θ₀/Π₀ − 1/(Π₀·m), so the probe ``(Π₀, Θ₀)`` sits
+      1/m above the utilization floor and its β = 2Θ₀(Π₀−Θ₀)·m is huge.
+    Returns ``(taskset, periods worth searching)``.
+    """
+    kind = draw(st.sampled_from(["random", "coprime", "floor"]))
+    if kind == "random":
+        taskset = random_taskset(draw(st.integers(0, 50_000)), max_tasks=4)
+        return taskset, sorted(draw(st.sets(st.integers(1, 120), max_size=12)))
+    if kind == "coprime":
+        periods = draw(st.permutations(PRIMES))[:8]
+        tasks = [
+            PeriodicTask(period=t, wcet=draw(st.integers(1, t // 16)))
+            for t in periods
+        ]
+        taskset = TaskSet(tasks)
+        assert taskset.utilization.denominator > 2**64
+        return taskset, sorted(draw(st.sets(st.integers(1, 256), max_size=12)))
+    period = draw(st.integers(4, 24))
+    budget = draw(st.integers(period // 2 + 1, period - 1))
+    m = draw(st.integers(50, 2_000))
+    taskset = TaskSet(
+        [
+            PeriodicTask(period=period, wcet=budget - 1),
+            PeriodicTask(period=period * m, wcet=m - 1),
+        ]
+    )
+    assert budget - taskset.utilization * period == Fraction(1, m)
+    extra = draw(st.sets(st.integers(1, 3 * period), max_size=6))
+    return taskset, sorted(extra | {period})
+
+
+def tiny_budgets(tiny: bool) -> ExitStack:
+    """Shrink the grid point and chunk budgets (or leave them) for a block."""
+    stack = ExitStack()
+    if tiny:
+        for name, value in (("MAX_GRID_POINTS", 8), ("MAX_BATCH_CELLS", 16)):
+            stack.enter_context(mock.patch.object(vectorized_module, name, value))
+    return stack
+
+
+class TestEquivalenceWall:
+    """The default engine's searches equal the scalar oracle exactly."""
+
+    @given(
+        drawn=wall_tasksets(),
+        sibling=st.fractions(
+            min_value=0, max_value=Fraction(1, 2), max_denominator=16
+        ),
+        candidates=st.sampled_from([8, 32]),
+        tiny=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_select_interface_equals_scalar_oracle(
+        self, drawn, sibling, candidates, tiny
+    ):
+        taskset, _ = drawn
+        config = SelectionConfig(max_period_candidates=candidates)
+
+        def run(ctx):
+            try:
+                return select_interface(taskset, sibling, ctx=ctx)
+            except Exception as exc:  # InfeasibleError etc: compare type
+                return type(exc).__name__
+
+        with tiny_budgets(tiny):
+            engine = run(AnalysisContext(cache=AnalysisCache(), config=config))
+        oracle = run(
+            AnalysisContext(backend="scalar", cache=DISABLED, config=config)
+        )
+        assert engine == oracle
+
+    @given(drawn=wall_tasksets(), tiny=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_lockstep_budgets_equal_per_period_scalar(self, drawn, tiny):
+        taskset, periods = drawn
+        with tiny_budgets(tiny):
+            budgets = minimal_budgets_for_periods(
+                taskset, periods, ctx=AnalysisContext(cache=AnalysisCache())
+            )
+        assert budgets == [
+            minimal_budget_for_period(taskset, period, ctx=SCALAR)
+            for period in periods
+        ]
+
+    def test_floor_probe_takes_the_lazy_scan(self, monkeypatch):
+        """The ``floor`` regime really reaches the lazy scan."""
+        calls = []
+        lazy = vectorized_module._lazy_violation
+        monkeypatch.setattr(
+            vectorized_module,
+            "_lazy_violation",
+            lambda *args: calls.append(args) or lazy(*args),
+        )
+        monkeypatch.setattr(vectorized_module, "MAX_GRID_POINTS", 8)
+        taskset = TaskSet(
+            [
+                PeriodicTask(period=10, wcet=8),
+                PeriodicTask(period=10_000, wcet=999),
+            ]
+        )
+        budgets = minimal_budgets_for_periods(
+            taskset, [10], ctx=AnalysisContext(cache=AnalysisCache())
+        )
+        assert budgets == [minimal_budget_for_period(taskset, 10, ctx=SCALAR)]
+        assert [(args[1], args[2]) for args in calls] == [(10, 9)]
+
+
+class TestTheorem1Horizons:
+    @given(
+        # below 2³¹ the float bound runs; above it, the exact fallback
+        period=st.one_of(st.integers(1, 2**31 - 1), st.integers(2**31, 2**40)),
+        budget_share=st.fractions(min_value=0, max_value=1),
+        gap=st.one_of(
+            st.integers(1, 2**80).map(lambda q: Fraction(1, 2**64 + q)),
+            st.fractions(min_value=0, max_value=1).filter(lambda f: f > 0),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_horizon_never_below_exact_beta(self, period, budget_share, gap):
+        """For any Θ/Π > U — including Θ − UΠ = 1/q with q > 2⁶⁴ — the
+        int64 horizon is at least the exact ``ceil(β)``."""
+        budget = max(1, min(period, round(budget_share * period)))
+        # Θ − UΠ = gap > 0, and U >= 0
+        utilization = (budget - min(gap, Fraction(budget))) / period
+        horizon = int(
+            theorem1_horizons(
+                utilization,
+                np.array([period], dtype=np.int64),
+                np.array([budget], dtype=np.int64),
+            )[0]
+        )
+        exact = theorem1_betas(utilization, [(period, budget)])[0]
+        assert horizon >= min(exact, HORIZON_OVERFLOW)
+
+    def test_batch_horizons_bound_beta_tightly(self):
+        utilization = Fraction(3, 7) + Fraction(1, 2**70)
+        periods = np.arange(3, 300, dtype=np.int64)
+        budgets = (periods * 3) // 7 + 1
+        horizons = theorem1_horizons(utilization, periods, budgets)
+        exact = theorem1_betas(
+            utilization, list(zip(periods.tolist(), budgets.tolist()))
+        )
+        assert np.all(horizons >= np.array(exact))
+        # well-conditioned horizons stay within 0.1 % (+1) of β
+        assert np.all(horizons <= np.array(exact) * 1.001 + 1)
 
 
 class TestCacheTransparency:

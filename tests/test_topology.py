@@ -123,6 +123,15 @@ class TestTopologyProperties:
             assert path[-1] == (0, 0)
             assert len(path) == topo.depth + 1
 
+    @pytest.mark.parametrize("fanout", [2, 4])
+    @pytest.mark.parametrize("n", [1, 4, 5, 16, 17, 64])
+    def test_hops_to_memory_is_the_path_length(self, n, fanout):
+        topo = TreeTopology(n_clients=n, fanout=fanout)
+        for client in range(n):
+            assert topo.hops_to_memory(client) == len(topo.path_to_root(client))
+        with pytest.raises(ConfigurationError):
+            topo.hops_to_memory(n)
+
     @given(n=st.integers(min_value=2, max_value=256))
     def test_quadtree_node_count_bound(self, n):
         topo = quadtree(n)
