@@ -48,7 +48,6 @@ from repro.analysis.vectorized import (
     StepGrid,
     dbf_values,
     sbf_values,
-    schedulable_many,
 )
 from repro.analysis.composition import (
     CompositionResult,
@@ -92,7 +91,6 @@ __all__ = [
     "get_default_cache",
     "minimal_budgets_for_periods",
     "sbf_values",
-    "schedulable_many",
     "taskset_digest",
     "taskset_key",
     "ResourceInterface",

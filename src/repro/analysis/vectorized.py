@@ -24,13 +24,13 @@ Every compared dbf and sbf value stays in int64 — the formulas are
 integer-exact, and a horizon past β cannot change a verdict — so the
 vectorized verdicts are *identical* to the scalar oracle's (asserted by
 the property suite).  Grids whose Theorem-1
-horizon would not fit the configured point budget fall back to a lazy
-heap-merged scan with the same semantics and bounded memory.
+horizon would not fit the configured point budget are scanned in
+ascending windows of that budget instead: the same semantics with
+bounded memory.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +42,7 @@ from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
 
 #: largest step-point grid the vectorized path will materialize; beyond
-#: this the (equally exact) lazy scan takes over
+#: this the (equally exact) windowed scan takes over
 MAX_GRID_POINTS = 2_000_000
 
 #: cells-per-chunk budget of the batched (candidates × points) supply
@@ -71,6 +71,32 @@ def dbf_values(ts: np.ndarray, taskset: TaskSet) -> np.ndarray:
     for task in taskset:
         demands += (ts // task.period) * task.wcet
     return demands
+
+
+def _step_points(
+    periods: np.ndarray, wcets: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct demand step points in (lo, hi], with dbf values.
+
+    ``np.sort`` plus a neighbour mask rather than ``np.unique``: the
+    multiples are already int64 and sorting them is far cheaper than
+    ``np.unique``'s hashing on millions of points.
+    """
+    ts = np.sort(
+        np.concatenate(
+            [
+                np.arange((lo // p + 1) * p, hi + 1, p, dtype=np.int64)
+                for p in periods
+            ]
+        )
+    )
+    distinct = np.ones(len(ts), dtype=bool)
+    distinct[1:] = ts[1:] != ts[:-1]
+    ts = ts[distinct]
+    demands = np.zeros_like(ts)
+    for p, c in zip(periods, wcets):
+        demands += (ts // p) * c
+    return ts, demands
 
 
 class StepGrid:
@@ -107,17 +133,7 @@ class StepGrid:
         """Materialize step points and demands up to ``horizon``."""
         if horizon <= self.horizon:
             return
-        ts = np.unique(
-            np.concatenate(
-                [
-                    np.arange(p, horizon + 1, p, dtype=np.int64)
-                    for p in self.periods
-                ]
-            )
-        )
-        demands = np.zeros_like(ts)
-        for p, c in zip(self.periods, self.wcets):
-            demands += (ts // p) * c
+        ts, demands = _step_points(self.periods, self.wcets, 0, horizon)
         # Publication order matters for concurrent readers (the shared
         # AnalysisCache hands one grid to many admission threads): the
         # arrays must be in place before the horizon that advertises
@@ -234,36 +250,28 @@ def theorem1_horizons(
     return horizons
 
 
-def _lazy_violation(
-    grid: StepGrid, period: int, budget: int, beta: int
+def _window_violation(
+    grid: StepGrid, period: int, budget: int, horizon: int
 ) -> tuple[int, int, int] | None:
-    """Ascending heap-merged scan for grids too large to materialize.
+    """First ``(t, demand, supply)`` with dbf > sbf in (0, horizon].
 
-    Exactly the scalar semantics — first step point in (0, β] with
-    ``dbf > sbf`` — in O(points log periods) time and O(periods) memory.
+    For horizons whose grid would not fit the point budget: the scan
+    walks ascending windows of ``grid.cap`` cycles (about
+    :data:`MAX_GRID_POINTS` step points each, plus at most one per
+    period), so memory stays bounded and the first violating window
+    holds the first violating point.
     """
-    heap: list[tuple[int, int]] = [
-        (int(p), int(p)) for p in grid.periods if p <= beta
-    ]
-    heapq.heapify(heap)
-    previous = 0
-    slack = period - budget
-    while heap:
-        t, task_period = heapq.heappop(heap)
-        if t + task_period <= beta:
-            heapq.heappush(heap, (t + task_period, task_period))
-        if t == previous:
-            continue
-        previous = t
-        demand = int(sum((t // p) * c for p, c in zip(grid.periods, grid.wcets)))
-        t_prime = t - slack
-        if t_prime < 0:
-            supply = 0
-        else:
-            full = t_prime // period
-            supply = full * budget + max(t_prime - period * full - slack, 0)
-        if demand > supply:
-            return t, demand, supply
+    width = max(1, grid.cap)
+    lo = 0
+    while lo < horizon:
+        hi = min(horizon, lo + width)
+        ts, demands = _step_points(grid.periods, grid.wcets, lo, hi)
+        supplies = sbf_values(ts, period, budget)
+        violations = demands > supplies
+        if violations.any():
+            index = int(np.argmax(violations))
+            return int(ts[index]), int(demands[index]), int(supplies[index])
+        lo = hi
     return None
 
 
@@ -281,7 +289,7 @@ def first_violation(
     """
     grid = grid_for(taskset, memo)
     if grid.points_within(beta) > MAX_GRID_POINTS:
-        return _lazy_violation(grid, interface.period, interface.budget, beta)
+        return _window_violation(grid, interface.period, interface.budget, beta)
     ts, demands = grid.upto(beta)
     if len(ts) == 0:
         return None
@@ -291,32 +299,6 @@ def first_violation(
     if not violations[index]:
         return None
     return int(ts[index]), int(demands[index]), int(supplies[index])
-
-
-def schedulable_many(
-    taskset: TaskSet,
-    interfaces: list[tuple[int, int]],
-    memo: AnalysisCache,
-    utilization: Fraction | None = None,
-) -> list[bool]:
-    """Theorem-1 verdicts for a whole batch of candidate ``(Π, Θ)``.
-
-    All candidates must have bandwidth strictly above the task-set
-    utilization (the binary-search ranges used by interface selection
-    guarantee it); degenerate cases stay with the scalar entry point.
-    Callers that already hold ``taskset.utilization`` can pass it via
-    ``utilization`` to skip re-deriving the Fraction sum per call.
-    Same verdicts as :func:`grid_verdicts` on the task set's grid.
-    """
-    if not interfaces:
-        return []
-    if utilization is None:
-        utilization = taskset.utilization
-    pairs = np.array(interfaces, dtype=np.int64)
-    verdicts = grid_verdicts(
-        grid_for(taskset, memo), utilization, pairs[:, 0], pairs[:, 1]
-    )
-    return verdicts.tolist()
 
 
 def grid_verdicts(
@@ -337,7 +319,7 @@ def grid_verdicts(
     row's own β: no violation can sit there
     (:func:`theorem1_horizons`), so the verdict is exactly the scalar
     per-candidate scan's.  Candidates whose horizon would not fit the
-    point budget take the lazy scan.
+    point budget take the windowed scan.
     """
     horizons = theorem1_horizons(utilization, periods, budgets)
     verdicts = np.ones(len(periods), dtype=bool)
@@ -346,7 +328,7 @@ def grid_verdicts(
         horizon = int(horizons[i])
         if grid.points_within(horizon) > MAX_GRID_POINTS:
             verdicts[i] = (
-                _lazy_violation(grid, int(periods[i]), int(budgets[i]), horizon)
+                _window_violation(grid, int(periods[i]), int(budgets[i]), horizon)
                 is None
             )
             batched[i] = False

@@ -179,34 +179,6 @@ class ScaleElement:
         else:
             self._wake = 0
 
-    # -- fault hook ---------------------------------------------------------
-    def flip_budget_bit(
-        self, cycle: int, port: int, bit: int, counter: str = "budget"
-    ) -> int:
-        """Transient single-event upset in one server's counter pair.
-
-        Reconciles the scheduler to ``cycle`` first (the flip lands on
-        real, up-to-date state, not on lazily-deferred counters), then
-        inverts bit ``bit`` of the selected counter's value register.
-        Resets the quiescence wake cache: the corrupted counter may
-        change the very next scheduling decision.  Returns the new
-        counter value (for the fault ledger/span).
-        """
-        if not 0 <= port < self.fanout:
-            raise ConfigurationError(f"port {port} out of range")
-        if not 0 <= bit < 32:
-            raise ConfigurationError(f"bit index must be in [0, 32), got {bit}")
-        if counter not in ("budget", "period"):
-            raise ConfigurationError(
-                f"counter must be 'budget' or 'period', got {counter!r}"
-            )
-        self.sync_to(cycle)
-        counters = self.scheduler.servers[port].counters
-        target = counters.b_counter if counter == "budget" else counters.p_counter
-        target.value ^= 1 << bit
-        self._wake = 0
-        return target.value
-
     def sync_to(self, cycle: int) -> None:
         """Replay elided idle scheduler ticks for cycles < ``cycle``.
 

@@ -5,14 +5,14 @@ isolated*: one client exceeding its (Π, Θ) contract cannot degrade the
 guarantees of the others.  This package turns that promise into a
 falsifiable experiment:
 
-* :mod:`repro.faults.plan` — declarative, seed-driven fault plans
-  (:class:`FaultPlan` / :class:`FaultEvent`): rogue client bursts,
-  request drop/duplicate/delay at injection ports, budget-counter bit
-  flips inside a Scale Element, and memory-controller stall windows;
+* :mod:`repro.faults.plan` — declarative fault plans
+  (:class:`FaultPlan` / :class:`FaultEvent`) of rogue client bursts:
+  a client releasing transactions beyond its contract;
 * :mod:`repro.faults.injectors` — the :class:`FaultOrchestrator`, a
-  simulation stage that applies a plan through narrow hooks on the
-  clients, Scale Elements and controller, with full request-conservation
-  accounting and bit-for-bit determinism on both engine paths;
+  simulation stage that fires a plan's bursts through the clients'
+  one fault hook, bit-for-bit deterministic on both engine paths (the
+  batched kernels compile the same bursts into their release
+  schedule);
 * :mod:`repro.faults.verify` — checks victim clients' observed worst
   responses against the fault-oblivious analytical bounds of
   :mod:`repro.analysis.response_time`.
@@ -22,8 +22,8 @@ An empty plan is guaranteed inert: a fault-instrumented simulation with
 uninstrumented one.
 """
 
-from repro.faults.injectors import FaultOrchestrator, make_orchestrator
-from repro.faults.plan import PORT_KINDS, FaultEvent, FaultKind, FaultPlan
+from repro.faults.injectors import FaultOrchestrator
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.verify import (
     BoundViolation,
     IsolationVerdict,
@@ -32,14 +32,11 @@ from repro.faults.verify import (
 )
 
 __all__ = [
-    "PORT_KINDS",
     "BoundViolation",
     "FaultEvent",
-    "FaultKind",
     "FaultOrchestrator",
     "FaultPlan",
     "IsolationVerdict",
-    "make_orchestrator",
     "verify_isolation",
     "victim_miss_from_outcomes",
 ]

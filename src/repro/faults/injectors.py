@@ -2,70 +2,37 @@
 
 The :class:`FaultOrchestrator` is registered by
 :class:`~repro.soc.SoCSimulation` as the *first* tick stage (name
-``"faults"``), so a fault armed for cycle ``c`` perturbs that cycle's
-client releases, arbitration and service — exactly as if the hardware
-had misbehaved at the start of the cycle.
+``"faults"``), so a burst armed for cycle ``c`` enters its client's
+queue before that cycle's client releases, arbitration and service —
+exactly as if the client had misbehaved at the start of the cycle.
 
-Injection goes through three narrow seams, none of which the fault-free
-path ever notices:
-
-* **discrete actions** (rogue bursts, budget bit-flips, controller
-  stalls) fire from a min-heap inside :meth:`FaultOrchestrator.tick`,
-  calling the components' dedicated fault hooks
-  (:meth:`~repro.clients.traffic_generator.TrafficGenerator.inject_rogue_burst`,
-  :meth:`~repro.core.scale_element.ScaleElement.flip_budget_bit`,
-  :meth:`~repro.memory.controller.MemoryController.inject_stall`);
-* **port faults** (drop/duplicate/delay) live in a wrapper around the
-  ``try_inject`` callable the client stage uses — composed *outside*
-  the tracer's wrapper, so duplicated/re-injected requests still enter
-  traced;
-* **held requests** (the delay fault) are re-injected from
-  :meth:`tick` once their hold expires.
+Bursts fire from a min-heap inside :meth:`FaultOrchestrator.tick`,
+through the clients' one fault hook
+(:meth:`~repro.clients.traffic_generator.TrafficGenerator.inject_rogue_burst`);
+the fault-free path never notices it.
 
 Fast-path correctness is the load-bearing property.  The orchestrator
 is always "quiescent" (its state never changes outside its own tick)
-but it *declares* activity so the engine can never leap over a cycle on
-which a fault acts:
-
-* every discrete action cycle is declared via the action heap;
-* a held request declares its release-due cycle (and pins cycle-by-cycle
-  execution while it retries against backpressure);
-* while a port-fault window is open the orchestrator pins the current
-  cycle, because the window changes the meaning of injection *attempts*
-  — and the slow path attempts on every cycle, including ones the fast
-  path would otherwise prove attempt-free (a refused attempt is only
-  side-effect-free when nobody is dropping it on the floor).
-
-Conservation: drops, duplicates and holds all perturb the SoC's
-request-conservation ledger, so the orchestrator exposes its own
-counters and :meth:`repro.soc.SoCSimulation._collect` folds them in
-(drops → dropped, accepted duplicates → released, current holds →
-in-flight).
+but it *declares* the head of its action heap as activity, so the
+engine can never leap over a cycle on which a burst fires.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable
 
 from repro.errors import ConfigurationError
-from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.memory.request import MemoryRequest
-
-InjectFn = Callable[[MemoryRequest, int], bool]
-
-#: sentinel wake value meaning "no declared activity"
-_NEVER = 1 << 62
+from repro.faults.plan import FaultEvent, FaultPlan
 
 
 class FaultOrchestrator:
     """Executes one :class:`FaultPlan` against one simulation trial.
 
-    Construct it per ``run()`` (it holds per-run mutable state) and pass
-    it to ``SoCSimulation(faults=...)``.  With an empty plan every code
-    path below degenerates to counter reads and ``None`` returns — the
-    differential tests assert the instrumented run is bit-for-bit
-    identical to an uninstrumented one on both engine paths.
+    ``SoCSimulation(faults=plan)`` builds one per simulation (it holds
+    per-run mutable state).  With an empty plan every code path below
+    degenerates to counter reads and ``None`` returns — the differential
+    tests assert the instrumented run is bit-for-bit identical to an
+    uninstrumented one on both engine paths.
     """
 
     def __init__(self, plan: FaultPlan, tracer=None) -> None:  # noqa: ANN001
@@ -77,87 +44,24 @@ class FaultOrchestrator:
         self._tracer = tracer
         # Wired by SoCSimulation.run() before the engine starts.
         self._clients_by_id: dict[int, object] = {}
-        self._interconnect = None
-        self._controller = None
         self._client_stage = None
-        self._inner_inject: InjectFn | None = None
-        # (cycle, event_index) min-heap of pending discrete actions.
+        # (cycle, event_index) min-heap of pending bursts.
         self._actions: list[tuple[int, int]] = []
         for index, event in enumerate(plan.events):
             for cycle in event.action_cycles():
                 heapq.heappush(self._actions, (cycle, index))
-        # Port-fault windows, grouped per targeted client (plan order
-        # within a client decides which event claims a request first).
-        self._port_events: dict[int, list[FaultEvent]] = {}
-        for event in plan.port_events:
-            assert event.client_id is not None
-            self._port_events.setdefault(event.client_id, []).append(event)
-        #: first/last cycle of any port window (leap pinning range)
-        self._port_window_start = min(
-            (e.cycle for e in plan.port_events), default=_NEVER
-        )
-        self._port_window_end = max(
-            (e.end for e in plan.port_events), default=0
-        )
-        # Requests held back by the delay fault: (due, seq, request).
-        self._held: list[tuple[int, int, MemoryRequest]] = []
-        self._held_seq = 0
         # -- fault ledger (read by SoCSimulation._collect) ----------------
-        self.requests_dropped = 0
-        self.requests_duplicated = 0
-        self.requests_delayed = 0
         self.rogue_requests = 0
-        self.bit_flips = 0
-        self.stall_cycles = 0
         self.events_applied = 0
         self.events_ignored = 0
 
     # -- wiring (SoCSimulation.run) -----------------------------------------
-    def bind(
-        self,
-        clients,  # noqa: ANN001 - list[TrafficGenerator]
-        interconnect,  # noqa: ANN001
-        controller,  # noqa: ANN001
-        client_stage=None,  # noqa: ANN001
-    ) -> None:
-        """Attach the trial's components (called once per run)."""
+    def bind(self, clients, client_stage) -> None:  # noqa: ANN001
+        """Attach the trial's clients (called once per run)."""
         self._clients_by_id = {c.client_id: c for c in clients}
-        self._interconnect = interconnect
-        self._controller = controller
         self._client_stage = client_stage
 
-    def wrap_inject(self, inject: InjectFn) -> InjectFn:
-        """Interpose the port faults on the client-stage inject seam.
-
-        ``inject`` is the (possibly tracer-wrapped) fabric ingress; the
-        wrapper keeps a handle on it so held and duplicated requests
-        enter the fabric through the same traced path.  Without port
-        events the original callable is returned untouched — zero
-        overhead for plans that never perturb injection.
-        """
-        self._inner_inject = inject
-        if not self._port_events:
-            return inject
-
-        def faulty_inject(request: MemoryRequest, cycle: int) -> bool:
-            events = self._port_events.get(request.client_id)
-            if events:
-                for event in events:
-                    if not event.active_at(cycle) or not event.selects(
-                        request.rid
-                    ):
-                        continue
-                    if event.kind is FaultKind.PORT_DROP:
-                        return self._drop(event, request, cycle)
-                    if event.kind is FaultKind.PORT_DELAY:
-                        return self._hold(event, request, cycle)
-                    return self._duplicate(event, request, cycle)
-            return inject(request, cycle)
-
-        return faulty_inject
-
-    # -- port-fault actions ---------------------------------------------------
-    def _emit(self, event: FaultEvent, cycle: int, rid: int, **attrs) -> None:
+    def _emit(self, event: FaultEvent, cycle: int, injected: int) -> None:
         """Fault span + counter through the observability layer (if on)."""
         tracer = self._tracer
         if tracer is None:
@@ -166,113 +70,36 @@ class FaultOrchestrator:
 
         tracer.recorder.record(
             Span(
-                rid=rid,
-                client_id=event.client_id if event.client_id is not None else -1,
-                site=f"fault:{event.kind.value}",
+                rid=-1,
+                client_id=event.client_id,
+                site="fault:rogue-burst",
                 kind="fault",
                 cycle=cycle,
-                attrs=attrs or None,
+                attrs={"injected": injected},
             )
         )
-        tracer.registry.counter(f"faults/{event.kind.value}").increment()
+        tracer.registry.counter("faults/rogue-burst").increment()
 
-    def _drop(self, event: FaultEvent, request: MemoryRequest, cycle: int) -> bool:
-        # The request vanishes at the port: the client believes it was
-        # accepted (True) and its job can never finish — a fault the
-        # victim experiences as an unbounded response.
-        self.requests_dropped += 1
-        self.events_applied += 1
-        self._emit(event, cycle, request.rid)
-        return True
-
-    def _hold(self, event: FaultEvent, request: MemoryRequest, cycle: int) -> bool:
-        due = cycle + event.magnitude
-        heapq.heappush(self._held, (due, self._held_seq, request))
-        self._held_seq += 1
-        self.requests_delayed += 1
-        self.events_applied += 1
-        self._emit(event, cycle, request.rid, due=due)
-        return True
-
-    def _duplicate(
-        self, event: FaultEvent, request: MemoryRequest, cycle: int
-    ) -> bool:
-        assert self._inner_inject is not None
-        accepted = self._inner_inject(request, cycle)
-        if accepted:
-            clone = MemoryRequest(
-                client_id=request.client_id,
-                release_cycle=request.release_cycle,
-                absolute_deadline=request.absolute_deadline,
-                kind=request.kind,
-                address=request.address,
-                size_bytes=request.size_bytes,
-                task_name=request.task_name,
-            )
-            if self._inner_inject(clone, cycle):
-                self.requests_duplicated += 1
-                self.events_applied += 1
-                self._emit(event, cycle, clone.rid, original=request.rid)
-        return accepted
-
-    # -- discrete actions -----------------------------------------------------
+    # -- bursts -----------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        """Release due holds, then fire every action armed for ``cycle``."""
-        held = self._held
-        if held and held[0][0] <= cycle:
-            assert self._inner_inject is not None
-            # Re-inject in hold order; a refusal (backpressure) keeps
-            # the request held and retries next cycle — the activity
-            # declaration pins the engine until it lands.
-            retry: list[tuple[int, int, MemoryRequest]] = []
-            while held and held[0][0] <= cycle:
-                entry = heapq.heappop(held)
-                if not self._inner_inject(entry[2], cycle):
-                    retry.append(entry)
-            for entry in retry:
-                heapq.heappush(held, entry)
+        """Fire every burst armed for ``cycle``."""
         actions = self._actions
         while actions and actions[0][0] <= cycle:
             _, index = heapq.heappop(actions)
             self._apply(self.plan.events[index], cycle)
 
     def _apply(self, event: FaultEvent, cycle: int) -> None:
-        if event.kind is FaultKind.ROGUE_BURST:
-            client = self._clients_by_id.get(event.client_id)
-            burst_hook = getattr(client, "inject_rogue_burst", None)
-            if burst_hook is None:
-                self.events_ignored += 1
-                return
-            injected = burst_hook(cycle, event.magnitude, event.deadline_slack)
-            self.rogue_requests += injected
-            self.events_applied += 1
-            if self._client_stage is not None:
-                # A sleeping client's cached wake predates the burst.
-                self._client_stage.notify_external_activity(event.client_id)
-            self._emit(event, cycle, -1, injected=injected)
-        elif event.kind is FaultKind.BUDGET_BIT_FLIP:
-            elements = getattr(self._interconnect, "elements", None)
-            if elements is None or event.node not in elements:
-                # Baselines have no local schedulers to upset.
-                self.events_ignored += 1
-                return
-            elements[event.node].flip_budget_bit(
-                cycle, event.port, event.bit, event.counter
-            )
-            self.bit_flips += 1
-            self.events_applied += 1
-            self._emit(
-                event, cycle, -1,
-                node=list(event.node), port=event.port, bit=event.bit,
-            )
-        elif event.kind is FaultKind.CONTROLLER_STALL:
-            assert self._controller is not None
-            self._controller.inject_stall(event.magnitude)
-            self.stall_cycles += event.magnitude
-            self.events_applied += 1
-            self._emit(event, cycle, -1, cycles=event.magnitude)
-        else:  # pragma: no cover - port kinds never reach the heap
-            raise ConfigurationError(f"unexpected heap action {event.kind}")
+        client = self._clients_by_id.get(event.client_id)
+        burst_hook = getattr(client, "inject_rogue_burst", None)
+        if burst_hook is None:
+            self.events_ignored += 1
+            return
+        injected = burst_hook(cycle, event.magnitude, event.deadline_slack)
+        self.rogue_requests += injected
+        self.events_applied += 1
+        # A sleeping client's cached wake predates the burst.
+        self._client_stage.notify_external_activity(event.client_id)
+        self._emit(event, cycle, injected)
 
     # -- quiescence contract --------------------------------------------------
     def is_quiescent(self) -> bool:
@@ -281,69 +108,14 @@ class FaultOrchestrator:
         return True
 
     def next_activity_cycle(self, cycle: int) -> int | None:
-        """Earliest upcoming cycle the orchestrator must be ticked on.
-
-        Port windows pin the *current* cycle for their entire span:
-        while a window is open, every injection attempt matters, so no
-        cycle may be leapt (returning ``cycle`` makes the engine's leap
-        target ``<= now``, which aborts the leap).
-        """
-        earliest: int | None = None
-        if self._port_window_start < self._port_window_end:
-            if cycle >= self._port_window_end:
-                pass  # all windows over
-            elif cycle >= self._port_window_start:
-                return cycle  # inside the pinned span
-            else:
-                earliest = self._port_window_start
-        if self._held:
-            due = self._held[0][0]
-            if due <= cycle:
-                return cycle  # retrying against backpressure
-            if earliest is None or due < earliest:
-                earliest = due
-        if self._actions:
-            head = self._actions[0][0]
-            if earliest is None or head < earliest:
-                earliest = head
-        return earliest
+        """The next burst's cycle (``None`` once every burst fired)."""
+        return self._actions[0][0] if self._actions else None
 
     # -- ledger ---------------------------------------------------------------
-    @property
-    def requests_held(self) -> int:
-        """Delayed requests currently parked in the orchestrator."""
-        return len(self._held)
-
     def counters(self) -> dict[str, int]:
         """The fault ledger as plain ints (folded into TrialResult)."""
         return {
-            "requests_dropped": self.requests_dropped,
-            "requests_duplicated": self.requests_duplicated,
-            "requests_delayed": self.requests_delayed,
-            "requests_held": self.requests_held,
             "rogue_requests": self.rogue_requests,
-            "bit_flips": self.bit_flips,
-            "stall_cycles": self.stall_cycles,
             "events_applied": self.events_applied,
             "events_ignored": self.events_ignored,
         }
-
-
-def make_orchestrator(
-    faults: "FaultPlan | FaultOrchestrator | None", tracer=None  # noqa: ANN001
-) -> FaultOrchestrator | None:
-    """Normalise the ``SoCSimulation(faults=...)`` argument.
-
-    ``None`` → fault injection off (no orchestrator, zero cost).  A
-    plan → a fresh orchestrator for it (the common case).  An
-    orchestrator → used as-is (lets callers keep the ledger handle).
-    """
-    if faults is None:
-        return None
-    if isinstance(faults, FaultPlan):
-        return FaultOrchestrator(faults, tracer=tracer)
-    if isinstance(faults, FaultOrchestrator):
-        return faults
-    raise ConfigurationError(
-        f"faults must be a FaultPlan, FaultOrchestrator or None, got {faults!r}"
-    )

@@ -1,108 +1,49 @@
-"""Deterministic fault plans: what goes wrong, where, and when.
+"""Deterministic fault plans: which client goes rogue, and when.
 
 A :class:`FaultPlan` is a frozen, picklable schedule of
 :class:`FaultEvent`\\ s.  It is *data only* — nothing in this module
 touches a simulation.  The :class:`~repro.faults.injectors.FaultOrchestrator`
 interprets the plan against a running :class:`~repro.soc.SoCSimulation`,
-and because the plan is a pure value derived (when generated) from an
-explicit seed, a faulted trial is exactly as replayable as a fault-free
-one: the same plan against the same spec produces bit-for-bit the same
-trace on any executor backend.
+and because the plan is a pure value, a faulted trial is exactly as
+replayable as a fault-free one: the same plan against the same spec
+produces bit-for-bit the same trace on any executor backend.
 
-Fault taxonomy (the misbehaviour modes the BlueScale isolation claim
-must survive):
-
-* ``ROGUE_BURST`` — a client bursts past its declared (Π, Θ) server
-  contract: extra contract-violating transactions with tight deadlines
-  are released straight into its pending queue, repeatedly over a
-  window.  The aggressor model of the isolation experiment.
-* ``PORT_DROP`` / ``PORT_DUPLICATE`` / ``PORT_DELAY`` — request-level
-  faults at a client's SE ingress port: an offered transaction is
-  silently discarded, accepted twice, or held back for a fixed number
-  of cycles before entering the fabric.  Which requests are hit is a
-  pure function of ``(event.seed, request.rid)``, so the same plan
-  always perturbs the same request population.
-* ``BUDGET_BIT_FLIP`` — a transient single-event upset in a local
-  scheduler's P/B counter pair: one bit of the selected counter's
-  value register is inverted at one cycle (BlueScale only; other
-  interconnects have no local scheduler and ignore it).
-* ``CONTROLLER_STALL`` — the shared memory controller freezes for a
-  window (a refresh-storm / thermal-throttle model): in-flight service
-  pauses and nothing new is picked up.
+The one misbehaviour modelled is the one the BlueScale isolation claim
+is about: a *rogue burst*, where a client bursts past its declared
+(Π, Θ) server contract — extra contract-violating transactions with
+tight deadlines are released straight into its pending queue,
+repeatedly over a window.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.runtime.seeding import seed_stream
-
-
-class FaultKind(enum.Enum):
-    """What kind of perturbation a :class:`FaultEvent` injects."""
-
-    ROGUE_BURST = "rogue-burst"
-    PORT_DROP = "port-drop"
-    PORT_DUPLICATE = "port-duplicate"
-    PORT_DELAY = "port-delay"
-    BUDGET_BIT_FLIP = "budget-bit-flip"
-    CONTROLLER_STALL = "controller-stall"
-
-
-#: kinds that perturb the injection path of one client's ingress port
-PORT_KINDS = frozenset(
-    {FaultKind.PORT_DROP, FaultKind.PORT_DUPLICATE, FaultKind.PORT_DELAY}
-)
-
-#: the 2654435761 of Knuth's multiplicative hash — the per-request
-#: fault-selection function below must be a cheap pure function so the
-#: same requests are hit under any executor or engine path
-_HASH_MULTIPLIER = 2654435761
-_HASH_MOD = 1 << 32
 
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One scheduled perturbation.
+    """One rogue burst window.
 
-    ``cycle`` is when the fault arms; ``duration`` is the window length
-    (1 for instantaneous faults).  The remaining fields are interpreted
-    per :class:`FaultKind`:
-
-    * ``ROGUE_BURST`` — ``client_id`` is the aggressor; ``magnitude``
-      transactions are injected at the window start and every
-      ``period`` cycles after it (0 = once) while the window is open;
-      each carries an absolute deadline ``deadline_slack`` cycles out.
-    * ``PORT_*`` — ``client_id``'s injections during the window are
-      perturbed; ``ratio`` is the fraction of requests selected (by the
-      pure hash of ``(seed, rid)``); ``PORT_DELAY`` holds a selected
-      request back ``magnitude`` cycles.
-    * ``BUDGET_BIT_FLIP`` — flips bit ``bit`` of SE ``node``'s port
-      ``port`` budget counter (``counter`` selects ``"budget"`` or
-      ``"period"``) at ``cycle``.
-    * ``CONTROLLER_STALL`` — stalls the memory controller ``magnitude``
-      cycles starting at ``cycle``.
+    ``client_id`` is the aggressor; ``magnitude`` transactions are
+    injected at ``cycle`` and every ``period`` cycles after it (0 =
+    once) while the ``duration``-cycle window is open; each carries an
+    absolute deadline ``deadline_slack`` cycles out.
     """
 
-    kind: FaultKind
     cycle: int
     duration: int = 1
     client_id: int | None = None
-    node: tuple[int, int] | None = None
-    port: int = 0
-    bit: int = 0
-    counter: str = "budget"
     magnitude: int = 1
     period: int = 0
     deadline_slack: int = 64
-    ratio: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.cycle < 0:
             raise ConfigurationError(f"fault cycle must be >= 0, got {self.cycle}")
+        if self.client_id is None or self.client_id < 0:
+            raise ConfigurationError("rogue-burst fault needs a target client id")
         if self.duration < 1:
             raise ConfigurationError(
                 f"fault duration must be >= 1, got {self.duration}"
@@ -113,25 +54,7 @@ class FaultEvent:
             )
         if self.period < 0:
             raise ConfigurationError(f"fault period must be >= 0, got {self.period}")
-        if not 0.0 < self.ratio <= 1.0:
-            raise ConfigurationError(f"fault ratio {self.ratio} outside (0, 1]")
-        if self.kind in PORT_KINDS or self.kind is FaultKind.ROGUE_BURST:
-            if self.client_id is None or self.client_id < 0:
-                raise ConfigurationError(
-                    f"{self.kind.value} fault needs a target client id"
-                )
-        if self.kind is FaultKind.BUDGET_BIT_FLIP:
-            if self.node is None:
-                raise ConfigurationError("bit-flip fault needs a target SE node")
-            if not 0 <= self.bit < 32:
-                raise ConfigurationError(
-                    f"bit index must be in [0, 32), got {self.bit}"
-                )
-            if self.counter not in ("budget", "period"):
-                raise ConfigurationError(
-                    f"counter must be 'budget' or 'period', got {self.counter!r}"
-                )
-        if self.kind is FaultKind.ROGUE_BURST and self.deadline_slack < 1:
+        if self.deadline_slack < 1:
             raise ConfigurationError(
                 f"deadline slack must be >= 1, got {self.deadline_slack}"
             )
@@ -141,39 +64,15 @@ class FaultEvent:
         """First cycle after the fault window."""
         return self.cycle + self.duration
 
-    def active_at(self, cycle: int) -> bool:
-        return self.cycle <= cycle < self.end
-
-    def selects(self, rid: int) -> bool:
-        """Pure per-request selection for port faults.
-
-        A multiplicative hash of ``(seed, rid)`` against ``ratio`` —
-        no RNG state, so the same requests are selected regardless of
-        attempt order, engine path, or executor backend.
-        """
-        if self.ratio >= 1.0:
-            return True
-        # Fold the seed in before the multiply so distinct seeds yield
-        # decorrelated selections (an additive post-multiply term would
-        # only nudge hashes near the threshold).
-        h = ((rid + 1 + self.seed * 7919) * _HASH_MULTIPLIER) % _HASH_MOD
-        return h / _HASH_MOD < self.ratio
-
     def action_cycles(self) -> list[int]:
-        """Cycles at which the orchestrator must take a discrete action.
+        """Cycles at which a burst fires.
 
-        Port-window faults need none (they act inside the injection
-        wrapper); the other kinds act on explicit ticks, which the
-        orchestrator declares as engine activity so the quiescence fast
-        path can never leap over them.
+        The orchestrator declares them as engine activity so the
+        quiescence fast path can never leap over one.
         """
-        if self.kind is FaultKind.ROGUE_BURST:
-            if self.period == 0:
-                return [self.cycle]
-            return list(range(self.cycle, self.end, self.period))
-        if self.kind in (FaultKind.BUDGET_BIT_FLIP, FaultKind.CONTROLLER_STALL):
+        if self.period == 0:
             return [self.cycle]
-        return []
+        return list(range(self.cycle, self.end, self.period))
 
 
 @dataclass(frozen=True)
@@ -189,10 +88,9 @@ class FaultPlan:
     events: tuple[FaultEvent, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        # sorted() is stable: events of one cycle keep their given order
         object.__setattr__(
-            self,
-            "events",
-            tuple(sorted(self.events, key=lambda e: (e.cycle, e.kind.value))),
+            self, "events", tuple(sorted(self.events, key=lambda e: e.cycle))
         )
 
     @classmethod
@@ -210,14 +108,6 @@ class FaultPlan:
     def __iter__(self):
         return iter(self.events)
 
-    def of_kind(self, kind: FaultKind) -> tuple[FaultEvent, ...]:
-        return tuple(e for e in self.events if e.kind is kind)
-
-    @property
-    def port_events(self) -> tuple[FaultEvent, ...]:
-        return tuple(e for e in self.events if e.kind in PORT_KINDS)
-
-    # -- construction helpers ------------------------------------------------
     @classmethod
     def rogue_client(
         cls,
@@ -237,7 +127,6 @@ class FaultPlan:
         return cls(
             (
                 FaultEvent(
-                    kind=FaultKind.ROGUE_BURST,
                     cycle=start,
                     duration=end - start,
                     client_id=client_id,
@@ -247,81 +136,3 @@ class FaultPlan:
                 ),
             )
         )
-
-    @classmethod
-    def generate(
-        cls,
-        seed: int | str,
-        horizon: int,
-        n_clients: int,
-        events_per_kind: int = 1,
-        kinds: tuple[FaultKind, ...] = (
-            FaultKind.ROGUE_BURST,
-            FaultKind.PORT_DROP,
-            FaultKind.PORT_DELAY,
-            FaultKind.PORT_DUPLICATE,
-            FaultKind.BUDGET_BIT_FLIP,
-            FaultKind.CONTROLLER_STALL,
-        ),
-    ) -> "FaultPlan":
-        """A deterministic mixed campaign drawn from a named seed stream.
-
-        Equal ``(seed, horizon, n_clients)`` always yield the identical
-        plan — campaigns are replayable by seed alone.
-        """
-        if horizon < 10:
-            raise ConfigurationError(f"horizon {horizon} too short for a campaign")
-        if n_clients < 1:
-            raise ConfigurationError("need at least one client")
-        rng = seed_stream(f"faults/{seed}/{horizon}/{n_clients}")
-        events: list[FaultEvent] = []
-        for kind in kinds:
-            for _ in range(events_per_kind):
-                start = rng.randrange(horizon // 10, max(horizon // 2, horizon // 10 + 1))
-                client = rng.randrange(n_clients)
-                if kind is FaultKind.ROGUE_BURST:
-                    events.append(
-                        FaultEvent(
-                            kind=kind,
-                            cycle=start,
-                            duration=max(1, horizon // 3),
-                            client_id=client,
-                            magnitude=rng.randrange(4, 33),
-                            period=rng.randrange(20, 200),
-                            deadline_slack=rng.randrange(8, 65),
-                        )
-                    )
-                elif kind in PORT_KINDS:
-                    events.append(
-                        FaultEvent(
-                            kind=kind,
-                            cycle=start,
-                            duration=max(1, horizon // 4),
-                            client_id=client,
-                            magnitude=rng.randrange(1, 32)
-                            if kind is FaultKind.PORT_DELAY
-                            else 1,
-                            ratio=rng.choice((0.25, 0.5, 1.0)),
-                            seed=rng.randrange(1 << 16),
-                        )
-                    )
-                elif kind is FaultKind.BUDGET_BIT_FLIP:
-                    events.append(
-                        FaultEvent(
-                            kind=kind,
-                            cycle=start,
-                            node=(0, 0),
-                            port=rng.randrange(4),
-                            bit=rng.randrange(4),
-                            counter=rng.choice(("budget", "period")),
-                        )
-                    )
-                else:  # CONTROLLER_STALL
-                    events.append(
-                        FaultEvent(
-                            kind=kind,
-                            cycle=start,
-                            magnitude=rng.randrange(2, 40),
-                        )
-                    )
-        return cls(tuple(events))

@@ -90,8 +90,6 @@ class MemoryController:
         self.refresh_duration = refresh_duration
         self._refresh_remaining = 0
         self.refresh_stall_cycles = 0
-        #: stall cycles injected through the fault hook (inject_stall)
-        self.fault_stall_cycles = 0
         self.reorder_cap = reorder_cap
         #: FR-FCFS picks that bypassed the oldest queued request
         self.reorder_count = 0
@@ -143,30 +141,13 @@ class MemoryController:
         self._head_bypasses = 0
         return self._queue.popleft()
 
-    # -- fault hook ---------------------------------------------------------
-    def inject_stall(self, cycles: int) -> None:
-        """Freeze the controller for ``cycles`` (refresh-storm model).
-
-        Extends the same stall window the refresh logic uses, so the
-        behaviour — in-flight service pauses, nothing new is picked up,
-        quiescence is vetoed for the duration — is identical to a
-        (fault-length) refresh.  Stacks with a pending refresh stall.
-        """
-        if cycles < 1:
-            raise ConfigurationError(f"stall must be >= 1 cycles, got {cycles}")
-        self._refresh_remaining += cycles
-        self.fault_stall_cycles += cycles
-
     # -- per-cycle ------------------------------------------------------------
     def tick(self, cycle: int) -> None:
         # DRAM refresh: a periodic all-banks stall (tREFI / tRFC).  The
-        # stall countdown is shared with the fault hook above, so it is
-        # honoured even when refresh itself is disabled; max() keeps a
-        # refresh trigger from truncating an injected stall.
+        # duration is shorter than the interval, so the previous stall's
+        # countdown has always run out when the next one starts.
         if self.refresh_interval and cycle > 0 and cycle % self.refresh_interval == 0:
-            self._refresh_remaining = max(
-                self._refresh_remaining, self.refresh_duration
-            )
+            self._refresh_remaining = self.refresh_duration
         if self._refresh_remaining > 0:
             self._refresh_remaining -= 1
             self.refresh_stall_cycles += 1

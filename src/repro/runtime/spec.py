@@ -43,7 +43,7 @@ class TrialSpec:
 
     def __post_init__(self) -> None:
         # imported here: repro.sim's package import reaches repro.soc,
-        # which imports repro.runtime.seeding (via the fault plans)
+        # which imports repro.runtime.seeding (via the scenario plans)
         from repro.sim.backend import resolve_sim_backend
 
         resolve_sim_backend(self.sim_backend)

@@ -153,9 +153,9 @@ def proposed_tasksets(
 class ScenarioPlan:
     """A frozen schedule of workload transitions, sorted by cycle.
 
-    Mirrors :class:`~repro.faults.plan.FaultPlan`: pure data, explicit
-    ``none()`` for the empty plan, and a seeded :meth:`generate` for
-    reproducible churn campaigns.
+    Mirrors :class:`~repro.faults.plan.FaultPlan`: pure data and an
+    explicit ``none()`` for the empty plan; a seeded :meth:`generate`
+    derives reproducible churn campaigns.
     """
 
     events: tuple[ScenarioEvent, ...] = field(default=())

@@ -5,8 +5,9 @@
 * ``"batched"`` — :func:`repro.sim.batched.run_many` advances many
   trials in lock-step over numpy arrays (structure-of-arrays over the
   trial axis).  Trials the batched kernels cannot represent (tracing,
-  non-empty fault plans, exotic controllers/clients) transparently fall
-  back to the scalar engine per trial.
+  scenario plans, exotic controllers/clients) transparently fall back
+  to the scalar engine per trial; rogue-burst fault plans compile into
+  the batched release schedule.
 
 Both backends produce **bit-identical** :class:`~repro.soc.TrialResult`
 contents — trace digests, recorder streams, job outcomes — which the

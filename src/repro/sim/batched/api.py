@@ -3,11 +3,12 @@
 Groups structurally-identical simulations (same design, geometry and
 client roster — per-trial workloads, budgets and horizons may differ),
 compiles each into a :class:`~repro.sim.batched.extract.TrialPlan` and
-advances the whole group in lock-step.  Anything the kernels cannot
-represent — tracing, fault plans beyond pure rogue bursts, exotic
-controllers or clients — transparently falls back to ``sim.run`` on
-the scalar engine, so callers always get the full result list in
-input order, bit-identical to running each trial on the scalar engine.
+advances the whole group in lock-step; rogue-burst fault plans compile
+into the release schedule.  Anything the kernels cannot represent —
+tracing, scenario plans, exotic controllers or clients — transparently
+falls back to ``sim.run`` on the scalar engine, so callers always get
+the full result list in input order, bit-identical to running each
+trial on the scalar engine.
 """
 
 from __future__ import annotations

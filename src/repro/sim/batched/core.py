@@ -425,13 +425,12 @@ class BatchCore:
         fo = sim.faults
         if fo is None:
             return {}
-        if not fo.plan.empty:
-            rogue = ~plan.job_real
-            attempted = int(plan.job_wcet[rogue].sum())
-            dropped = int(self.job_dropped[t][rogue].sum())
-            fo.rogue_requests = attempted - dropped
-            fo.events_applied = plan.rogue_fired
-            fo.events_ignored = plan.rogue_ignored
+        rogue = ~plan.job_real
+        attempted = int(plan.job_wcet[rogue].sum())
+        dropped = int(self.job_dropped[t][rogue].sum())
+        fo.rogue_requests = attempted - dropped
+        fo.events_applied = plan.rogue_fired
+        fo.events_ignored = plan.rogue_ignored
         return fo.counters()
 
     def _write_back_ledgers(

@@ -17,14 +17,12 @@ memory controller) and compiles each into a :class:`TrialPlan`:
   matches the scalar tuple ``(absolute_deadline, rid)`` — guarded by
   the ``deadline < 2**24`` / ``rid < 2**24`` eligibility bound.
 
-``ROGUE_BURST`` fault plans are part of the envelope: a rogue burst is
-just a deterministic batch of extra releases, so each firing compiles
-into a pseudo-task job ordered exactly where the scalar
+Fault plans are part of the envelope: a rogue burst is just a
+deterministic batch of extra releases, so each firing compiles into a
+pseudo-task job ordered exactly where the scalar
 :class:`~repro.faults.injectors.FaultOrchestrator` would release it
 (the faults stage ticks *before* the clients within a cycle, and
-same-cycle firings pop from the action heap in event order).  Every
-other :class:`~repro.faults.plan.FaultKind` perturbs arbitration or
-injection attempts and stays ineligible.
+same-cycle firings pop from the action heap in event order).
 
 Anything outside the envelope raises :class:`Ineligible`; callers
 (:func:`repro.sim.batched.run_many`) respond by running that trial on
@@ -44,7 +42,6 @@ from repro.core.interconnect import BlueScaleInterconnect
 from repro.core.local_scheduler import LocalScheduler
 from repro.core.random_access_buffer import RandomAccessBuffer
 from repro.core.scale_element import ScaleElement
-from repro.faults.plan import FaultKind
 from repro.interconnects.axi_icrt import AxiIcRtInterconnect
 from repro.interconnects.bluetree import (
     BlueTreeInterconnect,
@@ -186,20 +183,11 @@ def check_supported(sim) -> None:
     _require(getattr(sim, "scenario", None) is None, "scenario plan attached")
     if sim.faults is not None:
         # Rogue bursts are pure extra releases and compile into the
-        # plan; every other kind perturbs arbitration/injection and
-        # falls back to the scalar orchestrator.
-        _require(
-            all(
-                event.kind is FaultKind.ROGUE_BURST
-                for event in sim.faults.plan.events
-            ),
-            "fault plan with non-rogue events",
-        )
+        # plan (see extract_plan).
         _require(
             sim.faults.events_applied == 0
             and sim.faults.events_ignored == 0
-            and sim.faults.rogue_requests == 0
-            and sim.faults.requests_held == 0,
+            and sim.faults.rogue_requests == 0,
             "fault orchestrator not fresh",
         )
     _check_controller(sim)
@@ -386,8 +374,7 @@ def extract_plan(sim, horizon: int, drain: int, warmup: int) -> TrialPlan:
     # one job per firing, wcet = burst magnitude, relative deadline =
     # the burst's deadline slack.  Firings targeting a port with no
     # client are counted (the scalar orchestrator's events_ignored) but
-    # release nothing.  check_supported already rejected every other
-    # fault kind.
+    # release nothing.
     rogue_fired = 0
     rogue_ignored = 0
     events = () if sim.faults is None else sim.faults.plan.events

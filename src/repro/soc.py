@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.clients.traffic_generator import TrafficGenerator
 from repro.errors import ConfigurationError, SimulationError
-from repro.faults.injectors import FaultOrchestrator, make_orchestrator
+from repro.faults.injectors import FaultOrchestrator
 from repro.faults.plan import FaultPlan
 from repro.scenarios.driver import ScenarioDriver, make_driver
 from repro.scenarios.plan import ScenarioPlan
@@ -337,7 +337,7 @@ class SoCSimulation:
         clock: Clock | None = None,
         fast_path: bool = True,
         observability: "bool | ObservabilityConfig | Tracer | None" = None,
-        faults: "FaultPlan | FaultOrchestrator | None" = None,
+        faults: "FaultPlan | None" = None,
         scenario: "ScenarioPlan | ScenarioDriver | None" = None,
     ) -> None:
         if not clients:
@@ -376,7 +376,11 @@ class SoCSimulation:
         #: repro.faults.  An empty plan is observation-free: the
         #: instrumented run is bit-for-bit identical to an
         #: uninstrumented one (differential tests assert it).
-        self.faults = make_orchestrator(faults, tracer=self.tracer)
+        self.faults = (
+            None
+            if faults is None
+            else FaultOrchestrator(faults, tracer=self.tracer)
+        )
         #: opt-in workload churn (None = off, zero overhead): a
         #: ScenarioPlan (even an empty one) attaches a ScenarioDriver
         #: as an extra tick stage between faults and clients — see
@@ -426,13 +430,6 @@ class SoCSimulation:
         inject = None
         if self.tracer is not None:
             inject = self.tracer.wrap_inject(self.interconnect.try_inject)
-        if self.faults is not None:
-            # The fault wrapper sits OUTSIDE the tracer's: perturbation
-            # happens at the port, before the fabric sees the request,
-            # while duplicated/re-injected requests still enter traced.
-            inject = self.faults.wrap_inject(
-                inject if inject is not None else self.interconnect.try_inject
-            )
         response_stage = _ResponseStage(
             self.interconnect,
             self._client_by_id,
@@ -449,14 +446,9 @@ class SoCSimulation:
             inject=inject,
         )
         if self.faults is not None:
-            self.faults.bind(
-                self.clients,
-                self.interconnect,
-                self.controller,
-                client_stage=client_stage,
-            )
-            # First stage: a fault armed for cycle c perturbs that
-            # cycle's releases, arbitration and service.
+            self.faults.bind(self.clients, client_stage)
+            # First stage: a burst armed for cycle c is queued before
+            # that cycle's releases, arbitration and service.
             engine.register(self.faults)
         if self.scenario is not None:
             # Ahead of the clients: a transition at cycle c changes
@@ -484,15 +476,6 @@ class SoCSimulation:
     ) -> TrialResult:
         released = sum(client.released_requests for client in self.clients)
         dropped = sum(client.dropped_requests for client in self.clients)
-        fault_counters: dict[str, int] = {}
-        if self.faults is not None:
-            # The orchestrator's perturbations move requests between the
-            # ledger's columns: accepted duplicates were released by the
-            # fault (not a client), port drops vanished at the port, and
-            # delayed requests still in the hold queue are in flight.
-            fault_counters = self.faults.counters()
-            released += self.faults.requests_duplicated
-            dropped += self.faults.requests_dropped
         for _ in range(dropped):
             self.recorder.record_drop()
         in_flight = (
@@ -500,7 +483,6 @@ class SoCSimulation:
             + self.interconnect.responses_in_flight()
             + self.controller.in_flight
             + sum(client.pending_count for client in self.clients)
-            + (self.faults.requests_held if self.faults is not None else 0)
         )
         completed = response_stage.completed_total
         if completed + dropped + in_flight != released:
@@ -526,7 +508,9 @@ class SoCSimulation:
             cycles_executed=self.cycles_executed,
             cycles_skipped=self.cycles_skipped,
             trace_digest=response_stage.trace_digest,
-            fault_counters=fault_counters,
+            fault_counters=(
+                self.faults.counters() if self.faults is not None else {}
+            ),
             scenario_counters=(
                 self.scenario.counters() if self.scenario is not None else {}
             ),

@@ -12,7 +12,7 @@ comparison on randomized tasksets and interfaces:
   :func:`select_interface` equality between backends;
 * the equivalence wall: selections and lock-step budget searches equal
   the scalar oracle on coprime periods (utilization denominators past
-  2⁶⁴), on probes just above the utilization floor (huge β, lazy
+  2⁶⁴), on probes just above the utilization floor (huge β, windowed
   scan) and under tiny grid and chunk budgets;
 * the float horizon never undercuts the exact Theorem-1 bound;
 * a cache hit returns the *same object* the cold path produced.
@@ -47,8 +47,8 @@ from repro.analysis.vectorized import (
     StepGrid,
     dbf_values,
     grid_for,
+    grid_verdicts,
     sbf_values,
-    schedulable_many,
     theorem1_betas,
     theorem1_horizons,
 )
@@ -182,7 +182,7 @@ class TestBackendEquality:
 
     @given(seed=st.integers(0, 50_000))
     @settings(max_examples=40, deadline=None)
-    def test_schedulable_many_matches_single_tests(self, seed):
+    def test_grid_verdicts_match_single_tests(self, seed):
         taskset = random_taskset(seed, max_tasks=4)
         utilization = taskset.utilization
         rng = random.Random(seed ^ 0xBA7C4)
@@ -193,7 +193,14 @@ class TestBackendEquality:
             if floor > period:
                 continue
             interfaces.append((period, rng.randint(floor, period)))
-        verdicts = schedulable_many(taskset, interfaces, AnalysisCache())
+        pairs = np.array(interfaces, dtype=np.int64).reshape(-1, 2)
+        verdicts = grid_verdicts(
+            grid_for(taskset, AnalysisCache()),
+            utilization,
+            pairs[:, 0],
+            pairs[:, 1],
+        )
+        assert len(verdicts) == len(interfaces)
         for (period, budget), verdict in zip(interfaces, verdicts):
             expected = is_schedulable(
                 taskset, ResourceInterface(period, budget), ctx=SCALAR
@@ -202,8 +209,8 @@ class TestBackendEquality:
 
 
 class TestFallbackPaths:
-    """Force the engine's degenerate regimes — the lazy heap-merged
-    scan (grid point budget exhausted) and tiny broadcast chunks — and
+    """Force the engine's degenerate regimes — the windowed scan (grid
+    point budget exhausted) and tiny broadcast chunks — and
     require exact scalar equality there too."""
 
     def test_lazy_scan_matches_scalar(self, monkeypatch):
@@ -330,13 +337,26 @@ class TestEquivalenceWall:
         ]
 
     def test_floor_probe_takes_the_lazy_scan(self, monkeypatch):
-        """The ``floor`` regime really reaches the lazy scan."""
+        """The ``floor`` regime really reaches the windowed scan, and
+        the scan walks windows of at most ``MAX_GRID_POINTS`` points
+        plus one per period."""
         calls = []
-        lazy = vectorized_module._lazy_violation
+        windows = []
+        scan = vectorized_module._window_violation
+        step_points = vectorized_module._step_points
         monkeypatch.setattr(
             vectorized_module,
-            "_lazy_violation",
-            lambda *args: calls.append(args) or lazy(*args),
+            "_window_violation",
+            lambda *args: calls.append(args) or scan(*args),
+        )
+
+        def recording_step_points(*args):
+            ts, demands = step_points(*args)
+            windows.append(len(ts))
+            return ts, demands
+
+        monkeypatch.setattr(
+            vectorized_module, "_step_points", recording_step_points
         )
         monkeypatch.setattr(vectorized_module, "MAX_GRID_POINTS", 8)
         taskset = TaskSet(
@@ -350,6 +370,9 @@ class TestEquivalenceWall:
         )
         assert budgets == [minimal_budget_for_period(taskset, 10, ctx=SCALAR)]
         assert [(args[1], args[2]) for args in calls] == [(10, 9)]
+        # β of (10, 9) is 18 000 cycles: many windows, none oversized
+        assert len(windows) > 100
+        assert max(windows) <= 8 + len(taskset)
 
 
 class TestTheorem1Horizons:

@@ -1,20 +1,13 @@
 """Fault plans under the batched simulator backend.
 
-The batched SoA kernels model exactly one fault kind natively:
-``ROGUE_BURST``, whose firings are deterministic extra releases and
-compile straight into the :class:`~repro.sim.batched.extract.TrialPlan`
-request schedule.  The eligibility contract
-(:func:`repro.sim.batched.extract.check_supported`) keeps everything
-else safe:
+A rogue burst's firings are deterministic extra releases, so a fault
+plan compiles straight into the
+:class:`~repro.sim.batched.extract.TrialPlan` request schedule:
 
-* a plan containing **any non-rogue event** makes the trial
-  ineligible, and :func:`repro.sim.batched.run_many` transparently
-  falls back to the scalar engine — so those campaigns stay
-  bit-identical to a scalar run, counters included;
-* a **rogue-only** plan stays eligible, runs on the SoA path, and must
-  be bit-for-bit identical to the scalar orchestrator: same trace
-  digest, same job outcomes, same fault counters, same per-client job
-  ledgers;
+* a plan stays eligible, runs on the SoA path, and must be bit-for-bit
+  identical to the scalar orchestrator: same trace digest, same job
+  outcomes, same fault counters, same per-client job ledgers (the edge
+  plans are also held to the cycle-by-cycle reference);
 * an **empty** plan is inert by definition, stays eligible, and must
   be indistinguishable from a run with no fault instrumentation.
 """
@@ -28,7 +21,7 @@ import pytest
 from repro.clients.traffic_generator import TrafficGenerator
 from repro.experiments.factory import build_interconnect
 from repro.experiments.isolation import ISOLATION_INTERCONNECTS
-from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.sim import batched_supported, run_many
 from repro.soc import SoCSimulation
 from repro.tasks.generators import generate_client_tasksets
@@ -39,7 +32,7 @@ DRAIN = 700
 
 
 def build_sim(
-    name: str, seed: int, faults: FaultPlan | None
+    name: str, seed: int, faults: FaultPlan | None, fast_path: bool = True
 ) -> SoCSimulation:
     rng = random.Random(seed)
     tasksets = generate_client_tasksets(
@@ -53,7 +46,9 @@ def build_sim(
         TrafficGenerator(c, ts, rng=random.Random(seed * 17 + c))
         for c, ts in tasksets.items()
     ]
-    return SoCSimulation(clients, interconnect, faults=faults)
+    return SoCSimulation(
+        clients, interconnect, fast_path=fast_path, faults=faults
+    )
 
 
 def fingerprint(result) -> tuple:
@@ -91,52 +86,6 @@ def client_ledger(client) -> tuple:
     )
 
 
-NON_ROGUE_KINDS = [k for k in FaultKind if k is not FaultKind.ROGUE_BURST]
-
-
-@pytest.mark.parametrize("kind", NON_ROGUE_KINDS)
-def test_non_rogue_kinds_fall_back_and_stay_identical(kind):
-    """run_many over non-rogue faulted trials ≡ direct scalar runs.
-
-    These kinds perturb arbitration or injection attempts, which the
-    kernels cannot replay — the trials must be rejected by the
-    eligibility check and then produce the exact scalar results through
-    the fallback, including the fault counters that prove the plan
-    actually fired.
-    """
-    plan = FaultPlan.generate(
-        f"batched/{kind.name}", HORIZON, N_CLIENTS, kinds=(kind,)
-    )
-    assert not plan.empty
-    batch = [build_sim("BlueScale", seed, plan) for seed in (1, 2)]
-    assert all(not batched_supported(sim) for sim in batch)
-    results = run_many(batch, HORIZON, drain=DRAIN, backend="batched")
-    for seed, result in zip((1, 2), results):
-        oracle = build_sim("BlueScale", seed, plan).run(HORIZON, drain=DRAIN)
-        assert fingerprint(result) == fingerprint(oracle), kind.name
-
-
-def test_mixed_plan_with_rogue_and_other_kinds_falls_back():
-    """One non-rogue event poisons the whole plan's eligibility."""
-    plan = FaultPlan(
-        (
-            FaultEvent(
-                kind=FaultKind.ROGUE_BURST,
-                cycle=200,
-                client_id=0,
-                magnitude=8,
-                deadline_slack=16,
-            ),
-            FaultEvent(kind=FaultKind.CONTROLLER_STALL, cycle=400, magnitude=5),
-        )
-    )
-    sim = build_sim("BlueScale", 1, plan)
-    assert not batched_supported(sim)
-    (result,) = run_many([sim], HORIZON, drain=DRAIN, backend="batched")
-    oracle = build_sim("BlueScale", 1, plan).run(HORIZON, drain=DRAIN)
-    assert fingerprint(result) == fingerprint(oracle)
-
-
 @pytest.mark.parametrize("name", ISOLATION_INTERCONNECTS)
 def test_rogue_client_campaign_identical_across_designs(name):
     """The isolation campaign's aggressor plan runs on the SoA kernels
@@ -171,7 +120,6 @@ EDGE_PLANS = {
     "multi-event": FaultPlan(
         (
             FaultEvent(
-                kind=FaultKind.ROGUE_BURST,
                 cycle=200,
                 duration=400,
                 client_id=2,
@@ -180,14 +128,12 @@ EDGE_PLANS = {
                 deadline_slack=12,
             ),
             FaultEvent(
-                kind=FaultKind.ROGUE_BURST,
                 cycle=200,
                 client_id=5,
                 magnitude=24,
                 deadline_slack=30,
             ),
             FaultEvent(
-                kind=FaultKind.ROGUE_BURST,
                 cycle=450,
                 client_id=2,
                 magnitude=6,
@@ -200,14 +146,12 @@ EDGE_PLANS = {
     "missing-target": FaultPlan(
         (
             FaultEvent(
-                kind=FaultKind.ROGUE_BURST,
                 cycle=100,
                 client_id=99,
                 magnitude=4,
                 deadline_slack=10,
             ),
             FaultEvent(
-                kind=FaultKind.ROGUE_BURST,
                 cycle=150,
                 client_id=1,
                 magnitude=4,
@@ -221,7 +165,6 @@ EDGE_PLANS = {
     "post-horizon": FaultPlan(
         (
             FaultEvent(
-                kind=FaultKind.ROGUE_BURST,
                 cycle=HORIZON + 100,
                 client_id=3,
                 magnitude=5,
@@ -234,7 +177,6 @@ EDGE_PLANS = {
     "capacity-overflow": FaultPlan(
         (
             FaultEvent(
-                kind=FaultKind.ROGUE_BURST,
                 cycle=50,
                 client_id=0,
                 magnitude=500,
@@ -256,6 +198,11 @@ def test_rogue_edge_plans_identical(label):
         oracle = oracle_sim.run(HORIZON, drain=DRAIN)
         assert fingerprint(result) == fingerprint(oracle), (label, seed)
         assert result.requests_in_flight == oracle.requests_in_flight
+        # the cycle-by-cycle reference agrees too: all three paths
+        slow = build_sim("BlueScale", seed, plan, fast_path=False)
+        assert fingerprint(slow.run(HORIZON, drain=DRAIN)) == fingerprint(
+            oracle
+        ), (label, seed)
         for batched_client, scalar_client in zip(
             sim.clients, oracle_sim.clients
         ):

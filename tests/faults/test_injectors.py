@@ -1,14 +1,14 @@
 """FaultOrchestrator integration: determinism on both engine paths,
-inertness of the empty plan, conservation, and per-kind hook behaviour.
+inertness of the empty plan, and the rogue-burst hook.
 
-The heavyweight guarantees here are the ISSUE acceptance criteria:
+The heavyweight guarantees here are:
 
 * an instrumented run under ``FaultPlan.none()`` is **bit-for-bit**
   identical (same completion-trace digest) to an uninstrumented run, on
   both the quiescence fast path and the cycle-by-cycle path;
-* every seeded plan produces identical digests and fault counters on
-  the fast and slow paths (the orchestrator pins leaps across its
-  action cycles and port-fault windows).
+* every rogue plan produces identical digests and fault counters on
+  the fast and slow paths (the orchestrator declares every burst cycle
+  as activity, so no leap crosses one).
 """
 
 import random
@@ -18,7 +18,7 @@ import pytest
 from repro.clients.traffic_generator import TrafficGenerator
 from repro.errors import ConfigurationError
 from repro.experiments.factory import build_interconnect
-from repro.faults import FaultEvent, FaultKind, FaultPlan, make_orchestrator
+from repro.faults import FaultEvent, FaultOrchestrator, FaultPlan
 from repro.soc import SoCSimulation
 from repro.tasks.generators import generate_client_tasksets
 
@@ -48,58 +48,24 @@ def run_design(name, faults, fast, workload_seed=7):
 
 SEEDED_PLANS = {
     "rogue": FaultPlan.rogue_client(0, 200, 900, burst_size=12, burst_every=100),
-    "drop": FaultPlan(
+    # two targets, one shared firing cycle, overlapping windows
+    "rogue-overlap": FaultPlan(
         (
             FaultEvent(
-                kind=FaultKind.PORT_DROP,
-                cycle=200,
-                duration=400,
-                client_id=1,
-                ratio=0.5,
-                seed=3,
-            ),
-        )
-    ),
-    "duplicate": FaultPlan(
-        (
-            FaultEvent(
-                kind=FaultKind.PORT_DUPLICATE,
                 cycle=300,
-                duration=300,
+                duration=500,
                 client_id=2,
-                ratio=0.4,
-                seed=5,
+                magnitude=6,
+                period=70,
+                deadline_slack=20,
             ),
+            FaultEvent(cycle=300, client_id=6, magnitude=10, deadline_slack=40),
+            FaultEvent(cycle=510, client_id=2, magnitude=4, deadline_slack=9),
         )
     ),
-    "delay": FaultPlan(
-        (
-            FaultEvent(
-                kind=FaultKind.PORT_DELAY,
-                cycle=250,
-                duration=350,
-                client_id=3,
-                magnitude=9,
-                ratio=0.5,
-            ),
-        )
-    ),
-    "bit-flip": FaultPlan(
-        (
-            FaultEvent(
-                kind=FaultKind.BUDGET_BIT_FLIP,
-                cycle=400,
-                node=(0, 0),
-                port=1,
-                bit=3,
-            ),
-        )
-    ),
-    "stall": FaultPlan(
-        (FaultEvent(kind=FaultKind.CONTROLLER_STALL, cycle=500, magnitude=40),)
-    ),
-    "mixed": FaultPlan.generate(
-        seed=11, horizon=HORIZON, n_clients=N_CLIENTS, events_per_kind=2
+    # fires in the drain window, after the client stage stops injecting
+    "rogue-drain": FaultPlan(
+        (FaultEvent(cycle=HORIZON + 50, client_id=3, magnitude=5),)
     ),
 }
 
@@ -125,31 +91,9 @@ def test_fast_path_equals_slow_path_under_faults(name, label):
     _, slow = run_design(name, plan, False)
     assert fast.trace_digest == slow.trace_digest
     assert fast.fault_counters == slow.fault_counters
+    assert fast.fault_counters["events_applied"] > 0
     assert fast.requests_released == slow.requests_released
     assert fast.requests_dropped == slow.requests_dropped
-
-
-class TestConservation:
-    """Perturbed requests keep the conservation ledger balanced (run()
-    itself raises SimulationError on any imbalance, so these are also
-    regression anchors for the counter folding in _collect)."""
-
-    def test_drops_counted(self):
-        _, result = run_design("BlueScale", SEEDED_PLANS["drop"], True)
-        assert result.fault_counters["requests_dropped"] > 0
-        assert result.requests_dropped >= result.fault_counters["requests_dropped"]
-
-    def test_duplicates_add_released(self):
-        _, bare = run_design("BlueScale", None, True)
-        _, dup = run_design("BlueScale", SEEDED_PLANS["duplicate"], True)
-        extra = dup.fault_counters["requests_duplicated"]
-        assert extra > 0
-        assert dup.requests_released == bare.requests_released + extra
-
-    def test_delays_complete_eventually(self):
-        _, result = run_design("BlueScale", SEEDED_PLANS["delay"], True)
-        assert result.fault_counters["requests_delayed"] > 0
-        assert result.fault_counters["requests_held"] == 0  # all re-injected
 
 
 class TestPerKindHooks:
@@ -167,31 +111,10 @@ class TestPerKindHooks:
         client = sim_fast.clients[5]
         assert "!rogue" in client.max_response_by_task  # they completed
 
-    def test_controller_stall_freezes_service(self):
-        sim, result = run_design("BlueScale", SEEDED_PLANS["stall"], True)
-        assert result.fault_counters["stall_cycles"] == 40
-        assert sim.controller.fault_stall_cycles == 40
-        # stalling a loaded controller must cost throughput
-        _, bare = run_design("BlueScale", None, True)
-        assert result.trace_digest != bare.trace_digest
-
-    def test_bit_flip_reaches_the_scale_element(self):
-        sim, result = run_design("BlueScale", SEEDED_PLANS["bit-flip"], True)
-        assert result.fault_counters["bit_flips"] == 1
-        assert result.fault_counters["events_ignored"] == 0
-
-    @pytest.mark.parametrize("name", ("GSMTree-TDM", "AXI-IC^RT"))
-    def test_bit_flip_ignored_by_designs_without_scheduler(self, name):
-        _, result = run_design(name, SEEDED_PLANS["bit-flip"], True)
-        assert result.fault_counters["bit_flips"] == 0
-        assert result.fault_counters["events_ignored"] == 1
-        _, bare = run_design(name, None, True)
-        assert result.trace_digest == bare.trace_digest  # truly a no-op
-
 
 class TestObservability:
     def test_fault_events_emit_spans_and_counters(self):
-        plan = SEEDED_PLANS["mixed"]
+        plan = SEEDED_PLANS["rogue-overlap"]
         rng = random.Random(7)
         tasksets = generate_client_tasksets(
             rng, N_CLIENTS, 2, 0.6, period_min=100, period_max=900
@@ -213,7 +136,7 @@ class TestObservability:
         assert any(k.startswith("faults/") for k in counters)
 
     def test_tracing_does_not_perturb_a_faulted_run(self):
-        plan = SEEDED_PLANS["mixed"]
+        plan = SEEDED_PLANS["rogue-overlap"]
         _, untraced = run_design("BlueScale", plan, True)
         rng = random.Random(7)
         tasksets = generate_client_tasksets(
@@ -231,15 +154,28 @@ class TestObservability:
         assert traced.fault_counters == untraced.fault_counters
 
 
+def bare_simulation(faults):
+    tasksets = generate_client_tasksets(random.Random(3), 2, 1, 0.3)
+    clients = [TrafficGenerator(cid, ts) for cid, ts in tasksets.items()]
+    return SoCSimulation(
+        clients, build_interconnect("BlueScale", 2, tasksets), faults=faults
+    )
+
+
 class TestMakeOrchestrator:
+    """The orchestrator ``SoCSimulation(faults=...)`` makes: none for
+    ``None``, one per plan, and a refusal for anything else."""
+
     def test_none_stays_none(self):
-        assert make_orchestrator(None) is None
+        assert bare_simulation(None).faults is None
 
     def test_plan_is_wrapped(self):
-        orchestrator = make_orchestrator(FaultPlan.none())
-        assert orchestrator is not None
-        assert make_orchestrator(orchestrator) is orchestrator
+        orchestrator = bare_simulation(FaultPlan.none()).faults
+        assert isinstance(orchestrator, FaultOrchestrator)
+        # an orchestrator holds per-run state: it is not an argument
+        with pytest.raises(ConfigurationError):
+            bare_simulation(orchestrator)
 
     def test_junk_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_orchestrator([1, 2, 3])
+            bare_simulation([1, 2, 3])

@@ -1,15 +1,13 @@
-"""FaultPlan/FaultEvent: validation, determinism, and scheduling data."""
+"""FaultPlan/FaultEvent: validation and scheduling data."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults import PORT_KINDS, FaultEvent, FaultKind, FaultPlan
+from repro.faults import FaultEvent, FaultPlan
 
 
-def drop_event(**overrides):
-    defaults = dict(
-        kind=FaultKind.PORT_DROP, cycle=10, duration=5, client_id=1
-    )
+def burst_event(**overrides):
+    defaults = dict(cycle=10, duration=5, client_id=1)
     defaults.update(overrides)
     return FaultEvent(**defaults)
 
@@ -17,100 +15,41 @@ def drop_event(**overrides):
 class TestFaultEventValidation:
     def test_negative_cycle_rejected(self):
         with pytest.raises(ConfigurationError):
-            drop_event(cycle=-1)
+            burst_event(cycle=-1)
 
     def test_zero_duration_rejected(self):
         with pytest.raises(ConfigurationError):
-            drop_event(duration=0)
+            burst_event(duration=0)
 
     def test_zero_magnitude_rejected(self):
         with pytest.raises(ConfigurationError):
-            drop_event(magnitude=0)
-
-    def test_ratio_bounds(self):
-        with pytest.raises(ConfigurationError):
-            drop_event(ratio=0.0)
-        with pytest.raises(ConfigurationError):
-            drop_event(ratio=1.5)
-        drop_event(ratio=1.0)  # inclusive upper bound is fine
-
-    @pytest.mark.parametrize(
-        "kind", sorted(PORT_KINDS, key=lambda k: k.value)
-    )
-    def test_port_faults_need_a_client(self, kind):
-        with pytest.raises(ConfigurationError):
-            FaultEvent(kind=kind, cycle=0, client_id=None)
+            burst_event(magnitude=0)
 
     def test_rogue_burst_needs_client_and_slack(self):
         with pytest.raises(ConfigurationError):
-            FaultEvent(kind=FaultKind.ROGUE_BURST, cycle=0)
+            FaultEvent(cycle=0)
         with pytest.raises(ConfigurationError):
-            FaultEvent(
-                kind=FaultKind.ROGUE_BURST,
-                cycle=0,
-                client_id=0,
-                deadline_slack=0,
-            )
-
-    def test_bit_flip_needs_node_and_valid_bit(self):
+            FaultEvent(cycle=0, client_id=-1)
         with pytest.raises(ConfigurationError):
-            FaultEvent(kind=FaultKind.BUDGET_BIT_FLIP, cycle=0, node=None)
-        with pytest.raises(ConfigurationError):
-            FaultEvent(
-                kind=FaultKind.BUDGET_BIT_FLIP, cycle=0, node=(0, 0), bit=32
-            )
-        with pytest.raises(ConfigurationError):
-            FaultEvent(
-                kind=FaultKind.BUDGET_BIT_FLIP,
-                cycle=0,
-                node=(0, 0),
-                counter="phase",
-            )
+            FaultEvent(cycle=0, client_id=0, deadline_slack=0)
 
 
 class TestFaultEventSemantics:
     def test_window(self):
-        event = drop_event(cycle=10, duration=5)
+        event = burst_event(cycle=10, duration=5, period=2)
         assert event.end == 15
-        assert not event.active_at(9)
-        assert event.active_at(10)
-        assert event.active_at(14)
-        assert not event.active_at(15)
-
-    def test_selects_is_pure_and_respects_full_ratio(self):
-        event = drop_event(ratio=1.0)
-        assert all(event.selects(rid) for rid in range(100))
-        partial = drop_event(ratio=0.5, seed=9)
-        picks = [partial.selects(rid) for rid in range(2_000)]
-        assert picks == [partial.selects(rid) for rid in range(2_000)]
-        fraction = sum(picks) / len(picks)
-        assert 0.35 < fraction < 0.65  # hash spreads near the ratio
-
-    def test_different_seeds_select_different_requests(self):
-        left = drop_event(ratio=0.5, seed=1)
-        right = drop_event(ratio=0.5, seed=2)
-        picks_l = [left.selects(r) for r in range(500)]
-        picks_r = [right.selects(r) for r in range(500)]
-        assert picks_l != picks_r
+        assert event.action_cycles() == [10, 12, 14]
 
     def test_action_cycles_by_kind(self):
-        one_shot = FaultEvent(
-            kind=FaultKind.ROGUE_BURST, cycle=40, client_id=0
-        )
+        one_shot = FaultEvent(cycle=40, client_id=0)
         assert one_shot.action_cycles() == [40]
         periodic = FaultEvent(
-            kind=FaultKind.ROGUE_BURST,
             cycle=100,
             duration=250,
             client_id=0,
             period=100,
         )
         assert periodic.action_cycles() == [100, 200, 300]
-        stall = FaultEvent(
-            kind=FaultKind.CONTROLLER_STALL, cycle=7, magnitude=20
-        )
-        assert stall.action_cycles() == [7]
-        assert drop_event().action_cycles() == []
 
 
 class TestFaultPlan:
@@ -119,26 +58,14 @@ class TestFaultPlan:
         assert plan.empty
         assert len(plan) == 0
         assert list(plan) == []
-        assert plan.port_events == ()
 
     def test_events_sorted_by_cycle(self):
-        late = drop_event(cycle=50)
-        early = FaultEvent(
-            kind=FaultKind.CONTROLLER_STALL, cycle=5, magnitude=3
-        )
-        plan = FaultPlan((late, early))
-        assert [e.cycle for e in plan] == [5, 50]
-
-    def test_of_kind_and_port_events(self):
-        plan = FaultPlan(
-            (
-                drop_event(cycle=1),
-                FaultEvent(kind=FaultKind.CONTROLLER_STALL, cycle=2),
-            )
-        )
-        assert len(plan.of_kind(FaultKind.PORT_DROP)) == 1
-        assert len(plan.of_kind(FaultKind.ROGUE_BURST)) == 0
-        assert plan.port_events == plan.of_kind(FaultKind.PORT_DROP)
+        late = burst_event(cycle=50)
+        early = burst_event(cycle=5, magnitude=3)
+        tie_a = burst_event(cycle=20, client_id=4)
+        tie_b = burst_event(cycle=20, client_id=2)
+        plan = FaultPlan((late, tie_a, early, tie_b))
+        assert plan.events == (early, tie_a, tie_b, late)
 
     def test_rogue_client_window_validation(self):
         with pytest.raises(ConfigurationError):
@@ -147,28 +74,3 @@ class TestFaultPlan:
         (event,) = plan.events
         assert event.client_id == 2
         assert event.action_cycles() == [100, 175, 250, 325]
-
-    def test_generate_is_deterministic_by_seed(self):
-        a = FaultPlan.generate(seed=3, horizon=2_000, n_clients=8)
-        b = FaultPlan.generate(seed=3, horizon=2_000, n_clients=8)
-        c = FaultPlan.generate(seed=4, horizon=2_000, n_clients=8)
-        assert a.events == b.events
-        assert a.events != c.events
-        kinds = {e.kind for e in a}
-        assert kinds == set(FaultKind)  # one event of every kind
-
-    def test_generate_respects_scale(self):
-        plan = FaultPlan.generate(
-            seed=1, horizon=1_000, n_clients=4, events_per_kind=3
-        )
-        assert len(plan) == 3 * len(FaultKind)
-        for event in plan:
-            assert event.cycle < 1_000
-            if event.client_id is not None:
-                assert 0 <= event.client_id < 4
-
-    def test_generate_rejects_degenerate_inputs(self):
-        with pytest.raises(ConfigurationError):
-            FaultPlan.generate(seed=1, horizon=5, n_clients=4)
-        with pytest.raises(ConfigurationError):
-            FaultPlan.generate(seed=1, horizon=100, n_clients=0)

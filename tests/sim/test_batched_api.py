@@ -21,21 +21,19 @@ from repro.clients.traffic_generator import TrafficGenerator
 from repro.errors import ConfigurationError
 from repro.experiments.ablation import VARIANTS, build_variant
 from repro.experiments.factory import build_interconnect
-from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.sim import batched_supported, run_many
+from repro.scenarios.plan import ScenarioPlan
 from repro.soc import SoCSimulation
 from repro.tasks.generators import generate_client_tasksets
 
 HORIZON = 1_000
 DRAIN = 500
 
-#: makes a trial ineligible for the SoA path (arbitration perturbation)
-STALL_PLAN = FaultPlan(
-    (FaultEvent(kind=FaultKind.CONTROLLER_STALL, cycle=300, magnitude=4),)
-)
+#: makes a trial ineligible for the SoA path (workload churn)
+CHURN = ScenarioPlan.generate(2, 800, 4)
 
 
-def build_sim(seed: int, faults: FaultPlan | None = None) -> SoCSimulation:
+def build_sim(seed: int, scenario: ScenarioPlan | None = None) -> SoCSimulation:
     """One fresh BlueScale trial; equal seeds build identical trials."""
     rng = random.Random(seed)
     tasksets = generate_client_tasksets(
@@ -46,7 +44,7 @@ def build_sim(seed: int, faults: FaultPlan | None = None) -> SoCSimulation:
         TrafficGenerator(c, ts, rng=random.Random(7_000 + seed + c))
         for c, ts in tasksets.items()
     ]
-    return SoCSimulation(clients, interconnect, faults=faults)
+    return SoCSimulation(clients, interconnect, scenario=scenario)
 
 
 def fingerprint(result) -> tuple:
@@ -113,13 +111,13 @@ def test_wrong_length_per_trial_values_rejected():
 
 def test_mixed_eligibility_preserves_order_and_horizons():
     """A batch interleaving SoA-eligible trials with scalar-fallback
-    trials (non-rogue fault plans) comes back in input order, each
-    trial honouring its own horizon."""
+    trials (scenario plans) comes back in input order, each trial
+    honouring its own horizon."""
     sims = [
         build_sim(1),
-        build_sim(2, faults=STALL_PLAN),
+        build_sim(2, scenario=CHURN),
         build_sim(3),
-        build_sim(4, faults=STALL_PLAN),
+        build_sim(4, scenario=CHURN),
     ]
     eligibility = [batched_supported(sim) for sim in sims]
     assert eligibility == [True, False, True, False]
@@ -127,12 +125,14 @@ def test_mixed_eligibility_preserves_order_and_horizons():
     results = run_many(
         sims, horizons, drain=DRAIN, backend="batched"
     )
-    oracle_faults = [None, STALL_PLAN, None, STALL_PLAN]
-    for seed, horizon, faults, result in zip(
-        (1, 2, 3, 4), horizons, oracle_faults, results
+    oracle_scenarios = [None, CHURN, None, CHURN]
+    for seed, horizon, scenario, result in zip(
+        (1, 2, 3, 4), horizons, oracle_scenarios, results
     ):
-        oracle = build_sim(seed, faults=faults).run(horizon, drain=DRAIN)
+        oracle = build_sim(seed, scenario=scenario).run(horizon, drain=DRAIN)
         assert fingerprint(result) == fingerprint(oracle), seed
+        if scenario is not None:
+            assert result.scenario_counters["events_applied"] > 0, seed
 
 
 #: ablation variants that swap a scale-element part the SoA kernel

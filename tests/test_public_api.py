@@ -76,9 +76,11 @@ class TestTopLevelExports:
         per-experiment ``run_*`` wrappers ``run_experiment`` replaced, the
         experiment-level design-setting knobs, ``EngineConfig`` (its
         analysis half had no caller outside the tests, its sim half is
-        ``TrialSpec.sim_backend``), trace capture/replay and the client
-        issue policies (every client issues EDF) are gone from the
-        public surface."""
+        ``TrialSpec.sim_backend``), trace capture/replay, the client
+        issue policies (every client issues EDF), the fault kinds other
+        than the rogue burst (a fault is a rogue burst, so the kind enum
+        and its orchestrator factory went too) and the list wrapper over
+        ``grid_verdicts`` are gone from the public surface."""
         import importlib
 
         import repro.analysis
@@ -122,11 +124,18 @@ class TestTopLevelExports:
             "resolve_backend",
             "can_admit",
             "breakdown_utilization",
+            "schedulable_many",
         ):
             assert name not in repro.analysis.__all__
             assert not hasattr(repro.analysis, name)
-        assert "victim_miss_ratio" not in repro.faults.__all__
-        assert not hasattr(repro.faults, "victim_miss_ratio")
+        for name in (
+            "victim_miss_ratio",
+            "FaultKind",
+            "PORT_KINDS",
+            "make_orchestrator",
+        ):
+            assert name not in repro.faults.__all__
+            assert not hasattr(repro.faults, name)
         for name in (
             "run_fig6",
             "run_fig7",
@@ -142,6 +151,24 @@ class TestTopLevelExports:
         ):
             assert name not in repro.experiments.__all__
             assert not hasattr(repro.experiments, name)
+
+    def test_faults_model_only_the_rogue_burst(self):
+        """A fault event is a rogue burst window: it carries no kind and
+        none of the port, bit-flip or stall settings; plans are built,
+        not generated; and neither a Scale Element nor the controller
+        has a fault hook."""
+        import dataclasses
+
+        from repro.core.scale_element import ScaleElement
+        from repro.faults import FaultEvent, FaultPlan
+        from repro.memory.controller import MemoryController
+
+        fields = {f.name for f in dataclasses.fields(FaultEvent)}
+        retired = {"kind", "node", "port", "bit", "counter", "ratio", "seed"}
+        assert not fields & retired
+        assert not hasattr(FaultPlan, "generate")
+        assert not hasattr(ScaleElement, "flip_budget_bit")
+        assert not hasattr(MemoryController, "inject_stall")
 
     def test_clients_take_only_the_settings_experiments_use(self):
         """Every client issues in EDF order from its own 16 MB window,
