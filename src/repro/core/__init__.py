@@ -3,12 +3,6 @@
 from repro.core.counters import CountdownCounter, ServerCounterPair
 from repro.core.random_access_buffer import RandomAccessBuffer
 from repro.core.local_scheduler import LocalScheduler, ServerTaskState
-from repro.core.interface_selector import (
-    InterfaceSelector,
-    SelectedServer,
-    TableEntry,
-    TaskParameterTable,
-)
 from repro.core.scale_element import ScaleElement
 from repro.core.interconnect import BlueScaleInterconnect
 from repro.core.algorithm1 import LocalTask, PendingJob, ServerTask, algorithm1
@@ -23,10 +17,6 @@ __all__ = [
     "RandomAccessBuffer",
     "LocalScheduler",
     "ServerTaskState",
-    "InterfaceSelector",
-    "SelectedServer",
-    "TableEntry",
-    "TaskParameterTable",
     "ScaleElement",
     "BlueScaleInterconnect",
 ]

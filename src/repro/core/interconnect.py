@@ -5,13 +5,13 @@ climb the tree one SE per cycle (staged pipeline); each SE arbitrates
 locally with its compositional scheduler.  Responses descend through
 demultiplexers, modelled as one cycle per level.
 
-Configuration: :meth:`BlueScaleInterconnect.configure` runs the
-interface-selection composition for the attached client task sets and
-programs every SE's server tasks through the parameter path.  The
-distributed variant :meth:`configure_distributed` instead lets each
-SE's own :class:`InterfaceSelector` resolve its local problem from its
-children's announcements — same results, computed with local
-information only, mirroring the hardware's parameter path.
+Configuration: :func:`~repro.analysis.composition.compose` selects
+every SE's server tasks level by level from the leaves to the root, and
+:meth:`BlueScaleInterconnect.apply_composition` programs them through
+the parameter path.  :meth:`~BlueScaleInterconnect.configure`,
+:meth:`~BlueScaleInterconnect.configure_from_model` and
+:meth:`~BlueScaleInterconnect.reprogram_client` all end there, so a
+composition is the one way a fabric gets its interfaces.
 """
 
 from __future__ import annotations
@@ -20,22 +20,15 @@ from repro.analysis.composition import (
     CompositionResult,
     changed_ports,
     compose,
-    default_deadline_margin,
-    tighten_deadlines,
     update_client,
 )
 from repro.analysis.context import AnalysisContext
-from repro.analysis.prm import ResourceInterface
 from repro.core.scale_element import PORT_BUFFER_DEPTH, ScaleElement
 from repro.errors import ConfigurationError
 from repro.interconnects.base import Interconnect
 from repro.memory.request import MemoryRequest
 from repro.tasks.taskset import TaskSet
 from repro.topology import NodeId, TreeTopology
-
-#: interface-selector table depth of the leaf SEs, which face the
-#: clients' tasks directly (interior SEs hold 16 entries)
-LEAF_TABLE_DEPTH = 64
 
 
 class BlueScaleInterconnect(Interconnect):
@@ -53,14 +46,8 @@ class BlueScaleInterconnect(Interconnect):
         self.topology = TreeTopology(n_clients=n_clients, fanout=fanout)
         self.elements: dict[NodeId, ScaleElement] = {}
         for node in self.topology.all_nodes():
-            depth = (
-                LEAF_TABLE_DEPTH if node[0] == self.topology.depth else 16
-            )
             self.elements[node] = ScaleElement(
-                node,
-                buffer_capacity=buffer_capacity,
-                table_depth=depth,
-                fanout=fanout,
+                node, buffer_capacity=buffer_capacity, fanout=fanout
             )
         self._wire_tree()
         # Root-first tick order gives one-cycle-per-hop pipelining.
@@ -186,57 +173,6 @@ class BlueScaleInterconnect(Interconnect):
         )
         self.apply_composition(updated, cycle)
         return updated
-
-    def configure_distributed(
-        self,
-        client_tasksets: dict[int, TaskSet],
-        *,
-        ctx: AnalysisContext | None = None,
-    ) -> dict[NodeId, list[ResourceInterface]]:
-        """Let each SE's interface selector resolve its own problem.
-
-        Proceeds level by level from the leaves: each SE loads its local
-        clients' task parameters into its parameter table, runs its
-        selection, programs its own scheduler, and announces the
-        resulting server tasks to its parent — exactly the paper's
-        distributed parameter path.  Returns the programmed interfaces
-        per SE (tests assert they match :func:`compose`).
-        """
-        topology = self.topology
-        announced: dict[NodeId, list[ResourceInterface]] = {}
-        for level in range(topology.depth, -1, -1):
-            for order in range(topology.nodes_at_level(level)):
-                node = (level, order)
-                if node not in self.elements:
-                    continue
-                element = self.elements[node]
-                element.selector.ctx = ctx
-                for port in range(topology.fanout):
-                    element.selector.clear_port(port)
-                if level == topology.depth:
-                    margin = default_deadline_margin(topology)
-                    for port, client_id in enumerate(
-                        range(order * topology.fanout, (order + 1) * topology.fanout)
-                    ):
-                        if client_id >= self.n_clients:
-                            continue
-                        taskset = tighten_deadlines(
-                            client_tasksets.get(client_id, TaskSet()), margin
-                        )
-                        element.selector.load_taskset(port, taskset)
-                else:
-                    for port, child in enumerate(topology.children(node)):
-                        for iface in announced.get(child, []):
-                            if iface.budget > 0:
-                                element.selector.load_task(
-                                    port, iface.period, iface.budget
-                                )
-                selections = element.selector.run_selection()
-                interfaces = [s.interface for s in selections]
-                for port, interface in enumerate(interfaces):
-                    element.program_port(port, interface, now=0)
-                announced[node] = interfaces
-        return announced
 
     # -- Interconnect contract -----------------------------------------------
     def try_inject(self, request: MemoryRequest, cycle: int) -> bool:

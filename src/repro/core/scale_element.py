@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.analysis.prm import ResourceInterface
-from repro.core.interface_selector import InterfaceSelector
 from repro.core.local_scheduler import LocalScheduler
 from repro.core.random_access_buffer import RandomAccessBuffer
 from repro.errors import ConfigurationError
@@ -47,7 +46,6 @@ class ScaleElement:
         self,
         node: NodeId,
         buffer_capacity: int = PORT_BUFFER_DEPTH,
-        table_depth: int = 16,
         interfaces: list[ResourceInterface] | None = None,
         fanout: int | None = None,
     ) -> None:
@@ -70,9 +68,6 @@ class ScaleElement:
             RandomAccessBuffer(buffer_capacity) for _ in range(self.fanout)
         ]
         self.scheduler = LocalScheduler(interfaces)
-        self.selector = InterfaceSelector(
-            n_ports=self.fanout, table_depth=table_depth
-        )
         self.forward_to_provider: ForwardHook | None = None
         self.forwarded = 0
         self.stalled_cycles = 0

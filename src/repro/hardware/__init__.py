@@ -7,7 +7,6 @@ from repro.hardware.primitives import (
 )
 from repro.hardware.power import estimate_power_mw, raw_power_mw
 from repro.hardware.cost_model import (
-    DESIGN_COSTS,
     PLATFORM_LUTS,
     area_fraction,
     axi_icrt_cost,
@@ -27,7 +26,6 @@ from repro.hardware.synthesis import (
     synthesize_bluescale_system,
 )
 from repro.hardware.frequency import (
-    arbitration_interval,
     axi_icrt_fmax_mhz,
     bluescale_fmax_mhz,
     legacy_fmax_mhz,
@@ -41,7 +39,6 @@ __all__ = [
     "PrimitiveCosts",
     "estimate_power_mw",
     "raw_power_mw",
-    "DESIGN_COSTS",
     "PLATFORM_LUTS",
     "area_fraction",
     "axi_icrt_cost",
@@ -57,7 +54,6 @@ __all__ = [
     "SynthesisReport",
     "format_synthesis_report",
     "synthesize_bluescale_system",
-    "arbitration_interval",
     "axi_icrt_fmax_mhz",
     "bluescale_fmax_mhz",
     "legacy_fmax_mhz",

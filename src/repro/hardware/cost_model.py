@@ -284,12 +284,3 @@ PLATFORM_LUTS = 303_600
 def area_fraction(report: HardwareReport) -> float:
     """Design area as a fraction of the platform (Fig. 5(a) y-axis)."""
     return report.luts / PLATFORM_LUTS
-
-
-DESIGN_COSTS = {
-    "AXI-IC^RT": axi_icrt_cost,
-    "BlueTree": bluetree_cost,
-    "BlueTree-Smooth": bluetree_smooth_cost,
-    "GSMTree": gsmtree_cost,
-    "BlueScale": bluescale_cost,
-}

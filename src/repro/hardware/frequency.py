@@ -64,17 +64,3 @@ def axi_icrt_fmax_mhz(n_clients: int) -> float:
 def system_fmax_mhz(interconnect_fmax: float, n_clients: int) -> float:
     """System clock: min of legacy fabric and the interconnect."""
     return min(interconnect_fmax, legacy_fmax_mhz(n_clients))
-
-
-def arbitration_interval(n_clients: int, interconnect_fmax_mhz: float) -> int:
-    """Transaction-slot penalty of a slower-clocked arbiter.
-
-    When an interconnect's achievable clock falls below the legacy
-    platform frequency, its arbiter effectively decides less often per
-    memory-transaction slot; the simulator expresses this as deciding
-    every ``k`` slots.  Full-speed designs get ``k = 1``.
-    """
-    reference = legacy_fmax_mhz(n_clients)
-    if interconnect_fmax_mhz >= reference:
-        return 1
-    return math.ceil(reference / interconnect_fmax_mhz)

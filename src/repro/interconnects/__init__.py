@@ -1,6 +1,6 @@
 """Interconnect models: BlueScale plus the paper's baselines."""
 
-from repro.interconnects.base import Interconnect, charge_blocking_against
+from repro.interconnects.base import Interconnect
 from repro.interconnects.axi_icrt import AxiIcRtInterconnect
 from repro.interconnects.mux_tree import MuxNode, MuxTreeInterconnect
 from repro.interconnects.bluetree import (
@@ -18,7 +18,6 @@ from repro.interconnects.gsmtree import (
 
 __all__ = [
     "Interconnect",
-    "charge_blocking_against",
     "AxiIcRtInterconnect",
     "MuxNode",
     "MuxTreeInterconnect",

@@ -4,20 +4,19 @@ al., RTAS 2021; paper Sec. 1 and 6).
 A monolithic switch box buffers every client's requests in a per-client
 ingress FIFO; one central arbiter with a global view picks a winner
 each arbitration round and pushes it down a fixed-depth pipeline to the
-memory controller.  Two properties of the real design are modelled:
+memory controller.
 
-* **Bandwidth regulation** — AXI-IC^RT allocates memory bandwidth to
-  each client based on its workload: a token-bucket regulator per
-  client (budget ``B_c`` per replenishment window ``W``) gates
-  eligibility, and the arbiter applies EDF among eligible clients.
-  Regulation is what bounds clients' interference — and what causes
-  the residual priority inversions Fig. 6 shows for this design.
-* **Frequency scaling** — the monolithic arbiter's critical path grows
-  with the client count, lowering the achievable clock (Fig. 5(c)).
-  ``arbitration_interval`` expresses the resulting slowdown in
-  transaction slots: the arbiter only picks a winner every that many
-  cycles (1 = full speed).  Experiments derive it from the hardware
-  frequency model.
+AXI-IC^RT allocates memory bandwidth to each client based on its
+workload: a token-bucket regulator per client (budget ``B_c`` per
+replenishment window ``W``) gates eligibility, and the arbiter applies
+EDF among eligible clients every cycle.  Regulation is what bounds
+clients' interference — and what causes the residual priority
+inversions Fig. 6 shows for this design.
+
+The monolithic arbiter's critical path grows with the client count,
+lowering the achievable clock (Fig. 5(c)); that cost is reported by the
+hardware frequency model (:func:`repro.hardware.axi_icrt_fmax_mhz`) and
+not simulated, so every design is compared in transaction slots.
 """
 
 from __future__ import annotations
@@ -35,23 +34,15 @@ class AxiIcRtInterconnect(Interconnect):
 
     name = "AXI-IC^RT"
 
-    def __init__(
-        self,
-        n_clients: int,
-        fifo_capacity: int = 8,
-        pipeline_latency: int = 2,
-        arbitration_interval: int = 1,
-    ) -> None:
+    #: switch-box pipeline depth: cycles from arbitration win to the
+    #: controller, and the response path's latency back to the client
+    PIPELINE_LATENCY = 2
+
+    def __init__(self, n_clients: int, fifo_capacity: int = 8) -> None:
         super().__init__(n_clients)
         if fifo_capacity <= 0:
             raise ConfigurationError("fifo capacity must be positive")
-        if pipeline_latency < 1:
-            raise ConfigurationError("pipeline latency must be >= 1")
-        if arbitration_interval < 1:
-            raise ConfigurationError("arbitration interval must be >= 1")
         self.fifo_capacity = fifo_capacity
-        self.pipeline_latency = pipeline_latency
-        self.arbitration_interval = arbitration_interval
         self._fifos: list[deque[MemoryRequest]] = [
             deque() for _ in range(n_clients)
         ]
@@ -152,9 +143,6 @@ class AxiIcRtInterconnect(Interconnect):
                 _, request = self._pipeline.popleft()
                 self._forward_to_provider(request, cycle)
                 self._occupancy -= 1
-        # The arbiter only decides on its own (slower) clock.
-        if cycle % self.arbitration_interval != 0:
-            return
         best_client = -1
         best_key: tuple[int, int] | None = None
         if self.fast_tick:
@@ -183,7 +171,7 @@ class AxiIcRtInterconnect(Interconnect):
             self._occupied_ids.discard(best_client)
         if self._window is not None:
             self._tokens[best_client] -= 1
-        self._pipeline.append((cycle + self.pipeline_latency, winner))
+        self._pipeline.append((cycle + self.PIPELINE_LATENCY, winner))
         ctx = winner.trace_ctx
         if ctx is not None:
             ctx.emit(
@@ -218,7 +206,7 @@ class AxiIcRtInterconnect(Interconnect):
 
     # -- response path -----------------------------------------------------
     def response_latency(self, client_id: int) -> int:
-        return self.pipeline_latency
+        return self.PIPELINE_LATENCY
 
     # -- accounting --------------------------------------------------------
     def requests_in_flight(self) -> int:
@@ -226,8 +214,7 @@ class AxiIcRtInterconnect(Interconnect):
 
     # -- quiescence --------------------------------------------------------
     def is_quiescent(self) -> bool:
-        """Idle ticks only touch token replenishment (reconciled below);
-        the arbiter's own slower clock is a pure function of the cycle.
+        """Idle ticks only touch token replenishment (reconciled below).
 
         Waiting requests whose clients are all token-starved also leave
         the tick pure (the arbiter skips ineligible clients and charges

@@ -180,14 +180,3 @@ class Interconnect(ABC):
         The default is conservative: never blocked.
         """
         return None
-
-
-def charge_blocking_against(
-    forwarded: MemoryRequest, waiting: list[MemoryRequest]
-) -> None:
-    """Charge one blocking cycle to every waiting request whose deadline
-    is earlier than the one being forwarded (priority inversion)."""
-    key = forwarded.priority_key
-    for request in waiting:
-        if request.priority_key < key:
-            request.charge_blocking()

@@ -143,12 +143,8 @@ class GsmTreeInterconnect(MuxTreeInterconnect):
         n_clients: int,
         fifo_capacity: int = 4,
         frame: Sequence[int] | None = None,
-        slot_cycles: int = 1,
     ) -> None:
         super().__init__(n_clients, fifo_capacity)
-        if slot_cycles < 1:
-            raise ConfigurationError("slot length must be >= 1 cycle")
-        self.slot_cycles = slot_cycles
         self.frame: list[int] = (
             list(frame) if frame is not None else build_tdm_frame(n_clients)
         )
@@ -175,7 +171,8 @@ class GsmTreeInterconnect(MuxTreeInterconnect):
         return FcfsNode(node_id, self.fifo_capacity)
 
     def slot_owner(self, cycle: int) -> int:
-        return self.frame[(cycle // self.slot_cycles) % len(self.frame)]
+        """Owner of the one-cycle TDM slot ``cycle``."""
+        return self.frame[cycle % len(self.frame)]
 
     def _refresh_credits(self, cycle: int) -> None:
         """Grant each slot owner one injection credit (idempotent per cycle).
@@ -190,23 +187,19 @@ class GsmTreeInterconnect(MuxTreeInterconnect):
         if cycle == self._last_credit_cycle:
             return
         start = self._last_credit_cycle + 1
-        if cycle - start < 2 * len(self.frame) * self.slot_cycles:
+        if cycle - start < 2 * len(self.frame):
             for c in range(start, cycle + 1):
-                if c % self.slot_cycles == 0:
-                    owner = self.slot_owner(c)
-                    if self._credits[owner] < self.CREDIT_CAP:
-                        self._credits[owner] += 1
+                owner = self.slot_owner(c)
+                if self._credits[owner] < self.CREDIT_CAP:
+                    self._credits[owner] += 1
             self._last_credit_cycle = cycle
             return
-        # Analytic catch-up: count the slot boundaries each owner got in
+        # Analytic catch-up: count the slots each owner got in
         # (last_credit_cycle, cycle] without walking every cycle.
-        first_slot = (start + self.slot_cycles - 1) // self.slot_cycles
-        last_slot = cycle // self.slot_cycles
-        n_slots = last_slot - first_slot + 1
         frame_len = len(self.frame)
-        full_frames, remainder = divmod(n_slots, frame_len)
+        full_frames, remainder = divmod(cycle - start + 1, frame_len)
         grants = [count * full_frames for count in self._frame_counts]
-        base = first_slot % frame_len
+        base = start % frame_len
         for offset in range(remainder):
             grants[self.frame[(base + offset) % frame_len]] += 1
         for client, granted in enumerate(grants):
@@ -230,9 +223,9 @@ class GsmTreeInterconnect(MuxTreeInterconnect):
         """Full leaf FIFO (inherited), or credit starvation.
 
         A credit-starved client is refused, side-effect-free, until its
-        next owned slot boundary (where the lazy refresh grants it a
-        credit); advancing the refresh here is safe because grants are
-        order-free while no injection can happen.
+        next owned slot (where the lazy refresh grants it a credit);
+        advancing the refresh here is safe because grants are order-free
+        while no injection can happen.
         """
         blocked = super().injection_blocked_until(client_id, cycle)
         if blocked is not None:
@@ -240,14 +233,12 @@ class GsmTreeInterconnect(MuxTreeInterconnect):
         self._refresh_credits(cycle)
         if self._credits[client_id] >= 1:
             return None
-        # Boundaries <= cycle are already granted by the refresh above;
-        # scan one frame of strictly later slot boundaries.
+        # Slots <= cycle are already granted by the refresh above; scan
+        # one frame of strictly later slots.
         frame_len = len(self.frame)
-        first_slot = cycle // self.slot_cycles + 1
-        for offset in range(frame_len):
-            slot = first_slot + offset
+        for slot in range(cycle + 1, cycle + 1 + frame_len):
             if self.frame[slot % frame_len] == client_id:
-                return slot * self.slot_cycles
+                return slot
         return -1  # not in the frame: never granted a credit
 
 

@@ -51,18 +51,9 @@ class MemoryController:
         queue_capacity: int = 16,
         policy: ArbitrationPolicy = ArbitrationPolicy.FCFS,
         on_response: ResponseCallback | None = None,
-        refresh_interval: int = 0,
-        refresh_duration: int = 0,
         reorder_cap: int | None = None,
     ) -> None:
-        """``refresh_interval``/``refresh_duration`` model DRAM refresh
-        (tREFI/tRFC): every ``refresh_interval`` cycles the controller
-        stalls for ``refresh_duration`` cycles — in-flight service
-        pauses, nothing is picked up.  Refresh is the classic source of
-        unavoidable jitter in real-time DRAM analysis; 0 (default)
-        disables it, matching the unit-slot abstraction.
-
-        ``reorder_cap`` bounds FR-FCFS starvation blacklisting-style:
+        """``reorder_cap`` bounds FR-FCFS starvation blacklisting-style:
         after the oldest queued request has been bypassed by that many
         row hits, the scheduler reverts to strict FCFS until the head
         is served.  ``None`` (default) keeps the unbounded reordering
@@ -72,12 +63,6 @@ class MemoryController:
             raise ConfigurationError(
                 f"queue capacity must be positive, got {queue_capacity}"
             )
-        if refresh_interval < 0 or refresh_duration < 0:
-            raise ConfigurationError("refresh parameters cannot be negative")
-        if refresh_interval and refresh_duration >= refresh_interval:
-            raise ConfigurationError(
-                "refresh duration must be shorter than the interval"
-            )
         if reorder_cap is not None and reorder_cap < 0:
             raise ConfigurationError(
                 f"reorder cap cannot be negative, got {reorder_cap}"
@@ -86,10 +71,6 @@ class MemoryController:
         self.queue_capacity = queue_capacity
         self.policy = policy
         self.on_response = on_response
-        self.refresh_interval = refresh_interval
-        self.refresh_duration = refresh_duration
-        self._refresh_remaining = 0
-        self.refresh_stall_cycles = 0
         self.reorder_cap = reorder_cap
         #: FR-FCFS picks that bypassed the oldest queued request
         self.reorder_count = 0
@@ -143,15 +124,6 @@ class MemoryController:
 
     # -- per-cycle ------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        # DRAM refresh: a periodic all-banks stall (tREFI / tRFC).  The
-        # duration is shorter than the interval, so the previous stall's
-        # countdown has always run out when the next one starts.
-        if self.refresh_interval and cycle > 0 and cycle % self.refresh_interval == 0:
-            self._refresh_remaining = self.refresh_duration
-        if self._refresh_remaining > 0:
-            self._refresh_remaining -= 1
-            self.refresh_stall_cycles += 1
-            return
         if self._in_service is None and self._queue:
             request = self._pick_next()
             request.service_start_cycle = cycle
@@ -195,12 +167,10 @@ class MemoryController:
         request to charge blocking against), which
         :meth:`on_cycles_skipped` replays arithmetically —
         :meth:`next_activity_cycle` pins the completion cycle so the
-        response fires on time.  A non-empty queue or an active refresh
-        stall needs real per-cycle work.
+        response fires on time.  A non-empty queue needs real per-cycle
+        work.
         """
-        if self._queue or self._refresh_remaining > 0:
-            return False
-        return True
+        return not self._queue
 
     def next_activity_cycle(self, cycle: int) -> int | None:
         """Earliest upcoming cycle whose tick is not a no-op.
@@ -208,19 +178,12 @@ class MemoryController:
         ``cycle`` is the next cycle the engine would execute; service
         countdown state reflects every tick before it.
         """
-        candidate: int | None = None
-        if self._in_service is not None:
-            # Ticks at cycle, cycle+1, ... decrement the countdown;
-            # completion (and on_response) happens on the tick that
-            # takes it to zero.
-            candidate = cycle + self._service_remaining - 1
-        if self.refresh_interval:
-            trigger = -(-cycle // self.refresh_interval) * self.refresh_interval
-            if trigger == 0:
-                trigger = self.refresh_interval
-            if candidate is None or trigger < candidate:
-                candidate = trigger
-        return candidate
+        if self._in_service is None:
+            return None
+        # Ticks at cycle, cycle+1, ... decrement the countdown;
+        # completion (and on_response) happens on the tick that takes
+        # it to zero.
+        return cycle + self._service_remaining - 1
 
     def on_cycles_skipped(self, start: int, cycles: int) -> None:
         """Replay ``cycles`` idle ticks of the service countdown.

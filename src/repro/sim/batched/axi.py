@@ -23,8 +23,7 @@ class AxiKernel:
         ports = core.n_ports
         self.ports = ports
         self.f = ic.fifo_capacity
-        self.lat = ic.pipeline_latency
-        self.interval = ic.arbitration_interval
+        self.lat = ic.PIPELINE_LATENCY
         self.window = ic._window
         self.fbuf = np.zeros((n, ports, self.f), dtype=np.int64)
         # empty key slots hold the BIG sentinel: arbitration and charges
@@ -80,8 +79,6 @@ class AxiKernel:
                 self.p_start[tt] = (at + 1) % self.pcap
                 self.p_len[tt] -= 1
                 self.core.enqueue_provider(tt, rids, keys)
-        if self.interval > 1 and cycle % self.interval:
-            return
         if not self.occ:
             return
         heads = self.fbuf[..., 0]

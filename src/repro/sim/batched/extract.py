@@ -83,10 +83,6 @@ def _check_controller(sim) -> None:
     _require(type(mc) is MemoryController, "non-default memory controller")
     _require(mc.policy is ArbitrationPolicy.FCFS, "non-FCFS controller policy")
     _require(
-        not mc.refresh_interval and mc._refresh_remaining == 0,
-        "refresh modelling enabled",
-    )
-    _require(
         not mc._queue and mc._in_service is None, "controller not fresh"
     )
     _require(
@@ -232,7 +228,6 @@ def signature_of(sim):
             "gsm",
             ic.n_clients,
             ic.fifo_capacity,
-            ic.slot_cycles,
             len(ic.frame),
         )
     elif type(ic) is AxiIcRtInterconnect:
@@ -240,8 +235,6 @@ def signature_of(sim):
             "axi",
             ic.n_clients,
             ic.fifo_capacity,
-            ic.pipeline_latency,
-            ic.arbitration_interval,
             ic.window,
         )
     else:  # BlueScaleInterconnect — _check_interconnect rejected others

@@ -67,7 +67,6 @@ class MuxTreeKernel:
             self.variant = "fcfs"
             self.alpha = 0
             self.streak = None
-            self.slot = ic.slot_cycles
             self.flen_frame = len(ic.frame)
             self.cap = ic.CREDIT_CAP
             self.frame = np.asarray(
@@ -86,13 +85,11 @@ class MuxTreeKernel:
     # -- client ingress ------------------------------------------------------
 
     def begin_cycle(self, cycle: int, active: np.ndarray) -> None:
-        if self.credits is None or cycle % self.slot:
+        if self.credits is None:
             return
-        # one credit (capped) to the owner of the slot starting now —
-        # the dense form of the scalar's lazy _refresh_credits
-        owner = self.frame[
-            self._n_idx, (cycle // self.slot) % self.flen_frame
-        ]
+        # one credit (capped) to the owner of this cycle's slot — the
+        # dense form of the scalar's lazy _refresh_credits
+        owner = self.frame[self._n_idx, cycle % self.flen_frame]
         current = self.credits[self._n_idx, owner]
         self.credits[self._n_idx, owner] = np.minimum(self.cap, current + 1)
 
@@ -175,7 +172,7 @@ class MuxTreeKernel:
         kbuf = self.kbuf[0][:, 0]
         length = self.length[0][:, 0]
         n_idx = self._n_idx
-        owner = self.frame[n_idx, (cycle // self.slot) % self.flen_frame]
+        owner = self.frame[n_idx, cycle % self.flen_frame]
         off = self._off
         valid = off[None, None, :] < length[..., None]
         cid = self.core.rclient[

@@ -143,17 +143,6 @@ class TestConfiguration:
         assert interconnect.apply_composition(new, cycle=900) == 0
         assert calls == []
 
-    def test_distributed_selection_matches_central_composition(self):
-        """Each SE resolving its own interface-selection problem from its
-        children's announcements yields the same interfaces as the global
-        compose() — the distributed parameter path is equivalent."""
-        tasksets = light_tasksets(16)
-        interconnect = BlueScaleInterconnect(16)
-        announced = interconnect.configure_distributed(tasksets)
-        central = compose(interconnect.topology, tasksets)
-        for node in central.interfaces:
-            assert announced[node] == central.interfaces[node], node
-
     def test_reprogram_client_requires_initial_configure(self):
         interconnect = BlueScaleInterconnect(16)
         with pytest.raises(ConfigurationError):
@@ -224,15 +213,3 @@ class TestConfiguration:
             job for job in clients[5].jobs if job.task_name == "joiner"
         ]
         assert any(job.finished for job in joiner_jobs)
-
-    def test_distributed_selection_matches_on_64_clients(self):
-        tasksets = light_tasksets(64, period=2000, wcet=3)
-        interconnect = BlueScaleInterconnect(64)
-        announced = interconnect.configure_distributed(tasksets)
-        central = compose(interconnect.topology, tasksets)
-        mismatches = [
-            node
-            for node in central.interfaces
-            if announced[node] != central.interfaces[node]
-        ]
-        assert not mismatches

@@ -21,7 +21,7 @@ from repro.experiments.churn import (
 from repro.experiments.factory import BLUESCALE_SEARCH, traffic_generators
 from repro.runtime.executor import TrialOutcome
 from repro.runtime.metrics import MetricSet
-from repro.scenarios import ScenarioDriver, ScenarioKind, replay_plan
+from repro.scenarios import ScenarioDriver, replay_plan
 from repro.soc import SoCSimulation
 from repro.tasks.taskset import TaskSet
 

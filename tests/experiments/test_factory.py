@@ -1,7 +1,5 @@
 """Tests for the experiment-level interconnect factory."""
 
-import random
-
 import pytest
 
 from repro.core.interconnect import BlueScaleInterconnect

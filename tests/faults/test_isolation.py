@@ -23,7 +23,6 @@ from repro.experiments.isolation import (
     format_isolation,
     run_isolation_trial,
 )
-from repro.faults.verify import BoundViolation
 from repro.runtime import ParallelExecutor, SerialExecutor
 
 CONFIG = IsolationConfig(trials=3)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware.frequency import (
-    arbitration_interval,
     axi_icrt_fmax_mhz,
     bluescale_fmax_mhz,
     legacy_fmax_mhz,
@@ -51,20 +50,6 @@ class TestFrequencyShapes:
         n = 64
         assert system_fmax_mhz(axi_icrt_fmax_mhz(n), n) == axi_icrt_fmax_mhz(n)
         assert system_fmax_mhz(bluescale_fmax_mhz(n), n) == legacy_fmax_mhz(n)
-
-
-class TestArbitrationInterval:
-    def test_full_speed_interconnect_gets_one(self):
-        assert arbitration_interval(16, bluescale_fmax_mhz(16)) == 1
-        assert arbitration_interval(16, axi_icrt_fmax_mhz(16)) == 1
-
-    def test_slow_arbiter_gets_multiple_slots(self):
-        assert arbitration_interval(64, axi_icrt_fmax_mhz(64)) >= 2
-
-    def test_interval_grows_with_scale(self):
-        at_64 = arbitration_interval(64, axi_icrt_fmax_mhz(64))
-        at_128 = arbitration_interval(128, axi_icrt_fmax_mhz(128))
-        assert at_128 >= at_64
 
 
 class TestPowerModel:

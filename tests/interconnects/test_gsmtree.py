@@ -176,18 +176,11 @@ class TestRootSchedule:
         interconnect = GsmTreeInterconnect(4, frame=[2, 0, 1])
         assert [interconnect.slot_owner(c) for c in range(6)] == [2, 0, 1, 2, 0, 1]
 
-    def test_slot_cycles_stretch_slots(self):
-        interconnect = GsmTreeInterconnect(4, frame=[0, 1], slot_cycles=3)
-        owners = [interconnect.slot_owner(c) for c in range(8)]
-        assert owners == [0, 0, 0, 1, 1, 1, 0, 0]
-
     def test_frame_validation(self):
         with pytest.raises(ConfigurationError):
             GsmTreeInterconnect(4, frame=[])
         with pytest.raises(ConfigurationError):
             GsmTreeInterconnect(4, frame=[5])
-        with pytest.raises(ConfigurationError):
-            GsmTreeInterconnect(4, slot_cycles=0)
 
     def test_slack_reclamation_keeps_tree_working(self):
         """Unused slots are reclaimed: a single client still gets its

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.interconnects.base import Interconnect, charge_blocking_against
+from repro.interconnects.base import Interconnect
 from repro.interconnects.bluetree import BlueTreeInterconnect
 from repro.interconnects.mux_tree import MuxNode
 from repro.memory.controller import MemoryController
@@ -50,14 +50,6 @@ class TestInterconnectBase:
         interconnect.begin_response(second, cycle=0)
         delivered = interconnect.tick_response_path(10_000)
         assert delivered == [first, second]
-
-    def test_charge_blocking_helper(self):
-        forwarded = make_request(deadline=500)
-        urgent = make_request(deadline=100)
-        relaxed = make_request(deadline=900)
-        charge_blocking_against(forwarded, [urgent, relaxed])
-        assert urgent.blocking_cycles == 1
-        assert relaxed.blocking_cycles == 0
 
     def test_abstract_base_enforces_interface(self):
         with pytest.raises(TypeError):

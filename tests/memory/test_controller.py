@@ -275,76 +275,6 @@ class TestReorderCap:
         assert MemoryController(FixedLatencyDevice(1)).reorder_cap is None
 
 
-class TestRefresh:
-    def test_refresh_stalls_service(self):
-        """During the tRFC window nothing is serviced; requests resume
-        where they paused afterwards."""
-        done = []
-        controller = MemoryController(
-            FixedLatencyDevice(1),
-            queue_capacity=16,
-            on_response=lambda r, c: done.append(c),
-            refresh_interval=10,
-            refresh_duration=3,
-        )
-        for _ in range(12):
-            controller.enqueue(make_request(), 0)
-        run_cycles(controller, 0, 20)
-        # cycles 10, 11, 12 are refresh stalls: at most 17 completions
-        assert controller.refresh_stall_cycles == 3
-        assert len(done) == 12
-        assert all(c <= 10 or c > 13 for c in done)
-
-    def test_refresh_adds_jitter_to_latency(self):
-        def worst_response(refresh_interval):
-            controller = MemoryController(
-                FixedLatencyDevice(2),
-                queue_capacity=8,
-                refresh_interval=refresh_interval,
-                refresh_duration=4 if refresh_interval else 0,
-            )
-            responses = []
-            controller.on_response = lambda r, c: responses.append(
-                c - r.arrive_controller_cycle
-            )
-            for cycle in range(60):
-                if cycle % 6 == 0 and controller.can_accept():
-                    controller.enqueue(make_request(release=cycle, deadline=cycle + 500), cycle)
-                controller.tick(cycle)
-            return max(responses)
-
-        assert worst_response(10) > worst_response(0)
-
-    def test_throughput_reduced_by_refresh_share(self):
-        def throughput(refresh_interval, refresh_duration):
-            controller = MemoryController(
-                FixedLatencyDevice(1),
-                queue_capacity=4,
-                refresh_interval=refresh_interval,
-                refresh_duration=refresh_duration,
-            )
-            for cycle in range(200):
-                if controller.can_accept():
-                    controller.enqueue(
-                        make_request(release=cycle, deadline=cycle + 10_000),
-                        cycle,
-                    )
-                controller.tick(cycle)
-            return controller.serviced
-
-        full = throughput(0, 0)
-        refreshed = throughput(20, 4)  # 20% of time refreshing
-        assert refreshed <= 0.85 * full
-
-    def test_refresh_validation(self):
-        with pytest.raises(ConfigurationError):
-            MemoryController(FixedLatencyDevice(1), refresh_interval=-1)
-        with pytest.raises(ConfigurationError):
-            MemoryController(
-                FixedLatencyDevice(1), refresh_interval=5, refresh_duration=5
-            )
-
-
 class TestIntrospection:
     def test_in_flight_counts_queue_and_service(self):
         controller = MemoryController(FixedLatencyDevice(5), queue_capacity=4)

@@ -8,9 +8,7 @@ from repro.errors import InfeasibleError
 from repro.scenarios import (
     ScenarioEvent,
     ScenarioKind,
-    ScenarioPlan,
     TransientBound,
-    TransientReport,
     changed_ports,
     compute_transient_bound,
     verify_transients,

@@ -168,17 +168,12 @@ def test_randomized_workloads_all_designs(seed):
 
 
 @pytest.mark.parametrize("name", ["BlueScale", "AXI-IC^RT", "GSMTree-FBSP"])
-def test_equivalence_with_dram_device_and_refresh(name):
-    """A slower DRAM device plus periodic refresh stalls exercises the
-    controller's completion/refresh activity declarations."""
+def test_equivalence_with_multicycle_device(name):
+    """A three-cycle device behind a short controller queue exercises
+    the controller's completion activity declaration and backpressure."""
 
     def controller():
-        return MemoryController(
-            FixedLatencyDevice(3),
-            queue_capacity=4,
-            refresh_interval=512,
-            refresh_duration=7,
-        )
+        return MemoryController(FixedLatencyDevice(3), queue_capacity=4)
 
     fast_run = _run_once(
         name, 0.3, fast=True, seed=2024, controller_factory=controller
@@ -186,7 +181,7 @@ def test_equivalence_with_dram_device_and_refresh(name):
     slow_run = _run_once(
         name, 0.3, fast=False, seed=2024, controller_factory=controller
     )
-    _assert_identical(f"{name}+refresh", fast_run, slow_run)
+    _assert_identical(f"{name}+3-cycle device", fast_run, slow_run)
     assert fast_run[0].cycles_skipped > 0
 
 

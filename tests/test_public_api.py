@@ -79,8 +79,12 @@ class TestTopLevelExports:
         ``TrialSpec.sim_backend``), trace capture/replay, the client
         issue policies (every client issues EDF), the fault kinds other
         than the rogue burst (a fault is a rogue burst, so the kind enum
-        and its orchestrator factory went too) and the list wrapper over
-        ``grid_verdicts`` are gone from the public surface."""
+        and its orchestrator factory went too), the list wrapper over
+        ``grid_verdicts``, the Scale Element's own interface selector
+        (``compose`` is the one selection), the arbitration-interval
+        model that only fed a simulator setting, the blocking helper no
+        design called and the unreferenced design-cost table are gone
+        from the public surface."""
         import importlib
 
         import repro.analysis
@@ -88,6 +92,8 @@ class TestTopLevelExports:
         import repro.core
         import repro.experiments
         import repro.faults
+        import repro.hardware
+        import repro.interconnects
         import repro.runtime
         import repro.sim
 
@@ -116,8 +122,20 @@ class TestTopLevelExports:
             "MultiMemoryResult",
             "MultiMemorySystem",
             "run_multi_memory_trial",
+            "InterfaceSelector",
+            "TaskParameterTable",
+            "TableEntry",
+            "SelectedServer",
         ):
             assert name not in repro.core.__all__
+            assert not hasattr(repro.core, name)
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.interface_selector")
+        for name in ("arbitration_interval", "DESIGN_COSTS"):
+            assert name not in repro.hardware.__all__
+            assert not hasattr(repro.hardware, name)
+        assert "charge_blocking_against" not in repro.interconnects.__all__
+        assert not hasattr(repro.interconnects, "charge_blocking_against")
         for name in (
             "set_default_cache",
             "resolve_cache",
@@ -196,6 +214,41 @@ class TestTopLevelExports:
             params = set(inspect.signature(client).parameters)
             assert not params & names, client.__name__
 
+    def test_fabrics_take_only_the_settings_experiments_use(self):
+        """A BlueScale fabric gets its interfaces only from ``compose``
+        (no SE-local selector or parameter table); the controller has
+        no refresh model; the AXI-IC^RT arbiter decides every cycle
+        behind a fixed two-stage pipeline; a GSMTree TDM slot is one
+        cycle.  None of that is a parameter."""
+        import inspect
+
+        from repro.core.interconnect import BlueScaleInterconnect
+        from repro.core.scale_element import ScaleElement
+        from repro.interconnects import AxiIcRtInterconnect, GsmTreeInterconnect
+        from repro.memory.controller import MemoryController
+        from repro.memory.dram import FixedLatencyDevice
+
+        retired = {
+            ScaleElement: {"table_depth"},
+            MemoryController: {"refresh_interval", "refresh_duration"},
+            AxiIcRtInterconnect: {"pipeline_latency", "arbitration_interval"},
+            GsmTreeInterconnect: {"slot_cycles"},
+        }
+        for fabric, names in retired.items():
+            params = set(inspect.signature(fabric).parameters)
+            assert not params & names, fabric.__name__
+        assert not hasattr(BlueScaleInterconnect, "configure_distributed")
+        assert not hasattr(ScaleElement(node=(0, 0)), "selector")
+        controller = MemoryController(FixedLatencyDevice(1))
+        for name in ("refresh_stall_cycles", "_refresh_remaining"):
+            assert not hasattr(controller, name)
+        assert AxiIcRtInterconnect.PIPELINE_LATENCY == 2
+        axi = AxiIcRtInterconnect(4)
+        for name in ("arbitration_interval", "pipeline_latency"):
+            assert not hasattr(axi, name)
+        assert axi.response_latency(0) == 2
+        assert not hasattr(GsmTreeInterconnect(4), "slot_cycles")
+
     def test_analysis_runs_under_one_ctx(self):
         """How an analysis runs is one value, ``ctx=`` (an
         ``AnalysisContext``): no public analysis function or BlueScale
@@ -217,7 +270,7 @@ class TestTopLevelExports:
             "AnalysisContext.__init__",
         }
         subjects = {"build_interconnect": build_interconnect}
-        for name in ("configure", "reprogram_client", "configure_distributed"):
+        for name in ("configure", "reprogram_client"):
             subjects[f"BlueScaleInterconnect.{name}"] = getattr(
                 BlueScaleInterconnect, name
             )

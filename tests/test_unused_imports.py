@@ -1,4 +1,5 @@
-"""No module under ``src/`` imports a name it never uses.
+"""No module under ``src/``, ``tests/``, ``examples/`` or ``scripts/``
+imports a name it never uses.
 
 A module-level import counts as used when its bound name is read
 anywhere in the module, appears in a string annotation (a
@@ -12,7 +13,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = ("src", "tests", "examples", "scripts")
 
 
 def _module_imports(tree: ast.Module):
@@ -89,10 +91,11 @@ def test_scanner_sees_what_it_must():
     assert unused_imports(source) == [(4, "field"), (6, "Unused")]
 
 
-def test_no_unused_module_level_imports_in_src():
+def test_no_unused_module_level_imports():
     offenders = [
-        f"{path.relative_to(SRC)}:{line}: {name}"
-        for path in sorted(SRC.rglob("*.py"))
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for top in SCANNED
+        for path in sorted((ROOT / top).rglob("*.py"))
         if path.name != "__init__.py"
         for line, name in unused_imports(path.read_text())
     ]
