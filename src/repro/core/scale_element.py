@@ -46,20 +46,11 @@ class ScaleElement:
         self,
         node: NodeId,
         buffer_capacity: int = PORT_BUFFER_DEPTH,
-        interfaces: list[ResourceInterface] | None = None,
         fanout: int | None = None,
     ) -> None:
         self.fanout = fanout if fanout is not None else self.FANOUT
         if self.fanout < 2:
             raise ConfigurationError(f"SE fanout must be >= 2, got {self.fanout}")
-        if interfaces is None:
-            # Until configured, every port gets a background (idle)
-            # interface: traffic still flows, EDF order only.
-            interfaces = [ResourceInterface(1, 0)] * self.fanout
-        if len(interfaces) != self.fanout:
-            raise ConfigurationError(
-                f"SE needs {self.fanout} interfaces, got {len(interfaces)}"
-            )
         self.node = node
         #: observability site label (precomputed; used only for traced
         #: requests, via ``request.trace_ctx`` duck typing)
@@ -67,7 +58,11 @@ class ScaleElement:
         self.buffers = [
             RandomAccessBuffer(buffer_capacity) for _ in range(self.fanout)
         ]
-        self.scheduler = LocalScheduler(interfaces)
+        # Until programmed (:meth:`program_port`), every port gets a
+        # background (idle) interface: traffic still flows, EDF order only.
+        self.scheduler = LocalScheduler(
+            [ResourceInterface(1, 0)] * self.fanout
+        )
         self.forward_to_provider: ForwardHook | None = None
         self.forwarded = 0
         self.stalled_cycles = 0
@@ -121,6 +116,8 @@ class ScaleElement:
         self, port: int, interface: ResourceInterface, now: int = 0
     ) -> None:
         """Program one server task's (Π, Θ) via the parameter path."""
+        if not 0 <= port < self.fanout:
+            raise ConfigurationError(f"port {port} out of range")
         self.sync_to(now)
         self.scheduler.reprogram_port(port, interface, now)
         self._wake = 0  # fresh budgets invalidate any cached gating

@@ -110,10 +110,6 @@ class DramDevice:
         bank = self.bank_of(request.address)
         return self._open_rows[bank] == self.row_of(request.address)
 
-    def precharge_all(self) -> None:
-        """Close every row buffer (refresh boundary)."""
-        self._open_rows = [None] * self.n_banks
-
     @property
     def total_accesses(self) -> int:
         return self.hits + self.misses + self.conflicts

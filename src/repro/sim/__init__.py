@@ -3,7 +3,7 @@
 Two interchangeable execution backends live underneath
 (:mod:`repro.sim.backend`): the scalar reference engine
 (:class:`Engine`) and the batched structure-of-arrays backend
-(:func:`run_many`), which advances many structurally-identical trials
+(:func:`run_many`), which advances many trials sharing a client roster
 in lock-step and produces bit-identical results.
 """
 

@@ -1,18 +1,23 @@
 """`run_many`: the public entry point of the batched SoA backend.
 
-Groups structurally-identical simulations (same design, geometry and
-client roster — per-trial workloads, budgets and horizons may differ),
-compiles each into a :class:`~repro.sim.batched.extract.TrialPlan` and
-advances the whole group in lock-step; rogue-burst fault plans compile
-into the release schedule.  Anything the kernels cannot represent —
-tracing, scenario plans, exotic controllers or clients — transparently
-falls back to ``sim.run`` on the scalar engine, so callers always get
-the full result list in input order, bit-identical to running each
-trial on the scalar engine.
+Groups simulations that share a port count, client roster and
+controller — whatever their design; per-trial workloads, fabric
+parameters and horizons may differ — compiles each into a
+:class:`~repro.sim.batched.extract.TrialPlan` and advances the whole
+group in lock-step through one
+:class:`~repro.sim.batched.core.BatchCore`, with one fabric kernel per
+run of rows that share a :func:`~repro.sim.batched.extract.kernel_key`;
+rogue-burst fault plans compile into the release schedule.  Anything
+the kernels cannot represent — tracing, scenario plans, exotic
+controllers or clients — transparently falls back to ``sim.run`` on
+the scalar engine, so callers always get the full result list in
+input order, bit-identical to running each trial on the scalar
+engine.
 """
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from typing import Sequence
 
@@ -21,6 +26,7 @@ from repro.sim.backend import resolve_sim_backend
 from repro.sim.batched.extract import (
     Ineligible,
     extract_plan,
+    kernel_key,
     signature_of,
 )
 from repro.soc import SoCSimulation, TrialResult
@@ -59,30 +65,33 @@ def _per_trial(value, n: int, default=None) -> list:
     return values
 
 
-def _make_kernel(core, sims):
-    ic = sims[0].interconnect
-    from repro.core.interconnect import BlueScaleInterconnect
-    from repro.interconnects.axi_icrt import AxiIcRtInterconnect
-
-    if isinstance(ic, AxiIcRtInterconnect):
+def _make_kernel(kind: str, rows, sims):
+    if kind == "axi":
         from repro.sim.batched.axi import AxiKernel
 
-        return AxiKernel(core, sims)
-    if isinstance(ic, BlueScaleInterconnect):
+        return AxiKernel(rows, sims)
+    if kind == "bluescale":
         from repro.sim.batched.bluescale import BlueScaleKernel
 
-        return BlueScaleKernel(core, sims)
+        return BlueScaleKernel(rows, sims)
     from repro.sim.batched.muxtree import MuxTreeKernel
 
-    return MuxTreeKernel(core, sims)
+    return MuxTreeKernel(rows, sims)
 
 
 def _run_group(sims, plans) -> list[TrialResult]:
+    """One lock-step loop over ``sims``; each run of consecutive trials
+    with one :func:`kernel_key` is ticked by its own fabric kernel."""
     from repro.sim.batched.core import BatchCore
 
     core = BatchCore(sims, plans)
-    kernel = _make_kernel(core, sims)
-    core.run(kernel)
+    kernels = []
+    lo = 0
+    for key, run in itertools.groupby(sims, key=kernel_key):
+        hi = lo + len(list(run))
+        kernels.append(_make_kernel(key[0], core.rows(lo, hi), sims[lo:hi]))
+        lo = hi
+    core.run(kernels)
     return [core.finalize(t) for t in range(len(sims))]
 
 
@@ -121,7 +130,7 @@ def run_many(
             for i, sim in enumerate(sims)
         ]
     results: list[TrialResult | None] = [None] * n
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple, dict[tuple, list[int]]] = {}
     for i, sim in enumerate(sims):
         try:
             signature = signature_of(sim)
@@ -130,8 +139,12 @@ def run_many(
                 horizons[i], drain=drains[i], warmup=warmups[i]
             )
             continue
-        groups.setdefault(signature, []).append(i)
-    for indices in groups.values():
+        groups.setdefault(signature, {}).setdefault(
+            kernel_key(sim), []
+        ).append(i)
+    for by_kernel in groups.values():
+        # each kernel's trials form one contiguous run of rows
+        indices = [i for run in by_kernel.values() for i in run]
         for lo in range(0, len(indices), MAX_GROUP):
             chunk = indices[lo : lo + MAX_GROUP]
             members: list[int] = []

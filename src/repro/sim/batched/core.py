@@ -1,6 +1,7 @@
 """The lock-step batch driver shared by all interconnect kernels.
 
-`BatchCore` owns everything that is *not* the interconnect fabric:
+`BatchCore` owns everything that is *not* the interconnect fabric, for
+every trial of a group whatever its design:
 
 * per-request tables padded to ``(N, Rmax)`` — encoded priority keys,
   accumulated blocking cycles, completion cycles,
@@ -10,14 +11,19 @@
   for vectorized injection gating,
 * the FCFS fixed-latency memory controller as a ring queue over the
   trial axis, and
-* the response path as a modular ring of size ``latency + 2`` (at most
-  one completion per cycle per trial, constant per-design latency, so
-  at most one delivery per cycle per trial).
+* the response path as a modular ring of size ``max latency + 2`` (at
+  most one completion per cycle per trial, each trial's latency
+  constant, so at most one delivery per cycle per trial).
+
+The fabric is ticked by one kernel per design family.  The trials a
+kernel covers are a contiguous run of rows, and the kernel sees the
+core through a :class:`CoreRows` window onto those rows, so it indexes
+the shared arrays with its own row numbers.
 
 Each cycle replays the scalar engine's stage order exactly: client
 releases + injections (rogue-burst releases compiled into the plan
 land *before* client releases of the same cycle, like the scalar
-faults stage), fabric (root-first, delegated to the kernel),
+faults stage), fabric (root-first, delegated to the kernels),
 controller, response delivery.  The result assembly mirrors
 ``SoCSimulation._collect`` bit for bit — same trace-record bytes into
 the same sha256, same recorder streams, same job-outcome fold, same
@@ -49,8 +55,41 @@ from repro.soc import TrialResult
 EMPTY = np.int64(BIG)
 
 
+class CoreRows:
+    """One kernel's window onto rows ``lo:hi`` of a :class:`BatchCore`.
+
+    The per-request tables are views, so a kernel reads keys and charges
+    blocking with its own row numbers; the provider interface shifts
+    them back to core rows.
+    """
+
+    def __init__(self, core: "BatchCore", lo: int, hi: int) -> None:
+        rows = slice(lo, hi)
+        self.lo = lo
+        self.hi = hi
+        self.n = hi - lo
+        self.n_ports = core.n_ports
+        self.client_ids = core.client_ids
+        self.rmax = core.rmax
+        self.key = core.key[rows]
+        self.rclient = core.rclient[rows]
+        self.blocking = core.blocking[rows]
+        self._q_len = core.q_len[rows]
+        self._qcap = core.qcap
+        self._core = core
+
+    def provider_space(self) -> np.ndarray:
+        """(n,) bool — can the controller accept a request this cycle?"""
+        return self._q_len < self._qcap
+
+    def enqueue_provider(self, trials, rids, keys) -> None:
+        """Root forward into the controller queue (at most one/trial)."""
+        self._core.enqueue_provider(trials + self.lo, rids, keys)
+
+
 class BatchCore:
-    """State and driver for one group of structurally-identical trials."""
+    """State and driver for one group of trials sharing a client roster
+    and a controller."""
 
     def __init__(self, sims, plans: list[TrialPlan]) -> None:
         self.sims = sims
@@ -151,18 +190,24 @@ class BatchCore:
         self.serving_key = np.full(n, EMPTY, dtype=np.int64)
         self.serving_count = 0
         self.remaining = np.zeros(n, dtype=np.int64)
-        # response ring
-        self.latency = sims[0].interconnect.response_latency(
-            clients[0].client_id
+        # response ring (the latency is uniform within a trial)
+        self.latency = np.asarray(
+            [
+                sim.interconnect.response_latency(clients[0].client_id)
+                for sim in sims
+            ],
+            dtype=np.int64,
         )
-        self.ring_size = self.latency + 2
+        self.ring_size = int(self.latency.max()) + 2
         self.ring = np.full((n, self.ring_size), -1, dtype=np.int64)
+        self.space = np.zeros((n, c), dtype=bool)
+        self.kernels = []
 
     # -- provider interface for the kernels ---------------------------------
 
-    def provider_space(self) -> np.ndarray:
-        """(N,) bool — can the controller accept a request this cycle?"""
-        return self.q_len < self.qcap
+    def rows(self, lo: int, hi: int) -> CoreRows:
+        """The window a kernel ticking rows ``lo:hi`` sees."""
+        return CoreRows(self, lo, hi)
 
     def enqueue_provider(self, trials, rids, keys) -> None:
         """Root forward into the controller queue (at most one/trial)."""
@@ -205,7 +250,7 @@ class BatchCore:
         self.unreleased_events -= ptr - self.ev_ptr
         self.ev_ptr = ptr
 
-    def _stage_injections(self, cycle: int, kernel) -> None:
+    def _stage_injections(self, cycle: int) -> None:
         if not self.total_pending or cycle >= self.hmax:
             return
         mask = self.head_key != EMPTY
@@ -213,7 +258,10 @@ class BatchCore:
             mask &= (cycle < self.horizon)[:, None]
         if not self.all_interval1:
             mask &= cycle - self.last_inject >= self.intervals
-        mask &= kernel.inject_space(cycle)
+        space = self.space
+        for kernel in self.kernels:
+            space[kernel.core.lo : kernel.core.hi] = kernel.inject_space(cycle)
+        mask &= space
         trials, cols = np.nonzero(mask)
         if not len(trials):
             return
@@ -237,7 +285,13 @@ class BatchCore:
         # several clients of one trial may inject in the same cycle —
         # accumulate, don't fancy-assign
         np.add.at(self.live, trials, 1)
-        kernel.accept(cycle, trials, cols, rids)
+        # nonzero() lists trials in row order: one slice per kernel
+        cuts = np.searchsorted(trials, self.bounds).tolist()
+        for kernel, a, b in zip(self.kernels, cuts, cuts[1:]):
+            if a < b:
+                kernel.accept(
+                    cycle, trials[a:b] - kernel.core.lo, cols[a:b], rids[a:b]
+                )
 
     def _stage_controller(self, cycle: int, active: np.ndarray) -> None:
         if not self.total_queued and not self.serving_count:
@@ -272,7 +326,7 @@ class BatchCore:
         done = busy & (self.remaining == 0)
         if done.any():
             t = np.nonzero(done)[0]
-            slot = (cycle + 1 + self.latency) % self.ring_size
+            slot = (cycle + 1 + self.latency[t]) % self.ring_size
             self.ring[t, slot] = self.serving[t]
             self.serving[t] = -1
             self.serving_key[t] = EMPTY
@@ -294,14 +348,21 @@ class BatchCore:
 
     # -- driver --------------------------------------------------------------
 
-    def run(self, kernel) -> None:
+    def run(self, kernels) -> None:
+        """Advance every trial to its end; ``kernels`` tick contiguous
+        runs of rows, in row order, and together cover all of them."""
+        self.kernels = kernels
+        self.bounds = [kernel.core.lo for kernel in kernels] + [self.n]
+        windows = [slice(k.core.lo, k.core.hi) for k in kernels]
         total = self.total
         for cycle in range(self.max_total):
             active = cycle < total
-            kernel.begin_cycle(cycle, active)
+            for kernel, rows in zip(kernels, windows):
+                kernel.begin_cycle(cycle, active[rows])
             self._stage_releases(cycle)
-            self._stage_injections(cycle, kernel)
-            kernel.tick(cycle, active)
+            self._stage_injections(cycle)
+            for kernel, rows in zip(kernels, windows):
+                kernel.tick(cycle, active[rows])
             self._stage_controller(cycle, active)
             self._stage_responses(cycle, active)
             if (

@@ -210,40 +210,16 @@ def batched_supported(sim) -> bool:
 
 
 def signature_of(sim):
-    """Structural grouping key: trials with equal signatures advance in
-    lock-step through one kernel instance (per-trial values such as
-    budgets, frames, and server parameters become array axes)."""
+    """Grouping key: trials with equal signatures advance in lock-step
+    through one :class:`~repro.sim.batched.core.BatchCore`.
+
+    A group shares what the core's loop cannot hold per trial: the port
+    count, the client roster and the controller.  Trials of every
+    design share one core; :func:`kernel_key` then splits a group into
+    the fabric kernels that tick its rows.  Everything else — response
+    latency, budgets, frames, FIFO capacities, server parameters — is a
+    per-trial column."""
     check_supported(sim)
-    ic = sim.interconnect
-    if type(ic) in (BlueTreeInterconnect, BlueTreeSmoothInterconnect):
-        design = (
-            "mux",
-            type(ic).__name__,
-            ic.n_clients,
-            ic.fifo_capacity,
-            getattr(ic, "alpha", 0),
-        )
-    elif type(ic) is GsmTreeInterconnect:
-        design = (
-            "gsm",
-            ic.n_clients,
-            ic.fifo_capacity,
-            len(ic.frame),
-        )
-    elif type(ic) is AxiIcRtInterconnect:
-        design = (
-            "axi",
-            ic.n_clients,
-            ic.fifo_capacity,
-            ic.window,
-        )
-    else:  # BlueScaleInterconnect — _check_interconnect rejected others
-        design = (
-            "bluescale",
-            ic.n_clients,
-            ic.topology.fanout,
-            ic.elements[(0, 0)].buffers[0].capacity,
-        )
     clients = tuple(
         (
             type(client).__name__,
@@ -255,10 +231,30 @@ def signature_of(sim):
     )
     mc = sim.controller
     return (
-        design,
+        sim.interconnect.n_clients,
         clients,
         (mc.device.cycles_per_access, mc.queue_capacity),
-        sim.interconnect.response_latency(sim.clients[0].client_id),
+    )
+
+
+def kernel_key(sim) -> tuple:
+    """Which fabric kernel ticks this trial within its group.
+
+    Every mux-tree design shares one kernel — FIFO capacity, BlueTree
+    α, FCFS vs streak arbitration and the GSMTree frame are per-trial
+    columns of :class:`~repro.sim.batched.muxtree.MuxTreeKernel`.  AXI
+    trials share a kernel per FIFO capacity and regulation window,
+    BlueScale trials per fanout and port-buffer depth."""
+    ic = sim.interconnect
+    if type(ic) in _MUX_TYPES:
+        return ("mux",)
+    if type(ic) is AxiIcRtInterconnect:
+        return ("axi", ic.fifo_capacity, ic.window)
+    # BlueScaleInterconnect — _check_interconnect rejected the others
+    return (
+        "bluescale",
+        ic.topology.fanout,
+        ic.elements[(0, 0)].buffers[0].capacity,
     )
 
 

@@ -55,6 +55,17 @@ def make_request(
     )
 
 
+def programmed_se(interfaces, node=(0, 0), **kwargs):
+    """A Scale Element whose ports carry ``interfaces``, programmed
+    through ``program_port`` the way ``apply_composition`` does it."""
+    from repro.core.scale_element import ScaleElement
+
+    element = ScaleElement(node, **kwargs)
+    for port, interface in enumerate(interfaces):
+        element.program_port(port, interface, now=0)
+    return element
+
+
 @pytest.fixture
 def kernel_groups(monkeypatch) -> list[int]:
     """Spy on the lock-step kernels: one entry (the group size) per

@@ -6,14 +6,12 @@ from repro.analysis.prm import ResourceInterface
 from repro.core.scale_element import ScaleElement
 from repro.errors import ConfigurationError
 
-from tests.conftest import make_request
+from tests.conftest import make_request, programmed_se
 
 
 def full_bandwidth_se(node=(0, 0), capacity=4):
-    return ScaleElement(
-        node,
-        buffer_capacity=capacity,
-        interfaces=[ResourceInterface(1, 1)] * 4,
+    return programmed_se(
+        [ResourceInterface(1, 1)] * 4, node, buffer_capacity=capacity
     )
 
 
@@ -44,8 +42,10 @@ class TestIngress:
             full_bandwidth_se().try_accept(4, make_request())
 
     def test_needs_exactly_four_interfaces(self):
+        se = ScaleElement((0, 0))
+        assert len(se.interfaces()) == 4
         with pytest.raises(ConfigurationError):
-            ScaleElement((0, 0), interfaces=[ResourceInterface(1, 1)] * 3)
+            se.program_port(4, ResourceInterface(1, 1))
 
 
 class TestForwarding:
@@ -96,15 +96,14 @@ class TestForwarding:
     def test_budget_gates_forwarding(self):
         """Port 0 gets (Pi=4, Theta=1): with a backlog it forwards once
         per period, even though the SE is otherwise idle."""
-        se = ScaleElement(
-            (0, 0),
-            buffer_capacity=8,
-            interfaces=[
+        se = programmed_se(
+            [
                 ResourceInterface(4, 1),
                 ResourceInterface(1000, 1),
                 ResourceInterface(1000, 1),
                 ResourceInterface(1000, 1),
             ],
+            buffer_capacity=8,
         )
         sink = Sink()
         se.forward_to_provider = sink
@@ -120,9 +119,8 @@ class TestBlockingAccounting:
         """Port 1's earlier-deadline request waits (its server deadline is
         later) while port 0 forwards a later-deadline request: that is
         priority inversion and port 1's request is charged."""
-        se = ScaleElement(
-            (0, 0),
-            interfaces=[
+        se = programmed_se(
+            [
                 ResourceInterface(2, 1),  # port 0: earliest server deadline
                 ResourceInterface(50, 25),
                 ResourceInterface(60, 30),
@@ -140,9 +138,8 @@ class TestBlockingAccounting:
     def test_budgetless_waiter_not_charged(self):
         """A port waiting only because its budget is exhausted is being
         shaped, not blocked — no blocking charge."""
-        se = ScaleElement(
-            (0, 0),
-            interfaces=[
+        se = programmed_se(
+            [
                 ResourceInterface(50, 25),
                 ResourceInterface(100, 1),
                 ResourceInterface(60, 30),
@@ -165,14 +162,14 @@ class TestBlockingAccounting:
 
 class TestFanoutVariants:
     def test_binary_se_has_two_ports(self):
-        se = ScaleElement((0, 0), fanout=2, interfaces=[ResourceInterface(1, 1)] * 2)
+        se = programmed_se([ResourceInterface(1, 1)] * 2, fanout=2)
         assert len(se.buffers) == 2
         assert se.try_accept(1, make_request())
         with pytest.raises(ConfigurationError):
             se.try_accept(2, make_request())
 
     def test_binary_se_forwards_edf(self):
-        se = ScaleElement((0, 0), fanout=2, interfaces=[ResourceInterface(1, 1)] * 2)
+        se = programmed_se([ResourceInterface(1, 1)] * 2, fanout=2)
         sink = Sink()
         se.forward_to_provider = sink
         late = make_request(deadline=500)
@@ -184,8 +181,10 @@ class TestFanoutVariants:
         assert [r for r, _ in sink.received] == [urgent, late]
 
     def test_interface_count_must_match_fanout(self):
+        se = ScaleElement((0, 0), fanout=2)
+        assert len(se.interfaces()) == 2
         with pytest.raises(ConfigurationError):
-            ScaleElement((0, 0), fanout=2, interfaces=[ResourceInterface(1, 1)] * 4)
+            se.program_port(2, ResourceInterface(1, 1))
 
     def test_fanout_below_two_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -196,5 +196,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert sum(kernel_groups) == 8  # 4 designs x (baseline + faulted)
+        assert len(kernel_groups) == 1  # one shared client roster
         assert "Isolation" in out
         assert "BlueScale" in out

@@ -91,14 +91,6 @@ class TestRowBufferBehaviour:
         assert dram.total_accesses == 0
         assert dram.open_row(0) is None
 
-    def test_precharge_all_closes_rows(self):
-        dram = DramDevice()
-        dram.access(request_at(0))
-        dram.precharge_all()
-        assert dram.open_row(dram.bank_of(0)) is None
-        # next access misses again (not a conflict)
-        assert dram.access(request_at(0)) == dram.timing.row_miss_cycles
-
     def test_hit_ratio(self):
         dram = DramDevice()
         dram.access(request_at(0))

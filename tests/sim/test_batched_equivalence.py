@@ -153,9 +153,10 @@ def test_batched_with_accelerator_client(name):
     )
 
 
-def test_mixed_designs_one_call():
-    """One ``run_many`` over all six designs at once: grouping by
-    structural signature keeps every trial on its own kernel."""
+def test_mixed_designs_one_call(kernel_groups):
+    """One ``run_many`` over all six designs at once: trials sharing a
+    client roster run as one lock-step group, each on its own design's
+    kernel."""
     seeds = [1, 2]
     sims = [
         build_sim(name, 16, 0.3, seed)
@@ -163,6 +164,7 @@ def test_mixed_designs_one_call():
         for seed in seeds
     ]
     results = run_many(sims, HORIZON, drain=DRAIN, backend="batched")
+    assert kernel_groups == [len(sims)]
     at = 0
     for name in INTERCONNECT_NAMES:
         for seed in seeds:

@@ -17,7 +17,7 @@ from repro.sim.invariants import (
 from repro.soc import SoCSimulation
 from repro.tasks.generators import generate_client_tasksets
 
-from tests.conftest import make_request
+from tests.conftest import make_request, programmed_se
 
 
 class AcceptingSink:
@@ -27,7 +27,7 @@ class AcceptingSink:
 
 class TestStructuralMonitor:
     def test_clean_element_passes(self):
-        element = ScaleElement((0, 0), interfaces=[ResourceInterface(4, 2)] * 4)
+        element = programmed_se([ResourceInterface(4, 2)] * 4)
         element.forward_to_provider = AcceptingSink()
         monitor = StructuralMonitor(element)
         element.try_accept(0, make_request())
@@ -37,7 +37,7 @@ class TestStructuralMonitor:
         assert monitor.checks == 10
 
     def test_detects_corrupted_budget(self):
-        element = ScaleElement((0, 0), interfaces=[ResourceInterface(4, 2)] * 4)
+        element = programmed_se([ResourceInterface(4, 2)] * 4)
         monitor = StructuralMonitor(element)
         # corrupt the hardware state the way a model bug would
         element.scheduler.servers[1].counters.b_counter.value = 99
@@ -75,15 +75,14 @@ class TestSbfComplianceMonitor:
         monitor.finalize(cycles)
 
     def test_compliant_element_passes(self):
-        element = ScaleElement(
-            (0, 0),
-            buffer_capacity=8,
-            interfaces=[
+        element = programmed_se(
+            [
                 ResourceInterface(4, 1),
                 ResourceInterface(1000, 1),
                 ResourceInterface(1000, 1),
                 ResourceInterface(1000, 1),
             ],
+            buffer_capacity=8,
         )
         element.forward_to_provider = AcceptingSink()
         monitor = SbfComplianceMonitor(element)
@@ -92,10 +91,8 @@ class TestSbfComplianceMonitor:
 
     def test_detects_withheld_service(self):
         """A scheduler that never grants port 0 violates its contract."""
-        element = ScaleElement(
-            (0, 0),
-            buffer_capacity=8,
-            interfaces=[ResourceInterface(4, 2)] * 4,
+        element = programmed_se(
+            [ResourceInterface(4, 2)] * 4, buffer_capacity=8
         )
         element.forward_to_provider = AcceptingSink()
         # sabotage: the scheduler never selects any port
@@ -106,8 +103,8 @@ class TestSbfComplianceMonitor:
 
     def test_output_stall_voids_the_interval(self):
         """Backpressure is not a contract violation."""
-        element = ScaleElement(
-            (0, 0), buffer_capacity=8, interfaces=[ResourceInterface(4, 2)] * 4
+        element = programmed_se(
+            [ResourceInterface(4, 2)] * 4, buffer_capacity=8
         )
         element.forward_to_provider = lambda request, cycle: False  # stalled
         monitor = SbfComplianceMonitor(element)
