@@ -17,7 +17,8 @@ Families:
   regenerate together.
 * ``interfaces`` — ``tests/fixtures/golden_interfaces.json``: the
   selected ``(Π, Θ)`` per quadtree level for the canonical topologies,
-  produced by the *scalar* oracle.
+  produced by the exact test oracle (``tests/analysis/oracle.py``)
+  rather than the engine it checks.
 * ``campaign`` — ``tests/fixtures/golden_campaign.json``: the golden
   baseline of the committed CI campaign spec (``campaigns/ci.json``),
   diffed in CI by ``repro campaign diff``.
@@ -95,7 +96,7 @@ def build_traces() -> dict[Path, str]:
 
 
 def build_interfaces() -> dict[Path, str]:
-    """The scalar-oracle composition snapshots."""
+    """The composition snapshots, selected by the test oracle."""
     from repro.analysis import AnalysisContext, compose
     from repro.analysis.cache import DISABLED
 
@@ -105,15 +106,15 @@ def build_interfaces() -> dict[Path, str]:
         composition_snapshot,
         golden_system,
     )
+    from tests.analysis import oracle
 
     snapshots = {}
     for n_clients in GOLDEN_SIZES:
         topology, tasksets = golden_system(n_clients)
-        result = compose(
-            topology,
-            tasksets,
-            ctx=AnalysisContext(backend="scalar", cache=DISABLED),
-        )
+        with oracle.installed():
+            result = compose(
+                topology, tasksets, ctx=AnalysisContext(cache=DISABLED)
+            )
         snapshots[str(n_clients)] = composition_snapshot(result)
     return {FIXTURE_PATH: json.dumps(snapshots, indent=2) + "\n"}
 

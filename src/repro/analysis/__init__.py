@@ -1,13 +1,13 @@
 """Schedulability analysis: periodic resource model, Theorems 1 & 2,
 interface selection and hierarchical composition (paper Sec. 5).
 
-How an analysis runs is one value, :class:`AnalysisContext` (backend +
-memo cache + selection config), passed as ``ctx=`` to every function
-here.  Two interchangeable backends evaluate the dbf<=sbf machinery:
-the original ``scalar`` reference oracle and a numpy-backed
-``vectorized`` engine that batches candidate interfaces over shared,
-memoized step-point grids (:mod:`repro.analysis.context`,
-:mod:`repro.analysis.vectorized`, :mod:`repro.analysis.cache`)."""
+How an analysis runs is one value, :class:`AnalysisContext` (memo cache
++ selection config), passed as ``ctx=`` to every function here.  One
+numpy-backed engine evaluates the dbf<=sbf machinery, batching
+candidate interfaces over shared, memoized step-point grids
+(:mod:`repro.analysis.context`, :mod:`repro.analysis.vectorized`,
+:mod:`repro.analysis.cache`); the test suite checks it against an
+independent exact oracle written from the definitions."""
 
 from repro.analysis.cache import (
     AnalysisCache,
@@ -17,7 +17,6 @@ from repro.analysis.cache import (
     taskset_key,
 )
 from repro.analysis.context import (
-    BACKENDS,
     DEFAULT_CONFIG,
     AnalysisContext,
     SelectionConfig,
@@ -25,7 +24,6 @@ from repro.analysis.context import (
 from repro.analysis.prm import (
     ResourceInterface,
     dbf,
-    dbf_step_points,
     dbf_task,
     sbf,
     sbf_linear_lower_bound,
@@ -33,13 +31,10 @@ from repro.analysis.prm import (
 from repro.analysis.schedulability import (
     SchedulabilityResult,
     is_schedulable,
-    is_schedulable_exhaustive,
     theorem1_bound,
 )
 from repro.analysis.interface_selection import (
     SelectionResult,
-    brute_force_minimum_bandwidth,
-    minimal_budget_for_period,
     minimal_budgets_for_periods,
     select_interface,
     theorem2_period_bound,
@@ -73,7 +68,6 @@ from repro.analysis.response_time import (
     end_to_end_bound,
     holistic_response_bounds,
     supply_inverse,
-    wcrt_on_interface,
 )
 
 __all__ = [
@@ -81,7 +75,6 @@ __all__ = [
     "AdmissionSession",
     "AnalysisCache",
     "AnalysisContext",
-    "BACKENDS",
     "DEFAULT_CONFIG",
     "RejectionWitness",
     "SystemModel",
@@ -95,18 +88,14 @@ __all__ = [
     "taskset_key",
     "ResourceInterface",
     "dbf",
-    "dbf_step_points",
     "dbf_task",
     "sbf",
     "sbf_linear_lower_bound",
     "SchedulabilityResult",
     "is_schedulable",
-    "is_schedulable_exhaustive",
     "theorem1_bound",
     "SelectionConfig",
     "SelectionResult",
-    "brute_force_minimum_bandwidth",
-    "minimal_budget_for_period",
     "select_interface",
     "theorem2_period_bound",
     "CompositionResult",
@@ -122,5 +111,4 @@ __all__ = [
     "end_to_end_bound",
     "holistic_response_bounds",
     "supply_inverse",
-    "wcrt_on_interface",
 ]

@@ -28,7 +28,7 @@ picklable across executor workers.
 The read-only process-wide cache (:func:`get_default_cache`) is the
 cache of ``AnalysisContext()``; a context holding :data:`DISABLED` (or
 ``AnalysisCache(enabled=False)``) forces cold-path evaluation, e.g.
-when benchmarking the scalar oracle.
+when timing the cold engine.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ class AnalysisCache:
                 self._selections.pop(next(iter(self._selections)))
             self._selections[key] = result
 
-    # -- step-point grids (vectorized backend) ------------------------------
+    # -- step-point grids ----------------------------------------------------
     def get_grid(self, key: TaskSetKey) -> Any | None:
         if not self.enabled:
             return None

@@ -1,32 +1,21 @@
-"""How an analysis runs: engine + memo cache + search config.
+"""How an analysis runs: memo cache + search config.
 
 :class:`AnalysisContext` is the one value that says how an analysis
 runs.  Every public analysis function takes it as ``ctx=`` and passes
 it down unchanged; ``ctx=None`` means ``AnalysisContext()`` — the
-vectorized engine, the process-wide cache and :data:`DEFAULT_CONFIG`.
+process-wide cache and :data:`DEFAULT_CONFIG`.
 Every trial runner, the CLI and the admission daemon analyse on
 ``AnalysisContext()``; long-lived holders
 (:class:`~repro.analysis.model.SystemModel`,
 :class:`~repro.analysis.session.AdmissionSession`) own theirs.
 
-The analysis has one engine and one oracle:
-
-* ``"vectorized"`` (the engine) — numpy-backed batch evaluation
-  (:mod:`repro.analysis.vectorized`): dbf is evaluated once over a
-  deduplicated step-point grid per task set, and all candidate
-  interfaces of a search are checked against that grid at once; the
-  response bounds of all tasks and release offsets of one port are one
-  array fixpoint.
-* ``"scalar"`` (the oracle) — the original pure-Python
-  implementations.  Every candidate ``(Π, Θ)`` is tested by its own
-  step-point scan, and every task's response bound is its own
-  fixpoint per release offset.  No option selects it: tests and
-  ``scripts/regen_golden.py`` reach it by building
-  ``AnalysisContext(backend="scalar")`` (or
-  ``SystemModel.build(..., backend="scalar")``).
-
-Both are exact over integers and produce **identical** results; the
-property suite asserts it.
+The analysis has one engine (:mod:`repro.analysis.vectorized`): dbf is
+evaluated once over a deduplicated step-point grid per task set, all
+candidate interfaces of a search are checked against that grid at
+once, and the response bounds of all tasks and release offsets of one
+port are one array fixpoint.  The test suite holds it to an
+independent exact oracle written from the definitions
+(``tests/analysis/oracle.py``).
 """
 
 from __future__ import annotations
@@ -35,12 +24,6 @@ from dataclasses import dataclass, field
 
 from repro.analysis.cache import AnalysisCache, get_default_cache
 from repro.errors import ConfigurationError
-
-#: the recognized backend names
-BACKENDS: tuple[str, ...] = ("scalar", "vectorized")
-
-#: the backend of ``AnalysisContext()``
-DEFAULT_BACKEND = "vectorized"
 
 
 @dataclass(frozen=True)
@@ -70,20 +53,12 @@ DEFAULT_CONFIG = SelectionConfig()
 
 @dataclass(frozen=True)
 class AnalysisContext:
-    """How one analysis runs: engine backend, memo cache, search config.
+    """How one analysis runs: memo cache and search config.
 
     Immutable, cheap, and safe to share: the cache it points at is
-    thread-safe, the other two fields are frozen value objects.  Build
-    one at the boundary, then pass it down.
+    thread-safe, the config is a frozen value object.  Build one at
+    the boundary, then pass it down.
     """
 
-    backend: str = DEFAULT_BACKEND
     cache: AnalysisCache = field(default_factory=get_default_cache)
     config: SelectionConfig = DEFAULT_CONFIG
-
-    def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown analysis backend {self.backend!r}; "
-                f"expected one of {BACKENDS}"
-            )

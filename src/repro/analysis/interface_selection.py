@@ -21,9 +21,9 @@ The search follows the paper exactly:
   toward the larger period (fewer server replenishments per unit time,
   i.e. less scheduling activity in the SE hardware).
 
-How to run the search — engine backend, memo cache, search config — is
-one :class:`~repro.analysis.context.AnalysisContext`, the ``ctx=`` of
-every function here (``None`` means ``AnalysisContext()``).
+How to run the search — memo cache and search config — is one
+:class:`~repro.analysis.context.AnalysisContext`, the ``ctx=`` of every
+function here (``None`` means ``AnalysisContext()``).
 """
 
 from __future__ import annotations
@@ -36,14 +36,11 @@ from repro.analysis import vectorized
 from repro.analysis.cache import AnalysisCache, taskset_key
 from repro.analysis.context import AnalysisContext, SelectionConfig
 from repro.analysis.prm import ResourceInterface
-from repro.analysis.schedulability import is_schedulable
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.tasks.taskset import TaskSet
 
 __all__ = [
     "SelectionResult",
-    "brute_force_minimum_bandwidth",
-    "minimal_budget_for_period",
     "minimal_budgets_for_periods",
     "select_interface",
     "theorem2_period_bound",
@@ -68,61 +65,26 @@ def theorem2_period_bound(
     return int(min(bound, Fraction(min_period)))
 
 
-def minimal_budget_for_period(
-    taskset: TaskSet,
-    period: int,
-    *,
-    ctx: AnalysisContext | None = None,
-) -> int | None:
-    """Binary-search the minimal schedulable Θ for a fixed Π.
-
-    Returns ``None`` when even Θ=Π is unschedulable.
-    """
-    if period <= 0:
-        raise ConfigurationError(f"period must be positive, got {period}")
-    if len(taskset) == 0:
-        return 0
-    if ctx is None:
-        ctx = AnalysisContext()
-    if ctx.backend == "vectorized":
-        return minimal_budgets_for_periods(taskset, [period], ctx=ctx)[0]
-    utilization = taskset.utilization
-    # Θ/Π must strictly exceed U, so start above the utilization floor.
-    low = int(utilization * period) + 1
-    high = period
-    if low > high:
-        return None
-    if not is_schedulable(
-        taskset, ResourceInterface(period, high), ctx=ctx
-    ).schedulable:
-        return None
-    while low < high:
-        mid = (low + high) // 2
-        if is_schedulable(
-            taskset, ResourceInterface(period, mid), ctx=ctx
-        ).schedulable:
-            high = mid
-        else:
-            low = mid + 1
-    return low
-
-
 def minimal_budgets_for_periods(
     taskset: TaskSet,
     periods: list[int],
     *,
     ctx: AnalysisContext | None = None,
 ) -> list[int | None]:
-    """Minimal schedulable Θ for *every* candidate Π at once (vectorized).
+    """Minimal schedulable Θ for *every* candidate Π at once.
 
-    The per-period binary searches advance in lock-step
-    (:func:`_lockstep_budgets`), so the task set's demand grid is
-    evaluated once and shared by the whole candidate front.
-    Schedulability is monotone in Θ at fixed Π, so the converged
-    budgets are exactly the scalar binary search's.  Only ``ctx``'s
-    cache is read: this search is the vectorized backend's by
-    construction.
+    Each entry is the least Θ with Θ/Π > U that schedules the task set
+    at that Π, or None when even Θ = Π does not.  The per-period binary
+    searches advance in lock-step (:func:`_lockstep_budgets`), so the
+    task set's demand grid is evaluated once and shared by the whole
+    candidate front; schedulability is monotone in Θ at fixed Π, so
+    each converges to its period's own minimum.  Unlike
+    :func:`select_interface`'s search, no period is pruned.  Only
+    ``ctx``'s cache is read.
     """
+    for period in periods:
+        if period <= 0:
+            raise ConfigurationError(f"period must be positive, got {period}")
     memo = (ctx or AnalysisContext()).cache
     if len(taskset) == 0:
         return [0 for _ in periods]
@@ -227,16 +189,16 @@ def select_interface(
     Theorem-2 period range schedules the task set.
     An empty task set yields the idle interface ``(1, 0)``.
 
-    The ``vectorized`` backend runs every candidate period's
-    minimal-budget search in lock-step against one shared demand grid
-    and drops a period as soon as it can no longer win
-    (:func:`_lockstep_budgets`); the ``scalar`` backend keeps the
-    original one-test-per-candidate oracle.  Both pick the same
-    interface.  Results are memoized
-    in the context's cache keyed by the task set's exact ``(T, C)``
-    multiset, the sibling utilization and the search config, so
-    level-by-level composition reuses unchanged subtree selections
-    across sweep points.
+    The candidate periods are 1..bound, or — when the bound exceeds
+    ``k = ctx.config.max_period_candidates > 0`` — the periods
+    ``1 + round(i·(bound − 1)/(k − 1))`` for ``i < k``, plus the bound.
+    Every candidate period's minimal-budget search runs in lock-step
+    against one shared demand grid, and a period drops out as soon as
+    it can no longer win (:func:`_lockstep_budgets`).  Results are
+    memoized in the context's cache keyed by the task set's exact
+    ``(T, C)`` multiset, the sibling utilization and the search
+    config, so level-by-level composition reuses unchanged subtree
+    selections across sweep points.
     """
     if len(taskset) == 0:
         return SelectionResult(
@@ -250,20 +212,13 @@ def select_interface(
         sibling_utilization.numerator,
         sibling_utilization.denominator,
         ctx.config.memo_key(),
-        ctx.backend,
     )
     cached = memo.get_selection(memo_key)
     if cached is not None:
         return cached
     period_bound = theorem2_period_bound(taskset, sibling_utilization)
     candidates = _candidate_periods(period_bound, ctx.config)
-    if ctx.backend == "vectorized":
-        budgets = _lockstep_budgets(taskset, candidates, memo, prune=True)
-    else:
-        budgets = [
-            minimal_budget_for_period(taskset, period, ctx=ctx)
-            for period in candidates
-        ]
+    budgets = _lockstep_budgets(taskset, candidates, memo, prune=True)
     best = _minimum_bandwidth(candidates, budgets)
     if best is None:
         raise InfeasibleError(
@@ -299,21 +254,3 @@ def _minimum_bandwidth(
             best = (period, budget)
     return best
 
-
-def brute_force_minimum_bandwidth(
-    taskset: TaskSet, max_period: int
-) -> ResourceInterface | None:
-    """Exhaustive (Π, Θ) scan for the minimum-bandwidth interface.
-
-    O(max_period²) schedulability tests — only for validating
-    :func:`select_interface` on tiny task sets in the test suite.
-    """
-    best: ResourceInterface | None = None
-    for period in range(1, max_period + 1):
-        for budget in range(1, period + 1):
-            interface = ResourceInterface(period, budget)
-            if is_schedulable(taskset, interface).schedulable:
-                if best is None or interface.bandwidth < best.bandwidth:
-                    best = interface
-                break  # larger budgets at this period only raise bandwidth
-    return best

@@ -3,8 +3,8 @@
 A :class:`SystemModel` is the *pure analysis state* of one deployed
 system: the tree topology, the baseline client task sets, the composed
 hierarchy with every selected per-subtree ``(Π, Θ)`` interface, and the
-:class:`~repro.analysis.context.AnalysisContext` (backend + thread-safe
-memo cache + search config) all of that was derived with.  It is built
+:class:`~repro.analysis.context.AnalysisContext` (thread-safe memo
+cache + search config) all of that was derived with.  It is built
 **once** — composing the whole hierarchy and warming the cache's
 selection/grid tables as a side effect — then shared, read-only, by any
 number of concurrent :class:`~repro.analysis.session.AdmissionSession`
@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.context import (
-    DEFAULT_BACKEND,
     DEFAULT_CONFIG,
     AnalysisContext,
     SelectionConfig,
@@ -60,7 +59,7 @@ class SystemModel:
     topology: TreeTopology
     #: baseline per-client task sets (treat as immutable)
     client_tasksets: Mapping[int, TaskSet]
-    #: backend + shared thread-safe cache + selection config
+    #: shared thread-safe cache + selection config
     context: AnalysisContext
     #: analysis deadline margin the baseline was composed with
     deadline_margin: int
@@ -78,7 +77,6 @@ class SystemModel:
         *,
         config: SelectionConfig | None = None,
         deadline_margin: int | None = None,
-        backend: str | None = None,
         cache: AnalysisCache | None = None,
         label: str = "",
     ) -> "SystemModel":
@@ -86,14 +84,12 @@ class SystemModel:
 
         A model owns its memo tables: ``cache=None`` means a fresh
         ``AnalysisCache()``, never the process-wide one.
-        ``backend``/``config`` default like ``AnalysisContext()`` (the
-        vectorized backend,
-        :data:`~repro.analysis.context.DEFAULT_CONFIG`).  The
+        ``config`` defaults like ``AnalysisContext()``'s
+        (:data:`~repro.analysis.context.DEFAULT_CONFIG`).  The
         composition itself warms the cache, so the first admission
         probes already reuse every baseline subtree selection.
         """
         ctx = AnalysisContext(
-            backend=DEFAULT_BACKEND if backend is None else backend,
             cache=AnalysisCache() if cache is None else cache,
             config=DEFAULT_CONFIG if config is None else config,
         )
@@ -128,7 +124,6 @@ class SystemModel:
         seed: int | str = 1,
         fanout: int = 4,
         config: SelectionConfig | None = None,
-        backend: str | None = None,
         cache: AnalysisCache | None = None,
     ) -> "SystemModel":
         """A model over a deterministic drawn workload.
@@ -137,9 +132,9 @@ class SystemModel:
         (:func:`~repro.tasks.generators.generate_client_tasksets`), so
         ``from_seed(16, utilization=0.3, seed=7)`` names one exact
         system forever — the service CLI, the load benchmark and the
-        tests all reference models this way.  ``backend``/``cache``/
-        ``config`` mean what they mean for :meth:`build`: the model owns
-        a fresh cache unless one is given.
+        tests all reference models this way.  ``cache``/``config`` mean
+        what they mean for :meth:`build`: the model owns a fresh cache
+        unless one is given.
         """
         if n_clients < 1:
             raise ConfigurationError(
@@ -158,7 +153,6 @@ class SystemModel:
             topology,
             tasksets,
             config=config,
-            backend=backend,
             cache=cache,
             label=f"seed={seed} n={n_clients} u={utilization:g}",
         )
@@ -200,7 +194,6 @@ class SystemModel:
             "fanout": self.topology.fanout,
             "depth": self.topology.depth,
             "nodes": self.topology.n_nodes(),
-            "backend": self.context.backend,
             "deadline_margin": self.deadline_margin,
             "baseline_tasks": sum(
                 len(ts) for ts in self.client_tasksets.values()

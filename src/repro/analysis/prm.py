@@ -113,20 +113,3 @@ def dbf(t: int, taskset: TaskSet) -> int:
         total += (t // task.period) * task.wcet
     return total
 
-
-def dbf_step_points(taskset: TaskSet, horizon: int) -> list[int]:
-    """All t in (0, horizon] where dbf(t, taskset) changes value.
-
-    These are the multiples of each task's period — the only instants a
-    schedulability test must examine.  The horizon itself is included:
-    Theorem 1's bound β must be checked when it lands exactly on a
-    demand step (``theorem1_bound`` returns ceil(β), so the scan covers
-    the closed interval the theorem requires).
-    """
-    points: set[int] = set()
-    for task in taskset:
-        multiple = task.period
-        while multiple <= horizon:
-            points.add(multiple)
-            multiple += task.period
-    return sorted(points)

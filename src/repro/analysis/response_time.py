@@ -5,20 +5,13 @@ also needs *how early* — e.g. to size end-to-end latency budgets.  This
 module derives demand-based WCRT bounds for EDF on a periodic resource
 and composes them along a BlueScale path.
 
-``wcrt_on_interface`` adapts Spuri's EDF response-time analysis to
-supply bound functions, with optional release jitter per task.
+Each port's bound adapts Spuri's EDF response-time analysis to supply
+bound functions, with release jitter per task (:func:`_port_wcrts`).
 ``holistic_response_bounds`` composes it along BlueScale paths: each
 task's accumulated upstream response becomes its jitter at the next
 tree level (Tindell-style holistic analysis), and the per-level WCRTs
 plus the constant pipeline latency bound the end-to-end response.  The
 bounds are validated against simulated maxima in the integration tests.
-
-The caller's ``ctx`` picks the backend, one port at a time.
-``"scalar"`` runs ``wcrt_on_interface`` once per task, the oracle;
-``"vectorized"`` computes the port's busy period and dbf<=sbf check
-once and every task's fixpoints as one array program
-(:func:`repro.analysis.vectorized.port_wcrts`).  The two return
-identical bounds and raise in the same cases.
 """
 
 from __future__ import annotations
@@ -94,102 +87,6 @@ def busy_period_length(
         t = t_next
 
 
-def wcrt_on_interface(
-    task: PeriodicTask,
-    taskset: TaskSet,
-    interface: ResourceInterface,
-    jitters: dict[str, int] | None = None,
-    require_schedulable: bool = True,
-    *,
-    blocking: int = 0,
-    ctx: AnalysisContext | None = None,
-) -> int:
-    """WCRT bound of ``task`` within ``taskset`` on a periodic resource.
-
-    Spuri's EDF response-time analysis adapted to supply bound
-    functions: for each release offset ``a`` of the task inside the
-    synchronous busy period, the job with absolute deadline ``a + D_k``
-    completes by the fixpoint of
-
-        t = supply_inverse( (a//T_k + 1)*C_k  +  interference(t, a+D_k) )
-
-    where task i contributes ``min(ceil(t/T_i), floor((d-D_i)/T_i)+1)``
-    jobs (released before ``t`` *and* due no later than ``d``).  The
-    WCRT is the maximum of ``t - a`` over all offsets.
-
-    ``jitters`` maps task names to release-jitter bounds (upstream
-    delays in a multi-level path, Tindell-style): a task with jitter
-    ``J_i`` can present ``ceil((t + J_i)/T_i)`` arrivals in ``[0, t)``.
-
-    ``blocking`` is served ahead of the analyzed job on top of its own
-    demand: later-deadline work of the same set that priority inversion
-    lets through first (see :func:`holistic_response_bounds`).  The
-    busy-period horizon needs no extra term, because that work is
-    already part of the set's synchronous demand.
-
-    Requires the pair to pass the dbf<=sbf test; raises otherwise.
-    ``task`` itself need not be a member of ``taskset`` — if absent it
-    is analyzed against the set plus itself.
-    """
-    if all(member is not task for member in taskset):
-        taskset = taskset.merged_with(TaskSet([task]))
-    if require_schedulable and not is_schedulable(
-        taskset, interface, ctx=ctx
-    ).schedulable:
-        raise InfeasibleError(
-            "WCRT bound requires a schedulable (task set, interface) pair"
-        )
-    jitters = jitters or {}
-    others = [m for m in taskset if m is not task]
-    horizon = busy_period_length(taskset, interface, jitters)
-    # Candidate release offsets of the analyzed job: its own periodic
-    # releases, plus every offset aligning its absolute deadline with
-    # another task's deadline (Spuri: the local maxima of the response
-    # function sit at deadline coincidences, so checking only the
-    # synchronous offsets under-estimates).
-    offsets = {0}
-    a = task.period
-    while a < horizon:
-        offsets.add(a)
-        a += task.period
-    for other in others:
-        jitter = jitters.get(other.name, 0)
-        base = other.deadline - jitter - task.deadline
-        m = 0
-        while True:
-            candidate = base + m * other.period
-            if candidate >= horizon:
-                break
-            if candidate > 0:
-                offsets.add(candidate)
-            m += 1
-    wcrt = 0
-    for offset in sorted(offsets):
-        deadline = offset + task.deadline
-        own_demand = (offset // task.period + 1) * task.wcet + blocking
-        t = supply_inverse(own_demand, interface)
-        while True:
-            interference = 0
-            for other in others:
-                jitter = jitters.get(other.name, 0)
-                by_release = -(-(t + jitter) // other.period)
-                by_deadline = max(
-                    0,
-                    (deadline - other.deadline + jitter) // other.period + 1,
-                )
-                interference += min(by_release, by_deadline) * other.wcet
-            t_next = supply_inverse(own_demand + interference, interface)
-            if t_next == t:
-                break
-            if t_next > _BUSY_PERIOD_CAP:
-                raise InfeasibleError(
-                    "WCRT fixpoint diverged: demand outpaces the supply"
-                )
-            t = t_next
-        wcrt = max(wcrt, t - offset)
-    return wcrt
-
-
 @dataclass(frozen=True)
 class PathResponseBound:
     """End-to-end response bound of one client's tasks, per component.
@@ -236,29 +133,34 @@ def _port_wcrts(
 ) -> list[int]:
     """WCRT of each of one port's ``tasks`` against all of them.
 
-    Every task is charged one request of blocking; ``checked`` first
-    requires the port to pass the dbf<=sbf test.  ``ctx.backend`` picks
-    the evaluation: ``"scalar"`` runs :func:`wcrt_on_interface` once per
-    task, ``"vectorized"`` runs the busy period and the dbf<=sbf test
-    once for the port and every task's fixpoints as one array program
-    (:func:`repro.analysis.vectorized.port_wcrts`).  Both raise
-    :class:`InfeasibleError` in the same cases and return identical
-    bounds.
+    Spuri's EDF response-time analysis adapted to supply bound
+    functions: for each release offset ``a`` of task k inside the
+    port's busy period, the job with absolute deadline ``d = a + D_k``
+    completes by the fixpoint of
+
+        t = supply_inverse( (a//T_k + 1)*C_k + blocking
+                            + Σ_{i≠k} min(r_i(t), e_i(d))·C_i )
+
+    where ``r_i(t) = ⌈(t + J_i)/T_i⌉`` counts task i's jobs released
+    before ``t`` and ``e_i(d) = max(⌊(d − D_i + J_i)/T_i⌋ + 1, 0)``
+    those due no later than ``d``; ``J_i`` is task i's release jitter,
+    ``jitters[name]`` (0 when absent).  The offsets are task k's own
+    releases plus every offset aligning ``d`` with another task's
+    deadline — the local maxima of the response sit at deadline
+    coincidences — and the WCRT is the largest ``t − a``.  Every task
+    is charged one request of blocking (see
+    :func:`holistic_response_bounds`); the busy-period horizon needs
+    no extra term, because that work is already part of the set's
+    synchronous demand.
+
+    ``checked`` first requires the port to pass the dbf<=sbf test.  The
+    busy period and that test run once per port, every (task, offset)
+    fixpoint as one array program
+    (:func:`repro.analysis.vectorized.port_wcrts`).  Raises
+    :class:`InfeasibleError` when the test fails or an iterate
+    exceeds ``_BUSY_PERIOD_CAP``.
     """
     taskset = TaskSet(tasks)
-    if ctx.backend == "scalar":
-        return [
-            wcrt_on_interface(
-                task,
-                taskset,
-                interface,
-                jitters,
-                require_schedulable=checked,
-                blocking=1,
-                ctx=ctx,
-            )
-            for task in tasks
-        ]
     if checked and not is_schedulable(taskset, interface, ctx=ctx).schedulable:
         raise InfeasibleError(
             "WCRT bound requires a schedulable (task set, interface) pair"
@@ -289,7 +191,7 @@ def holistic_response_bounds(
     with the whole subtree funnelling through that port.
 
     Every level also charges one request of priority-inversion
-    *blocking* (``wcrt_on_interface(..., blocking=1)``).  A port's
+    *blocking* (see :func:`_port_wcrts`).  A port's
     random-access buffer serves its contents in EDF order, but it holds
     only a few requests.  When a job is released while its port buffer
     is full of later-deadline requests of the same client (at an

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.analysis.context import AnalysisContext
-from repro.analysis.prm import ResourceInterface, dbf, dbf_step_points, sbf
+from repro.analysis import vectorized
+from repro.analysis.prm import ResourceInterface, dbf, sbf
 from repro.errors import ConfigurationError
 from repro.tasks.taskset import TaskSet
 
@@ -70,12 +71,9 @@ def is_schedulable(
     β itself can be a step point when it is integral, so the scan must
     include it.)
 
-    ``ctx``'s backend picks how the scan is evaluated — ``"scalar"``
-    walks the step points in Python, ``"vectorized"`` evaluates demand
-    once over the task set's step grid (memoized in ``ctx``'s cache)
-    and supply in one array pass (see
-    :mod:`repro.analysis.context`).  Both are integer-exact and return
-    identical results, witnesses included.
+    Demand is evaluated once over the task set's step grid (memoized
+    in ``ctx``'s cache) and supply in one integer-exact array pass
+    (:func:`repro.analysis.vectorized.first_violation`).
     """
     if len(taskset) == 0:
         return SchedulabilityResult(schedulable=True)
@@ -116,20 +114,8 @@ def is_schedulable(
             test_bound=0,
         )
     beta = theorem1_bound(interface, utilization)
-    if ctx is None:
-        ctx = AnalysisContext()
-    if ctx.backend == "vectorized":
-        from repro.analysis.vectorized import first_violation
-
-        witness = first_violation(taskset, interface, beta, ctx.cache)
-    else:
-        witness = None
-        for t in dbf_step_points(taskset, beta):
-            demand = dbf(t, taskset)
-            supply = sbf(t, interface)
-            if demand > supply:
-                witness = (t, demand, supply)
-                break
+    memo = (ctx or AnalysisContext()).cache
+    witness = vectorized.first_violation(taskset, interface, beta, memo)
     if witness is not None:
         time, demand, supply = witness
         return SchedulabilityResult(
@@ -173,16 +159,3 @@ def _bandwidth_failure_witness(
             return time, demand, supply
     return None
 
-
-def is_schedulable_exhaustive(
-    taskset: TaskSet, interface: ResourceInterface, horizon: int
-) -> bool:
-    """Brute-force dbf<=sbf over *every* integer t in (0, horizon].
-
-    Exists to validate :func:`is_schedulable` (and Theorem 1) in tests;
-    prefer :func:`is_schedulable` everywhere else.
-    """
-    for t in range(1, horizon + 1):
-        if dbf(t, taskset) > sbf(t, interface):
-            return False
-    return True

@@ -118,9 +118,8 @@ class AdmissionSession:
     """Cheap per-request admission state borrowing one frozen model.
 
     Every decision runs under the model's own
-    :class:`~repro.analysis.context.AnalysisContext` (backend, shared
-    cache, selection config); a differential check across backends
-    builds a model per backend.
+    :class:`~repro.analysis.context.AnalysisContext` (shared cache,
+    selection config).
     """
 
     def __init__(self, model: SystemModel) -> None:

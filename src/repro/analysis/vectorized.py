@@ -1,9 +1,10 @@
 """Numpy-backed batch evaluation of dbf/sbf over step-point grids.
 
-The scalar schedulability test re-scans every demand step point per
-candidate ``(Π, Θ)``, recomputing ``dbf`` from scratch each time —
-O(candidates × points × tasks) Python bytecode.  This module turns the
-two hot loops into array programs:
+This is the analysis engine.  Tested one candidate ``(Π, Θ)`` at a
+time, dbf <= sbf re-scans every demand step point per candidate and
+recomputes ``dbf`` from scratch each time — O(candidates × points ×
+tasks) Python bytecode.  This module turns the hot loops into array
+programs:
 
 * a :class:`StepGrid` materializes the *deduplicated* demand step
   points of a task set once (they only depend on the task set, not the
@@ -22,8 +23,8 @@ two hot loops into array programs:
 
 Every compared dbf and sbf value stays in int64 — the formulas are
 integer-exact, and a horizon past β cannot change a verdict — so the
-vectorized verdicts are *identical* to the scalar oracle's (asserted by
-the property suite).  Grids whose Theorem-1
+verdicts are *identical* to the exact per-point scan's (the property
+suite checks them against an independent oracle).  Grids whose Theorem-1
 horizon would not fit the configured point budget are scanned in
 ascending windows of that budget instead: the same semantics with
 bounded memory.
@@ -283,9 +284,8 @@ def first_violation(
 ) -> tuple[int, int, int] | None:
     """First ``(t, demand, supply)`` with dbf > sbf in (0, β], or None.
 
-    The vectorized replacement for the scalar Theorem-1 scan: demands
-    come from the shared :class:`StepGrid`, supplies from one
-    :func:`sbf_values` pass.
+    The Theorem-1 scan of one candidate: demands come from the shared
+    :class:`StepGrid`, supplies from one :func:`sbf_values` pass.
     """
     grid = grid_for(taskset, memo)
     if grid.points_within(beta) > MAX_GRID_POINTS:
@@ -317,7 +317,7 @@ def grid_verdicts(
     slices the grid at its *own* largest horizon.  A row is checked at
     every grid point up to its chunk's horizon, which may lie past the
     row's own β: no violation can sit there
-    (:func:`theorem1_horizons`), so the verdict is exactly the scalar
+    (:func:`theorem1_horizons`), so the verdict is exactly the
     per-candidate scan's.  Candidates whose horizon would not fit the
     point budget take the windowed scan.
     """
@@ -396,7 +396,7 @@ def _release_offsets(
 
     Task k's own releases in ``[0, horizon)``, plus every offset in
     ``(0, horizon)`` aligning its absolute deadline with a deadline of
-    another task — the same set the scalar analysis enumerates.
+    another task (see :func:`repro.analysis.response_time._port_wcrts`).
     """
     offsets = []
     for k, task in enumerate(tasks):
@@ -423,19 +423,19 @@ def port_wcrts(
 ) -> list[int]:
     """WCRT bound of every task of one port, each against all the others.
 
-    The array form of running
-    :func:`repro.analysis.response_time.wcrt_on_interface` once per
-    task of ``tasks`` (unchecked, with ``jitters[i]`` the release jitter
-    of ``tasks[i]``): each row is one (task, release offset ``a``) pair,
-    and one iteration advances every unconverged row of
+    The array form of Spuri's per-task analysis documented on
+    :func:`repro.analysis.response_time._port_wcrts` (unchecked, with
+    ``jitters[i]`` the release jitter of ``tasks[i]``): each row is one
+    (task, release offset ``a``) pair, and one iteration advances every
+    unconverged row of
 
         t = supply_inverse(own(a) + Σ_i min(⌈(t+J_i)/T_i⌉, by_deadline_i(a))·C_i)
 
     where the ``by_deadline`` matrix is fixed per row and zero on the
     row's own task.  ``horizon`` is the port's busy-period length.  A
-    row's iterates are exactly the scalar ones, so the bounds are
-    integer-identical; a row that steps past ``cap`` raises
-    :class:`InfeasibleError` as the scalar fixpoint does.
+    row's iterates are exactly its own fixpoint's, so the bounds are
+    integer-exact; a row that steps past ``cap`` raises
+    :class:`InfeasibleError`.
     """
     periods = np.array([task.period for task in tasks], dtype=np.int64)
     wcets = np.array([task.wcet for task in tasks], dtype=np.int64)

@@ -6,8 +6,7 @@ simulator backend that runs it — and nothing else.  Because the spec
 (not a closure, not ambient process state) crosses the process
 boundary, any executor backend can ship trials anywhere and replay
 them identically.  Every trial analyses on the one analysis engine,
-``AnalysisContext()``; the scalar analysis oracle is reachable only
-by building a context with ``backend="scalar"`` directly.
+``AnalysisContext()``, which has no backend to choose.
 """
 
 from __future__ import annotations

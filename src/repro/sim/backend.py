@@ -18,9 +18,7 @@ Which one runs a trial is a value on its spec
 or a campaign cell's ``sim_backend`` axis); ``backend=None`` on a
 direct library call such as ``run_many(sims, horizon)`` means
 :data:`DEFAULT_SIM_BACKEND`.  Nothing here is mutable.  The analysis
-has no such choice: every trial analyses on the vectorized engine,
-and its scalar oracle is reachable only from
-``AnalysisContext(backend="scalar")``.
+has no such choice: it has one engine, which every trial runs on.
 """
 
 from __future__ import annotations

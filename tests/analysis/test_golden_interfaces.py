@@ -3,9 +3,9 @@
 Pins the exact ``(Π, Θ)`` chosen at every quadtree port for three
 canonical topologies (16/32/64 clients), as JSON under
 ``tests/fixtures/``.  Any change to selection semantics — Theorem-2
-bounds, tie-breaking, candidate sampling, either backend — shows up
-here as a concrete interface diff rather than a downstream experiment
-drift.  Regenerate intentionally with
+bounds, tie-breaking, candidate sampling, the engine or the test
+oracle — shows up here as a concrete interface diff rather than a
+downstream experiment drift.  Regenerate intentionally with
 ``scripts/regen_golden.py interfaces``.
 """
 
@@ -16,6 +16,7 @@ import pytest
 from repro.analysis import AnalysisCache, AnalysisContext, compose
 from repro.analysis.cache import DISABLED
 
+from . import oracle
 from .golden_utils import (
     FIXTURE_PATH,
     GOLDEN_SIZES,
@@ -32,12 +33,13 @@ def golden():
 @pytest.mark.parametrize("n_clients", GOLDEN_SIZES)
 class TestGoldenInterfaces:
     def test_scalar_backend_matches_fixture(self, golden, n_clients):
+        """The test oracle's selections are the fixture."""
         topology, tasksets = golden_system(n_clients)
-        result = compose(
-            topology,
-            tasksets,
-            ctx=AnalysisContext(backend="scalar", cache=DISABLED),
-        )
+        with oracle.installed() as calls:
+            result = compose(
+                topology, tasksets, ctx=AnalysisContext(cache=DISABLED)
+            )
+        assert calls["select_interface"] > 0
         assert composition_snapshot(result) == golden[str(n_clients)]
 
     def test_vectorized_backend_matches_fixture(self, golden, n_clients):
@@ -45,9 +47,7 @@ class TestGoldenInterfaces:
         cache = AnalysisCache()
         for _ in ("cold", "cache-warm"):
             result = compose(
-                topology,
-                tasksets,
-                ctx=AnalysisContext(backend="vectorized", cache=cache),
+                topology, tasksets, ctx=AnalysisContext(cache=cache)
             )
             assert composition_snapshot(result) == golden[str(n_clients)]
         assert cache.stats.selection_hits > 0

@@ -17,8 +17,6 @@ from repro.analysis.context import (
 from repro.analysis.interface_selection import (
     _candidate_periods,
     _minimum_bandwidth,
-    brute_force_minimum_bandwidth,
-    minimal_budget_for_period,
     minimal_budgets_for_periods,
     select_interface,
     theorem2_period_bound,
@@ -29,6 +27,16 @@ from repro.errors import ConfigurationError, InfeasibleError
 from repro.tasks.generators import generate_client_tasksets
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
+
+from . import oracle
+
+
+def minimal_budget_for_period(taskset, period):
+    """The engine's minimal budget at one period, which must equal the
+    test oracle's."""
+    (budget,) = minimal_budgets_for_periods(taskset, [period])
+    assert budget == oracle.minimal_budget(taskset, period)
+    return budget
 
 
 def _searching(candidates: int) -> AnalysisContext:
@@ -135,7 +143,7 @@ class TestSelectInterface:
             chosen = select_interface(
                 taskset, Fraction(0), ctx=_searching(0)
             ).interface
-            brute = brute_force_minimum_bandwidth(taskset, period)
+            brute = oracle.brute_force(taskset, period)
             assert brute is not None
             assert chosen.bandwidth == brute.bandwidth, (
                 f"task ({period},{wcet}): selected {chosen} vs brute {brute}"
@@ -192,10 +200,11 @@ class TestPruning:
         pruning test that also drops *tying* periods picks (2, 1)."""
         taskset = TaskSet([PeriodicTask(period=6, wcet=2)])
         assert minimal_budgets_for_periods(taskset, [2, 4]) == [1, 2]
-        oracle = AnalysisContext(backend="scalar", cache=AnalysisCache())
-        for ctx in (AnalysisContext(cache=AnalysisCache()), oracle):
-            chosen = select_interface(taskset, ctx=ctx).interface
-            assert chosen == ResourceInterface(4, 2)
+        chosen = select_interface(
+            taskset, ctx=AnalysisContext(cache=AnalysisCache())
+        ).interface
+        assert chosen == ResourceInterface(4, 2)
+        assert oracle.select(taskset).interface == ResourceInterface(4, 2)
 
     def test_pruning_evaluates_fewer_probes(self, monkeypatch):
         """On one n=64 leaf task set the pruned selection evaluates

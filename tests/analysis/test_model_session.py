@@ -1,7 +1,7 @@
 """Tests for the SystemModel / AdmissionSession split: the frozen model
 matches a direct composition, sessions answer exactly like the
-stateless entry points, commits are atomic, and everything round-trips
-through pickle and across backends."""
+stateless entry points, commits are atomic, everything round-trips
+through pickle, and the engine's decisions equal the test oracle's."""
 
 import pickle
 import random
@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from repro.analysis import AdmissionSession, SystemModel, compose
-from repro.analysis.cache import AnalysisCache, get_default_cache
+from repro.analysis.cache import DISABLED, AnalysisCache, get_default_cache
 from repro.analysis.context import AnalysisContext
 from repro.analysis.composition import default_deadline_margin, update_client
 from repro.errors import ConfigurationError
@@ -18,6 +18,8 @@ from repro.tasks.generators import generate_client_tasksets
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
 from repro.topology import quadtree
+
+from . import oracle
 
 SMALL = PeriodicTask(period=1000, wcet=1, name="small")
 HEAVY = PeriodicTask(period=64, wcet=60, name="heavy")
@@ -172,12 +174,17 @@ class TestAdmissionSession:
             session.probe(0, TaskSet())
 
     def test_scalar_and_vectorized_sessions_agree(self):
-        model_v = _model(backend="vectorized")
-        model_s = _model(backend="scalar")
+        """A model and its probes on the test oracle equal the engine's."""
+        model_v = _model()
+        with oracle.installed() as calls:
+            model_s = _model(cache=DISABLED)
+            probes = [
+                model_s.session().probe(5, task) for task in (SMALL, HEAVY)
+            ]
+        assert calls["select_interface"] > 0
         assert model_v.baseline.interfaces == model_s.baseline.interfaces
-        for task in (SMALL, HEAVY):
+        for task, ds in zip((SMALL, HEAVY), probes):
             dv = model_v.session().probe(5, task)
-            ds = model_s.session().probe(5, task)
             assert dv.admitted == ds.admitted
             assert dv.composition.interfaces == ds.composition.interfaces
 
@@ -226,12 +233,11 @@ class TestAdmissionSession:
         assert all(value > -1.0 for value in slack.values())
 
     def test_session_borrows_the_model_context(self):
-        """A session decides under its model's context, nothing else:
-        a run on the other backend is a model built on it."""
+        """A session decides under its model's context, nothing else."""
         own_cache = AnalysisCache()
-        model = _model(backend="scalar", cache=own_cache)
+        model = _model(cache=own_cache)
         session = AdmissionSession(model)
         assert session.context is model.context
-        assert session.context.backend == "scalar"
+        assert session.context.cache is own_cache
         assert session.probe(3, SMALL).admitted
         assert own_cache.stats.lookups > 0

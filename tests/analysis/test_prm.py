@@ -9,14 +9,25 @@ from hypothesis import strategies as st
 from repro.analysis.prm import (
     ResourceInterface,
     dbf,
-    dbf_step_points,
     dbf_task,
     sbf,
     sbf_linear_lower_bound,
 )
+from repro.analysis.vectorized import StepGrid
 from repro.errors import ConfigurationError
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
+
+from . import oracle
+
+
+def dbf_step_points(taskset, horizon):
+    """The engine's demand step points in (0, horizon], which must
+    equal the test oracle's."""
+    ts, _ = StepGrid(taskset).upto(horizon)
+    points = [int(t) for t in ts]
+    assert points == oracle.step_points(taskset, horizon)
+    return points
 
 interfaces = st.builds(
     lambda p, b: ResourceInterface(p, min(b, p)),

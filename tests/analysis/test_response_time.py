@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.analysis.response_time as response_time
+from repro.analysis import vectorized
 from repro.analysis.composition import compose
 from repro.analysis.prm import ResourceInterface, sbf
 from repro.analysis.response_time import (
@@ -14,14 +16,16 @@ from repro.analysis.response_time import (
     end_to_end_bound,
     holistic_response_bounds,
     supply_inverse,
-    wcrt_on_interface,
 )
+from repro.analysis.schedulability import is_schedulable
 from repro.analysis.vectorized import supply_inverse_values
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.tasks.generators import generate_client_tasksets
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
 from repro.topology import quadtree
+
+from . import oracle
 
 interfaces = st.builds(
     lambda p, b: ResourceInterface(p, min(max(b, 1), p)),
@@ -100,6 +104,49 @@ class TestBusyPeriod:
         taskset = TaskSet([PeriodicTask(period=4, wcet=3)])  # U = 0.75
         with pytest.raises(InfeasibleError):
             busy_period_length(taskset, ResourceInterface(2, 1))  # bw 0.5
+
+
+def wcrt_on_interface(task, taskset, interface, jitters=None):
+    """WCRT of ``task`` within ``taskset`` (no blocking) by the engine's
+    port fixpoint, which must equal the test oracle's; raises
+    :class:`InfeasibleError` unless the pair passes dbf<=sbf."""
+    tasks = list(taskset)
+    if all(member is not task for member in tasks):
+        tasks.append(task)
+    jitters = jitters or {}
+
+    def engine():
+        members = TaskSet(tasks)
+        if not is_schedulable(members, interface).schedulable:
+            raise InfeasibleError("the pair fails dbf <= sbf")
+        return vectorized.port_wcrts(
+            tasks,
+            interface,
+            [jitters.get(member.name, 0) for member in tasks],
+            busy_period_length(members, interface, jitters),
+            blocking=0,
+            cap=response_time._BUSY_PERIOD_CAP,
+        )
+
+    def exact():
+        return oracle.port_wcrts(
+            tasks, interface, jitters, checked=True, blocking=0
+        )
+
+    outcomes = []
+    for run in (engine, exact):
+        try:
+            outcomes.append(run())
+        except InfeasibleError:
+            outcomes.append("infeasible")
+    assert outcomes[0] == outcomes[1]
+    if outcomes[0] == "infeasible":
+        raise InfeasibleError("the pair fails dbf <= sbf")
+    return next(
+        wcrt
+        for member, wcrt in zip(tasks, outcomes[0])
+        if member is task
+    )
 
 
 class TestWcrtOnInterface:
@@ -219,22 +266,31 @@ UNSCHEDULABLE_DRAWS = [("32/0/0.6", 32, 0.6)] + [
 class TestUnschedulableComposition:
     """No finite bound exists on a composition ``compose`` rejected."""
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("side", ["oracle", "engine"])
     @pytest.mark.parametrize("seed,n,utilization", UNSCHEDULABLE_DRAWS)
-    def test_bounds_and_verdict_refuse_it(self, seed, n, utilization, backend):
-        from repro.analysis.cache import AnalysisCache
+    def test_bounds_and_verdict_refuse_it(self, seed, n, utilization, side):
+        from contextlib import nullcontext
+
+        from repro.analysis.cache import DISABLED, AnalysisCache
         from repro.analysis.context import AnalysisContext
         from repro.faults.verify import verify_isolation
 
-        ctx = AnalysisContext(backend=backend, cache=AnalysisCache())
+        on_oracle = side == "oracle"
+        ctx = AnalysisContext(cache=DISABLED if on_oracle else AnalysisCache())
         tasksets = generate_client_tasksets(
             random.Random(seed), n, 2, utilization
         )
-        composition = compose(quadtree(n), tasksets, ctx=ctx)
-        assert not composition.schedulable
-        with pytest.raises(InfeasibleError, match="unschedulable"):
-            holistic_response_bounds(tasksets, composition, ctx=ctx)
-        verdict = verify_isolation(
-            [], tasksets, composition, end_cycle=1_000, victims=set(), ctx=ctx
-        )
+        with oracle.installed() if on_oracle else nullcontext():
+            composition = compose(quadtree(n), tasksets, ctx=ctx)
+            assert not composition.schedulable
+            with pytest.raises(InfeasibleError, match="unschedulable"):
+                holistic_response_bounds(tasksets, composition, ctx=ctx)
+            verdict = verify_isolation(
+                [],
+                tasksets,
+                composition,
+                end_cycle=1_000,
+                victims=set(),
+                ctx=ctx,
+            )
         assert not verdict.bounds_checked

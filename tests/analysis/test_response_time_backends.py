@@ -1,13 +1,15 @@
-"""Exactness wall: the holistic response bound on both analysis backends.
+"""Exactness wall: the holistic response bound, engine against oracle.
 
-``holistic_response_bounds`` runs per-task scalar fixpoints under
-``backend="scalar"`` and one array fixpoint per port under
-``"vectorized"`` (:func:`repro.analysis.vectorized.port_wcrts`).  The
-contract is integer identity: every ``level_wcrt`` and ``path_latency``
-equal, and :class:`InfeasibleError` raised on both backends or on
-neither.  The draws are small quadtrees whose interfaces sit at (or
-just off) the minimal budgets, so interior ports see large upstream
-jitters and some draws run into the divergence cap.
+The engine runs one array fixpoint per port
+(:func:`repro.analysis.vectorized.port_wcrts`); the test oracle
+(:mod:`tests.analysis.oracle`, installed over the pipeline's
+``_port_wcrts`` seam) runs Spuri's fixpoint per task and release
+offset, with its own busy period and supply delay.  The contract is
+integer identity: every ``level_wcrt`` and ``path_latency`` equal, and
+:class:`InfeasibleError` raised on both or on neither.  The draws are
+small quadtrees whose interfaces sit at (or just off) the minimal
+budgets, so interior ports see large upstream jitters and some draws
+run into the divergence cap.
 """
 
 from dataclasses import replace
@@ -28,13 +30,15 @@ from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
 from repro.topology import quadtree
 
+from . import oracle
 from .golden_utils import GOLDEN_SIZES, golden_system
 
-SCALAR = AnalysisContext(backend="scalar", cache=DISABLED)
+#: the oracle's context: it never reads the cache, so keep it empty
+SCALAR = AnalysisContext(cache=DISABLED)
 
 
 def _vectorized() -> AnalysisContext:
-    return AnalysisContext(backend="vectorized", cache=AnalysisCache())
+    return AnalysisContext(cache=AnalysisCache())
 
 
 def _outcome(tasksets, composition, ctx):
@@ -45,8 +49,20 @@ def _outcome(tasksets, composition, ctx):
         return "infeasible"
 
 
+def _on_oracle(run):
+    """``run()`` with the pipeline on the oracle, and the number of
+    port bounds the oracle computed."""
+    with oracle.installed() as calls:
+        outcome = run()
+    return outcome, calls["port_wcrts"]
+
+
 def _assert_backends_agree(tasksets, composition):
-    scalar = _outcome(tasksets, composition, SCALAR)
+    scalar, ports = _on_oracle(
+        lambda: _outcome(tasksets, composition, SCALAR)
+    )
+    # only a composition ``compose`` rejected is refused before any port
+    assert ports > 0 or not composition.schedulable
     fast = _outcome(tasksets, composition, _vectorized())
     assert fast == scalar
     return scalar
@@ -119,7 +135,8 @@ class TestBackendsAgree:
 
 
 def test_transient_fallback_is_backend_independent():
-    """An old composition with no finite bound falls back on both backends."""
+    """An old composition with no finite bound falls back on the
+    engine and on the oracle alike."""
     topology, tasksets = golden_system(16)
     composition = compose(topology, tasksets, ctx=_vectorized())
     # Starve one root port: its subtree's busy period outgrows the cap.
@@ -134,12 +151,14 @@ def test_transient_fallback_is_backend_independent():
         client_id=3,
         tasks=(PeriodicTask(period=1000, wcet=1, name="small"),),
     )
-    bounds = [
-        compute_transient_bound(
+    def bound(ctx):
+        return compute_transient_bound(
             0, join, 500, tasksets, starved, composition, ctx=ctx
         )
-        for ctx in (SCALAR, _vectorized())
-    ]
+
+    scalar, ports = _on_oracle(lambda: bound(SCALAR))
+    assert ports > 0
+    bounds = [scalar, bound(_vectorized())]
     assert bounds[0] == bounds[1]
     assert not bounds[0].analytic
     assert bounds[0].window == max(

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.prm import ResourceInterface, dbf, dbf_step_points, sbf
-from repro.analysis.schedulability import (
-    is_schedulable,
-    is_schedulable_exhaustive,
-    theorem1_bound,
-)
+from repro.analysis.prm import ResourceInterface, dbf, sbf
+from repro.analysis.schedulability import is_schedulable, theorem1_bound
+from repro.analysis.vectorized import StepGrid
 from repro.errors import ConfigurationError
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
+
+from . import oracle
 
 
 def random_small_taskset(rng: random.Random) -> TaskSet:
@@ -90,9 +89,10 @@ class TestTheorem1BoundaryRegression:
         taskset = TaskSet([task])
         beta = theorem1_bound(iface, taskset.utilization)
         assert beta == task.period, "case must put β exactly on a step"
-        points = dbf_step_points(taskset, beta)
+        ts, _ = StepGrid(taskset).upto(beta)
         # Pre-fix this was [] — the single step point in (0, β] is β.
-        assert beta in points
+        assert beta in ts
+        assert beta in oracle.step_points(taskset, beta)
 
     @pytest.mark.parametrize("iface,task", BOUNDARY_CASES)
     def test_boundary_verdict_matches_exhaustive(self, iface, task):
@@ -100,9 +100,7 @@ class TestTheorem1BoundaryRegression:
         beta = theorem1_bound(iface, taskset.utilization)
         result = is_schedulable(taskset, iface)
         horizon = 4 * taskset.hyperperiod() + 4 * iface.period + beta
-        assert result.schedulable == is_schedulable_exhaustive(
-            taskset, iface, horizon
-        )
+        assert result.schedulable == oracle.exhaustive(taskset, iface, horizon)
         if not result.schedulable:
             t = result.violation_time
             assert t is not None and 0 < t <= beta
@@ -127,9 +125,7 @@ class TestTheorem1BoundaryRegression:
                         covered += 1
                         fast = is_schedulable(taskset, iface).schedulable
                         horizon = 3 * task_period * period + beta
-                        slow = is_schedulable_exhaustive(
-                            taskset, iface, horizon
-                        )
+                        slow = oracle.exhaustive(taskset, iface, horizon)
                         assert fast == slow, (
                             f"disagreement for ({task_period},{wcet}) on "
                             f"({period},{budget}), β={beta}"
@@ -181,7 +177,7 @@ class TestBandwidthFailureWitness:
         iface = ResourceInterface(5, 5)
         result = is_schedulable(taskset, iface)
         assert result.schedulable
-        assert is_schedulable_exhaustive(taskset, iface, 1000)
+        assert oracle.exhaustive(taskset, iface, 1000)
 
 
 class TestIsSchedulable:
@@ -233,7 +229,7 @@ class TestIsSchedulable:
         iface = ResourceInterface(period, budget)
         fast = is_schedulable(taskset, iface).schedulable
         horizon = 3 * taskset.hyperperiod() + 6 * period + 100
-        slow = is_schedulable_exhaustive(taskset, iface, horizon)
+        slow = oracle.exhaustive(taskset, iface, horizon)
         if fast:
             assert slow, "fast test accepted an unschedulable instance"
         else:

@@ -1,6 +1,7 @@
 """Tests for the sensitivity / admission analysis."""
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -14,6 +15,8 @@ from repro.tasks.generators import generate_client_tasksets
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
 from repro.topology import quadtree
+
+from . import oracle
 
 
 def light_system(n_clients=16, utilization=0.3, seed=5):
@@ -148,23 +151,24 @@ class TestBreakdownCacheReuse:
     :class:`AnalysisCache`; these tests pin that the caching is (a)
     output-transparent and (b) actually happening."""
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-    def test_breakdown_identical_with_and_without_cache(self, backend):
+    @pytest.mark.parametrize("cold_on", ["oracle", "engine"])
+    def test_breakdown_identical_with_and_without_cache(self, cold_on):
+        """A cached engine search equals an uncached one — on the engine
+        itself, or on the test oracle, which never caches."""
         topology, tasksets = light_system(utilization=0.25)
-        cold = breakdown_scale(
-            topology,
-            tasksets,
-            precision=0.05,
-            ctx=AnalysisContext(
-                backend=backend, cache=AnalysisCache(enabled=False)
-            ),
-        )
+        with oracle.installed() if cold_on == "oracle" else nullcontext():
+            cold = breakdown_scale(
+                topology,
+                tasksets,
+                precision=0.05,
+                ctx=AnalysisContext(cache=AnalysisCache(enabled=False)),
+            )
         cache = AnalysisCache()
         warm = breakdown_scale(
             topology,
             tasksets,
             precision=0.05,
-            ctx=AnalysisContext(backend=backend, cache=cache),
+            ctx=AnalysisContext(cache=cache),
         )
         assert warm.scale == cold.scale
         assert warm.composition.interfaces == cold.composition.interfaces

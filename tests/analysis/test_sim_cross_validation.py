@@ -1,4 +1,4 @@
-"""Analysis ⟷ simulator cross-validation (both engine backends).
+"""Analysis ⟷ simulator cross-validation (engine and test oracle).
 
 Two directions, on seeded small topologies:
 
@@ -8,9 +8,9 @@ Two directions, on seeded small topologies:
 * **soundness of admission** — a task system the composition declares
   schedulable never misses a deadline in simulation.
 
-Each scenario is analyzed with *both* backends first (and the two
-compositions asserted identical), so a divergence between engine paths
-would surface here as well as in the property suite.
+Each scenario is analyzed by the engine and by the exact test oracle
+first (and the two compositions asserted identical), so a divergence
+between them would surface here as well as in the property suite.
 """
 
 import random
@@ -26,6 +26,8 @@ from repro.soc import SoCSimulation
 from repro.tasks.generators import generate_client_tasksets
 from repro.topology import quadtree
 
+from . import oracle
+
 #: (n_clients, utilization, seed) — all seeds chosen so the drawn
 #: system composes (the admission direction needs schedulable systems;
 #: asserted below so a generator change cannot silently vacuate them)
@@ -38,14 +40,14 @@ SCENARIOS = [
 
 
 def _compose_both_backends(topology, tasksets):
-    """Compose under both backends; assert they agree; return one."""
-    scalar = compose(
-        topology, tasksets, ctx=AnalysisContext(backend="scalar", cache=DISABLED)
-    )
+    """Compose on the oracle and the engine; assert they agree; return
+    the engine's."""
+    with oracle.installed():
+        scalar = compose(
+            topology, tasksets, ctx=AnalysisContext(cache=DISABLED)
+        )
     vectorized = compose(
-        topology,
-        tasksets,
-        ctx=AnalysisContext(backend="vectorized", cache=AnalysisCache()),
+        topology, tasksets, ctx=AnalysisContext(cache=AnalysisCache())
     )
     assert vectorized.interfaces == scalar.interfaces
     assert vectorized.schedulable == scalar.schedulable

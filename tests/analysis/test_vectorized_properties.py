@@ -1,17 +1,19 @@
-"""Property tests: the vectorized engine against the scalar oracle.
+"""Property tests: the analysis engine against the exact test oracle.
 
-The vectorized backend's contract is *bit-identical results* — not
-approximately equal, identical — so every property here is an exact
-comparison on randomized tasksets and interfaces:
+The engine's contract is *bit-identical results* to the exact
+analysis — not approximately equal, identical — so every property here
+is an exact comparison, on randomized tasksets and interfaces, with the
+scalar oracle of :mod:`tests.analysis.oracle` (written from the
+definitions, sharing no code with the engine):
 
 * pointwise dbf/sbf equality between the array evaluators and the
   scalar formulas;
 * sbf is monotone in t and consistent with superadditivity of supply;
 * the step grid's points are exactly the instants where dbf changes;
 * full :func:`is_schedulable` result equality (witnesses included) and
-  :func:`select_interface` equality between backends;
+  :func:`select_interface` equality with the oracle;
 * the equivalence wall: selections and lock-step budget searches equal
-  the scalar oracle on coprime periods (utilization denominators past
+  the oracle on coprime periods (utilization denominators past
   2⁶⁴), on probes just above the utilization floor (huge β, windowed
   scan) and under tiny grid and chunk budgets;
 * the float horizon never undercuts the exact Theorem-1 bound;
@@ -20,6 +22,7 @@ comparison on randomized tasksets and interfaces:
 
 import random
 from contextlib import ExitStack
+from dataclasses import astuple
 from fractions import Fraction
 from unittest import mock
 
@@ -35,13 +38,9 @@ from repro.analysis import (
     select_interface,
     taskset_key,
 )
-from repro.analysis.cache import DISABLED
 from repro.analysis.context import SelectionConfig
-from repro.analysis.interface_selection import (
-    minimal_budget_for_period,
-    minimal_budgets_for_periods,
-)
-from repro.analysis.prm import ResourceInterface, dbf, dbf_step_points, sbf
+from repro.analysis.interface_selection import minimal_budgets_for_periods
+from repro.analysis.prm import ResourceInterface, dbf, sbf
 from repro.analysis.vectorized import (
     HORIZON_OVERFLOW,
     StepGrid,
@@ -55,12 +54,28 @@ from repro.analysis.vectorized import (
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
 
-#: the scalar oracle, never memoized
-SCALAR = AnalysisContext(backend="scalar", cache=DISABLED)
+from . import oracle
 
 
 def vectorized(cache: AnalysisCache) -> AnalysisContext:
-    return AnalysisContext(backend="vectorized", cache=cache)
+    return AnalysisContext(cache=cache)
+
+
+def selection(taskset, sibling, ctx):
+    """The engine's selection as the oracle reports one, or the
+    exception type's name."""
+    try:
+        result = select_interface(taskset, sibling, ctx=ctx)
+    except Exception as exc:  # InfeasibleError etc: compare type
+        return type(exc).__name__
+    return (result.interface, result.periods_examined, result.period_bound)
+
+
+def oracle_selection(taskset, sibling, candidates=oracle.DEFAULT_CANDIDATES):
+    try:
+        return tuple(oracle.select(taskset, sibling, candidates))
+    except Exception as exc:
+        return type(exc).__name__
 
 
 def random_taskset(seed: int, max_tasks: int = 6, max_period: int = 400):
@@ -134,7 +149,7 @@ class TestStepGrid:
         taskset = random_taskset(seed)
         grid = StepGrid(taskset)
         ts, _ = grid.upto(horizon)
-        assert list(int(t) for t in ts) == dbf_step_points(taskset, horizon)
+        assert list(int(t) for t in ts) == oracle.step_points(taskset, horizon)
         changes = [
             t
             for t in range(1, horizon + 1)
@@ -157,11 +172,11 @@ class TestBackendEquality:
     def test_is_schedulable_full_result_equal(self, seed):
         taskset = random_taskset(seed)
         interface = random_interface(seed)
-        scalar = is_schedulable(taskset, interface, ctx=SCALAR)
+        scalar = oracle.schedulability(taskset, interface)
         batched = is_schedulable(
             taskset, interface, ctx=vectorized(AnalysisCache())
         )
-        assert scalar == batched  # witnesses and test bound included
+        assert scalar == astuple(batched)  # witnesses and test bound included
 
     @given(
         seed=st.integers(0, 50_000),
@@ -172,13 +187,9 @@ class TestBackendEquality:
     @settings(max_examples=40, deadline=None)
     def test_select_interface_equal(self, seed, sibling):
         taskset = random_taskset(seed, max_tasks=4, max_period=300)
-        def run(ctx):
-            try:
-                return select_interface(taskset, sibling, ctx=ctx)
-            except Exception as exc:  # InfeasibleError etc: compare type
-                return type(exc).__name__
-
-        assert run(SCALAR) == run(vectorized(AnalysisCache()))
+        assert oracle_selection(taskset, sibling) == selection(
+            taskset, sibling, vectorized(AnalysisCache())
+        )
 
     @given(seed=st.integers(0, 50_000))
     @settings(max_examples=40, deadline=None)
@@ -202,8 +213,8 @@ class TestBackendEquality:
         )
         assert len(verdicts) == len(interfaces)
         for (period, budget), verdict in zip(interfaces, verdicts):
-            expected = is_schedulable(
-                taskset, ResourceInterface(period, budget), ctx=SCALAR
+            expected = oracle.schedulability(
+                taskset, ResourceInterface(period, budget)
             ).schedulable
             assert verdict == expected
 
@@ -211,7 +222,7 @@ class TestBackendEquality:
 class TestFallbackPaths:
     """Force the engine's degenerate regimes — the windowed scan (grid
     point budget exhausted) and tiny broadcast chunks — and
-    require exact scalar equality there too."""
+    require exact equality with the oracle there too."""
 
     def test_lazy_scan_matches_scalar(self, monkeypatch):
         import repro.analysis.vectorized as vectorized_module
@@ -220,11 +231,11 @@ class TestFallbackPaths:
         for seed in range(300):
             taskset = random_taskset(seed, max_tasks=3, max_period=60)
             interface = random_interface(seed, max_period=50)
-            scalar = is_schedulable(taskset, interface, ctx=SCALAR)
+            scalar = oracle.schedulability(taskset, interface)
             lazy = is_schedulable(
                 taskset, interface, ctx=vectorized(AnalysisCache())
             )
-            assert scalar == lazy
+            assert scalar == astuple(lazy)
 
     def test_tiny_chunks_match_scalar_selection(self, monkeypatch):
         import repro.analysis.vectorized as vectorized_module
@@ -234,9 +245,9 @@ class TestFallbackPaths:
             taskset = random_taskset(seed, max_tasks=3, max_period=120)
             if taskset.utilization >= 1:
                 continue
-            scalar = select_interface(taskset, ctx=SCALAR)
-            chunked = select_interface(
-                taskset, ctx=vectorized(AnalysisCache())
+            scalar = oracle_selection(taskset, Fraction(0))
+            chunked = selection(
+                taskset, Fraction(0), vectorized(AnalysisCache())
             )
             assert chunked == scalar
 
@@ -293,7 +304,7 @@ def tiny_budgets(tiny: bool) -> ExitStack:
 
 
 class TestEquivalenceWall:
-    """The default engine's searches equal the scalar oracle exactly."""
+    """The engine's searches equal the test oracle exactly."""
 
     @given(
         drawn=wall_tasksets(),
@@ -309,19 +320,13 @@ class TestEquivalenceWall:
     ):
         taskset, _ = drawn
         config = SelectionConfig(max_period_candidates=candidates)
-
-        def run(ctx):
-            try:
-                return select_interface(taskset, sibling, ctx=ctx)
-            except Exception as exc:  # InfeasibleError etc: compare type
-                return type(exc).__name__
-
         with tiny_budgets(tiny):
-            engine = run(AnalysisContext(cache=AnalysisCache(), config=config))
-        oracle = run(
-            AnalysisContext(backend="scalar", cache=DISABLED, config=config)
-        )
-        assert engine == oracle
+            engine = selection(
+                taskset,
+                sibling,
+                AnalysisContext(cache=AnalysisCache(), config=config),
+            )
+        assert engine == oracle_selection(taskset, sibling, candidates)
 
     @given(drawn=wall_tasksets(), tiny=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -332,8 +337,7 @@ class TestEquivalenceWall:
                 taskset, periods, ctx=AnalysisContext(cache=AnalysisCache())
             )
         assert budgets == [
-            minimal_budget_for_period(taskset, period, ctx=SCALAR)
-            for period in periods
+            oracle.minimal_budget(taskset, period) for period in periods
         ]
 
     def test_floor_probe_takes_the_lazy_scan(self, monkeypatch):
@@ -368,7 +372,7 @@ class TestEquivalenceWall:
         budgets = minimal_budgets_for_periods(
             taskset, [10], ctx=AnalysisContext(cache=AnalysisCache())
         )
-        assert budgets == [minimal_budget_for_period(taskset, 10, ctx=SCALAR)]
+        assert budgets == [oracle.minimal_budget(taskset, 10)]
         assert [(args[1], args[2]) for args in calls] == [(10, 9)]
         # β of (10, 9) is 18 000 cycles: many windows, none oversized
         assert len(windows) > 100

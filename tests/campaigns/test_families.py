@@ -162,14 +162,16 @@ class TestAnalysisOracle:
     def test_ci_spec_bluescale_matches_the_scalar_oracle(self):
         """Every trial of every ``campaigns/ci.json`` cell programs
         BlueScale with the same interfaces when its composition runs on
-        the scalar analysis oracle as on the one engine."""
+        the test oracle as on the one engine."""
         import random
         from pathlib import Path
 
-        from repro.analysis.cache import AnalysisCache
+        from repro.analysis.cache import DISABLED
         from repro.analysis.context import AnalysisContext
         from repro.campaigns import load_campaign_spec
         from repro.experiments.factory import build_interconnect, draw_tasksets
+
+        from ..analysis import oracle
 
         root = Path(__file__).resolve().parents[2]
         cells = expand_campaign(load_campaign_spec(root / "campaigns/ci.json"))
@@ -180,17 +182,16 @@ class TestAnalysisOracle:
             for spec in cell_trial_specs(cell):
                 config = spec.param("config")
                 tasksets = draw_tasksets(random.Random(spec.seed), config)
-                built = [
-                    build_interconnect(
+                def build(ctx):
+                    return build_interconnect(
                         "BlueScale", config.n_clients, tasksets, ctx=ctx
                     ).composition
-                    for ctx in (
-                        AnalysisContext(backend="scalar", cache=AnalysisCache()),
-                        AnalysisContext(),
-                    )
-                ]
-                oracle, engine = built
-                assert oracle.interfaces == engine.interfaces, spec.seed
-                assert oracle.schedulable == engine.schedulable
+
+                with oracle.installed() as calls:
+                    expected = build(AnalysisContext(cache=DISABLED))
+                assert calls["select_interface"] > 0
+                engine = build(AnalysisContext())
+                assert expected.interfaces == engine.interfaces, spec.seed
+                assert expected.schedulable == engine.schedulable
                 checked += 1
         assert checked == 4  # 2 utilizations x 2 trials

@@ -67,6 +67,21 @@ def programmed_se(interfaces, node=(0, 0), **kwargs):
 
 
 @pytest.fixture
+def analysis_oracle():
+    """Run the analysis pipeline on the exact test oracle for one test.
+
+    Every interface selection and every port's response bound goes
+    through ``tests/analysis/oracle.py`` instead of the engine (see
+    :func:`tests.analysis.oracle.installed`).  Yields the oracle's call
+    counter, keyed by seam.
+    """
+    from tests.analysis import oracle
+
+    with oracle.installed() as calls:
+        yield calls
+
+
+@pytest.fixture
 def kernel_groups(monkeypatch) -> list[int]:
     """Spy on the lock-step kernels: one entry (the group size) per
     ``repro.sim.batched.api._run_group`` call made in this process.

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.analysis.cache import DISABLED
 from repro.analysis.model import SystemModel
 from repro.core.interconnect import BlueScaleInterconnect
 from repro.errors import ConfigurationError, SimulationError
@@ -24,6 +25,8 @@ from repro.runtime.metrics import MetricSet
 from repro.scenarios import ScenarioDriver, replay_plan
 from repro.soc import SoCSimulation
 from repro.tasks.taskset import TaskSet
+
+from ..analysis import oracle
 
 SMOKE = ChurnConfig(n_clients=8, trials=1, horizon=3_000, drain=1_500)
 
@@ -129,14 +132,14 @@ class TestTrial:
     def test_replay_matches_the_scalar_oracle(self):
         """Trial 0 of ``repro churn --trials 2 --horizon 4000 --verify``
         replays to the same decisions and transient windows on a model
-        built on the scalar analysis oracle as on the one engine."""
+        built and replayed on the test oracle as on the one engine."""
         spec = build_churn_specs(ChurnConfig(trials=2, horizon=4_000))[0]
         base, plan = churn._churn_workload(spec)
         topology = BlueScaleInterconnect(spec.param("config").n_clients).topology
 
-        def replay(backend):
+        def replay(cache):
             model = SystemModel.build(
-                topology, base, config=BLUESCALE_SEARCH, backend=backend
+                topology, base, config=BLUESCALE_SEARCH, cache=cache
             )
             return [
                 (
@@ -149,9 +152,11 @@ class TestTrial:
                 for event in replay_plan(model.session(), plan)
             ]
 
-        oracle = replay("scalar")
-        assert sum(transient is not None for *_, transient in oracle) >= 2
-        assert replay(None) == oracle
+        with oracle.installed() as calls:
+            expected = replay(DISABLED)
+        assert calls["select_interface"] > 0 and calls["port_wcrts"] > 0
+        assert sum(transient is not None for *_, transient in expected) >= 2
+        assert replay(None) == expected
 
     def test_trial_is_deterministic(self, smoke_metrics):
         (spec,) = build_churn_specs(SMOKE)

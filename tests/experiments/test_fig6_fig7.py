@@ -199,31 +199,27 @@ class TestFig7WithAnalysis:
                 composition.root_bandwidth
             ), spec.param("utilization")
 
-    def test_backend_override_identical(self, result, monkeypatch):
-        """The scalar analysis oracle, swapped in under the trial runner
-        for both the ``--with-analysis`` model and the simulated
-        BlueScale's composition, agrees verdict for verdict."""
-        from functools import partial
-
-        from repro.analysis.context import AnalysisContext
+    def test_backend_override_identical(
+        self, result, analysis_oracle, monkeypatch
+    ):
+        """The test oracle, swapped in under the trial runner for both
+        the ``--with-analysis`` model and the simulated BlueScale's
+        composition, agrees verdict for verdict."""
         from repro.analysis.model import SystemModel
-        from repro.experiments import fig7
 
         build = SystemModel.build.__func__
         seen = []
 
-        def scalar_build(cls, *args, **kwargs):
-            seen.append(kwargs.get("backend"))
-            return build(cls, *args, backend="scalar", **kwargs)
+        def counting_build(cls, *args, **kwargs):
+            seen.append(args)
+            return build(cls, *args, **kwargs)
 
-        monkeypatch.setattr(SystemModel, "build", classmethod(scalar_build))
-        monkeypatch.setattr(
-            fig7, "AnalysisContext", partial(AnalysisContext, backend="scalar")
-        )
+        monkeypatch.setattr(SystemModel, "build", classmethod(counting_build))
         scalar = run_experiment(
             "fig7", self.CONFIG, roster=("BlueScale",), executor=SCALAR
         )
-        # one model per (trial, utilization), none of them pinned
-        assert seen and set(seen) == {None}
+        # one model per (trial, utilization), all composed on the oracle
+        assert len(seen) == 4
+        assert analysis_oracle["select_interface"] > 0
         assert scalar.analysis_ratio == result.analysis_ratio
         assert scalar.success_ratio == result.success_ratio

@@ -1,28 +1,28 @@
-"""The scalar analysis oracle agrees with the one engine on real trials.
+"""The test oracle agrees with the one analysis engine on real trials.
 
-Every trial runner analyses on ``AnalysisContext()``, the vectorized
-engine.  The scalar engine is kept only as the tests' oracle: these
+Every trial runner analyses on ``AnalysisContext()``, the engine.  These
 tests build an isolation trial once with the runner's own builder, run
 its simulations, and redo its analysis — the composition that programs
 BlueScale *and* the holistic bounds the isolation verdict is checked
-against — under ``AnalysisContext(backend="scalar")``.
+against — on the exact test oracle (:mod:`tests.analysis.oracle`,
+installed over the pipeline's two engine seams).
 
-Exact call counters check that each context takes only its own path:
-the vectorized Theorem-1 scan
-(:func:`repro.analysis.vectorized.first_violation`) and the per-port
-array fixpoint (:func:`~repro.analysis.vectorized.port_wcrts`) never
-run under the scalar context, and the per-task scalar fixpoint
-(:func:`~repro.analysis.response_time.wcrt_on_interface`) never runs
-under the default one — neither in a whole isolation trial nor in a
-transient replay.
+Exact call counters check that each side takes only its own path: the
+engine's Theorem-1 scan (:func:`repro.analysis.vectorized.first_violation`),
+lock-step verdicts (:func:`~repro.analysis.vectorized.grid_verdicts`)
+and per-port array fixpoint (:func:`~repro.analysis.vectorized.port_wcrts`)
+never run under the oracle, and the oracle's selection and port bounds
+never run on the default path — neither in a whole isolation trial nor
+in a transient replay.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
-import repro.analysis.response_time as response_time
 import repro.analysis.vectorized as vectorized
 from repro.analysis import SystemModel
-from repro.analysis.cache import AnalysisCache
+from repro.analysis.cache import DISABLED, AnalysisCache
 from repro.analysis.composition import compose
 from repro.analysis.context import AnalysisContext
 from repro.experiments.factory import bluescale_context
@@ -36,6 +36,8 @@ from repro.faults.verify import verify_isolation
 from repro.runtime import TrialSpec
 from repro.scenarios import ScenarioEvent, ScenarioKind, ScenarioPlan, replay_plan
 from repro.tasks import PeriodicTask
+
+from ..analysis import oracle
 
 
 def _spy(monkeypatch, module, name):
@@ -52,25 +54,25 @@ def _spy(monkeypatch, module, name):
 
 
 @pytest.fixture
-def vectorized_scans(monkeypatch):
-    """Every call of the vectorized engine's Theorem-1 scan, recorded."""
-    return _spy(monkeypatch, vectorized, "first_violation")
-
-
-@pytest.fixture
-def bound_paths(monkeypatch):
-    """Calls of each backend's holistic-bound kernel, by backend."""
+def paths(monkeypatch):
+    """Every call of the engine's kernels and of the oracle's, by side."""
     return {
-        "scalar": _spy(monkeypatch, response_time, "wcrt_on_interface"),
-        "vectorized": _spy(monkeypatch, vectorized, "port_wcrts"),
+        "engine": {
+            name: _spy(monkeypatch, vectorized, name)
+            for name in ("first_violation", "grid_verdicts", "port_wcrts")
+        },
+        "oracle": {
+            name: _spy(monkeypatch, oracle, name)
+            for name in ("select", "port_wcrts")
+        },
     }
 
 
-def _assert_one_path(bound_paths, backend):
-    """Only ``backend``'s kernel ran — and it did run."""
-    other = "vectorized" if backend == "scalar" else "scalar"
-    assert len(bound_paths[other]) == 0
-    assert bound_paths[backend]
+def _assert_one_path(paths, side):
+    """Only ``side``'s kernels ran — and its port bounds did run."""
+    other = "engine" if side == "oracle" else "oracle"
+    assert all(calls == [] for calls in paths[other].values())
+    assert paths[side]["port_wcrts"]
 
 
 def _isolation_spec() -> TrialSpec:
@@ -92,49 +94,53 @@ def isolation_trial():
     return spec.param("config"), tasksets, fault_sim
 
 
-def _analyse(trial, backend: str):
-    """The trial's composition and isolation verdict, redone on a
-    fresh cache under ``backend``."""
+def _analyse(trial, side: str):
+    """The trial's composition and isolation verdict, redone on the
+    engine (with a fresh cache) or on the oracle (with none)."""
     config, tasksets, fault_sim = trial
-    ctx = AnalysisContext(backend=backend, cache=AnalysisCache())
-    composition = compose(
-        fault_sim.interconnect.topology, tasksets, ctx=bluescale_context(ctx)
-    )
-    verdict = verify_isolation(
-        fault_sim.clients,
-        tasksets,
-        composition,
-        end_cycle=config.horizon,
-        victims=set(range(config.n_clients)) - {config.aggressor},
-        ctx=ctx,
-    )
+    on_oracle = side == "oracle"
+    ctx = AnalysisContext(cache=DISABLED if on_oracle else AnalysisCache())
+    with oracle.installed() if on_oracle else nullcontext():
+        composition = compose(
+            fault_sim.interconnect.topology,
+            tasksets,
+            ctx=bluescale_context(ctx),
+        )
+        verdict = verify_isolation(
+            fault_sim.clients,
+            tasksets,
+            composition,
+            end_cycle=config.horizon,
+            victims=set(range(config.n_clients)) - {config.aggressor},
+            ctx=ctx,
+        )
     return composition, verdict
 
 
 class TestIsolationTrial:
     def test_scalar_trial_never_runs_the_vectorized_engine(
-        self, isolation_trial, vectorized_scans, bound_paths
+        self, isolation_trial, paths
     ):
-        _, verdict = _analyse(isolation_trial, "scalar")
+        _, verdict = _analyse(isolation_trial, "oracle")
         assert verdict.bounds_checked
-        assert vectorized_scans == []
-        _assert_one_path(bound_paths, "scalar")
+        assert paths["oracle"]["select"]
+        _assert_one_path(paths, "oracle")
 
-    def test_vectorized_trial_runs_it(self, vectorized_scans, bound_paths):
+    def test_vectorized_trial_runs_it(self, paths):
         """A whole isolation trial runs the one engine only — zero
-        per-task scalar fixpoints (and the spies see the path at all,
-        which guards the test above)."""
+        oracle calls (and the spies see the path at all, which guards
+        the test above)."""
         spec = _isolation_spec()
         metrics = run_isolation_trial(spec)
         assert metrics.scalars["BlueScale/bounds_checked"] == 1.0
-        assert vectorized_scans
-        _assert_one_path(bound_paths, "vectorized")
+        assert paths["engine"]["first_violation"]
+        _assert_one_path(paths, "engine")
 
     def test_verdict_is_backend_independent(self, isolation_trial):
-        """Composition and verdict under the scalar oracle equal the
-        default engine's, and both equal what the trial programmed."""
-        scalar_composition, scalar_verdict = _analyse(isolation_trial, "scalar")
-        composition, verdict = _analyse(isolation_trial, "vectorized")
+        """Composition and verdict on the test oracle equal the
+        engine's, and both equal what the trial programmed."""
+        scalar_composition, scalar_verdict = _analyse(isolation_trial, "oracle")
+        composition, verdict = _analyse(isolation_trial, "engine")
         programmed = isolation_trial[2].interconnect.composition
         for other in (composition, programmed):
             assert scalar_composition.interfaces == other.interfaces
@@ -158,13 +164,20 @@ def _join_plan() -> ScenarioPlan:
 
 
 class TestReplayTransients:
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-    def test_transient_bound_runs_on_the_sessions_backend(
-        self, backend, vectorized_scans, bound_paths
-    ):
-        model = SystemModel.from_seed(8, utilization=0.3, seed=7, backend=backend)
-        (replayed,) = replay_plan(model.session(), _join_plan())
+    @pytest.mark.parametrize("side", ["oracle", "engine"])
+    def test_transient_bound_runs_on_the_sessions_backend(self, side, paths):
+        """A model built and replayed under the oracle bounds its
+        transients on the oracle; one built on the engine, on it."""
+        on_oracle = side == "oracle"
+        with oracle.installed() if on_oracle else nullcontext():
+            model = SystemModel.from_seed(
+                8,
+                utilization=0.3,
+                seed=7,
+                cache=DISABLED if on_oracle else None,
+            )
+            (replayed,) = replay_plan(model.session(), _join_plan())
         assert replayed.transient is not None
         assert replayed.transient.analytic
-        assert bool(vectorized_scans) == (backend == "vectorized")
-        _assert_one_path(bound_paths, backend)
+        assert bool(paths["engine"]["first_violation"]) == (side == "engine")
+        _assert_one_path(paths, side)

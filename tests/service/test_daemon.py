@@ -46,6 +46,18 @@ class TestEndpoints:
     def test_model_summary(self, service):
         _, client = service
         summary = client.model()
+        assert set(summary) == {
+            "label",
+            "n_clients",
+            "fanout",
+            "depth",
+            "nodes",
+            "deadline_margin",
+            "baseline_tasks",
+            "baseline_utilization",
+            "baseline_schedulable",
+            "baseline_root_bandwidth",
+        }
         assert summary["n_clients"] == 16
         assert summary["baseline_schedulable"] is True
 

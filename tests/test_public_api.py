@@ -83,8 +83,10 @@ class TestTopLevelExports:
         ``grid_verdicts``, the Scale Element's own interface selector
         (``compose`` is the one selection), the arbitration-interval
         model that only fed a simulator setting, the blocking helper no
-        design called and the unreferenced design-cost table are gone
-        from the public surface."""
+        design called, the unreferenced design-cost table and the second
+        analysis engine's tests-only helpers (the exact oracle lives in
+        ``tests/analysis/oracle.py``) are gone from the public
+        surface."""
         import importlib
 
         import repro.analysis
@@ -143,6 +145,12 @@ class TestTopLevelExports:
             "can_admit",
             "breakdown_utilization",
             "schedulable_many",
+            "BACKENDS",
+            "wcrt_on_interface",
+            "minimal_budget_for_period",
+            "dbf_step_points",
+            "is_schedulable_exhaustive",
+            "brute_force_minimum_bandwidth",
         ):
             assert name not in repro.analysis.__all__
             assert not hasattr(repro.analysis, name)
@@ -248,6 +256,19 @@ class TestTopLevelExports:
             assert not hasattr(axi, name)
         assert axi.response_latency(0) == 2
         assert not hasattr(GsmTreeInterconnect(4), "slot_cycles")
+
+    def test_analysis_has_one_engine(self):
+        """No value selects an analysis engine: a context is a cache and
+        a search config, and a model is built without a backend."""
+        import dataclasses
+        import inspect
+
+        from repro.analysis import AnalysisContext, SystemModel
+
+        fields = [field.name for field in dataclasses.fields(AnalysisContext)]
+        assert fields == ["cache", "config"]
+        for builder in (SystemModel.build, SystemModel.from_seed):
+            assert "backend" not in inspect.signature(builder).parameters
 
     def test_analysis_runs_under_one_ctx(self):
         """How an analysis runs is one value, ``ctx=`` (an
