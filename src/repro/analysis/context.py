@@ -34,14 +34,15 @@ class SelectionConfig:
     the Theorem-2 range is wider, candidates are sampled evenly across
     it (the bandwidth landscape is smooth enough that this finds the
     optimum or a near-optimum; set it to 0 for exhaustive enumeration).
-    The period range itself always starts at 1.
+    The period range itself always starts at 1.  An even sample needs
+    both ends of the range, so the cap is 0 or at least 2.
     """
 
     max_period_candidates: int = 256
 
     def __post_init__(self) -> None:
-        if self.max_period_candidates < 0:
-            raise ConfigurationError("max_period_candidates must be >= 0")
+        if self.max_period_candidates < 0 or self.max_period_candidates == 1:
+            raise ConfigurationError("max_period_candidates must be 0 or >= 2")
 
     def memo_key(self) -> tuple:
         """The config's contribution to a selection cache key."""

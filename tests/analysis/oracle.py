@@ -203,8 +203,11 @@ def candidate_periods(upper: int, max_candidates: int) -> list[int]:
     """Periods 1..upper, or ``max_candidates`` of them spread evenly.
 
     The sample rounds ``1 + i·(upper − 1)/(max_candidates − 1)`` half to
-    even, and always includes ``upper``.
+    even, and always includes ``upper``.  A sample needs both ends, so
+    ``max_candidates`` is 0 or at least 2.
     """
+    if max_candidates < 0 or max_candidates == 1:
+        raise ConfigurationError("max_period_candidates must be 0 or >= 2")
     if upper < 1:
         return []
     if max_candidates == 0 or upper <= max_candidates:

@@ -241,3 +241,20 @@ class TestSelectionConfig:
     def test_rejects_negative_candidates(self):
         with pytest.raises(ConfigurationError):
             SelectionConfig(max_period_candidates=-1)
+
+    def test_rejects_a_single_candidate(self):
+        """One candidate cannot span the Theorem-2 range: the even
+        sample would divide by ``k - 1 = 0``."""
+        with pytest.raises(ConfigurationError, match="0 or >= 2"):
+            SelectionConfig(max_period_candidates=1)
+        with pytest.raises(ConfigurationError, match="0 or >= 2"):
+            oracle.candidate_periods(40, 1)
+
+    def test_two_candidates_span_the_range(self):
+        taskset = TaskSet([PeriodicTask(period=40, wcet=4)])
+        ctx = AnalysisContext(
+            cache=AnalysisCache(),
+            config=SelectionConfig(max_period_candidates=2),
+        )
+        selection = select_interface(taskset, ctx=ctx)
+        assert selection.interface.budget > 0
