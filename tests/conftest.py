@@ -101,3 +101,30 @@ def kernel_groups(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(api, "_run_group", spy)
     return sizes
+
+
+@pytest.fixture
+def fabric_passes(monkeypatch) -> list[list]:
+    """Spy on the tree kernels' fabric passes: one ``[kernel, cycle,
+    busy, passes]`` record per ``tick`` of a BlueScale or mux-tree
+    kernel, where ``busy`` says its fabric held a request when the tick
+    began and ``passes`` counts the ``_pass`` calls that tick made."""
+    from repro.sim.batched.bluescale import BlueScaleKernel
+    from repro.sim.batched.muxtree import MuxTreeKernel
+
+    records: list[list] = []
+    for kernel_type in (BlueScaleKernel, MuxTreeKernel):
+        tick = kernel_type.tick
+        one_pass = kernel_type._pass
+
+        def spy_tick(self, cycle, active, tick=tick):
+            records.append([self, cycle, self.occ > 0, 0])
+            return tick(self, cycle, active)
+
+        def spy_pass(self, cycle, active, one_pass=one_pass):
+            records[-1][3] += 1
+            return one_pass(self, cycle, active)
+
+        monkeypatch.setattr(kernel_type, "tick", spy_tick)
+        monkeypatch.setattr(kernel_type, "_pass", spy_pass)
+    return records
