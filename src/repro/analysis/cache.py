@@ -17,6 +17,16 @@ multiset of its ``(T, C)`` pairs, which is precisely the information
 dbf/sbf analysis depends on — so a cache hit is bit-identical to the
 cold path by construction (and asserted by the property suite).
 
+A third table holds whole-SE resolutions
+(:class:`~repro.analysis.composition.NodeResolution`), keyed by the
+tuple of the SE's port keys plus the search config.  A warm admission
+decision is answered there before any selection or grid lookup: one
+hit per SE on the client's path, tens of microseconds a decision at
+16 clients, where the port task-set rebuilds and exact ``Fraction``
+sums it replaces used to cost a few hundred.  Its counters
+(``node_hits``/``node_misses``) stay out of the ``hits``/``misses``
+aggregates, which count the selection and grid tables.
+
 The cache is **thread-safe**: every table access and every stats
 update happens under one internal lock, so a single shared cache can
 serve concurrent admission requests (:mod:`repro.service`) without
@@ -41,6 +51,7 @@ from typing import TYPE_CHECKING, Any
 from repro.tasks.taskset import TaskSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.analysis.composition import NodeResolution
     from repro.analysis.interface_selection import SelectionResult
 
 #: exact cache key of a task set: the sorted multiset of (T, C) pairs
@@ -78,6 +89,10 @@ class CacheStats:
     selection_misses: int = 0
     grid_hits: int = 0
     grid_misses: int = 0
+    #: whole-SE resolutions; kept out of the aggregates below, which
+    #: count the selection and grid tables only
+    node_hits: int = 0
+    node_misses: int = 0
 
     @property
     def hits(self) -> int:
@@ -103,13 +118,16 @@ class CacheStats:
             "selection_misses": self.selection_misses,
             "grid_hits": self.grid_hits,
             "grid_misses": self.grid_misses,
+            "node_hits": self.node_hits,
+            "node_misses": self.node_misses,
         }
 
 
 class AnalysisCache:
-    """Bounded, thread-safe memo tables for selections and grids.
+    """Bounded, thread-safe memo tables for selections, grids and SEs.
 
-    ``max_selections`` / ``max_grids`` bound memory; eviction is FIFO
+    ``max_selections`` / ``max_grids`` bound memory (``max_selections``
+    bounds the SE table too); eviction is FIFO
     (oldest insertion first), which is plenty for sweep workloads whose
     reuse is temporally clustered.  A disabled cache stores nothing and
     returns nothing, making the cold path trivially reachable.
@@ -131,6 +149,7 @@ class AnalysisCache:
         self.stats = CacheStats()
         self._selections: dict[tuple, "SelectionResult"] = {}
         self._grids: dict[TaskSetKey, Any] = {}
+        self._nodes: dict[tuple, "NodeResolution"] = {}
         self._lock = threading.Lock()
 
     # -- selection results ---------------------------------------------------
@@ -175,12 +194,33 @@ class AnalysisCache:
                 self._grids.pop(next(iter(self._grids)))
             self._grids[key] = grid
 
+    # -- whole-SE resolutions ------------------------------------------------
+    def get_node(self, key: tuple) -> "NodeResolution | None":
+        if not self.enabled:
+            return None
+        with self._lock:
+            found = self._nodes.get(key)
+            if found is None:
+                self.stats.node_misses += 1
+            else:
+                self.stats.node_hits += 1
+            return found
+
+    def put_node(self, key: tuple, resolution: "NodeResolution") -> None:
+        if not self.enabled:
+            return
+        with self._lock:
+            if key not in self._nodes and len(self._nodes) >= self.max_selections:
+                self._nodes.pop(next(iter(self._nodes)))
+            self._nodes[key] = resolution
+
     # -- bookkeeping ---------------------------------------------------------
     def clear(self) -> None:
         """Drop every memoized entry; the stats counters keep counting."""
         with self._lock:
             self._selections.clear()
             self._grids.clear()
+            self._nodes.clear()
 
     def reset_stats(self) -> CacheStats:
         """Zero the hit/miss counters; returns the retired ones."""
@@ -196,7 +236,7 @@ class AnalysisCache:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._selections) + len(self._grids)
+            return len(self._selections) + len(self._grids) + len(self._nodes)
 
     # -- pickling ------------------------------------------------------------
     def __getstate__(self) -> dict:
@@ -206,6 +246,7 @@ class AnalysisCache:
             state = dict(self.__dict__)
             state["_selections"] = dict(self._selections)
             state["_grids"] = dict(self._grids)
+            state["_nodes"] = dict(self._nodes)
             state["stats"] = CacheStats(**self.stats.as_dict())
         del state["_lock"]
         return state

@@ -15,7 +15,10 @@ over-utilized by the root's server tasks: ``Σ Θ_X/Π_X <= 1``.
 Both :func:`compose` (whole tree) and :func:`update_client` (one
 client's root path) resolve each SE through the same
 :func:`_resolve_node` step, driven by the caller's one
-:class:`~repro.analysis.context.AnalysisContext`.
+:class:`~repro.analysis.context.AnalysisContext`.  That step keys the
+SE by its ports' exact ``(T, C)`` multisets and looks the whole
+resolution up in the context's cache; port task sets are built only
+on a miss.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from repro.analysis.cache import TaskSetKey
 from repro.analysis.context import AnalysisContext
 from repro.analysis.interface_selection import select_interface
 from repro.analysis.prm import ResourceInterface
@@ -70,6 +74,21 @@ class CompositionResult:
 RELATIVE_MARGIN = 0.10
 
 
+def tightened_period(
+    task: PeriodicTask, margin: int, relative_margin: float = RELATIVE_MARGIN
+) -> int:
+    """The period (and deadline) one task presents to its leaf SE.
+
+    See :func:`tighten_deadlines`; with no margin at all the period is
+    the task's own.
+    """
+    if margin <= 0 and relative_margin <= 0:
+        return task.period
+    return max(
+        task.wcet, task.period - margin - round(relative_margin * task.period)
+    )
+
+
 def tighten_deadlines(
     taskset: TaskSet, margin: int, relative_margin: float = RELATIVE_MARGIN
 ) -> TaskSet:
@@ -95,10 +114,7 @@ def tighten_deadlines(
     return TaskSet(
         [
             PeriodicTask(
-                period=max(
-                    task.wcet,
-                    task.period - margin - round(relative_margin * task.period),
-                ),
+                period=tightened_period(task, margin, relative_margin),
                 wcet=task.wcet,
                 name=task.name,
                 client_id=task.client_id,
@@ -108,37 +124,49 @@ def tighten_deadlines(
     )
 
 
-def _port_tasksets(
+def _port_keys(
     topology: TreeTopology,
     node: NodeId,
     client_tasksets: dict[int, TaskSet],
     result: CompositionResult,
-    deadline_margin: int = 0,
-) -> list[TaskSet]:
-    """The task set presented at each local-client port of ``node``."""
+    deadline_margin: int,
+) -> tuple[TaskSetKey, ...]:
+    """The exact ``(T, C)`` multiset presented at each port of ``node``.
+
+    A leaf port sees its client's tightened tasks, an interior port the
+    server tasks ``(Π, Θ)`` of its child's non-idle interfaces; each
+    key is what :func:`~repro.analysis.cache.taskset_key` would give
+    the port's task set, computed without building it.
+    """
     fanout = topology.fanout
     level, order = node
-    port_sets: list[TaskSet] = []
+    keys: list[TaskSetKey] = []
     if level == topology.depth:
         first = order * fanout
-        for port in range(fanout):
-            client_id = first + port
+        for client_id in range(first, first + fanout):
+            tasks = ()
             if client_id < topology.n_clients:
-                port_sets.append(
-                    tighten_deadlines(
-                        client_tasksets.get(client_id, TaskSet()),
-                        deadline_margin,
+                tasks = client_tasksets.get(client_id, ())
+            keys.append(
+                tuple(
+                    sorted(
+                        (tightened_period(task, deadline_margin), task.wcet)
+                        for task in tasks
                     )
                 )
-            else:
-                port_sets.append(TaskSet())
+            )
     else:
         for child in topology.children(node):
-            if child in result.interfaces:
-                port_sets.append(result.server_taskset(child))
-            else:
-                port_sets.append(TaskSet())
-    return port_sets
+            keys.append(
+                tuple(
+                    sorted(
+                        (iface.period, iface.budget)
+                        for iface in result.interfaces.get(child, ())
+                        if iface.budget > 0
+                    )
+                )
+            )
+    return tuple(keys)
 
 
 def default_deadline_margin(topology: TreeTopology) -> int:
@@ -152,26 +180,43 @@ def default_deadline_margin(topology: TreeTopology) -> int:
     return request_hops + 1 + response_hops
 
 
-def _resolve_node(
-    node: NodeId,
-    port_sets: list[TaskSet],
-    result: CompositionResult,
-    ctx: AnalysisContext,
-) -> None:
-    """Select every port interface of one SE and record the outcome.
+@dataclass(frozen=True)
+class NodeResolution:
+    """Everything resolving one SE records, independent of where it sits.
 
-    Shared by :func:`compose` and :func:`update_client` so the two can
-    never disagree on what resolving an SE means: over-utilization
-    checks, per-port selection, the full-bandwidth fallback that keeps
-    an infeasible composition observable, and the SE-local bandwidth
-    cap are all applied here, mutating ``result`` in place.
+    The failure texts omit their ``SE<node>`` prefix (empty when the
+    check passed), so SEs presenting identical ports share one record.
     """
+
+    interfaces: tuple[ResourceInterface, ...]
+    #: combined bandwidth of the selected server tasks
+    bandwidth: Fraction
+    #: the SE's ports demand more than the full resource
+    over_utilized: str = ""
+    #: the first port whose selection was infeasible
+    port_failure: str = ""
+    #: the selected server bandwidths sum past 1
+    overflow: str = ""
+
+
+def _solve_node(
+    port_keys: tuple[TaskSetKey, ...], ctx: AnalysisContext
+) -> NodeResolution:
+    """Select every port interface of one SE, from its port keys.
+
+    Covers the over-utilization check, per-port selection, the
+    full-bandwidth fallback that keeps an infeasible composition
+    observable, and the SE-local bandwidth cap.
+    """
+    port_sets = [
+        TaskSet([PeriodicTask(period=t, wcet=c) for t, c in key])
+        for key in port_keys
+    ]
     total_util = sum((ts.utilization for ts in port_sets), Fraction(0))
+    over_utilized = port_failure = overflow = ""
     if total_util > 1:
-        result.schedulable = False
-        result.failure = (
-            f"SE{node} is over-utilized: local demand "
-            f"{float(total_util):.3f} > 1"
+        over_utilized = (
+            f" is over-utilized: local demand {float(total_util):.3f} > 1"
         )
     interfaces: list[ResourceInterface] = []
     for port, taskset in enumerate(port_sets):
@@ -183,30 +228,75 @@ def _resolve_node(
             selection = select_interface(taskset, sibling_util, ctx=ctx)
             interfaces.append(selection.interface)
         except InfeasibleError as exc:
-            result.schedulable = False
-            if not result.failure:
-                result.failure = f"SE{node} port {port}: {exc}"
+            if not port_failure:
+                port_failure = f" port {port}: {exc}"
             # Fall back to a full-bandwidth interface so the
             # composition can continue and report root pressure.
             fallback_period = max(taskset.min_period // 2, 1)
             interfaces.append(
                 ResourceInterface(fallback_period, fallback_period)
             )
-    result.interfaces[node] = interfaces
-    selected_bw = result.node_bandwidth(node)
-    if selected_bw > 1 and result.schedulable:
+    selected_bw = sum((iface.bandwidth for iface in interfaces), Fraction(0))
+    if selected_bw > 1:
         # The SE forwards at most one transaction per slot; four
         # servers jointly demanding more cannot all be honored.
-        result.schedulable = False
-        result.failure = (
-            f"SE{node}: selected server bandwidths sum to "
-            f"{float(selected_bw):.3f} > 1"
+        overflow = (
+            f": selected server bandwidths sum to {float(selected_bw):.3f} > 1"
         )
+    return NodeResolution(
+        tuple(interfaces), selected_bw, over_utilized, port_failure, overflow
+    )
 
 
-def _check_root(result: CompositionResult) -> None:
+def _resolution(
+    port_keys: tuple[TaskSetKey, ...], ctx: AnalysisContext
+) -> NodeResolution:
+    """:func:`_solve_node`, memoized in ``ctx``'s cache."""
+    key = (port_keys, ctx.config.memo_key())
+    found = ctx.cache.get_node(key)
+    if found is None:
+        found = _solve_node(port_keys, ctx)
+        ctx.cache.put_node(key, found)
+    return found
+
+
+def _resolve_node(
+    topology: TreeTopology,
+    node: NodeId,
+    client_tasksets: dict[int, TaskSet],
+    result: CompositionResult,
+    deadline_margin: int,
+    ctx: AnalysisContext,
+) -> NodeResolution:
+    """Resolve one SE, record the outcome on ``result`` and return it.
+
+    Shared by :func:`compose` and :func:`update_client` so the two can
+    never disagree on what resolving an SE means.  The SE's port keys
+    are computed first; only a cache miss builds port task sets.  The
+    outcome is applied in one fixed order: an over-utilized SE
+    overwrites ``failure``, a port failure sets it only when still
+    empty, and the bandwidth cap applies only while ``result`` is
+    still schedulable.
+    """
+    keys = _port_keys(topology, node, client_tasksets, result, deadline_margin)
+    found = _resolution(keys, ctx)
+    if found.over_utilized:
+        result.schedulable = False
+        result.failure = f"SE{node}{found.over_utilized}"
+    if found.port_failure:
+        result.schedulable = False
+        if not result.failure:
+            result.failure = f"SE{node}{found.port_failure}"
+    result.interfaces[node] = list(found.interfaces)
+    if found.overflow and result.schedulable:
+        result.schedulable = False
+        result.failure = f"SE{node}{found.overflow}"
+    return found
+
+
+def _check_root(result: CompositionResult, root: NodeResolution) -> None:
     """Apply the memory-controller utilization check to the root."""
-    result.root_bandwidth = result.node_bandwidth((0, 0))
+    result.root_bandwidth = root.bandwidth
     if result.root_bandwidth > 1:
         result.schedulable = False
         if not result.failure:
@@ -231,9 +321,9 @@ def compose(
     crash on them.
 
     ``ctx`` selects and memoizes the per-VE searches (see
-    :func:`~repro.analysis.interface_selection.select_interface`):
-    sweeps that re-compose mostly-unchanged trees reuse every unchanged
-    subtree's selection from the context's cache.
+    :func:`~repro.analysis.interface_selection.select_interface`) and
+    whole SEs: sweeps that re-compose mostly-unchanged trees reuse
+    every unchanged SE from the context's cache.
     """
     for client_id in client_tasksets:
         if not 0 <= client_id < topology.n_clients:
@@ -251,11 +341,10 @@ def compose(
             node = (level, order)
             if topology.subtree_client_range(level, order)[0] >= topology.n_clients:
                 continue  # pruned empty subtree
-            port_sets = _port_tasksets(
-                topology, node, client_tasksets, result, deadline_margin
+            resolved = _resolve_node(
+                topology, node, client_tasksets, result, deadline_margin, ctx
             )
-            _resolve_node(node, port_sets, result, ctx)
-    _check_root(result)
+    _check_root(result, resolved)  # the root is resolved last
     return result
 
 
@@ -284,11 +373,10 @@ def update_client(
     fresh.schedulable = True
     for node in topology.path_to_root(client_id):
         # leaf first, root last — same order as compose()
-        port_sets = _port_tasksets(
-            topology, node, client_tasksets, fresh, deadline_margin
+        resolved = _resolve_node(
+            topology, node, client_tasksets, fresh, deadline_margin, ctx
         )
-        _resolve_node(node, port_sets, fresh, ctx)
-    _check_root(fresh)
+    _check_root(fresh, resolved)
     return fresh
 
 

@@ -18,8 +18,9 @@ POST      ``/reset``     roll the session back to the model baseline
 ========  =============  ==================================================
 
 The event loop parses requests and writes responses; the analysis
-itself (the only CPU-heavy part) runs on a small thread pool via
-``run_in_executor``, which is exactly why the
+itself runs on a small thread pool via ``run_in_executor`` (on a warm
+cache a decision is one whole-SE memo hit per SE on the client's path,
+cheaper than the request's HTTP handling), which is exactly why the
 :class:`~repro.analysis.cache.AnalysisCache` those threads share must
 be thread-safe.  Metrics are touched only from the event-loop thread,
 so plain counters suffice.
@@ -62,9 +63,9 @@ class AdmissionService:
     """One model, one shared session, one HTTP endpoint.
 
     ``max_workers`` sizes the analysis thread pool; admission
-    throughput saturates quickly because warm-cache decisions are
-    dominated by per-request Python work, so a handful of threads is
-    plenty.
+    throughput saturates quickly because a warm-cache decision is a
+    few whole-SE memo hits (tens of microseconds), less than the HTTP
+    parse and serialize around it, so a handful of threads is plenty.
     """
 
     def __init__(self, model: SystemModel, max_workers: int = 4) -> None:
@@ -105,6 +106,8 @@ class AdmissionService:
                 "grid_misses": stats.grid_misses,
                 "lookups": stats.lookups,
                 "hit_rate": stats.hit_rate,
+                "node_hits": stats.node_hits,
+                "node_misses": stats.node_misses,
             },
             "session_decisions": self.session.decisions,
         }

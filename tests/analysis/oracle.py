@@ -397,11 +397,14 @@ def installed() -> Iterator[Counter]:
     Patches ``composition.select_interface`` (every SE port's selection,
     honouring ``ctx.config``) and ``response_time._port_wcrts`` (every
     port's response bounds, under the module's current divergence cap).
-    Neither reads the context's cache.  Yields a counter of oracle calls
-    per seam, so a test can tell the oracle really ran.  The engine's
-    lock-step verdicts and port fixpoint are counted too, as
-    ``engine.<name>``: a block that ran either fails on exit, because a
-    seam leaked.
+    Neither reads the context's cache.  The whole-SE memo is bypassed
+    too (``composition._resolution`` becomes ``_solve_node``), so an
+    engine-filled cache cannot answer inside the block and the block's
+    oracle answers never reach the engine after it.  Yields a counter
+    of oracle calls per seam, so a test can tell the oracle really
+    ran.  The engine's lock-step verdicts and port fixpoint are counted
+    too, as ``engine.<name>``: a block that ran either fails on exit,
+    because a seam leaked.
     """
     from repro.analysis import composition, response_time, vectorized
 
@@ -436,6 +439,8 @@ def installed() -> Iterator[Counter]:
         return run
 
     patches = [
+        # every SE solved afresh: no whole-SE memo read or written
+        (composition, "_resolution", composition._solve_node),
         (composition, "select_interface", select_interface),
         (response_time, "_port_wcrts", _port_wcrts),
         (vectorized, "grid_verdicts", counted("grid_verdicts")),

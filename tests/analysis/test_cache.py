@@ -20,6 +20,11 @@ def _selection_key(i: int) -> tuple:
     return (((100 + i, 1),), i, 7, (64, 1), "vectorized")
 
 
+def _node_key(i: int) -> tuple:
+    """A distinct opaque key per ``i``, shaped like an SE key."""
+    return ((((100 + i, 1),), (), (), ()), (64,))
+
+
 class TestKeys:
     def test_key_is_order_and_metadata_insensitive(self):
         a = TaskSet(
@@ -150,6 +155,9 @@ class TestConcurrency:
                 gkey = ((100 + (i % 10), 1),)
                 if cache.get_grid(gkey) is None:
                     cache.put_grid(gkey, f"g{tid}/{i}")
+                nkey = _node_key((tid + i) % 24)
+                if cache.get_node(nkey) is None:
+                    cache.put_node(nkey, f"n{tid}/{i}")
                 if i % 97 == 0:
                     cache.clear()
 
@@ -164,12 +172,14 @@ class TestConcurrency:
         with cache._lock:
             assert len(cache._selections) <= 16
             assert len(cache._grids) <= 8
+            assert len(cache._nodes) <= 16
         stats = cache.stats_snapshot()
         assert (
             stats.selection_hits + stats.selection_misses
             == n_threads * per_thread
         )
         assert stats.grid_hits + stats.grid_misses == n_threads * per_thread
+        assert stats.node_hits + stats.node_misses == n_threads * per_thread
 
 
 class TestPickling:
@@ -185,3 +195,49 @@ class TestPickling:
         clone.clear()
         assert len(clone) == 0
         assert cache.get_selection(key) == "sel"
+
+
+class TestNodeTable:
+    """Whole-SE resolutions: their own table and counters, bounded by
+    ``max_selections``, outside the selection/grid aggregates."""
+
+    def test_disabled_stores_no_se_entry(self):
+        DISABLED.put_node(_node_key(0), "node")
+        assert len(DISABLED) == 0
+        assert DISABLED.get_node(_node_key(0)) is None
+        cache = AnalysisCache(enabled=False)
+        cache.put_node(_node_key(0), "node")
+        assert cache.get_node(_node_key(0)) is None
+        assert (cache.stats.node_hits, cache.stats.node_misses) == (0, 0)
+
+    def test_counters_survive_clear(self):
+        cache = AnalysisCache()
+        key = _node_key(1)
+        cache.get_node(key)  # miss
+        cache.put_node(key, "node")
+        cache.get_node(key)  # hit
+        cache.clear()
+        assert len(cache) == 0
+        assert (cache.stats.node_hits, cache.stats.node_misses) == (1, 1)
+        assert cache.get_node(key) is None
+        assert cache.stats.node_misses == 2
+        # the aggregates count the selection and grid tables only
+        assert cache.stats.lookups == 0
+        assert cache.stats.as_dict()["node_hits"] == 1
+
+    def test_fifo_bound_is_max_selections(self):
+        cache = AnalysisCache(max_selections=3, max_grids=1)
+        for i in range(8):
+            cache.put_node(_node_key(i), f"node{i}")
+        assert len(cache) == 3
+        assert cache.get_node(_node_key(7)) == "node7"
+        assert cache.get_node(_node_key(5)) == "node5"
+        assert cache.get_node(_node_key(4)) is None
+
+    def test_pickled_clone_keeps_se_entries(self):
+        cache = AnalysisCache()
+        cache.put_node(_node_key(0), "node")
+        clone = pickle.loads(pickle.dumps(cache))
+        assert clone.get_node(_node_key(0)) == "node"
+        clone.clear()
+        assert cache.get_node(_node_key(0)) == "node"

@@ -45,12 +45,24 @@ class TestGoldenInterfaces:
     def test_vectorized_backend_matches_fixture(self, golden, n_clients):
         topology, tasksets = golden_system(n_clients)
         cache = AnalysisCache()
+        passes = []
         for _ in ("cold", "cache-warm"):
+            before = cache.stats_snapshot()
             result = compose(
                 topology, tasksets, ctx=AnalysisContext(cache=cache)
             )
+            after = cache.stats_snapshot()
+            passes.append(
+                (
+                    after.node_hits - before.node_hits,
+                    after.node_misses - before.node_misses,
+                    after.lookups - before.lookups,
+                )
+            )
             assert composition_snapshot(result) == golden[str(n_clients)]
-        assert cache.stats.selection_hits > 0
+        (cold_hits, cold_misses, _), warm = passes
+        # the warm pass is served by whole-SE hits, one per SE
+        assert warm == (cold_hits + cold_misses, 0, 0)
 
     def test_fixture_systems_are_schedulable(self, golden, n_clients):
         """The canonical draws compose — so the fixture pins real

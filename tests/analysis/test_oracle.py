@@ -36,3 +36,22 @@ def test_engine_run_inside_the_block_fails_it():
     with pytest.raises(AssertionError, match="engine ran under the oracle"):
         with oracle.installed():
             select_interface(taskset, ctx=AnalysisContext(cache=AnalysisCache()))
+
+
+def test_a_warm_se_memo_never_answers_inside_the_block():
+    """An engine-filled cache must not serve the oracle's composition:
+    inside the block every SE is solved afresh and nothing is memoized,
+    so neither side of an engine ≡ oracle wall sees the other's work."""
+    topology, tasksets = golden_system(16)
+    ctx = AnalysisContext(cache=AnalysisCache())
+    engine = compose(topology, tasksets, ctx=ctx)
+    before = ctx.cache.stats_snapshot()
+    with oracle.installed() as calls:
+        on_oracle = compose(topology, tasksets, ctx=ctx)
+    after = ctx.cache.stats_snapshot()
+    assert calls["select_interface"] > 0
+    assert on_oracle == engine
+    assert (after.node_hits, after.node_misses) == (
+        before.node_hits,
+        before.node_misses,
+    )

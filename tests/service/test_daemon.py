@@ -94,7 +94,8 @@ class TestEndpoints:
         assert metrics["service/errors"] == 0
         assert metrics["service/latency_ms_count"] >= 2
         assert metrics["service/latency_ms_p50"] >= 0
-        assert payload["cache"]["hit_rate"] > 0
+        # the model's composition warmed the SE memo the probes hit
+        assert payload["cache"]["node_hits"] > 0
 
     def test_evict_drops_client_and_commits(self, service, model):
         handle, client = service
@@ -235,7 +236,8 @@ class TestLoadSmoke:
             metrics["service/admitted"] + metrics["service/rejected"]
             == per_thread * n_threads
         )
-        assert payload["cache"]["hit_rate"] > 0.5
+        cache = payload["cache"]
+        assert cache["node_hits"] > cache["node_misses"]
 
 
 class TestServiceObject:
