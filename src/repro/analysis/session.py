@@ -13,9 +13,11 @@ The admission primitives mirror the paper's scheduling-scalability
 property: :meth:`probe`, :meth:`admit` and :meth:`evict` re-resolve
 only the SEs on the touched client's path to the root
 (:func:`~repro.analysis.composition.update_client`), so one admission
-decision costs O(log n) interface-selection problems — and warm-cache
-decisions are sub-millisecond, which is what makes the
-:mod:`repro.service` daemon viable.
+decision costs O(log n) interface-selection problems.  On a warm cache
+each of those SEs is one whole-SE memo hit (no selection, no port task
+set, no ``Fraction`` sum), so a decision that changes nothing on its
+path costs tens of microseconds at 16 clients; the
+:mod:`repro.service` daemon's HTTP hop costs more than that.
 
 Sessions are internally locked: many threads may share one session (the
 daemon shares its committed session across its worker pool), with
