@@ -79,11 +79,8 @@ def tightened_period(
 ) -> int:
     """The period (and deadline) one task presents to its leaf SE.
 
-    See :func:`tighten_deadlines`; with no margin at all the period is
-    the task's own.
+    The one tightening formula; see :func:`tighten_deadlines`.
     """
-    if margin <= 0 and relative_margin <= 0:
-        return task.period
     return max(
         task.wcet, task.period - margin - round(relative_margin * task.period)
     )
@@ -192,11 +189,11 @@ class NodeResolution:
     #: combined bandwidth of the selected server tasks
     bandwidth: Fraction
     #: the SE's ports demand more than the full resource
-    over_utilized: str = ""
+    over_utilized: str
     #: the first port whose selection was infeasible
-    port_failure: str = ""
+    port_failure: str
     #: the selected server bandwidths sum past 1
-    overflow: str = ""
+    overflow: str
 
 
 def _solve_node(
