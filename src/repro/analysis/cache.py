@@ -210,7 +210,9 @@ class AnalysisCache:
         if not self.enabled:
             return
         with self._lock:
-            if key not in self._nodes and len(self._nodes) >= self.max_selections:
+            if key not in self._nodes and (
+                len(self._nodes) >= self.max_selections
+            ):
                 self._nodes.pop(next(iter(self._nodes)))
             self._nodes[key] = resolution
 
