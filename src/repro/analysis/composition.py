@@ -74,21 +74,17 @@ class CompositionResult:
 RELATIVE_MARGIN = 0.10
 
 
-def tightened_period(
-    task: PeriodicTask, margin: int, relative_margin: float = RELATIVE_MARGIN
-) -> int:
+def tightened_period(task: PeriodicTask, margin: int) -> int:
     """The period (and deadline) one task presents to its leaf SE.
 
     The one tightening formula; see :func:`tighten_deadlines`.
     """
     return max(
-        task.wcet, task.period - margin - round(relative_margin * task.period)
+        task.wcet, task.period - margin - round(RELATIVE_MARGIN * task.period)
     )
 
 
-def tighten_deadlines(
-    taskset: TaskSet, margin: int, relative_margin: float = RELATIVE_MARGIN
-) -> TaskSet:
+def tighten_deadlines(taskset: TaskSet, margin: int) -> TaskSet:
     """Shrink task periods/deadlines for analysis purposes.
 
     The compositional model guarantees that a job's transactions are
@@ -99,19 +95,17 @@ def tighten_deadlines(
       path, the controller, the response demux chain) — the absolute
       ``margin``;
     * supply blackouts of the *interior* levels' server tasks, which a
-      request crosses after leaving its leaf SE — the ``relative_margin``
-      fraction of each deadline.
+      request crosses after leaving its leaf SE — the
+      :data:`RELATIVE_MARGIN` fraction of each deadline.
 
     Shrinking the period (the analysis uses it as both rate and
     deadline) slightly over-states long-run demand, which is
     conservative: compositions tighten, never loosen.
     """
-    if margin <= 0 and relative_margin <= 0:
-        return taskset
     return TaskSet(
         [
             PeriodicTask(
-                period=tightened_period(task, margin, relative_margin),
+                period=tightened_period(task, margin),
                 wcet=task.wcet,
                 name=task.name,
                 client_id=task.client_id,
@@ -126,11 +120,11 @@ def _port_keys(
     node: NodeId,
     client_tasksets: dict[int, TaskSet],
     result: CompositionResult,
-    deadline_margin: int,
 ) -> tuple[TaskSetKey, ...]:
     """The exact ``(T, C)`` multiset presented at each port of ``node``.
 
-    A leaf port sees its client's tightened tasks, an interior port the
+    A leaf port sees its client's tasks tightened by the topology's
+    :func:`default_deadline_margin`, an interior port the
     server tasks ``(Π, Θ)`` of its child's non-idle interfaces; each
     key is what :func:`~repro.analysis.cache.taskset_key` would give
     the port's task set, computed without building it.
@@ -139,6 +133,7 @@ def _port_keys(
     level, order = node
     keys: list[TaskSetKey] = []
     if level == topology.depth:
+        margin = default_deadline_margin(topology)
         first = order * fanout
         for client_id in range(first, first + fanout):
             tasks = ()
@@ -147,7 +142,7 @@ def _port_keys(
             keys.append(
                 tuple(
                     sorted(
-                        (tightened_period(task, deadline_margin), task.wcet)
+                        (tightened_period(task, margin), task.wcet)
                         for task in tasks
                     )
                 )
@@ -170,7 +165,9 @@ def default_deadline_margin(topology: TreeTopology) -> int:
     """Constant end-to-end path latency of the deepest client.
 
     One cycle per SE on the request path, one for the controller, and
-    one per demux level plus one on the response path.
+    one per demux level plus one on the response path.  The analysis
+    margin comes from the topology here and nowhere else: admission
+    never takes it as an argument.
     """
     request_hops = topology.depth + 1
     response_hops = topology.depth + 2
@@ -262,7 +259,6 @@ def _resolve_node(
     node: NodeId,
     client_tasksets: dict[int, TaskSet],
     result: CompositionResult,
-    deadline_margin: int,
     ctx: AnalysisContext,
 ) -> NodeResolution:
     """Resolve one SE, record the outcome on ``result`` and return it.
@@ -275,7 +271,7 @@ def _resolve_node(
     empty, and the bandwidth cap applies only while ``result`` is
     still schedulable.
     """
-    keys = _port_keys(topology, node, client_tasksets, result, deadline_margin)
+    keys = _port_keys(topology, node, client_tasksets, result)
     found = _resolution(keys, ctx)
     if found.over_utilized:
         result.schedulable = False
@@ -306,7 +302,6 @@ def _check_root(result: CompositionResult, root: NodeResolution) -> None:
 def compose(
     topology: TreeTopology,
     client_tasksets: dict[int, TaskSet],
-    deadline_margin: int | None = None,
     *,
     ctx: AnalysisContext | None = None,
 ) -> CompositionResult:
@@ -330,17 +325,13 @@ def compose(
             )
     if ctx is None:
         ctx = AnalysisContext()
-    if deadline_margin is None:
-        deadline_margin = default_deadline_margin(topology)
     result = CompositionResult(topology=topology)
     for level in range(topology.depth, -1, -1):
         for order in range(topology.nodes_at_level(level)):
             node = (level, order)
             if topology.subtree_client_range(level, order)[0] >= topology.n_clients:
                 continue  # pruned empty subtree
-            resolved = _resolve_node(
-                topology, node, client_tasksets, result, deadline_margin, ctx
-            )
+            resolved = _resolve_node(topology, node, client_tasksets, result, ctx)
     _check_root(result, resolved)  # the root is resolved last
     return result
 
@@ -349,7 +340,6 @@ def update_client(
     result: CompositionResult,
     client_tasksets: dict[int, TaskSet],
     client_id: int,
-    deadline_margin: int | None = None,
     *,
     ctx: AnalysisContext | None = None,
 ) -> CompositionResult:
@@ -363,16 +353,12 @@ def update_client(
     topology = result.topology
     if ctx is None:
         ctx = AnalysisContext()
-    if deadline_margin is None:
-        deadline_margin = default_deadline_margin(topology)
     fresh = CompositionResult(topology=topology)
     fresh.interfaces = dict(result.interfaces)
     fresh.schedulable = True
     for node in topology.path_to_root(client_id):
         # leaf first, root last — same order as compose()
-        resolved = _resolve_node(
-            topology, node, client_tasksets, fresh, deadline_margin, ctx
-        )
+        resolved = _resolve_node(topology, node, client_tasksets, fresh, ctx)
     _check_root(fresh, resolved)
     return fresh
 

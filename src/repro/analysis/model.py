@@ -61,8 +61,6 @@ class SystemModel:
     client_tasksets: Mapping[int, TaskSet]
     #: shared thread-safe cache + selection config
     context: AnalysisContext
-    #: analysis deadline margin the baseline was composed with
-    deadline_margin: int
     #: the composed hierarchy: every selected per-subtree interface
     baseline: CompositionResult
     #: optional human-readable label (reports, /model endpoint)
@@ -76,7 +74,6 @@ class SystemModel:
         client_tasksets: Mapping[int, TaskSet],
         *,
         config: SelectionConfig | None = None,
-        deadline_margin: int | None = None,
         cache: AnalysisCache | None = None,
         label: str = "",
     ) -> "SystemModel":
@@ -93,23 +90,15 @@ class SystemModel:
             cache=AnalysisCache() if cache is None else cache,
             config=DEFAULT_CONFIG if config is None else config,
         )
-        margin = (
-            default_deadline_margin(topology)
-            if deadline_margin is None
-            else deadline_margin
-        )
         frozen_sets = {
             client: TaskSet(list(taskset))
             for client, taskset in sorted(client_tasksets.items())
         }
-        baseline = compose(
-            topology, frozen_sets, deadline_margin=margin, ctx=ctx
-        )
+        baseline = compose(topology, frozen_sets, ctx=ctx)
         return cls(
             topology=topology,
             client_tasksets=MappingProxyType(frozen_sets),
             context=ctx,
-            deadline_margin=margin,
             baseline=baseline,
             label=label,
         )
@@ -166,6 +155,11 @@ class SystemModel:
     @property
     def n_clients(self) -> int:
         return self.topology.n_clients
+
+    @property
+    def deadline_margin(self) -> int:
+        """Analysis deadline margin, derived from the topology."""
+        return default_deadline_margin(self.topology)
 
     @property
     def schedulable(self) -> bool:

@@ -213,11 +213,7 @@ class AdmissionSession:
             submission
         )
         updated = update_client(
-            composition,
-            trial,
-            client_id,
-            deadline_margin=self.model.deadline_margin,
-            ctx=self.model.context,
+            composition, trial, client_id, ctx=self.model.context
         )
         self._decisions += 1
         return trial, self._decide(client_id, submission, updated)
@@ -274,11 +270,7 @@ class AdmissionSession:
             tasksets = dict(self._tasksets)
             tasksets[client_id] = submission
             updated = update_client(
-                self._composition,
-                tasksets,
-                client_id,
-                deadline_margin=self.model.deadline_margin,
-                ctx=self.model.context,
+                self._composition, tasksets, client_id, ctx=self.model.context
             )
             self._decisions += 1
             decision = self._decide(client_id, submission, updated)
@@ -305,11 +297,7 @@ class AdmissionSession:
             tasksets = dict(self._tasksets)
             removed = tasksets.pop(client_id, TaskSet())
             updated = update_client(
-                self._composition,
-                tasksets,
-                client_id,
-                deadline_margin=self.model.deadline_margin,
-                ctx=self.model.context,
+                self._composition, tasksets, client_id, ctx=self.model.context
             )
             self._tasksets = tasksets
             self._composition = updated

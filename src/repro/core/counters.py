@@ -50,7 +50,7 @@ class CountdownCounter:
         self.value = self.reset_value
 
     def enable(self) -> int:
-        """Clock edge with enable high: decrement (saturating), return value."""
+        """Enabled clock edge: decrement (saturating) and return the value."""
         if self.value > 0:
             self.value -= 1
         return self.value

@@ -108,9 +108,6 @@ class ScaleElement:
                 )
         return accepted
 
-    def port_free(self, port: int) -> bool:
-        return not self.buffers[port].full
-
     # -- parameter path ----------------------------------------------------------
     def program_port(
         self, port: int, interface: ResourceInterface, now: int = 0

@@ -1,4 +1,7 @@
-"""Cycle-level simulation substrate (clock, engine, statistics).
+"""Cycle-level simulation substrate (engine, statistics).
+
+Time is counted in one unit, the transaction slot: an engine cycle is
+one slot of the schedulability model.
 
 Two interchangeable execution backends live underneath
 (:mod:`repro.sim.backend`): the scalar reference engine
@@ -11,7 +14,6 @@ from repro.sim.backend import (
     SIM_BACKENDS,
     resolve_sim_backend,
 )
-from repro.sim.clock import Clock
 from repro.sim.engine import Engine, TickComponent
 from repro.sim.stats import (
     LatencyRecorder,
@@ -26,7 +28,7 @@ from repro.sim.invariants import (
 )
 
 # imported last: repro.sim.batched reaches back through repro.soc into
-# the engine/clock names bound above
+# the engine names bound above
 from repro.sim.batched import (  # noqa: E402
     Ineligible,
     batched_supported,
@@ -39,7 +41,6 @@ __all__ = [
     "Ineligible",
     "batched_supported",
     "run_many",
-    "Clock",
     "Engine",
     "TickComponent",
     "LatencyRecorder",

@@ -29,14 +29,14 @@ from repro.sim.batched.extract import (
     kernel_key,
     signature_of,
 )
-from repro.soc import SoCSimulation, TrialResult
+from repro.soc import SoCSimulation, TrialResult, default_drain
 
 #: lock-step group size cap — bounds the (N, Rmax) array footprint
 MAX_GROUP = 512
 
 
 def _coerce_cycles(value):
-    """Normalise one horizon/drain/warmup value to a plain int.
+    """Normalise one horizon/drain value to a plain int.
 
     Campaign grids routinely hand over numpy scalars (``np.int64``),
     which are Integral but not ``int``; ``bool`` is Integral too but a
@@ -51,9 +51,9 @@ def _coerce_cycles(value):
     return value
 
 
-def _per_trial(value, n: int, default=None) -> list:
+def _per_trial(value, n: int) -> list:
     if value is None:
-        return [default] * n
+        return [None] * n
     value = _coerce_cycles(value)
     if isinstance(value, int):
         return [value] * n
@@ -99,34 +99,29 @@ def run_many(
     sims: Sequence[SoCSimulation],
     horizon,
     drain=None,
-    warmup=0,
     backend: str | None = None,
 ) -> list[TrialResult]:
     """Run many independent simulations; results in input order.
 
-    ``horizon``/``drain``/``warmup`` accept a single int applied to
-    every trial or one value per trial (ragged batches are fine —
-    shorter trials simply freeze while the rest drain).
+    ``horizon``/``drain`` accept a single int applied to every trial
+    or one value per trial (ragged batches are fine — shorter trials
+    simply freeze while the rest drain).  A missing drain defaults as
+    in :meth:`SoCSimulation.run <repro.soc.SoCSimulation.run>`.
     """
     sims = list(sims)
     n = len(sims)
     horizons = _per_trial(horizon, n)
     drains = _per_trial(drain, n)
-    warmups = _per_trial(warmup, n, default=0)
     for i in range(n):
         if horizons[i] is None or horizons[i] <= 0:
             raise ConfigurationError(
                 f"horizon must be positive, got {horizons[i]}"
             )
-        if not 0 <= warmups[i] < horizons[i]:
-            raise ConfigurationError(
-                f"warmup must lie within [0, horizon), got {warmups[i]}"
-            )
         if drains[i] is None:
-            drains[i] = min(4 * horizons[i], 20_000)
+            drains[i] = default_drain(horizons[i])
     if resolve_sim_backend(backend) == "scalar":
         return [
-            sim.run(horizons[i], drain=drains[i], warmup=warmups[i])
+            sim.run(horizons[i], drain=drains[i])
             for i, sim in enumerate(sims)
         ]
     results: list[TrialResult | None] = [None] * n
@@ -135,9 +130,7 @@ def run_many(
         try:
             signature = signature_of(sim)
         except Ineligible:
-            results[i] = sim.run(
-                horizons[i], drain=drains[i], warmup=warmups[i]
-            )
+            results[i] = sim.run(horizons[i], drain=drains[i])
             continue
         groups.setdefault(signature, {}).setdefault(
             kernel_key(sim), []
@@ -151,16 +144,10 @@ def run_many(
             plans = []
             for i in chunk:
                 try:
-                    plans.append(
-                        extract_plan(
-                            sims[i], horizons[i], drains[i], warmups[i]
-                        )
-                    )
+                    plans.append(extract_plan(sims[i], horizons[i], drains[i]))
                     members.append(i)
                 except Ineligible:
-                    results[i] = sims[i].run(
-                        horizons[i], drain=drains[i], warmup=warmups[i]
-                    )
+                    results[i] = sims[i].run(horizons[i], drain=drains[i])
             if members:
                 batch = _run_group([sims[i] for i in members], plans)
                 for i, result in zip(members, batch):

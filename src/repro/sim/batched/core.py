@@ -424,12 +424,10 @@ class BatchCore:
             ).encode()
         )
         recorder = sim.recorder
-        kept = complete_cycles >= plan.warmup
-        met = complete_cycles <= deadline
-        recorder.response_times.extend((complete_cycles - release)[kept].tolist())
-        recorder.blocking_times.extend(blocking[kept].tolist())
-        recorder.completed += int(kept.sum())
-        recorder.missed += int((~met[kept]).sum())
+        recorder.response_times.extend((complete_cycles - release).tolist())
+        recorder.blocking_times.extend(blocking.tolist())
+        recorder.completed += len(order)
+        recorder.missed += int((complete_cycles > deadline).sum())
         dropped = int(self.dropped[t])
         for _ in range(dropped):
             recorder.record_drop()
@@ -479,7 +477,6 @@ class BatchCore:
         sim.cycles_executed = total
         sim.cycles_skipped = 0
         sim.leaps = 0
-        sim.clock.now = total
         fault_counters = self._fault_counters(sim, plan, t)
         return TrialResult(
             horizon=plan.horizon,
@@ -548,7 +545,7 @@ class BatchCore:
         dropped = np.zeros(c, dtype=np.int64)
         np.add.at(dropped, plan.job_client_pos, job_dropped)
         # worst observed response per task / blocking per client, over
-        # every completion (the scalar hooks ignore the warmup window)
+        # every completion
         req_job_done = plan.req_job[order]
         task_resp = np.full(len(plan.task_names), -1, dtype=np.int64)
         blk_max = np.zeros(c, dtype=np.int64)

@@ -274,7 +274,6 @@ class TrialPlan:
 
     horizon: int
     drain: int
-    warmup: int
     n_requests: int
     n_jobs: int
     # per-request tables, indexed by rid
@@ -310,7 +309,7 @@ class TrialPlan:
         return self.horizon + self.drain
 
 
-def extract_plan(sim, horizon: int, drain: int, warmup: int) -> TrialPlan:
+def extract_plan(sim, horizon: int, drain: int) -> TrialPlan:
     """Replay the release heaps into a complete request schedule.
 
     Read-only with respect to ``sim``: heaps are copied before popping,
@@ -436,7 +435,6 @@ def extract_plan(sim, horizon: int, drain: int, warmup: int) -> TrialPlan:
     return TrialPlan(
         horizon=horizon,
         drain=drain,
-        warmup=warmup,
         n_requests=n_requests,
         n_jobs=n_jobs,
         req_key=req_key,

@@ -30,7 +30,7 @@ does not:
   ticks are pure no-ops.
 
 When **every** registered component is quiescent, :meth:`Engine.run`
-leaps the clock directly to the earliest of the components' next
+leaps ``now`` directly to the earliest of the components' next
 declared activities and the run horizon.  ``fast_path=False`` keeps
 the literal cycle-by-cycle loop, the oracle the fast path is tested
 against.
@@ -46,7 +46,6 @@ from __future__ import annotations
 from typing import Callable, Protocol
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.clock import Clock
 
 
 class TickComponent(Protocol):
@@ -71,10 +70,9 @@ _CONTRACT = ("tick", "is_quiescent", "next_activity_cycle")
 class Engine:
     """Deterministic cycle-driven simulation engine."""
 
-    def __init__(
-        self, clock: Clock | None = None, fast_path: bool = True
-    ) -> None:
-        self.clock = clock if clock is not None else Clock()
+    def __init__(self, fast_path: bool = True) -> None:
+        #: the next cycle to execute
+        self.now = 0
         self.fast_path = fast_path
         self._tick_components: list[TickComponent] = []
         # Reconciliation hooks, collected at registration so a leap
@@ -130,34 +128,34 @@ class Engine:
             if not component.is_quiescent():
                 self._last_veto = index
                 return
-        now = self.clock.now
+        now = self.now
         target = self._leap_target(now, until_cycle)
         if target <= now:
             return
         skipped = target - now
         for hook in self._skip_hooks:
             hook(now, skipped)
-        self.clock.now = target
+        self.now = target
         self.cycles_skipped += skipped
         self.leaps += 1
 
     def run(self, until_cycle: int) -> int:
         """Run until ``until_cycle`` (exclusive); returns the final cycle."""
-        if until_cycle < self.clock.now:
+        if until_cycle < self.now:
             raise SimulationError(
-                f"until_cycle {until_cycle} precedes current cycle {self.clock.now}"
+                f"until_cycle {until_cycle} precedes current cycle {self.now}"
             )
         components = self._tick_components
         fast = self.fast_path
-        while self.clock.now < until_cycle:
-            cycle = self.clock.now
+        while self.now < until_cycle:
+            cycle = self.now
             for component in components:
                 component.tick(cycle)
-            self.clock.tick()
+            self.now += 1
             self.cycles_executed += 1
-            if fast and self.clock.now < until_cycle:
+            if fast and self.now < until_cycle:
                 self._try_leap(until_cycle)
-        return self.clock.now
+        return self.now
 
     @property
     def skip_ratio(self) -> float:

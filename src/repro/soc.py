@@ -42,7 +42,6 @@ from repro.observability.tracer import (
     Tracer,
     make_tracer,
 )
-from repro.sim.clock import Clock
 from repro.sim.engine import Engine
 from repro.sim.stats import LatencyRecorder, SummaryStatistics
 
@@ -118,7 +117,7 @@ class _ClientStage:
         clients: list[TrafficGenerator],
         interconnect: Interconnect,
         horizon: int,
-        clock: Clock,
+        engine: Engine,
         fast_path: bool = False,
         inject=None,
     ) -> None:
@@ -128,7 +127,7 @@ class _ClientStage:
         # untraced runs use the interconnect's bound method directly.
         self._inject = inject if inject is not None else interconnect.try_inject
         self._horizon = horizon
-        self._clock = clock
+        self._engine = engine
         self._index_of = {
             client.client_id: index for index, client in enumerate(clients)
         }
@@ -188,7 +187,7 @@ class _ClientStage:
     def is_quiescent(self) -> bool:
         # Past the horizon the stage never ticks a client again, so it
         # is a pure no-op regardless of leftover pending traffic.
-        now = self._clock.now
+        now = self._engine.now
         if now >= self._horizon:
             return True
         blocked_until = self._interconnect.injection_blocked_until
@@ -271,13 +270,11 @@ class _ResponseStage:
         interconnect: Interconnect,
         client_by_id: dict[int, TrafficGenerator],
         recorder: LatencyRecorder,
-        warmup: int,
         tracer: Tracer | None = None,
     ) -> None:
         self._interconnect = interconnect
         self._client_by_id = client_by_id
         self._recorder = recorder
-        self._warmup = warmup
         self._tracer = tracer
         self.completed_total = 0
         self._hasher = hashlib.sha256()
@@ -287,13 +284,12 @@ class _ResponseStage:
         for request in self._interconnect.tick_response_path(cycle):
             self.completed_total += 1
             self._hasher.update(self._trace_record(request))
-            if cycle >= self._warmup:
-                self._recorder.record_completion(
-                    response_time=request.response_time,
-                    blocking_time=request.blocking_cycles,
-                    met_deadline=request.complete_cycle
-                    <= request.absolute_deadline,
-                )
+            self._recorder.record_completion(
+                response_time=request.response_time,
+                blocking_time=request.blocking_cycles,
+                met_deadline=request.complete_cycle
+                <= request.absolute_deadline,
+            )
             if tracer is not None:
                 tracer.on_completion(request, cycle)
             client = self._client_by_id.get(request.client_id)
@@ -326,6 +322,12 @@ class _ResponseStage:
         return self._interconnect.next_response_cycle()
 
 
+def default_drain(horizon: int) -> int:
+    """Drain cycles when the caller names none: enough for queued work
+    to finish under light load."""
+    return min(4 * horizon, 20_000)
+
+
 class SoCSimulation:
     """A complete system trial around one interconnect."""
 
@@ -334,7 +336,6 @@ class SoCSimulation:
         clients: list[TrafficGenerator],
         interconnect: Interconnect,
         controller: MemoryController | None = None,
-        clock: Clock | None = None,
         fast_path: bool = True,
         observability: "bool | ObservabilityConfig | Tracer | None" = None,
         faults: "FaultPlan | None" = None,
@@ -363,7 +364,6 @@ class SoCSimulation:
             else MemoryController(FixedLatencyDevice(1), queue_capacity=4)
         )
         self.interconnect.attach_controller(self.controller)
-        self.clock = clock if clock is not None else Clock()
         self.recorder = LatencyRecorder()
         self.fast_path = fast_path
         #: opt-in request tracing (None = off, zero overhead); see
@@ -392,37 +392,21 @@ class SoCSimulation:
         self.cycles_skipped = 0
         self.leaps = 0
 
-    def run(
-        self, horizon: int, drain: int | None = None, warmup: int = 0
-    ) -> TrialResult:
+    def run(self, horizon: int, drain: int | None = None) -> TrialResult:
         """Simulate ``horizon`` cycles of releases plus a drain window.
 
-        ``drain`` extra cycles (default: enough for queued work to
-        finish under light load) let in-flight transactions complete so
-        their latencies are recorded; no new jobs are released during
-        the drain.
-
-        ``warmup`` cycles at the start are simulated normally but their
-        completions are excluded from the latency/miss statistics —
-        steady-state measurement without the synchronous-start
-        transient.  Job-level outcomes (Fig. 7's success) always cover
-        the whole run.
+        ``drain`` extra cycles (default :func:`default_drain`) let
+        in-flight transactions complete so their latencies are
+        recorded; no new jobs are released during the drain.  Every
+        completion is recorded.
         """
         if horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {horizon}")
-        if not 0 <= warmup < horizon:
-            raise ConfigurationError(
-                f"warmup must lie within [0, horizon), got {warmup}"
-            )
         if drain is None:
-            drain = min(4 * horizon, 20_000)
+            drain = default_drain(horizon)
         reset_request_ids()
-        # The engine gets its own clock so every run starts at cycle 0,
-        # exactly like the original inline ``for cycle in range(...)``.
-        engine = Engine(
-            clock=Clock(frequency_mhz=self.clock.frequency_mhz),
-            fast_path=self.fast_path,
-        )
+        # A fresh engine per run, so every run starts at cycle 0.
+        engine = Engine(fast_path=self.fast_path)
         # With the engine fast path on, components may also elide work
         # their quiescence contracts prove to be pure no-ops (empty mux
         # nodes / SEs, idle clients); results are identical either way.
@@ -434,14 +418,13 @@ class SoCSimulation:
             self.interconnect,
             self._client_by_id,
             self.recorder,
-            warmup,
             tracer=self.tracer,
         )
         client_stage = _ClientStage(
             self.clients,
             self.interconnect,
             horizon,
-            engine.clock,
+            engine,
             fast_path=self.fast_path,
             inject=inject,
         )
@@ -466,7 +449,6 @@ class SoCSimulation:
         self.cycles_executed = engine.cycles_executed
         self.cycles_skipped = engine.cycles_skipped
         self.leaps = engine.leaps
-        self.clock.now = horizon + drain
         if self.tracer is not None:
             self.tracer.record_controller_stats(self.controller)
         return self._collect(horizon, response_stage)

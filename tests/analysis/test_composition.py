@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from repro.analysis.composition import (
+    RELATIVE_MARGIN,
     compose,
     default_deadline_margin,
     tighten_deadlines,
@@ -28,23 +29,22 @@ def light_tasksets(n_clients: int, period: int = 400, wcet: int = 4):
 
 class TestTightenDeadlines:
     def test_margin_shrinks_periods(self):
+        """The absolute margin comes off on top of RELATIVE_MARGIN."""
         taskset = TaskSet([PeriodicTask(period=100, wcet=5)])
-        tightened = tighten_deadlines(taskset, margin=10, relative_margin=0.0)
-        assert tightened[0].period == 90
+        tightened = tighten_deadlines(taskset, margin=10)
+        assert tightened[0].period == 100 - 10 - round(RELATIVE_MARGIN * 100)
 
     def test_relative_margin(self):
+        """With no absolute margin, RELATIVE_MARGIN of the period goes."""
         taskset = TaskSet([PeriodicTask(period=100, wcet=5)])
-        tightened = tighten_deadlines(taskset, margin=0, relative_margin=0.1)
-        assert tightened[0].period == 90
+        tightened = tighten_deadlines(taskset, margin=0)
+        assert RELATIVE_MARGIN > 0
+        assert tightened[0].period == 100 - round(RELATIVE_MARGIN * 100)
 
     def test_never_below_wcet(self):
         taskset = TaskSet([PeriodicTask(period=10, wcet=8)])
         tightened = tighten_deadlines(taskset, margin=50)
         assert tightened[0].period == 8
-
-    def test_zero_margin_is_identity(self):
-        taskset = TaskSet([PeriodicTask(period=10, wcet=2)])
-        assert tighten_deadlines(taskset, 0, 0.0) is taskset
 
 
 class TestCompose:

@@ -32,11 +32,7 @@ def _model(n_clients: int = 16, **kwargs) -> SystemModel:
 class TestSystemModel:
     def test_baseline_matches_direct_compose(self):
         model = _model()
-        direct = compose(
-            model.topology,
-            dict(model.client_tasksets),
-            deadline_margin=model.deadline_margin,
-        )
+        direct = compose(model.topology, dict(model.client_tasksets))
         assert direct.interfaces == model.baseline.interfaces
         assert direct.root_bandwidth == model.baseline.root_bandwidth
         assert model.schedulable == direct.schedulable

@@ -84,7 +84,6 @@ class TestSessionPathIndependence:
         cold = compose(
             m.topology,
             populated,
-            deadline_margin=m.deadline_margin,
             ctx=AnalysisContext(cache=AnalysisCache(), config=m.context.config),
         )
         incremental = session.composition

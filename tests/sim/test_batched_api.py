@@ -66,7 +66,6 @@ def test_numpy_integer_horizon_regression(backend):
         [build_sim(1), build_sim(2)],
         np.int64(HORIZON),
         drain=np.int64(DRAIN),
-        warmup=np.int64(0),
         backend=backend,
     )
     for seed, result in zip((1, 2), results):
@@ -76,20 +75,19 @@ def test_numpy_integer_horizon_regression(backend):
 
 @pytest.mark.parametrize("backend", ["batched", "scalar"])
 def test_numpy_array_per_trial_values_round_trip(backend):
-    """Ragged per-trial horizons/drains/warmups as numpy arrays (whose
+    """Ragged per-trial horizons/drains as numpy arrays (whose
     elements are ``np.int64``) round-trip both backends bit-for-bit."""
     sims = [build_sim(seed) for seed in (1, 2, 3)]
     results = run_many(
         sims,
         np.array([HORIZON, 800, 1_200]),
         drain=np.array([DRAIN, 400, 600]),
-        warmup=np.array([0, 0, 100]),
         backend=backend,
     )
     oracles = [
         build_sim(1).run(HORIZON, drain=DRAIN),
         build_sim(2).run(800, drain=400),
-        build_sim(3).run(1_200, drain=600, warmup=100),
+        build_sim(3).run(1_200, drain=600),
     ]
     for result, oracle in zip(results, oracles):
         assert fingerprint(result) == fingerprint(oracle)

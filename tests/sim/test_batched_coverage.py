@@ -312,7 +312,7 @@ def test_extract_plan_refuses_with_reason(reason):
     sim = PLAN_BUILDERS[reason]()
     check_supported(sim)
     with pytest.raises(Ineligible) as refused:
-        extract_plan(sim, horizon=10, drain=0, warmup=0)
+        extract_plan(sim, horizon=10, drain=0)
     assert str(refused.value) == reason
 
 

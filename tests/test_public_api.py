@@ -7,6 +7,48 @@ import repro
 from repro import errors
 
 
+def _public_analysis_callables() -> dict:
+    """Every public function, and every public method or ``__init__``
+    of a public class, defined in a ``repro.analysis`` module."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import repro.analysis
+
+    subjects = {}
+    for info in pkgutil.iter_modules(repro.analysis.__path__):
+        module = importlib.import_module(f"repro.analysis.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or (
+                getattr(obj, "__module__", None) != module.__name__
+            ):
+                continue
+            if inspect.isfunction(obj):
+                subjects[name] = obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)
+                    if inspect.isfunction(member) and (
+                        attr == "__init__" or not attr.startswith("_")
+                    ):
+                        subjects[f"{name}.{attr}"] = member
+    return subjects
+
+
+def _offenders(subjects: dict, forbidden: set, exempt=frozenset()) -> list:
+    """``qualname(param)`` for each forbidden parameter a subject takes."""
+    import inspect
+
+    return sorted(
+        f"{qualname}({param})"
+        for qualname, func in subjects.items()
+        if qualname not in exempt
+        for param in inspect.signature(func).parameters
+        if param in forbidden
+    )
+
+
 class TestTopLevelExports:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
@@ -276,11 +318,6 @@ class TestTopLevelExports:
         configure path takes a backend, cache or config of its own.
         Only the holders that own a context build it from keywords —
         and the context itself."""
-        import importlib
-        import inspect
-        import pkgutil
-
-        import repro.analysis
         from repro.core.interconnect import BlueScaleInterconnect
         from repro.experiments.factory import build_interconnect
 
@@ -295,31 +332,33 @@ class TestTopLevelExports:
             subjects[f"BlueScaleInterconnect.{name}"] = getattr(
                 BlueScaleInterconnect, name
             )
-        for info in pkgutil.iter_modules(repro.analysis.__path__):
-            module = importlib.import_module(f"repro.analysis.{info.name}")
-            for name, obj in vars(module).items():
-                if name.startswith("_") or (
-                    getattr(obj, "__module__", None) != module.__name__
-                ):
-                    continue
-                if inspect.isfunction(obj):
-                    subjects[name] = obj
-                elif inspect.isclass(obj):
-                    for attr, member in vars(obj).items():
-                        member = getattr(member, "__func__", member)
-                        if inspect.isfunction(member) and (
-                            attr == "__init__" or not attr.startswith("_")
-                        ):
-                            subjects[f"{name}.{attr}"] = member
+        subjects.update(_public_analysis_callables())
         assert exempt <= set(subjects)
-        offenders = sorted(
-            f"{qualname}({param})"
-            for qualname, func in subjects.items()
-            if qualname not in exempt
-            for param in inspect.signature(func).parameters
-            if param in forbidden
+        assert _offenders(subjects, forbidden, exempt) == []
+
+    def test_no_margin_or_time_unit_options(self):
+        """Values no caller sets are not options: the analysis margins
+        come from the topology and ``RELATIVE_MARGIN``, the simulator
+        records every completion and counts time in slots only."""
+        from repro.sim import Engine, run_many
+        from repro.soc import SoCSimulation
+
+        subjects = _public_analysis_callables()
+        assert {"compose", "update_client", "SystemModel.build"} <= set(
+            subjects
         )
-        assert offenders == []
+        assert _offenders(subjects, {"deadline_margin", "relative_margin"}) == []
+        sim_subjects = {
+            "SoCSimulation.__init__": SoCSimulation.__init__,
+            "SoCSimulation.run": SoCSimulation.run,
+            "Engine.__init__": Engine.__init__,
+            "run_many": run_many,
+        }
+        assert _offenders(sim_subjects, {"warmup", "clock"}) == []
+        import repro.sim
+
+        assert not hasattr(repro.sim, "Clock")
+        assert "Clock" not in repro.sim.__all__
 
     def test_readme_quickstart_snippet_runs(self):
         """The code block in README.md works as written."""

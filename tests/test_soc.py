@@ -158,34 +158,6 @@ class TestAlternativeProviders:
         assert slow.response_summary().mean > fast.response_summary().mean
 
 
-class TestWarmup:
-    def test_warmup_excludes_transient_from_stats(self):
-        """The synchronous start produces a latency transient; with a
-        warmup window the recorded sample is smaller but conservation
-        still holds over the whole run."""
-        full = SoCSimulation(
-            simple_clients(4, period=50, wcet=2), BlueScaleInterconnect(4)
-        ).run(2_000, drain=500)
-        warm = SoCSimulation(
-            simple_clients(4, period=50, wcet=2), BlueScaleInterconnect(4)
-        ).run(2_000, drain=500, warmup=500)
-        assert warm.recorder.completed < full.recorder.completed
-        assert warm.requests_completed == full.requests_completed
-        assert (
-            warm.requests_completed
-            + warm.requests_dropped
-            + warm.requests_in_flight
-            == warm.requests_released
-        )
-
-    def test_warmup_validation(self):
-        sim = SoCSimulation(simple_clients(4), BlueScaleInterconnect(4))
-        with pytest.raises(ConfigurationError):
-            sim.run(100, warmup=100)
-        with pytest.raises(ConfigurationError):
-            sim.run(100, warmup=-1)
-
-
 class TestWriteTraffic:
     def test_writes_pay_the_dram_penalty(self):
         """write_ratio=1 traffic takes longer end to end than pure reads
